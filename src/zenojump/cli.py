@@ -12,8 +12,9 @@ point.  Floats are written with 17 significant digits and ``\\n`` line
 endings, so identical configurations produce byte-identical files for any
 ``--jobs`` value.
 
-Exit codes: 0 success; 2 configuration error; 3 numerical failure;
-4 validity-diagnostics failure under ``--strict``.
+Exit codes: 0 success; 2 configuration error (including an output path that
+cannot be written); 3 numerical failure; 4 validity-diagnostics failure under
+``--strict``.  ``python -m zenojump`` runs :func:`main` as well.
 """
 
 from __future__ import annotations
@@ -248,12 +249,12 @@ def _sweep_axis(cfg: ScenarioConfig) -> tuple[str, list[float]]:
 
 def _evaluate(cfg: ScenarioConfig, worker, jobs: int | None) -> tuple[str, tuple]:
     parameter, values = _sweep_axis(cfg)
-    max_workers = jobs if jobs else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(values)))
+    max_workers = max(1, min(jobs or 1, len(values)))
     if max_workers == 1:
         rows = [worker(cfg, parameter, v) for v in values]
     else:
-        # threads suffice: the heavy kernels run in numpy/LAPACK outside the GIL
+        # Opt-in only: a point is many small numpy calls that hold the GIL, so
+        # threads add contention and memory rather than speed on most machines.
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
             rows = list(pool.map(lambda v: worker(cfg, parameter, v), values))
     return parameter, tuple(rows)
@@ -300,8 +301,11 @@ def _write_output(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _plot_script(csv_path: str, table: ResultTable) -> str:
@@ -370,8 +374,9 @@ def _schema_help() -> str:
         f"environment: {ENV_VAR} overrides numeric tolerances, e.g.",
         f'  {ENV_VAR}="frame_tol=1e-5,adiabatic_margin=0.02"',
         "",
-        "exit codes: 0 success, 2 config error, 3 numerical failure,",
-        "  4 validity diagnostics failed under --strict",
+        "exit codes: 0 success, 2 config error (including an output path",
+        "  that cannot be written), 3 numerical failure, 4 validity diagnostics",
+        "  failed under --strict",
     ]
     return "\n".join(rows)
 
@@ -404,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=None,
             metavar="N",
-            help="worker threads for sweep points (default: machine parallelism)",
+            help="worker threads for sweep points (default: 1, serial; the "
+            "per-point work holds the GIL, so more threads rarely help)",
         )
         sp.add_argument(
             "--strict",
@@ -484,3 +490,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -11,7 +11,6 @@ the adiabatic picture is summarised by an :class:`AdiabaticityReport`.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from typing import Callable, Sequence
 
@@ -87,20 +86,15 @@ class TimeDependentOperator:
             )
         return m
 
-    def piece_bounds(self, t: float) -> tuple[float, float]:
-        """Bounds of the smooth piece owning ``t``.
+    def piece_bounds(self, t):
+        """Bounds of the smooth piece owning ``t`` (a time or an array of times).
 
         A breakpoint belongs to the piece on its right, except at the horizon
         end where the last piece owns its right edge.
         """
-        t0, t1 = self.horizon
-        edges = [t0, *self.breakpoints, t1]
-        if t >= t1:
-            lo_idx = len(edges) - 2
-        else:
-            lo_idx = bisect.bisect_right(edges, t) - 1
-            lo_idx = min(max(lo_idx, 0), len(edges) - 2)
-        return edges[lo_idx], edges[lo_idx + 1]
+        edges = np.array([self.horizon[0], *self.breakpoints, self.horizon[1]])
+        idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+        return edges[idx], edges[idx + 1]
 
     def derivative(self, t: float, step: float) -> np.ndarray:
         """d(H)/dt at ``t`` by a symmetric difference clamped to the piece."""
@@ -115,39 +109,97 @@ class TimeDependentOperator:
         return (self(b) - self(a)) / (b - a)
 
 
-def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> tuple[list[slice], list[str]]:
-    """Group ascending eigenvalues into levels separated by gaps > tol."""
-    warnings: list[str] = []
-    groups: list[slice] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            groups.append(slice(start, i))
-            start = i
-    for i in range(1, len(vals)):
-        gap = vals[i] - vals[i - 1]
-        if tol / 2.0 < gap < 2.0 * tol:
-            warnings.append(
-                f"ambiguous gap {gap:.3e} near eigenvalue {vals[i]:.6g} "
-                f"(degeneracy tol {tol:.3e})"
-            )
-    for g in groups:
-        spread = float(vals[g.stop - 1] - vals[g.start])
-        if spread > tol:
-            warnings.append(
-                f"cluster spread {spread:.3e} exceeds degeneracy tol {tol:.3e}"
-            )
-    return groups, warnings
+#: samples per stacked eigendecomposition; bounds the temporaries of a pass
+_BLOCK = 256
+
+
+def _check_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        raise ValidationError("grid must be strictly increasing with >= 2 nodes")
+    return grid
 
 
 def _resolve_degeneracy_tol(
     vals: np.ndarray, scale: float, degeneracy_tol: float | None, pol: NumericPolicy
 ) -> float:
+    """Clustering tolerance over the eigenvalue rows ``vals``, one per sample."""
     if degeneracy_tol is not None:
         return float(degeneracy_tol)
-    spectral_range = float(vals[-1] - vals[0]) if len(vals) > 1 else 0.0
+    spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
     # Floor absorbs eigensolver rounding on exactly degenerate spectra.
     return max(pol.degeneracy_rel * spectral_range, 1e-14 * (1.0 + scale))
+
+
+def _cluster(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split each row of ascending eigenvalues into levels at gaps > tol.
+
+    Returns ``first`` (True where an eigenvalue opens a level) and the mean of
+    each eigenvalue's level, both shaped like ``vals``.
+    """
+    first = np.ones(vals.shape, dtype=bool)
+    first[:, 1:] = np.diff(vals, axis=1) > tol
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, vals.size))
+    # reduceat adds a level in the order ndarray.mean does for ranks below 8
+    means = np.add.reduceat(vals.ravel(), starts) / sizes
+    return first, means[np.cumsum(first) - 1].reshape(vals.shape)
+
+
+def _projectors(vecs: np.ndarray, starts: np.ndarray, ranks) -> np.ndarray:
+    """Projectors ``(L, K, d, d)``: level ``l`` at sample ``k`` is spanned by
+    the eigenvector columns ``starts[k, l]`` to ``starts[k, l] + ranks[l]``."""
+    out = np.empty((len(ranks), *vecs.shape), dtype=complex)
+    for l, rank in enumerate(ranks):
+        block = np.take_along_axis(vecs, starts[:, l, None, None] + np.arange(rank), axis=2)
+        p = block @ block.conj().swapaxes(1, 2)
+        out[l] = (p + p.conj().swapaxes(1, 2)) / 2.0
+    return out
+
+
+def _spectral_samples(
+    op: TimeDependentOperator,
+    grid: np.ndarray,
+    degeneracy_tol: float | None,
+    pol: NumericPolicy,
+    midpoints: bool,
+):
+    """Sample ``op`` once on the half grid of ``grid`` and decompose it once.
+
+    The half grid holds the nodes and the interval midpoints.  ``dH/dt`` at
+    each of its points is the difference quotient of the two neighbouring
+    samples (step ``h/2``), one-sided at the grid ends and where a neighbour
+    lies in another smooth piece; an analytic derivative takes precedence.
+    With ``midpoints`` every half-grid point is decomposed, otherwise only
+    the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples.  The
+    degeneracy tolerance is resolved over all samples.  Returns ``(vals, V,
+    V^dagger (dH/dt) V, first, level_mean, tol)``, one row per decomposed
+    sample, with the levels from :func:`_cluster`.
+    """
+    half = np.empty(2 * len(grid) - 1)
+    half[::2] = grid
+    half[1::2] = (grid[:-1] + grid[1:]) / 2.0
+    at = np.arange(0, len(half), 1 if midpoints else 2)
+    lo, hi = op.piece_bounds(half[at])
+    prev, nxt = np.maximum(at - 1, 0), np.minimum(at + 1, len(half) - 1)
+    left = np.where(half[prev] >= lo, prev, at)
+    right = np.where(half[nxt] <= hi, nxt, at)
+    width = np.where(right > left, half[right] - half[left], 1.0)[:, None, None]
+    samples = np.stack([op(t) for t in half])
+
+    vals = np.empty((len(at), op.dim))
+    vecs = np.empty((len(at), op.dim, op.dim), dtype=complex)
+    hdot = np.empty_like(vecs)
+    for start in range(0, len(at), _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        vals[blk], vecs[blk] = eigh(samples[at[blk]], pol)
+        if op.derivative_evaluator is None:
+            deriv = (samples[right[blk]] - samples[left[blk]]) / width[blk]
+        else:
+            deriv = np.stack([op.derivative(t, 0.0) for t in half[at[blk]]])
+        hdot[blk] = vecs[blk].conj().swapaxes(1, 2) @ deriv @ vecs[blk]
+    tol = _resolve_degeneracy_tol(vals, max_norm(samples), degeneracy_tol, pol)
+    return vals, vecs, hdot, *_cluster(vals, tol), tol
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,26 +257,31 @@ def decompose(
     pol = default_policy(policy)
     mat = as_square_matrix(h_meas)
     vals, vecs = eigh(mat, pol)
-    tol = _resolve_degeneracy_tol(vals, max_norm(mat), degeneracy_tol, pol)
-    groups, warnings = _cluster_eigenvalues(vals, tol)
-    eigenvalues = np.array([float(vals[g].mean()) for g in groups])
-    projectors = np.empty((len(groups), mat.shape[0], mat.shape[0]), dtype=complex)
-    for i, g in enumerate(groups):
-        block = vecs[:, g]
-        p = block @ block.conj().T
-        projectors[i] = (p + p.conj().T) / 2.0
-    ranks = tuple(g.stop - g.start for g in groups)
-    dec = ZenoDecomposition(
-        eigenvalues=eigenvalues,
-        projectors=projectors,
-        ranks=ranks,
-        degeneracy_tol=tol,
-        warnings=tuple(warnings),
-    )
+    tol = _resolve_degeneracy_tol(vals[None], max_norm(mat), degeneracy_tol, pol)
+    first, level_mean = _cluster(vals[None], tol)
+    starts = np.flatnonzero(first[0])
+    bounds = np.append(starts, len(vals))
+    warnings = [
+        f"ambiguous gap {gap:.3e} near eigenvalue {val:.6g} (degeneracy tol {tol:.3e})"
+        for gap, val in zip(np.diff(vals), vals[1:])
+        if tol / 2.0 < gap < 2.0 * tol
+    ]
+    warnings += [
+        f"cluster spread {spread:.3e} exceeds degeneracy tol {tol:.3e}"
+        for spread in vals[bounds[1:] - 1] - vals[starts]
+        if spread > tol
+    ]
+    projectors = _projectors(vecs[None], starts[None], np.diff(bounds))[:, 0]
     total_defect = max_norm(projectors.sum(axis=0) - np.eye(mat.shape[0]))
     if total_defect > pol.completeness_tol:
         raise ValidationError(f"projectors do not sum to identity: defect {total_defect:.3e}")
-    return dec
+    return ZenoDecomposition(
+        eigenvalues=level_mean[0, starts],
+        projectors=projectors,
+        ranks=tuple(int(r) for r in np.diff(bounds)),
+        degeneracy_tol=tol,
+        warnings=tuple(warnings),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,10 +336,12 @@ class AdiabaticFrame:
         """Worst max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes/levels."""
         worst = 0.0
         p0 = self.initial_projectors()
-        for k in range(self.n_nodes):
-            a = self.intertwiners[k]
+        for start in range(0, self.n_nodes, _BLOCK):
+            blk = slice(start, start + _BLOCK)
+            a = self.intertwiners[blk]
+            a_h = a.conj().swapaxes(-1, -2)
             for l in range(self.n_levels):
-                worst = max(worst, max_norm(a @ p0[l] @ a.conj().T - self.projectors[l, k]))
+                worst = max(worst, max_norm(a @ p0[l] @ a_h - self.projectors[l, blk]))
         return worst
 
     @classmethod
@@ -301,12 +360,11 @@ class AdiabaticFrame:
         while the projectors stay fixed).  The intertwiner is the identity at
         every node.  Phases accumulate by midpoint sampling per grid interval,
         which is exact for piecewise-constant eigenvalues whose switching
-        times are grid nodes.
+        times are grid nodes.  ``intertwiners`` and ``projectors`` are
+        read-only broadcast views of one identity and one projector per level.
         """
         pol = default_policy(policy)
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-            raise ValidationError("grid must be strictly increasing with >= 2 nodes")
+        grid = _check_grid(grid)
         projs = np.array([check_projector(p, pol) for _, p in levels])
         dim = projs.shape[-1]
         total = projs.sum(axis=0)
@@ -315,74 +373,52 @@ class AdiabaticFrame:
         n = len(grid)
         eps = np.empty((len(levels), n))
         phases = np.zeros((len(levels), n))
+        mids = (grid[:-1] + grid[1:]) / 2.0
         for l, (spec, _) in enumerate(levels):
             fn = spec if callable(spec) else (lambda t, v=float(spec): v)
             eps[l] = [float(fn(t)) for t in grid]
-            mids = (grid[:-1] + grid[1:]) / 2.0
-            steps = np.diff(grid)
-            increments = coupling * np.array([float(fn(t)) for t in mids]) * steps
+            increments = coupling * np.array([float(fn(t)) for t in mids]) * np.diff(grid)
             phases[l, 1:] = np.cumsum(increments)
-        eye = np.eye(dim, dtype=complex)
         return cls(
             grid=grid,
-            intertwiners=np.broadcast_to(eye, (n, dim, dim)).copy(),
+            intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
             eigenvalues=eps,
             phases=phases,
-            projectors=np.repeat(projs[:, None], n, axis=1),
+            projectors=np.broadcast_to(projs[:, None], (len(levels), n, dim, dim)),
             ranks=tuple(int(round(p.trace().real)) for p in projs),
             coupling=float(coupling),
             degeneracy_tol=float(degeneracy_tol),
         )
 
 
-def _node_levels(mat: np.ndarray, tol: float, pol: NumericPolicy):
-    """Eigendecompose and cluster one time sample.
+def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
+    """Unitary RK4 steps of the frame ODE ``i dA/dt = M A``, one per interval.
 
-    Returns (cluster eigenvalue means, projector stack, ranks, raw vals, vecs,
-    group slices).
+    ``M = i sum_n (dP_n/dt) P_n`` at the half-grid rows ``2k, 2k+1, 2k+2``
+    is ``M_ab = i <a|dH/dt|b> / (eps_b - eps_a)`` between distinct levels of
+    the instantaneous eigenbasis and zero inside a level (label-free, so
+    midpoints need no level matching).  The ODE is linear, so a step is a
+    matrix applied to ``A(t_k)``; its polar factor is the unitary step.
     """
-    vals, vecs = eigh(mat, pol)
-    groups, _ = _cluster_eigenvalues(vals, tol)
-    means = np.array([float(vals[g].mean()) for g in groups])
-    projs = np.empty((len(groups), mat.shape[0], mat.shape[0]), dtype=complex)
-    for i, g in enumerate(groups):
-        block = vecs[:, g]
-        p = block @ block.conj().T
-        projs[i] = (p + p.conj().T) / 2.0
-    ranks = tuple(g.stop - g.start for g in groups)
-    return means, projs, ranks, vals, vecs, groups
-
-
-def _generator(
-    op: TimeDependentOperator, t: float, fd_step: float, tol: float, pol: NumericPolicy
-) -> np.ndarray:
-    """Adiabatic generator ``M(t) = i sum_n (dP_n/dt) P_n``.
-
-    Evaluated through the spectral formula: in the instantaneous eigenbasis,
-    ``M_ab = i <a|dH/dt|b> / (eps_b - eps_a)`` for states in distinct levels
-    and zero inside a level.  Label-free, so no level matching is needed at
-    interior stage points.
-    """
-    mat = op(t)
-    vals, vecs = eigh(mat, pol)
-    groups, _ = _cluster_eigenvalues(vals, tol)
-    means = np.array([float(vals[g].mean()) for g in groups])
-    label = np.empty(len(vals), dtype=int)
-    for i, g in enumerate(groups):
-        label[g] = i
-    hdot = op.derivative(t, fd_step)
-    w = vecs.conj().T @ hdot @ vecs
-    denom = means[label][None, :] - means[label][:, None]
-    same = label[:, None] == label[None, :]
-    denom = np.where(same, 1.0, denom)
-    m_eig = np.where(same, 0.0, 1j * w / denom)
-    m = vecs @ m_eig @ vecs.conj().T
-    return (m + m.conj().T) / 2.0
-
-
-def _polar_unitary(a: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(a)
-    return u @ vh
+    eye = np.eye(vecs.shape[-1], dtype=complex)
+    steps = np.empty((len(grid) - 1, *eye.shape), dtype=complex)
+    for start in range(0, len(steps), _BLOCK):
+        ivl = slice(start, start + _BLOCK)
+        pts = slice(2 * start, 2 * ivl.stop + 1)
+        v, eps = vecs[pts], level_mean[pts]
+        labels = np.cumsum(first[pts], axis=1)
+        same = labels[:, None, :] == labels[:, :, None]
+        denom = np.where(same, 1.0, eps[:, None, :] - eps[:, :, None])
+        m = v @ np.where(same, 0.0, 1j * hdot[pts] / denom) @ v.conj().swapaxes(1, 2)
+        m = (m + m.conj().swapaxes(1, 2)) / 2.0
+        h = np.diff(grid)[ivl, None, None]
+        k1 = -1j * m[:-1:2]
+        k2 = -1j * (m[1::2] @ (eye + (h / 2.0) * k1))
+        k3 = -1j * (m[1::2] @ (eye + (h / 2.0) * k2))
+        k4 = -1j * (m[2::2] @ (eye + h * k3))
+        u, _, vh = np.linalg.svd(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        steps[ivl] = u @ vh
+    return steps
 
 
 def track_frame(
@@ -399,8 +435,8 @@ def track_frame(
     and ranks, pairwise gaps above the degeneracy tolerance.  A change raises
     :class:`LevelCrossingError` naming the node.  The frame ODE
     ``i dA/dt = M(t) A`` is advanced with one classical 4th-order step per
-    grid interval (generator sampled at the interval midpoint) followed by a
-    polar re-unitarisation, and the transport property
+    grid interval (generator sampled at the interval midpoint), each step
+    matrix re-unitarised by its polar factor, and the transport property
     ``A P_l(0) A^dagger = P_l(t)`` is verified at every node against
     ``frame_tol``.  Phases are cumulative trapezoids of ``coupling * eps_l``.
 
@@ -409,9 +445,7 @@ def track_frame(
     """
     pol = default_policy(policy)
     ftol = pol.frame_tol if frame_tol is None else float(frame_tol)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be strictly increasing with >= 2 nodes")
+    grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
     slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
     if abs(grid[0] - t0) > slack or grid[-1] > t1 + slack:
@@ -420,67 +454,52 @@ def track_frame(
         if grid[-1] > b and not np.any(np.abs(grid - b) <= slack):
             raise ValidationError(f"breakpoint t={b} must be a grid node")
 
-    n = len(grid)
-    samples = [h_meas(t) for t in grid]
-    all_vals = [np.linalg.eigvalsh((s + s.conj().T) / 2.0) for s in samples]
-    spectral_range = max(float(v[-1] - v[0]) for v in all_vals)
-    scale = max(max_norm(s) for s in samples)
-    tol = (
-        float(degeneracy_tol)
-        if degeneracy_tol is not None
-        else max(pol.degeneracy_rel * spectral_range, 1e-14 * (1.0 + scale))
+    vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(
+        h_meas, grid, degeneracy_tol, pol, midpoints=True
     )
+    n, dim = len(grid), h_meas.dim
+    first = half_first[::2]
+    counts = first.sum(axis=1)
+    n_levels = int(counts[0])
+    changed = np.flatnonzero(counts != n_levels)
+    if changed.size:
+        raise LevelCrossingError(
+            f"level count changed from {n_levels} to {counts[changed[0]]} at node "
+            f"t={grid[changed[0]]:.9g}; treat as a level crossing"
+        )
 
-    means0, projs0, ranks0, *_ = _node_levels(samples[0], tol, pol)
-    n_levels = len(ranks0)
-    dim = h_meas.dim
-    eps = np.empty((n_levels, n))
-    projectors = np.empty((n_levels, n, dim, dim), dtype=complex)
-    eps[:, 0] = means0
-    projectors[:, 0] = projs0
-
-    prev_projs = projs0
-    prev_means = means0
+    # Follow each level from node to node by the assignment that maximises
+    # the projector overlaps Tr(P_a P_b), ties broken by eigenvalue distance.
+    vecs = half_vecs[::2].copy()
+    means = level_mean[::2][first].reshape(n, n_levels)
+    starts = np.flatnonzero(first)
+    ranks = np.diff(np.append(starts, first.size)).reshape(n, n_levels)
+    member = (np.cumsum(first, axis=1)[:, :, None] == np.arange(1, n_levels + 1)).astype(float)
+    weights = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]) ** 2
+    overlap = member[:-1].swapaxes(1, 2) @ weights @ member[1:]
+    spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
+    tie = np.abs(means[:-1, :, None] - means[1:, None, :])
+    cost = -overlap + 1e-9 * tie / (1.0 + spectral_range)
+    orders = np.empty((n, n_levels), dtype=int)
+    orders[0] = np.arange(n_levels)
     for k in range(1, n):
-        means, projs, ranks, *_ = _node_levels(samples[k], tol, pol)
-        if len(ranks) != n_levels:
-            raise LevelCrossingError(
-                f"level count changed from {n_levels} to {len(ranks)} at node "
-                f"t={grid[k]:.9g}; treat as a level crossing"
-            )
-        overlap = np.einsum("aij,bji->ab", prev_projs, projs).real
-        tie = np.abs(prev_means[:, None] - means[None, :])
-        cost = -overlap + 1e-9 * tie / (1.0 + spectral_range)
-        rows, cols = linear_sum_assignment(cost)
-        order = np.empty(n_levels, dtype=int)
-        order[rows] = cols
-        projs = projs[order]
-        means = means[order]
-        if tuple(int(round(p.trace().real)) for p in projs) != ranks0:
-            raise LevelCrossingError(
-                f"level ranks changed at node t={grid[k]:.9g}; treat as a level crossing"
-            )
-        eps[:, k] = means
-        projectors[:, k] = projs
-        prev_projs, prev_means = projs, means
+        orders[k] = linear_sum_assignment(cost[k - 1][orders[k - 1]])[1]
+    ranks = np.take_along_axis(ranks, orders, axis=1)
+    moved = np.flatnonzero(np.any(ranks != ranks[0], axis=1))
+    if moved.size:
+        raise LevelCrossingError(
+            f"level ranks changed at node t={grid[moved[0]]:.9g}; treat as a level crossing"
+        )
+    eps = np.take_along_axis(means, orders, axis=1).T.copy()
+    offsets = np.take_along_axis((starts % dim).reshape(n, n_levels), orders, axis=1)
 
+    steps = _rk4_steps(half_vecs, hdot, half_first, level_mean, grid)
+    del half_vecs, hdot
+    projectors = _projectors(vecs, offsets, ranks[0])
     intertwiners = np.empty((n, dim, dim), dtype=complex)
-    intertwiners[0] = np.eye(dim, dtype=complex)
+    intertwiners[0] = np.eye(dim)
     for k in range(n - 1):
-        t_a = float(grid[k])
-        t_b = float(grid[k + 1])
-        h = t_b - t_a
-        fd = h / 2.0
-        m_a = _generator(h_meas, t_a, fd, tol, pol)
-        m_mid = _generator(h_meas, (t_a + t_b) / 2.0, fd, tol, pol)
-        m_b = _generator(h_meas, t_b, fd, tol, pol)
-        a = intertwiners[k]
-        k1 = -1j * (m_a @ a)
-        k2 = -1j * (m_mid @ (a + (h / 2.0) * k1))
-        k3 = -1j * (m_mid @ (a + (h / 2.0) * k2))
-        k4 = -1j * (m_b @ (a + h * k3))
-        step = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        intertwiners[k + 1] = _polar_unitary(step)
+        np.matmul(steps[k], intertwiners[k], out=intertwiners[k + 1])
 
     phases = cumulative_trapezoid(float(coupling) * eps, grid, axis=1, initial=0.0)
 
@@ -490,7 +509,7 @@ def track_frame(
         eigenvalues=eps,
         phases=phases,
         projectors=projectors,
-        ranks=ranks0,
+        ranks=tuple(int(r) for r in ranks[0]),
         coupling=float(coupling),
         degeneracy_tol=tol,
     )
@@ -545,62 +564,40 @@ def adiabaticity_report(
     within the degeneracy tolerance (a pulsed measurement switched off, say)
     simply contribute no transition pairs.  A genuinely near-degenerate pair
     of distinct levels below the tolerance raises, since the coefficients are
-    undefined there.
+    undefined there.  ``dH/dt`` at a node is the difference of its
+    neighbouring interval midpoints, one-sided at piece boundaries.
     """
     pol = default_policy(policy)
     mrg = pol.adiabatic_margin if margin is None else float(margin)
     if coupling <= 0:
         raise ValidationError("coupling must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be strictly increasing with >= 2 nodes")
+    grid = _check_grid(grid)
 
-    samples = [h_meas(t) for t in grid]
-    all_vals = [np.linalg.eigvalsh((s + s.conj().T) / 2.0) for s in samples]
-    spectral_range = max(float(v[-1] - v[0]) for v in all_vals)
-    scale = max(max_norm(s) for s in samples)
-    tol = (
-        float(degeneracy_tol)
-        if degeneracy_tol is not None
-        else max(pol.degeneracy_rel * spectral_range, 1e-14 * (1.0 + scale))
+    _, _, hdot, first, eps, tol = _spectral_samples(
+        h_meas, grid, degeneracy_tol, pol, midpoints=False
     )
-
-    alpha_max = 0.0
-    eps_min = np.inf
-    steps = np.diff(grid)
-    for k, t in enumerate(grid):
-        local = steps[min(k, len(steps) - 1)]
-        means, _, ranks, vals, vecs, groups = _node_levels(samples[k], tol, pol)
-        n_levels = len(groups)
-        if n_levels < 2:
-            continue
-        gaps = np.diff(means)
-        if np.any(gaps < tol):
-            raise NumericalError(
-                f"levels closer than the degeneracy tolerance at node t={t:.9g}; "
-                f"transition coefficients are undefined"
-            )
-        eps_min = min(eps_min, float(gaps.min()))
-        hdot = h_meas.derivative(float(t), local / 2.0)
-        w = vecs.conj().T @ hdot @ vecs
-        for m in range(n_levels):
-            gm = groups[m]
-            total = 0.0
-            for nn in range(n_levels):
-                if nn == m:
-                    continue
-                block = w[gm, groups[nn]]
-                bohr = coupling * (means[m] - means[nn])
-                total += float(np.sum(np.abs(block) ** 2)) / bohr**2
-            total /= ranks[m]
-            alpha_max = max(alpha_max, total)
-
-    if not np.isfinite(eps_min):
-        # No transition pairs anywhere: nothing to leak between.
-        return AdiabaticityReport(
-            alpha_max=0.0, eps_min=np.inf, ratio=0.0,
-            coupling=float(coupling), margin=mrg, adiabatic=True,
+    starts = np.flatnonzero(first)
+    node = starts // first.shape[1]
+    gaps = np.diff(eps.ravel()[starts])
+    inner = node[1:] == node[:-1]
+    close = inner & (gaps < tol)
+    if np.any(close):
+        t = grid[node[1:][close][0]]
+        raise NumericalError(
+            f"levels closer than the degeneracy tolerance at node t={t:.9g}; "
+            f"transition coefficients are undefined"
         )
+    # No transition pairs anywhere leaves eps_min infinite and the ratio 0.
+    eps_min = float(np.min(gaps[inner], initial=np.inf))
+
+    # |alpha_mn|^2 for every pair of eigenvectors in distinct levels, summed
+    # over the targets and averaged over the source level's basis.
+    labels = np.cumsum(first, axis=1)
+    other = labels[:, :, None] != labels[:, None, :]
+    bohr = np.where(other, coupling * (eps[:, :, None] - eps[:, None, :]), 1.0)
+    rows = np.where(other, np.abs(hdot) ** 2 / bohr**2, 0.0).sum(axis=2)
+    sizes = np.diff(np.append(starts, first.size))
+    alpha_max = float(np.max(np.add.reduceat(rows.ravel(), starts) / sizes))
     ratio = alpha_max / eps_min
     return AdiabaticityReport(
         alpha_max=alpha_max,

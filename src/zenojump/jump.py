@@ -186,7 +186,7 @@ def general_jump(
 
     h0_nodes = np.stack([model.h0(t) for t in grid])
     a = frame.intertwiners
-    f_nodes = np.einsum("kji,kjl,klp->kip", a.conj(), h0_nodes, a)
+    f_nodes = a.conj().swapaxes(-1, -2) @ h0_nodes @ a
 
     values: list[complex] = []
     for stride in (4, 2, 1):

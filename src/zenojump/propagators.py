@@ -60,9 +60,11 @@ def exact_propagator(
     step count doubles until two successive refinements differ by less than
     ``tol`` in max norm; the last difference is reported as ``est_error``.
     Raises :class:`NumericalError` carrying the last estimate if the budget of
-    ``max_doublings`` is exhausted.
+    ``max_doublings`` (at least 1) is exhausted.
     """
     pol = default_policy(policy)
+    if max_doublings < 1:
+        raise ValidationError(f"max_doublings must be >= 1, got {max_doublings!r}")
     t0, t1 = h_total.horizon
     if not (t0 < t_final <= t1 + 1e-12 * (1.0 + abs(t1))):
         raise ValidationError(f"t_final {t_final!r} outside horizon ({t0}, {t1}]")

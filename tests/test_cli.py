@@ -1,5 +1,9 @@
 """End-to-end tests of the command line driver (in-process)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -239,3 +243,25 @@ def test_python_api_tables():
     text = table.csv_text()
     assert text.startswith("# [scenario]\n")
     assert parse_echo(text) == cfg
+
+
+def test_python_m_zenojump_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(zj.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zenojump", "info"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == f"zenojump {zj.__version__}"
+
+
+def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys):
+    cfg_path = write(tmp_path, "[scenario]\ntype = continuous\n")
+    target = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["run", "--config", cfg_path, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()

@@ -154,3 +154,10 @@ def test_adiabatic_propagator_approaches_exact_with_coupling():
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0] / 2.0
     assert gaps[-1] < 0.2
+
+
+def test_exact_propagator_rejects_a_budget_without_doublings():
+    op = zj.TimeDependentOperator.constant(zj.SIGMA_X, (0.0, 1.0))
+    for budget in (0, -1):
+        with pytest.raises(zj.ValidationError, match="max_doublings"):
+            zj.exact_propagator(op, 1.0, max_doublings=budget)

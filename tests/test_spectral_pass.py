@@ -1,0 +1,203 @@
+"""The batched spectral pass against per-slice reference implementations.
+
+``eigh`` on a stack, ``adiabaticity_report`` and ``track_frame`` decompose a
+whole grid at once.  Each is checked here against a straightforward
+one-matrix-at-a-time implementation of the same definition, kept in this file
+so that the batched code can never drift from it unnoticed.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import linear_sum_assignment
+
+import zenojump as zj
+
+from properties import _rotating_family, random_hermitian
+
+
+# --- per-slice reference implementations -------------------------------------
+
+
+def ref_levels(mat, tol):
+    """Eigendecompose one matrix and cluster its eigenvalues by gaps > tol."""
+    vals, vecs = zj.eigh(mat)
+    groups, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > tol:
+            groups.append(slice(start, i))
+            start = i
+    means = np.array([float(vals[g].mean()) for g in groups])
+    projs = []
+    for g in groups:
+        p = vecs[:, g] @ vecs[:, g].conj().T
+        projs.append((p + p.conj().T) / 2.0)
+    return means, np.array(projs), vals, vecs, groups
+
+
+def ref_report(op, coupling, grid, tol):
+    """(alpha_max, eps_min): node-by-node, level-pair by level-pair."""
+    alpha_max, eps_min = 0.0, np.inf
+    steps = np.diff(grid)
+    for k, t in enumerate(grid):
+        means, _, _, vecs, groups = ref_levels(op(t), tol)
+        if len(groups) < 2:
+            continue
+        eps_min = min(eps_min, float(np.diff(means).min()))
+        hdot = op.derivative(t, steps[min(k, len(steps) - 1)] / 2.0)
+        w = vecs.conj().T @ hdot @ vecs
+        for m, gm in enumerate(groups):
+            total = 0.0
+            for n, gn in enumerate(groups):
+                if n != m:
+                    bohr = coupling * (means[m] - means[n])
+                    total += float(np.sum(np.abs(w[gm, gn]) ** 2)) / bohr**2
+            alpha_max = max(alpha_max, total / (gm.stop - gm.start))
+    return alpha_max, eps_min
+
+
+def ref_generator(op, t, step, tol):
+    means, _, _, vecs, groups = ref_levels(op(t), tol)
+    label = np.empty(vecs.shape[0], dtype=int)
+    for i, g in enumerate(groups):
+        label[g] = i
+    w = vecs.conj().T @ op.derivative(t, step) @ vecs
+    eps = means[label]
+    same = label[:, None] == label[None, :]
+    m_eig = np.where(same, 0.0, 1j * w / np.where(same, 1.0, eps[None, :] - eps[:, None]))
+    m = vecs @ m_eig @ vecs.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def ref_track_frame(op, coupling, grid, tol):
+    """(intertwiners, projectors, phases): match levels node by node, then
+    one RK4 step per interval with polar re-unitarisation."""
+    n, dim = len(grid), op.dim
+    means, projs, *_ = ref_levels(op(grid[0]), tol)
+    eps = np.empty((len(means), n))
+    projectors = np.empty((len(means), n, dim, dim), dtype=complex)
+    eps[:, 0], projectors[:, 0] = means, projs
+    for k in range(1, n):
+        new_means, new_projs, *_ = ref_levels(op(grid[k]), tol)
+        overlap = np.einsum("aij,bji->ab", projs, new_projs).real
+        cost = -overlap + 1e-9 * np.abs(means[:, None] - new_means[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        order = np.empty(len(means), dtype=int)
+        order[rows] = cols
+        means, projs = new_means[order], new_projs[order]
+        eps[:, k], projectors[:, k] = means, projs
+    intertwiners = np.empty((n, dim, dim), dtype=complex)
+    intertwiners[0] = np.eye(dim)
+    for k in range(n - 1):
+        h = grid[k + 1] - grid[k]
+        m_a = ref_generator(op, grid[k], h / 2.0, tol)
+        m_mid = ref_generator(op, (grid[k] + grid[k + 1]) / 2.0, h / 2.0, tol)
+        m_b = ref_generator(op, grid[k + 1], h / 2.0, tol)
+        a = intertwiners[k]
+        k1 = -1j * (m_a @ a)
+        k2 = -1j * (m_mid @ (a + (h / 2.0) * k1))
+        k3 = -1j * (m_mid @ (a + (h / 2.0) * k2))
+        k4 = -1j * (m_b @ (a + h * k3))
+        u, _, vh = np.linalg.svd(a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        intertwiners[k + 1] = u @ vh
+    phases = cumulative_trapezoid(coupling * eps, grid, axis=1, initial=0.0)
+    return intertwiners, projectors, phases
+
+
+# --- stacked eigh ------------------------------------------------------------
+
+
+def test_stacked_eigh_equals_per_matrix_eigh():
+    rng = np.random.default_rng(61)
+    stack = np.array([random_hermitian(rng, 5) for _ in range(12)])
+    stack[3] = np.diag([1.0, 1.0, 2.0, 2.0, 2.0])  # degenerate slice
+    vals, vecs = zj.eigh(stack)
+    assert vals.shape == (12, 5) and vecs.shape == (12, 5, 5)
+    for k, mat in enumerate(stack):
+        ref_vals, ref_vecs = zj.eigh(mat)
+        assert np.max(np.abs(vals[k] - ref_vals)) < 1e-13
+        assert np.max(np.abs(vecs[k] - ref_vecs)) < 1e-13
+
+
+def test_stacked_eigh_checks_every_slice():
+    rng = np.random.default_rng(62)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(zj.ValidationError, match="matrix 2 of the stack is not Hermitian"):
+        zj.eigh(stack)
+
+
+# --- adiabaticity report -----------------------------------------------------
+
+
+def assert_report_matches(op, coupling, grid, tol, rel):
+    rep = zj.adiabaticity_report(op, coupling, grid, degeneracy_tol=tol)
+    alpha, eps_min = ref_report(op, coupling, grid, tol)
+    assert rep.alpha_max == pytest.approx(alpha, rel=rel)
+    assert rep.eps_min == pytest.approx(eps_min, rel=rel)
+    assert rep.ratio == pytest.approx(alpha / eps_min, rel=rel)
+    return rep
+
+
+@pytest.mark.parametrize("seed", [63, 64, 65])
+def test_report_on_rotating_family(seed):
+    rng = np.random.default_rng(seed)
+    op = _rotating_family(rng, int(rng.integers(2, 6)))
+    rep = assert_report_matches(op, 7.0, np.linspace(0.0, 1.0, 33), 1e-8, 1e-12)
+    assert rep.alpha_max > 0.0
+
+
+def test_report_on_pulsed_operator_with_merged_levels():
+    # Off (a single merged level) until the switch at 0.375, then a rotating
+    # spectrum sampled by finite differences, one-sided at the switch.
+    rng = np.random.default_rng(66)
+    rotating = _rotating_family(rng, 3)
+    switch = 0.375
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: rotating(t) if t >= switch else np.zeros((3, 3), dtype=complex),
+        horizon=(0.0, 1.0),
+        dim=3,
+        breakpoints=(switch,),
+    )
+    rep = assert_report_matches(op, 9.0, np.linspace(0.0, 1.0, 65), 1e-8, 1e-9)
+    assert rep.alpha_max > 0.0
+
+
+def test_report_on_degenerate_three_site_chain():
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=9.0))
+    grid = np.linspace(0.0, 1.0, 65)
+    frame = zj.track_frame(model.h_meas, model.coupling, grid)
+    assert frame.ranks == (1, 3, 3, 1)
+    assert_report_matches(model.h_meas, model.coupling, grid, frame.degeneracy_tol, 1e-9)
+
+
+# --- frame tracking ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_track_frame_matches_per_node_reference(n_sites):
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=n_sites, h=9.0))
+    grid = np.linspace(0.0, 1.0, 129)
+    frame = zj.track_frame(model.h_meas, model.coupling, grid, degeneracy_tol=1e-8)
+    intertwiners, projectors, phases = ref_track_frame(model.h_meas, model.coupling, grid, 1e-8)
+    assert np.max(np.abs(frame.intertwiners - intertwiners)) < 1e-12
+    assert np.max(np.abs(frame.projectors - projectors)) < 1e-12
+    assert np.max(np.abs(frame.phases - phases)) < 1e-12
+
+
+# --- static frames -----------------------------------------------------------
+
+
+def test_static_frame_arrays_are_read_only_views():
+    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    frame = zj.AdiabaticFrame.static(
+        np.linspace(0.0, 1.0, 1025), [(1.0, p0), (0.0, np.eye(3) - p0)], coupling=4.0
+    )
+    for arr in (frame.intertwiners, frame.projectors):
+        assert not arr.flags.writeable
+        assert arr.base is not None
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert frame.intertwiners.shape == (1025, 3, 3)
+    assert frame.projectors.shape == (2, 1025, 3, 3)
+    assert np.array_equal(frame.projectors[0, 700], p0)
