@@ -40,7 +40,7 @@ from .config import (
 )
 from .decomposition import decompose
 from .errors import ConfigError, NumericalError, ValidationError
-from .jump import continuous_jump, general_jump, pulsed_jump
+from .jump import MeasurementModel, continuous_jump, general_jump, pulsed_jump
 from .models import (
     SpinChainSpec,
     chain_validity_flags,
@@ -152,6 +152,16 @@ def _chain_spec(cfg: ScenarioConfig, overrides: dict[str, float]) -> SpinChainSp
     )
 
 
+def _custom_model(cfg: ScenarioConfig, overrides: dict[str, float]) -> MeasurementModel:
+    params = {**dict(cfg.params), **overrides}
+    return time_independent_model(
+        _as_matrix(params["h0"]),
+        _as_matrix(params["h_meas"]),
+        float(params["coupling"]),
+        float(params["tau"]),
+    )
+
+
 def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float):
     """Model, frame, initial state and level pair for a matrix-backed point."""
     if cfg.scenario == "spinchain":
@@ -160,14 +170,7 @@ def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float):
         frame = spin_chain_frame(spec, n_intervals=cfg.intervals, policy=cfg.policy)
         extra = chain_validity_flags(spec.h, spec.T, spec.n_sites)
     elif cfg.scenario == "custom-matrix":
-        params = dict(cfg.params)
-        params[parameter] = value
-        model = time_independent_model(
-            _as_matrix(params["h0"]),
-            _as_matrix(params["h_meas"]),
-            float(params["coupling"]),
-            float(params["tau"]),
-        )
+        model = _custom_model(cfg, {parameter: value})
         frame = time_independent_frame(model, cfg.intervals, policy=cfg.policy)
         extra = ()
     else:
@@ -187,16 +190,13 @@ def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float):
 
 
 def _run_point(cfg: ScenarioConfig, parameter: str, value: float) -> tuple:
+    params = {**dict(cfg.params), parameter: value}
     if cfg.scenario == "pulsed":
-        params = dict(cfg.params)
-        params[parameter] = value
         w = pulsed_jump(
             params["trace_factor"], params["coupling"], params["tau"], params["tau_free"]
         )
         return (value, w, 0.0, 0.0, True, "none")
     if cfg.scenario == "continuous":
-        params = dict(cfg.params)
-        params[parameter] = value
         w = continuous_jump(
             params["trace_factor"], params["coupling"], params["delta_eps"], params["tau"]
         )
@@ -277,13 +277,7 @@ def decompose_levels(cfg: ScenarioConfig) -> ResultTable:
     if cfg.scenario == "spinchain":
         model = spin_chain_model(_chain_spec(cfg, {}))
     elif cfg.scenario == "custom-matrix":
-        params = dict(cfg.params)
-        model = time_independent_model(
-            _as_matrix(params["h0"]),
-            _as_matrix(params["h_meas"]),
-            float(params["coupling"]),
-            float(params["tau"]),
-        )
+        model = _custom_model(cfg, {})
     else:
         raise ConfigError(
             f"scenario {cfg.scenario!r} has no matrix model; "
@@ -477,10 +471,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except ValidationError as exc:
+    except (ConfigError, ValidationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except NumericalError as exc:

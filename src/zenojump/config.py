@@ -12,6 +12,7 @@ written as a two-element ``[real, imag]`` list.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import dataclasses
 import io
@@ -19,6 +20,7 @@ import json
 
 import numpy as np
 
+from .compare import _TRANSPORTS
 from .errors import ConfigError
 from .jump import QuadraturePolicy
 from .policy import NumericPolicy, default_policy
@@ -72,10 +74,6 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, object], ...]] = {
 }
 
 SCENARIOS = tuple(_SCHEMAS)
-
-_TRANSPORTS = ("measurement", "instantaneous")
-
-_POLICY_FIELDS = tuple(f.name for f in dataclasses.fields(NumericPolicy))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,15 +156,18 @@ def _parse_matrix(section: str, key: str, raw: str) -> tuple[tuple[complex, ...]
         entries: list[complex] = []
         for cell in row:
             if isinstance(cell, (int, float)):
-                entries.append(complex(cell))
+                value = complex(cell)
             elif (
                 isinstance(cell, list)
                 and len(cell) == 2
                 and all(isinstance(p, (int, float)) for p in cell)
             ):
-                entries.append(complex(cell[0], cell[1]))
+                value = complex(cell[0], cell[1])
             else:
                 raise _fail(section, key, f"entry {cell!r} is not a number or [re, im] pair")
+            if not cmath.isfinite(value):
+                raise _fail(section, key, f"entry {cell!r} must be finite")
+            entries.append(value)
         rows.append(tuple(entries))
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -300,9 +301,10 @@ def parse_config(text: str, base_policy: NumericPolicy | None = None) -> Scenari
     policy = default_policy(base_policy)
     if parser.has_section("tolerances"):
         overrides = {}
+        fields = NumericPolicy.field_names()
         for key in parser.options("tolerances"):
-            if key not in _POLICY_FIELDS:
-                raise _fail("tolerances", key, f"unknown tolerance; known: {_POLICY_FIELDS}")
+            if key not in fields:
+                raise _fail("tolerances", key, f"unknown tolerance; known: {fields}")
             overrides[key] = _parse_float("tolerances", key, parser.get("tolerances", key))
         policy = dataclasses.replace(policy, **overrides)
 
@@ -401,7 +403,7 @@ def resolved_text(cfg: ScenarioConfig) -> str:
     )
     emit(
         "tolerances",
-        [(name, _format_float(getattr(cfg.policy, name))) for name in _POLICY_FIELDS],
+        [(name, _format_float(getattr(cfg.policy, name))) for name in NumericPolicy.field_names()],
     )
     emit(
         "compare",

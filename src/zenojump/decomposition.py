@@ -15,8 +15,6 @@ import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linear_sum_assignment
 
 from .errors import FrameResidualError, LevelCrossingError, NumericalError, ValidationError
 from .operators import as_square_matrix, check_projector, eigh, max_norm
@@ -432,7 +430,8 @@ def track_frame(
     """Integrate the intertwining frame of a rotating measurement.
 
     The level structure must stay intact along the grid: constant level count
-    and ranks, pairwise gaps above the degeneracy tolerance.  A change raises
+    and ranks, pairwise gaps above the degeneracy tolerance, one distinct
+    successor per level from node to node.  A change raises
     :class:`LevelCrossingError` naming the node.  The frame ODE
     ``i dA/dt = M(t) A`` is advanced with one classical 4th-order step per
     grid interval (generator sampled at the interval midpoint), each step
@@ -468,8 +467,9 @@ def track_frame(
             f"t={grid[changed[0]]:.9g}; treat as a level crossing"
         )
 
-    # Follow each level from node to node by the assignment that maximises
-    # the projector overlaps Tr(P_a P_b), ties broken by eigenvalue distance.
+    # Follow each level to the next node's level of largest projector overlap
+    # Tr(P_a P_b), ties broken by eigenvalue distance.  Where that is a
+    # permutation it is the unique optimal assignment.
     vecs = half_vecs[::2].copy()
     means = level_mean[::2][first].reshape(n, n_levels)
     starts = np.flatnonzero(first)
@@ -480,10 +480,17 @@ def track_frame(
     spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
     tie = np.abs(means[:-1, :, None] - means[1:, None, :])
     cost = -overlap + 1e-9 * tie / (1.0 + spectral_range)
+    successor = np.argmin(cost, axis=2)
+    clash = np.flatnonzero(np.any(np.sort(successor, axis=1) != np.arange(n_levels), axis=1))
+    if clash.size:
+        raise LevelCrossingError(
+            f"two levels overlap most with one level at node t={grid[clash[0] + 1]:.9g}; "
+            f"treat as a level crossing"
+        )
     orders = np.empty((n, n_levels), dtype=int)
     orders[0] = np.arange(n_levels)
     for k in range(1, n):
-        orders[k] = linear_sum_assignment(cost[k - 1][orders[k - 1]])[1]
+        orders[k] = successor[k - 1, orders[k - 1]]
     ranks = np.take_along_axis(ranks, orders, axis=1)
     moved = np.flatnonzero(np.any(ranks != ranks[0], axis=1))
     if moved.size:
@@ -501,7 +508,9 @@ def track_frame(
     for k in range(n - 1):
         np.matmul(steps[k], intertwiners[k], out=intertwiners[k + 1])
 
-    phases = cumulative_trapezoid(float(coupling) * eps, grid, axis=1, initial=0.0)
+    y = float(coupling) * eps
+    phases = np.zeros_like(y)
+    phases[:, 1:] = np.cumsum(np.diff(grid) * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
 
     frame = AdiabaticFrame(
         grid=grid,

@@ -20,11 +20,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .decomposition import AdiabaticFrame, TimeDependentOperator, decompose, track_frame
 from .errors import QuadratureError, ValidationError
-from .jump import MeasurementModel
+from .jump import MeasurementModel, _simpson_weights
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, as_square_matrix, check_projector, tensor_product
 from .policy import NumericPolicy, default_policy
 from .propagators import exact_propagator
@@ -160,15 +159,19 @@ def field_strength(s):
     return float(out) if out.ndim == 0 else out
 
 
-def cumulative_field_strength(s: float) -> float:
-    """Adaptive quadrature of :func:`field_strength` from 0 to ``s``."""
-    s = float(s)
-    if not (0.0 <= s <= 1.0):
-        raise ValidationError(f"schedule value {s!r} outside [0, 1]")
-    if s == 0.0:
-        return 0.0
-    val, _ = quad(field_strength, 0.0, s, epsabs=1e-13, epsrel=1e-13)
-    return float(val)
+def _field_antiderivative(x):
+    """Antiderivative of ``sqrt(2 x^2 + 1/2)``, the field strength at ``s = x + 1/2``."""
+    return math.sqrt(2.0) * (x * np.sqrt(x * x + 0.25) / 2.0 + np.arcsinh(2.0 * x) / 8.0)
+
+
+def cumulative_field_strength(s):
+    """Integral of :func:`field_strength` from 0 to ``s`` (a value or an array), in closed form."""
+    s = np.asarray(s, dtype=float)
+    outside = ~((0.0 <= s) & (s <= 1.0))
+    if np.any(outside):
+        raise ValidationError(f"schedule value {float(s[outside].flat[0])!r} outside [0, 1]")
+    out = _field_antiderivative(s - 0.5) - _field_antiderivative(-0.5)
+    return float(out) if out.ndim == 0 else out
 
 
 def site_frame_columns(s: float) -> np.ndarray:
@@ -192,21 +195,6 @@ def site_frame_columns(s: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _cumulative_gauss(fn, nodes: np.ndarray) -> np.ndarray:
-    """Cumulative integral of ``fn`` on ``nodes`` by per-interval 5-point Gauss."""
-    xi, wi = np.polynomial.legendre.leggauss(5)
-    a = nodes[:-1]
-    b = nodes[1:]
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    samples = fn(mid[:, None] + half[:, None] * xi[None, :])
-    increments = half * (samples @ wi)
-    out = np.empty(len(nodes))
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,11 +241,8 @@ def two_qubit_rotation_jump(
 
     def value_at(n_int: int) -> float:
         nodes = np.linspace(0.0, 1.0, n_int + 1)
-        theta = rate * _cumulative_gauss(field_strength, nodes)
-        w = np.ones(n_int + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (1.0 / n_int) / 3.0
+        theta = rate * cumulative_field_strength(nodes)
+        w = _simpson_weights(n_int, 1.0 / n_int)
         c = float(w @ np.cos(theta))
         s = float(w @ np.sin(theta))
         return c * c + s * s

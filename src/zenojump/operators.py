@@ -58,7 +58,8 @@ def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
     pol = default_policy(policy)
     a = as_square_matrix(m)
     defect = max_norm(a - a.conj().T)
-    if defect > pol.hermitian_tol * (1.0 + max_norm(a)):
+    # NaN compares false, so a non-finite entry fails the check
+    if not (defect <= pol.hermitian_tol * (1.0 + max_norm(a))):
         raise ValidationError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{pol.hermitian_tol:.1e} * (1 + max|M|)"
@@ -144,7 +145,7 @@ def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray
         pol = default_policy(policy)
         defect = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
         limit = pol.hermitian_tol * (1.0 + np.max(np.abs(a), axis=(1, 2)))
-        bad = np.flatnonzero(defect > limit)
+        bad = np.flatnonzero(~(defect <= limit))
         if bad.size:
             k = int(bad[0])
             raise ValidationError(

@@ -10,7 +10,10 @@ override individual fields with a ``key=value,key=value`` string.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+
+from .errors import ConfigError
 
 
 ENV_VAR = "ZENO_NUM_POLICY"
@@ -75,7 +78,7 @@ class NumericPolicy:
 
     @classmethod
     def from_string(cls, text: str, base: "NumericPolicy | None" = None) -> "NumericPolicy":
-        """Parse ``key=value,key=value`` overrides on top of ``base``."""
+        """Parse ``key=value,key=value`` overrides on top of ``base``; bad input raises ConfigError."""
         policy = base if base is not None else cls()
         text = text.strip()
         if not text:
@@ -86,12 +89,18 @@ class NumericPolicy:
             if not item:
                 continue
             if "=" not in item:
-                raise ValueError(f"bad policy item {item!r}: expected key=value")
+                raise ConfigError(f"bad policy item {item!r}: expected key=value")
             key, _, raw = item.partition("=")
             key = key.strip()
             if key not in cls.field_names():
-                raise ValueError(f"unknown policy key {key!r}")
-            overrides[key] = float(raw)
+                raise ConfigError(f"unknown policy key {key!r}")
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"policy key {key!r}: expected a finite number, got {raw!r}")
+            overrides[key] = value
         return policy.replace(**overrides)
 
     @classmethod

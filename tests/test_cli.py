@@ -265,3 +265,39 @@ def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys):
     assert err.startswith(f"config error: cannot write {target}: ")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_bad_policy_environment_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    cfg_path = write(tmp_path, "[scenario]\ntype = continuous\n")
+    for value, needle in (
+        ("bogus", "key=value"),
+        ("frame_tol=abc", "expected a finite number"),
+        ("frame_tol=nan", "expected a finite number"),
+    ):
+        monkeypatch.setenv("ZENO_NUM_POLICY", value)
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+        assert "Traceback" not in err
+
+
+def test_non_finite_matrix_entry_exits_2_under_strict(tmp_path, capsys):
+    cfg_path = write(
+        tmp_path, CUSTOM_COMPARE.replace("h0 = [[0, 0, 0],", "h0 = [[0, NaN, 0],")
+    )
+    assert main(["run", "--config", cfg_path, "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [custom-matrix] h0: ")
+    assert "must be finite" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(zj.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, zenojump.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

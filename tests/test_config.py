@@ -112,6 +112,8 @@ def test_sweepable_parameters():
         (CUSTOM.replace("[[1, 0], [0, -1]]", "[[1, 0]]"), "square"),
         (CUSTOM.replace("[[1, 0], [0, -1]]", "[[1, \"x\"], [0, -1]]"), "pair"),
         (CUSTOM.replace("[[1, 0], [0, -1]]", "not json"), "JSON"),
+        (CUSTOM.replace("[[1, 0], [0, -1]]", "[[0, NaN], [NaN, 0]]"), "must be finite"),
+        (CUSTOM.replace("[[1, 0], [0, -1]]", "[[1, [0, Infinity]], [0, -1]]"), "must be finite"),
         ("[scenario]\ntype = pulsed\n[sweep]\nparameter = tau\n", "key is required"),
         (
             "[scenario]\ntype = pulsed\n[sweep]\nparameter = omega\nstart = 0\nstop = 1\ncount = 3\n",

@@ -188,6 +188,29 @@ def test_track_frame_detects_level_crossing():
         zj.track_frame(op, coupling=1.0, grid=np.linspace(0.0, 1.0, 33))
 
 
+def test_track_frame_rejects_levels_that_cannot_be_followed():
+    # At the breakpoint t = 0.5 the eigenbasis jumps from the standard basis
+    # to the columns of u.  Rows 0 and 1 of |u|^2 are both largest in column
+    # 0, so the two lowest levels claim the same successor.
+    def givens(i, j, angle):
+        g = np.eye(3, dtype=complex)
+        g[i, i] = g[j, j] = np.cos(angle)
+        g[i, j], g[j, i] = -np.sin(angle), np.sin(angle)
+        return g
+
+    u = givens(0, 1, np.pi / 4) @ givens(1, 2, np.pi / 6)
+    d = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    rotated = u @ d @ u.conj().T
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: d if t < 0.5 else rotated,
+        horizon=(0.0, 1.0),
+        dim=3,
+        breakpoints=(0.5,),
+    )
+    with pytest.raises(zj.LevelCrossingError, match="at node t=0.5;"):
+        zj.track_frame(op, coupling=1.0, grid=np.linspace(0.0, 1.0, 9))
+
+
 def test_track_frame_residual_failure_carries_frame():
     rng = np.random.default_rng(23)
     gen = random_hermitian(rng, 3, scale=1.0)

@@ -75,6 +75,21 @@ def test_cumulative_field_strength():
         zj.cumulative_field_strength(1.5)
 
 
+def test_cumulative_field_strength_on_arrays_matches_quadrature():
+    from scipy.integrate import quad
+
+    s = np.array([0.0, 1e-3, 0.1, 0.25, 0.5, 0.6180339887, 0.9, 1.0])
+    ref = [quad(zj.field_strength, 0.0, x, epsabs=1e-14, epsrel=1e-14)[0] for x in s]
+    out = zj.cumulative_field_strength(s)
+    assert out.shape == s.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13
+    assert zj.cumulative_field_strength(s.reshape(2, 4)).shape == (2, 4)
+    with pytest.raises(zj.ValidationError, match="-0.25 outside"):
+        zj.cumulative_field_strength(np.array([0.0, 0.5, -0.25, 2.0]))
+    with pytest.raises(zj.ValidationError, match="outside"):
+        zj.cumulative_field_strength(np.array([0.5, np.nan]))
+
+
 def test_site_frame_columns_diagonalize_the_field():
     for s in (0.1, 0.5, 1.0):
         a = zj.site_frame_columns(s)

@@ -134,6 +134,22 @@ def test_policy_from_string():
         zj.NumericPolicy.from_string("frame_tol")
 
 
+@pytest.mark.parametrize("text", ["frame_tol=abc", "frame_tol=nan", "psd_tol=inf"])
+def test_policy_from_string_rejects_bad_values(text):
+    with pytest.raises(zj.ConfigError, match="expected a finite number"):
+        zj.NumericPolicy.from_string(text)
+
+
+def test_hermitian_checks_reject_non_finite_entries():
+    bad = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(zj.ValidationError, match="not Hermitian"):
+        zj.check_hermitian(bad)
+    with pytest.raises(zj.ValidationError, match="matrix 1 of the stack"):
+        zj.eigh(np.stack([np.eye(2), bad]))
+    with pytest.raises(zj.ValidationError):
+        zj.decompose(bad)
+
+
 def test_policy_from_env(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "psd_tol=1e-7")
     assert zj.NumericPolicy.from_env().psd_tol == 1e-7
