@@ -45,7 +45,13 @@ _TRANSPORTS = ("measurement", "instantaneous")
 
 @dataclasses.dataclass(frozen=True)
 class JumpComparison:
-    """One perturbative value against its exact-propagator counterpart."""
+    """One perturbative value against its exact-propagator counterpart.
+
+    ``est_error`` is the perturbative quadrature's error estimate.  The
+    oracle's cost and accuracy are ``exact_steps``, the accepted steps of
+    every exact propagator it ran (full plus measurement-only), and
+    ``exact_est_error``, the larger of their last-doubling changes.
+    """
 
     perturbative: float
     exact: float
@@ -56,6 +62,8 @@ class JumpComparison:
     transport: str
     adiabaticity: AdiabaticityReport
     est_error: float
+    exact_steps: int
+    exact_est_error: float
     warnings: tuple[str, ...] = ()
 
     @property
@@ -74,6 +82,35 @@ def _scaled_measurement(model: MeasurementModel) -> TimeDependentOperator:
     )
 
 
+def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, int, float]:
+    """``exact_jump`` with the oracle's summed steps and larger ``est_error``."""
+    pol = default_policy(policy)
+    if transport not in _TRANSPORTS:
+        raise ValidationError(f"unknown transport {transport!r}; choose from {_TRANSPORTS}")
+    if not (0 <= m < frame.n_levels):
+        raise ValidationError(f"level index {m} outside 0..{frame.n_levels - 1}")
+    if model.dim != frame.dim:
+        raise ValidationError("model and frame dimensions disagree")
+    rho = check_density(rho0, pol)
+    t0, t1 = model.horizon
+    runs = [exact_propagator(model.full_hamiltonian(), t1, tol=tol, policy=pol)]
+    if transport == "measurement":
+        runs.append(exact_propagator(_scaled_measurement(model), t1, tol=tol, policy=pol))
+        u_meas = runs[1].matrix
+        p_m0 = frame.initial_projectors()[m]
+        target = u_meas @ p_m0 @ u_meas.conj().T
+    else:
+        target = frame.projectors[m, -1]
+    u_full = runs[0].matrix
+    rho_t = u_full @ rho @ u_full.conj().T
+    val = complex(np.trace(rho_t @ target))
+    if abs(val.imag) > pol.imag_residual_tol * (1.0 + abs(val.real)):
+        raise NumericalError(
+            f"exact jump probability lost realness: imaginary residual {abs(val.imag):.3e}"
+        )
+    return float(val.real), sum(r.steps_used for r in runs), max(r.est_error for r in runs)
+
+
 def exact_jump(
     model: MeasurementModel,
     rho0,
@@ -90,29 +127,7 @@ def exact_jump(
     propagator (``transport="measurement"``) or the instantaneous level
     projector at the final grid node (``transport="instantaneous"``).
     """
-    pol = default_policy(policy)
-    if transport not in _TRANSPORTS:
-        raise ValidationError(f"unknown transport {transport!r}; choose from {_TRANSPORTS}")
-    if not (0 <= m < frame.n_levels):
-        raise ValidationError(f"level index {m} outside 0..{frame.n_levels - 1}")
-    if model.dim != frame.dim:
-        raise ValidationError("model and frame dimensions disagree")
-    rho = check_density(rho0, pol)
-    t0, t1 = model.horizon
-    u_full = exact_propagator(model.full_hamiltonian(), t1, tol=tol, policy=pol).matrix
-    if transport == "measurement":
-        u_meas = exact_propagator(_scaled_measurement(model), t1, tol=tol, policy=pol).matrix
-        p_m0 = frame.initial_projectors()[m]
-        target = u_meas @ p_m0 @ u_meas.conj().T
-    else:
-        target = frame.projectors[m, -1]
-    rho_t = u_full @ rho @ u_full.conj().T
-    val = complex(np.trace(rho_t @ target))
-    if abs(val.imag) > pol.imag_residual_tol * (1.0 + abs(val.real)):
-        raise NumericalError(
-            f"exact jump probability lost realness: imaginary residual {abs(val.imag):.3e}"
-        )
-    return float(val.real)
+    return _oracle_jump(model, rho0, m, frame, transport, tol, policy)[0]
 
 
 def compare_jump(
@@ -138,7 +153,9 @@ def compare_jump(
     if not (bound > 0):
         raise ValidationError("comparison bound must be positive")
     pert: JumpResult = general_jump(model, rho0, n, m, frame, quad=quad, policy=policy)
-    exact = exact_jump(model, rho0, m, frame, transport=transport, tol=exact_tol, policy=policy)
+    exact, exact_steps, exact_est_error = _oracle_jump(
+        model, rho0, m, frame, transport, exact_tol, policy
+    )
     abs_gap = abs(pert.value - exact)
     rel_gap = abs_gap / max(abs(pert.value), abs(exact), 1e-12)
     if not pert.adiabaticity.adiabatic:
@@ -157,5 +174,7 @@ def compare_jump(
         transport=transport,
         adiabaticity=pert.adiabaticity,
         est_error=pert.est_error,
+        exact_steps=exact_steps,
+        exact_est_error=exact_est_error,
         warnings=pert.warnings,
     )

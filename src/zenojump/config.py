@@ -184,10 +184,12 @@ def _format_matrix(mat: tuple[tuple[complex, ...], ...]) -> str:
     for row in mat:
         cells = []
         for c in row:
+            # JSON reads -0 back as the integer 0, so write it as 0 (equal anyway)
+            re = c.real + 0.0
             if c.imag == 0.0:
-                cells.append(_format_float(c.real))
+                cells.append(_format_float(re))
             else:
-                cells.append(f"[{_format_float(c.real)}, {_format_float(c.imag)}]")
+                cells.append(f"[{_format_float(re)}, {_format_float(c.imag)}]")
         rows.append("[" + ", ".join(cells) + "]")
     return "[" + ", ".join(rows) + "]"
 
@@ -305,7 +307,10 @@ def parse_config(text: str, base_policy: NumericPolicy | None = None) -> Scenari
         for key in parser.options("tolerances"):
             if key not in fields:
                 raise _fail("tolerances", key, f"unknown tolerance; known: {fields}")
-            overrides[key] = _parse_float("tolerances", key, parser.get("tolerances", key))
+            value = _parse_float("tolerances", key, parser.get("tolerances", key))
+            if not (value > 0):
+                raise _fail("tolerances", key, f"must be positive, got {value!r}")
+            overrides[key] = value
         policy = dataclasses.replace(policy, **overrides)
 
     compare_bound = 0.1

@@ -75,14 +75,32 @@ class TimeDependentOperator:
             raise ValidationError(f"time {t!r} outside horizon [{t0}, {t1}]")
         return min(max(t, t0), t1)
 
-    def __call__(self, t: float) -> np.ndarray:
-        t = self._check_time(float(t))
-        m = as_square_matrix(self.evaluator(t))
+    def _checked(self, sample) -> np.ndarray:
+        m = as_square_matrix(sample)
         if m.shape[0] != self.dim:
             raise ValidationError(
                 f"evaluator returned dimension {m.shape[0]}, declared {self.dim}"
             )
         return m
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self._checked(self.evaluator(self._check_time(float(t))))
+
+    def sample(self, times) -> np.ndarray:
+        """``(len(times), dim, dim)`` stack of ``self(t)`` over ``times``.
+
+        The stack is checked as one array; a bad sample raises the error the
+        per-time call would raise for it.
+        """
+        raw = [self.evaluator(self._check_time(float(t))) for t in times]
+        try:
+            stack = np.asarray(raw, dtype=complex)
+        except ValueError:  # samples of different shapes
+            stack = None
+        if stack is None or stack.shape[1:] != (self.dim, self.dim) or not np.isfinite(stack).all():
+            for m in raw:
+                self._checked(m)
+        return stack
 
     def piece_bounds(self, t):
         """Bounds of the smooth piece owning ``t`` (a time or an array of times).
@@ -183,7 +201,7 @@ def _spectral_samples(
     left = np.where(half[prev] >= lo, prev, at)
     right = np.where(half[nxt] <= hi, nxt, at)
     width = np.where(right > left, half[right] - half[left], 1.0)[:, None, None]
-    samples = np.stack([op(t) for t in half])
+    samples = op.sample(half)
 
     vals = np.empty((len(at), op.dim))
     vecs = np.empty((len(at), op.dim, op.dim), dtype=complex)

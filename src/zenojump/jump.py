@@ -184,7 +184,7 @@ def general_jump(
                 f"per oscillation period, need >= 10 (about {needed} nodes over the span)"
             )
 
-    h0_nodes = np.stack([model.h0(t) for t in grid])
+    h0_nodes = model.h0.sample(grid)
     a = frame.intertwiners
     f_nodes = a.conj().swapaxes(-1, -2) @ h0_nodes @ a
 

@@ -37,11 +37,18 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix or raise."""
+def _square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def as_square_matrix(m) -> np.ndarray:
+    """Coerce to a square complex matrix with finite entries or raise."""
+    a = _square(m)
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has a non-finite entry")
     return a
 
 
@@ -56,9 +63,10 @@ def max_norm(m) -> float:
 def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
     """Validate hermiticity within ``hermitian_tol * (1 + |M|)``."""
     pol = default_policy(policy)
-    a = as_square_matrix(m)
+    a = _square(m)
     defect = max_norm(a - a.conj().T)
-    # NaN compares false, so a non-finite entry fails the check
+    # NaN compares false, so a non-finite entry fails the check (and is
+    # reported as a hermiticity defect rather than by as_square_matrix)
     if not (defect <= pol.hermitian_tol * (1.0 + max_norm(a))):
         raise ValidationError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "

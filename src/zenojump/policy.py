@@ -78,7 +78,11 @@ class NumericPolicy:
 
     @classmethod
     def from_string(cls, text: str, base: "NumericPolicy | None" = None) -> "NumericPolicy":
-        """Parse ``key=value,key=value`` overrides on top of ``base``; bad input raises ConfigError."""
+        """Parse ``key=value,key=value`` overrides on top of ``base``.
+
+        Every value must be a finite positive number; bad input raises
+        :class:`ConfigError` naming the key.
+        """
         policy = base if base is not None else cls()
         text = text.strip()
         if not text:
@@ -100,6 +104,8 @@ class NumericPolicy:
                 value = math.nan
             if not math.isfinite(value):
                 raise ConfigError(f"policy key {key!r}: expected a finite number, got {raw!r}")
+            if not value > 0:
+                raise ConfigError(f"policy key {key!r}: must be positive, got {raw!r}")
             overrides[key] = value
         return policy.replace(**overrides)
 

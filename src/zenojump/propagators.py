@@ -1,16 +1,19 @@
 """Time-evolution operators.
 
 ``exact_propagator`` is the reference route: a time-ordered product of
-midpoint-sampled step exponentials with step doubling until successive
-refinements agree.  ``adiabatic_propagator`` is the measurement-dominated
-approximation ``A(t) Phi(t)`` read off an :class:`AdiabaticFrame`; the two
-emit the same states in the strong-coupling limit and their disagreement
-is a diagnostic, not an error.
+fourth-order Magnus step exponentials (two Gauss-Legendre samples and their
+commutator per step; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
+with step doubling until successive refinements agree.
+``adiabatic_propagator`` is the measurement-dominated approximation
+``A(t) Phi(t)`` read off an :class:`AdiabaticFrame`; the two emit the same
+states in the strong-coupling limit and their disagreement is a diagnostic,
+not an error.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -37,13 +40,28 @@ def _segments(op: TimeDependentOperator, t_final: float) -> list[tuple[float, fl
     return list(zip(edges[:-1], edges[1:]))
 
 
+#: offset of the two Gauss-Legendre nodes from the step midpoint, in steps
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+#: weight of the commutator term of the fourth-order Magnus exponent
+_COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
+
+
 def _product_over(op, segments, steps_per: list[int], policy) -> np.ndarray:
+    """Time-ordered product of fourth-order Magnus steps.
+
+    Step ``[s, s + dt]`` samples ``H1`` and ``H2`` at the two Gauss nodes
+    ``s + (1/2 -+ sqrt(3)/6) dt`` and applies ``exp(-i G)`` with the
+    Hermitian exponent ``G = dt/2 (H1 + H2) + i sqrt(3)/12 dt^2 [H1, H2]``.
+    """
     u = np.eye(op.dim, dtype=complex)
     for (a, b), n in zip(segments, steps_per):
         dt = (b - a) / n
         for i in range(n):
             mid = a + (i + 0.5) * dt
-            u = matrix_exp_unitary(op(mid), dt, policy) @ u
+            h1 = op(mid - _GAUSS_OFFSET * dt)
+            h2 = op(mid + _GAUSS_OFFSET * dt)
+            g = 0.5 * dt * (h1 + h2) + (1j * _COMMUTATOR_WEIGHT * dt * dt) * (h1 @ h2 - h2 @ h1)
+            u = matrix_exp_unitary(g, 1.0, policy) @ u
     return u
 
 
@@ -54,11 +72,15 @@ def exact_propagator(
     max_doublings: int = 20,
     policy: NumericPolicy | None = None,
 ) -> PropagatorResult:
-    """Reference propagator ``U(t_final, t0)`` by midpoint exponential products.
+    """Reference propagator ``U(t_final, t0)`` by fourth-order Magnus steps.
 
-    Breakpoints of the Hamiltonian always land on step boundaries.  The total
-    step count doubles until two successive refinements differ by less than
-    ``tol`` in max norm; the last difference is reported as ``est_error``.
+    Each step exponentiates the 2-point Gauss Magnus exponent (see
+    ``_product_over``), so the product is unitary by construction, its error
+    falls as ``steps**-4`` on smooth pieces, and it is exact on constant
+    pieces, where the commutator term vanishes.  Breakpoints of the
+    Hamiltonian always land on step boundaries.  The total step count
+    doubles until two successive refinements differ by less than ``tol`` in
+    max norm; the last difference is reported as ``est_error``.
     Raises :class:`NumericalError` carrying the last estimate if the budget of
     ``max_doublings`` (at least 1) is exhausted.
     """

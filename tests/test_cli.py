@@ -301,3 +301,16 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_non_positive_tolerance_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
+    cfg_path = write(tmp_path, CHAIN_RUN)
+    monkeypatch.setenv("ZENO_NUM_POLICY", "frame_tol=-1")
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: policy key 'frame_tol': must be positive")
+    monkeypatch.delenv("ZENO_NUM_POLICY")
+    cfg_path = write(tmp_path, CHAIN_RUN + "\n[tolerances]\nhermitian_tol = 0\n", "zero.ini")
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [tolerances] hermitian_tol: must be positive")

@@ -81,3 +81,18 @@ def test_relative_gap_is_symmetric():
     cmp = zj.compare_jump(model, rho0, 0, 2, frame)
     denom = max(abs(cmp.perturbative), abs(cmp.exact), 1e-12)
     assert cmp.rel_gap == pytest.approx(cmp.abs_gap / denom, rel=1e-12)
+
+
+def test_comparison_carries_the_oracle_diagnostics():
+    model, frame, rho0 = chain_setup(9.0, 1.0, n_intervals=1024)
+    cmp = zj.compare_jump(model, rho0, 0, 2, frame, exact_tol=1e-8)
+    runs = [
+        zj.exact_propagator(model.full_hamiltonian(), 1.0, tol=1e-8),
+        zj.exact_propagator(zj.compare._scaled_measurement(model), 1.0, tol=1e-8),
+    ]
+    assert cmp.exact_steps == sum(r.steps_used for r in runs)
+    assert cmp.exact_est_error == max(r.est_error for r in runs)
+    assert 0.0 < cmp.exact_est_error < 1e-8
+    frozen = zj.compare_jump(model, rho0, 0, 2, frame, transport="instantaneous")
+    assert frozen.exact_steps == runs[0].steps_used
+    assert frozen.exact_est_error == runs[0].est_error

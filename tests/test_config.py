@@ -1,8 +1,12 @@
 """Unit tests for config parsing, validation and canonical echo."""
 
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import zenojump as zj
+from zenojump.config import _REQUIRED, _SCHEMAS
 
 
 MINIMAL = """
@@ -174,3 +178,68 @@ def test_load_config(tmp_path):
     assert zj.load_config(str(path)) == zj.parse_config(MINIMAL)
     with pytest.raises(zj.ConfigError, match="cannot read"):
         zj.load_config(str(tmp_path / "missing.ini"))
+
+
+# --- properties ----------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+WORD = st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)
+
+
+@st.composite
+def config_texts(draw):
+    """Valid config text over every scenario, section and key kind."""
+    scenario = draw(st.sampled_from(zj.SCENARIOS))
+    dim = draw(st.integers(1, 3))
+    cell = st.one_of(FINITE, st.lists(FINITE, min_size=2, max_size=2))
+    values = {
+        "float": FINITE.map(repr),
+        "int": st.integers(-5, 10).map(str),
+        "str": WORD,
+        "matrix": st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+        .map(json.dumps),
+    }
+    lines = ["[scenario]", f"type = {scenario}", f"[{scenario}]"]
+    for key, kind, default in _SCHEMAS[scenario]:
+        if default is _REQUIRED or draw(st.booleans()):
+            lines.append(f"{key} = {draw(values[kind.rstrip('?')])}")
+    if draw(st.booleans()):
+        start, stop = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        parameter = draw(st.sampled_from(zj.sweepable_parameters(scenario)))
+        count = draw(st.integers(2, 50))
+        lines += ["[sweep]", f"parameter = {parameter}", f"start = {start!r}",
+                  f"stop = {stop!r}", f"count = {count}"]
+    lines += ["[grid]", f"intervals = {8 * draw(st.integers(1, 512))}"]
+    lines += ["[quadrature]", f"rel_tol = {draw(POSITIVE)!r}",
+              f"abs_floor = {draw(st.floats(min_value=0.0, allow_infinity=False))!r}"]
+    lines.append("[tolerances]")
+    for key in draw(st.lists(st.sampled_from(zj.NumericPolicy.field_names()), unique=True)):
+        lines.append(f"{key} = {draw(POSITIVE)!r}")
+    lines += ["[compare]", f"bound = {draw(POSITIVE)!r}",
+              f"transport = {draw(st.sampled_from(['measurement', 'instantaneous']))}",
+              f"exact_tol = {draw(POSITIVE)!r}"]
+    lines += ["[output]", f"path = {draw(WORD)}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_texts())
+@example(CUSTOM.replace("h_meas = [[1, 0], [0, -1]]", "h_meas = [[-0.0, 1], [1, [-0.0, 1]]]"))
+def test_resolved_text_round_trips_any_valid_config(text):
+    cfg = zj.parse_config(text)
+    echoed = zj.resolved_text(cfg)
+    assert zj.parse_config(echoed) == cfg
+    assert zj.resolved_text(zj.parse_config(echoed)) == echoed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.sampled_from(zj.NumericPolicy.field_names()),
+    raw=st.one_of(st.floats(max_value=0.0).map(repr), st.sampled_from(["nan", "inf", "-inf"])),
+)
+def test_non_finite_or_non_positive_tolerance_is_rejected(key, raw):
+    with pytest.raises(zj.ConfigError, match=f"\\[tolerances\\] {key}: must be"):
+        zj.parse_config(MINIMAL + f"\n[tolerances]\n{key} = {raw}\n")
+    with pytest.raises(zj.ConfigError, match=f"'{key}'"):
+        zj.NumericPolicy.from_string(f"{key}={raw}")

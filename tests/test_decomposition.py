@@ -57,6 +57,21 @@ def test_operator_rejects_evaluator_dimension_mismatch():
         op(0.5)
 
 
+def test_sample_stacks_the_per_time_calls_and_their_checks():
+    rng = np.random.default_rng(5)
+    op = rotation_family(random_hermitian(rng, 3), np.diag([-1.0, 0.0, 1.0]).astype(complex))
+    times = np.linspace(0.0, 1.0, 7)
+    assert np.array_equal(op.sample(times), np.stack([op(t) for t in times]))
+    with pytest.raises(zj.ValidationError, match="outside horizon"):
+        op.sample([0.5, 1.5])
+    wrong = zj.TimeDependentOperator(
+        evaluator=lambda t: np.eye(3 if t > 0.5 else 2, dtype=complex), horizon=(0.0, 1.0), dim=2
+    )
+    for times in ([0.7, 0.9], [0.1, 0.9]):
+        with pytest.raises(zj.ValidationError, match="declared"):
+            wrong.sample(times)
+
+
 def test_derivative_is_one_sided_at_breakpoints():
     # Triangle profile: slope +1 before the kink at 0.5, slope -1 after.
     def ev(t):

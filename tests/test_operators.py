@@ -155,3 +155,25 @@ def test_policy_from_env(monkeypatch):
     assert zj.NumericPolicy.from_env().psd_tol == 1e-7
     monkeypatch.delenv(ENV_VAR)
     assert zj.NumericPolicy.from_env() == zj.NumericPolicy()
+
+
+@pytest.mark.parametrize("text", ["frame_tol=-1", "hermitian_tol=0", "qze_margin=-0.0"])
+def test_policy_from_string_rejects_non_positive_values(text):
+    key = text.partition("=")[0]
+    with pytest.raises(zj.ConfigError, match=f"'{key}': must be positive"):
+        zj.NumericPolicy.from_string(text)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_square_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        zj.operators.as_square_matrix([[bad, 0.0], [0.0, 1.0]])
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: np.array([[bad, 0.0], [0.0, 1.0]]), horizon=(0.0, 1.0), dim=2
+    )
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        op(0.5)
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        op.sample([0.0, 0.5])
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        zj.check_unitary([[bad, 0.0], [0.0, 1.0]])

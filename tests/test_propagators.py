@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import zenojump as zj
+from zenojump.propagators import _product_over
 
 from properties import random_hermitian
 from test_decomposition import rotation_family
@@ -22,7 +23,7 @@ def test_constant_hamiltonian_matches_expm():
 
 
 def test_piecewise_constant_hamiltonian_is_exact():
-    # Midpoint sampling is exact on each constant piece; breakpoints are
+    # The Magnus step is exact on each constant piece; breakpoints are
     # forced onto step boundaries so the product telescopes exactly.
     rng = np.random.default_rng(32)
     h_a = random_hermitian(rng, 3)
@@ -161,3 +162,70 @@ def test_exact_propagator_rejects_a_budget_without_doublings():
     for budget in (0, -1):
         with pytest.raises(zj.ValidationError, match="max_doublings"):
             zj.exact_propagator(op, 1.0, max_doublings=budget)
+
+
+# --- fourth-order Magnus step ------------------------------------------------
+
+
+def test_magnus_step_has_observed_order_four():
+    rng = np.random.default_rng(41)
+    gen = random_hermitian(rng, 3, scale=1.0)
+    op = rotation_family(gen, np.diag([-1.0, 0.5, 2.0]).astype(complex))
+    pol = zj.NumericPolicy()
+    us = {n: _product_over(op, [(0.0, 1.0)], [n], pol) for n in (8, 16, 32)}
+    ratio = zj.max_norm(us[8] - us[16]) / zj.max_norm(us[16] - us[32])
+    assert 3.5 < np.log2(ratio) < 4.5
+
+
+def _chain_at(h):
+    return zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=h)).full_hamiltonian()
+
+
+def _midpoint_doubling_steps(op, tol):
+    """Step count the step-doubled midpoint product needs to converge below ``tol``.
+
+    The chain Hamiltonian is affine in ``s``, so every midpoint sample of a
+    pass comes from its two end values in one stacked expression.
+    """
+    a = op(0.0)
+    b = op(1.0) - a
+
+    def product(n):
+        mids = (np.arange(n) + 0.5) / n
+        vals, vecs = np.linalg.eigh(a + mids[:, None, None] * b)
+        step = (vecs * np.exp(-1j * vals / n)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        while len(step) > 1:
+            step = step[1::2] @ step[0::2]
+        return step[0]
+
+    steps, prev = 8, product(8)
+    for _ in range(14):
+        steps *= 2
+        cur = product(steps)
+        if zj.max_norm(cur - prev) < tol:
+            return steps
+        prev = cur
+    raise AssertionError(f"midpoint reference not converged at {steps} steps")
+
+
+def test_chain_propagator_matches_ode_reference():
+    from scipy.integrate import solve_ivp
+
+    op = _chain_at(15.0)
+    res = zj.exact_propagator(op, 1.0, tol=1e-8)
+
+    def rhs(t, y):
+        return (-1j * op(t) @ y.reshape(4, 4)).ravel()
+
+    sol = solve_ivp(
+        rhs, (0.0, 1.0), np.eye(4, dtype=complex).ravel(),
+        method="DOP853", rtol=1e-12, atol=1e-14,
+    )
+    assert sol.success
+    assert np.max(np.abs(res.matrix - sol.y[:, -1].reshape(4, 4))) <= 1e-7
+
+
+def test_chain_propagator_needs_a_sixteenth_of_the_midpoint_steps():
+    op = _chain_at(15.0)
+    res = zj.exact_propagator(op, 1.0, tol=1e-8)
+    assert 16 * res.steps_used <= _midpoint_doubling_steps(op, 1e-8)
