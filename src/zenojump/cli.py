@@ -13,8 +13,9 @@ endings, so identical configurations produce byte-identical files for any
 ``--jobs`` value.
 
 Exit codes: 0 success; 2 configuration error (including an output path that
-cannot be written); 3 numerical failure; 4 validity-diagnostics failure under
-``--strict``.  ``python -m zenojump`` runs :func:`main` as well.
+cannot be written); 3 numerical failure (including a non-finite value in any
+output cell, in which case nothing is written); 4 validity-diagnostics failure
+under ``--strict``.  ``python -m zenojump`` runs :func:`main` as well.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import math
 import os
 import sys
 
@@ -291,6 +293,17 @@ def decompose_levels(cfg: ScenarioConfig) -> ResultTable:
     return ResultTable(columns=_DECOMPOSE_COLUMNS, rows=rows, config=cfg)
 
 
+def _check_finite(table: ResultTable) -> None:
+    """Raise :class:`NumericalError` at the first non-finite float cell."""
+    for row in table.rows:
+        for column, value in zip(table.columns, row):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise NumericalError(
+                    f"{table.columns[0]} = {_cell(row[0])}: {column} is not finite "
+                    f"({_cell(value)})"
+                )
+
+
 def _write_output(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -369,8 +382,8 @@ def _schema_help() -> str:
         f'  {ENV_VAR}="frame_tol=1e-5,adiabatic_margin=0.02"',
         "",
         "exit codes: 0 success, 2 config error (including an output path",
-        "  that cannot be written), 3 numerical failure, 4 validity diagnostics",
-        "  failed under --strict",
+        "  that cannot be written), 3 numerical failure (including a",
+        "  non-finite output value), 4 validity diagnostics failed under --strict",
     ]
     return "\n".join(rows)
 
@@ -450,6 +463,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         table = decompose_levels(cfg)
     if args.emit_plot and out_path == "-":
         raise ConfigError("--emit-plot needs a file output; set --out or [output] path")
+    _check_finite(table)
     _write_output(table.csv_text(), out_path)
     if args.emit_plot:
         root, _ext = os.path.splitext(out_path)

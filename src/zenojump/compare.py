@@ -72,13 +72,14 @@ class JumpComparison:
 
 
 def _scaled_measurement(model: MeasurementModel) -> TimeDependentOperator:
+    # the wrapper's call checks each sample, so the inner one is not checked again
     k = model.coupling
     h_meas = model.h_meas
     return TimeDependentOperator(
-        evaluator=lambda t: k * h_meas(t),
+        evaluator=lambda t: k * h_meas.unchecked(t),
         horizon=model.horizon,
         dim=model.dim,
-        breakpoints=model.h_meas.breakpoints,
+        breakpoints=h_meas.breakpoints,
     )
 
 

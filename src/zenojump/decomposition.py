@@ -86,6 +86,20 @@ class TimeDependentOperator:
     def __call__(self, t: float) -> np.ndarray:
         return self._checked(self.evaluator(self._check_time(float(t))))
 
+    def unchecked(self, t: float) -> np.ndarray:
+        """The evaluator's sample at ``t``, checked for shape only.
+
+        For operators composed of this one, whose own call checks the time and
+        the finiteness of the result: a non-finite entry here stays
+        non-finite under scaling and addition.
+        """
+        m = np.asarray(self.evaluator(t), dtype=complex)
+        if m.shape != (self.dim, self.dim):
+            raise ValidationError(
+                f"evaluator returned shape {m.shape}, declared dimension {self.dim}"
+            )
+        return m
+
     def sample(self, times) -> np.ndarray:
         """``(len(times), dim, dim)`` stack of ``self(t)`` over ``times``.
 
@@ -310,6 +324,8 @@ class AdiabaticFrame:
     grid; ``phases[l, k]`` is the accumulated dynamical phase
     ``integral of coupling * eps_l`` up to ``t_k``.  Frames are only defined
     at their grid nodes; there is no interpolation between nodes.
+    ``residual`` is the :meth:`intertwining_residual` the frame was checked
+    against; static frames are exact by construction and keep 0.
     """
 
     grid: np.ndarray
@@ -320,6 +336,7 @@ class AdiabaticFrame:
     ranks: tuple[int, ...]
     coupling: float
     degeneracy_tol: float
+    residual: float = 0.0
 
     @property
     def n_levels(self) -> int:
@@ -461,7 +478,6 @@ def track_frame(
     integration step straddles a discontinuity.
     """
     pol = default_policy(policy)
-    ftol = pol.frame_tol if frame_tol is None else float(frame_tol)
     grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
     slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
@@ -540,10 +556,19 @@ def track_frame(
         coupling=float(coupling),
         degeneracy_tol=tol,
     )
-    residual = frame.intertwining_residual()
-    if residual > ftol:
+    return _checked_frame(frame, frame_tol, pol)
+
+
+def _checked_frame(
+    frame: AdiabaticFrame, frame_tol: float | None, pol: NumericPolicy
+) -> AdiabaticFrame:
+    """``frame`` carrying its intertwining residual, checked against ``frame_tol``
+    (default: the policy's); :class:`FrameResidualError` carries the frame."""
+    ftol = pol.frame_tol if frame_tol is None else float(frame_tol)
+    frame = dataclasses.replace(frame, residual=frame.intertwining_residual())
+    if not (frame.residual <= ftol):
         raise FrameResidualError(
-            f"frame residual {residual:.3e} exceeds tolerance {ftol:.1e}; "
+            f"frame residual {frame.residual:.3e} exceeds tolerance {ftol:.1e}; "
             f"refine the grid",
             last_result=frame,
         )

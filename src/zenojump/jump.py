@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -71,11 +72,15 @@ class MeasurementModel:
         return self.h0.horizon
 
     def full_hamiltonian(self) -> TimeDependentOperator:
-        """Total Hamiltonian for the exact-propagator route."""
-        k = self.coupling
-        breaks = sorted(set(self.h0.breakpoints) | set(self.h_meas.breakpoints))
+        """Total Hamiltonian for the exact-propagator route.
+
+        Its call checks each sample once: the terms are evaluated with
+        :meth:`TimeDependentOperator.unchecked` and the sum is checked.
+        """
+        h0, h_meas, k = self.h0, self.h_meas, self.coupling
+        breaks = sorted(set(h0.breakpoints) | set(h_meas.breakpoints))
         return TimeDependentOperator(
-            evaluator=lambda t: self.h0(t) + k * self.h_meas(t),
+            evaluator=lambda t: h0.unchecked(t) + k * h_meas.unchecked(t),
             horizon=self.horizon,
             dim=self.dim,
             breakpoints=tuple(breaks),
@@ -239,6 +244,23 @@ def transition_weight(h0, rho0, projector_m) -> float:
     return float(val.real)
 
 
+def _closed_form(name: str, evaluate: Callable[[], float]) -> float:
+    """``evaluate()``, or :class:`NumericalError` when it leaves floating-point range.
+
+    Python float arithmetic raises on an overflowing power or a division by
+    an underflowed zero, ``math`` raises on infinite arguments, and an
+    infinite or NaN result is caught here.
+    """
+    try:
+        value = evaluate()
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        reason = exc.args[-1] if exc.args else type(exc).__name__
+        raise NumericalError(f"{name} left floating-point range: {reason}") from None
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} is not finite: {value!r}")
+    return value
+
+
 def pulsed_jump(trace_factor: float, coupling: float, tau: float, tau_free: float) -> float:
     """Jump probability for one free-then-measure cycle.
 
@@ -250,6 +272,9 @@ def pulsed_jump(trace_factor: float, coupling: float, tau: float, tau_free: floa
         W = trace_factor * [ tau_free^2
             + (4 tau_free / K) sin(K d / 2) cos(K d / 2)
             + (4 / K^2) sin^2(K d / 2) ],   d = tau - tau_free.
+
+    Inputs whose intermediates or result leave floating-point range raise
+    :class:`NumericalError`.
     """
     if trace_factor < 0:
         raise ValidationError(f"trace factor must be non-negative, got {trace_factor!r}")
@@ -257,19 +282,26 @@ def pulsed_jump(trace_factor: float, coupling: float, tau: float, tau_free: floa
         raise ValidationError("coupling must be positive")
     if not (0.0 <= tau_free <= tau):
         raise ValidationError("need 0 <= tau_free <= tau")
-    half = 0.5 * coupling * (tau - tau_free)
-    bracket = (
-        tau_free**2
-        + (4.0 * tau_free / coupling) * math.sin(half) * math.cos(half)
-        + (4.0 / coupling**2) * math.sin(half) ** 2
-    )
-    return trace_factor * bracket
+
+    def evaluate() -> float:
+        half = 0.5 * coupling * (tau - tau_free)
+        bracket = (
+            tau_free**2
+            + (4.0 * tau_free / coupling) * math.sin(half) * math.cos(half)
+            + (4.0 / coupling**2) * math.sin(half) ** 2
+        )
+        return trace_factor * bracket
+
+    return _closed_form("pulsed jump probability", evaluate)
 
 
 def continuous_jump(trace_factor: float, coupling: float, delta_eps: float, tau: float) -> float:
     """Jump probability under a static measurement with level gap ``delta_eps``.
 
         W = trace_factor * 4 sin^2(K delta_eps tau / 2) / (K delta_eps)^2
+
+    Inputs whose intermediates or result leave floating-point range raise
+    :class:`NumericalError`.
     """
     if trace_factor < 0:
         raise ValidationError(f"trace factor must be non-negative, got {trace_factor!r}")
@@ -277,8 +309,12 @@ def continuous_jump(trace_factor: float, coupling: float, delta_eps: float, tau:
         raise ValidationError("coupling must be positive")
     if delta_eps == 0:
         raise ValidationError("level gap delta_eps must be nonzero")
-    x = coupling * delta_eps
-    return trace_factor * 4.0 * math.sin(0.5 * x * tau) ** 2 / x**2
+
+    def evaluate() -> float:
+        x = coupling * delta_eps
+        return trace_factor * 4.0 * math.sin(0.5 * x * tau) ** 2 / x**2
+
+    return _closed_form("continuous jump probability", evaluate)
 
 
 def zeno_time(h0, rho0, projector_m) -> float:

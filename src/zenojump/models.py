@@ -11,7 +11,9 @@ Three families are provided:
 For the chain the natural evolution variable is ``s = t / T``; builders
 return models over ``[0, 1]`` with the perturbation scaled by ``T`` and the
 measurement coupling equal to ``h * T``, which reproduces the physical
-phases of the laboratory-time formulation.
+phases of the laboratory-time formulation.  The chain's field is a sum of
+identical commuting one-site terms, so its intertwining frame is the tensor
+power of the frame tracked for one spin (:func:`spin_chain_frame`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ import math
 
 import numpy as np
 
-from .decomposition import AdiabaticFrame, TimeDependentOperator, decompose, track_frame
-from .errors import QuadratureError, ValidationError
+from .decomposition import (
+    AdiabaticFrame,
+    TimeDependentOperator,
+    _checked_frame,
+    decompose,
+    track_frame,
+)
+from .errors import FrameResidualError, QuadratureError, ValidationError
 from .jump import MeasurementModel, _simpson_weights
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, as_square_matrix, check_projector, tensor_product
 from .policy import NumericPolicy, default_policy
@@ -106,6 +114,16 @@ def _chain_field_parts(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return z, x
 
 
+def _field_direction(n_sites: int) -> TimeDependentOperator:
+    """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
+    z, x = _chain_field_parts(n_sites)
+
+    def field_direction(s: float) -> np.ndarray:
+        return -((1.0 - s) * z + s * x)
+
+    return TimeDependentOperator(evaluator=field_direction, horizon=(0.0, 1.0), dim=2**n_sites)
+
+
 def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:
     """Rotating-field measurement ``-h * sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
     z, x = _chain_field_parts(spec.n_sites)
@@ -124,20 +142,20 @@ def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:
     ``H(s) = T * H0 + (h T) * h_meas(s)`` with the unit-amplitude field
     direction as ``h_meas``, so the measurement coupling is ``h * T``.
     """
-    z, x = _chain_field_parts(spec.n_sites)
     h0 = spec.T * build_chain_h0(spec)
-
-    def field_direction(s: float) -> np.ndarray:
-        return -((1.0 - s) * z + s * x)
-
-    h_meas = TimeDependentOperator(
-        evaluator=field_direction, horizon=(0.0, 1.0), dim=2**spec.n_sites
-    )
     return MeasurementModel(
         h0=TimeDependentOperator.constant(h0, (0.0, 1.0)),
-        h_meas=h_meas,
+        h_meas=_field_direction(spec.n_sites),
         coupling=spec.h * spec.T,
     )
+
+
+def _stacked_kron(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Slice-wise Kronecker product of the stacks ``a`` ``(K, p, p)`` and ``b`` ``(K, q, q)``."""
+    k, p, q = len(a), a.shape[-1], b.shape[-1]
+    view = None if out is None else out.reshape(k, p, q, p, q)
+    prod = np.multiply(a[:, :, None, :, None], b[:, None, :, None, :], out=view)
+    return prod.reshape(k, p * q, p * q)
 
 
 def spin_chain_frame(
@@ -146,10 +164,58 @@ def spin_chain_frame(
     policy: NumericPolicy | None = None,
     frame_tol: float | None = None,
 ) -> AdiabaticFrame:
-    """Intertwining frame of the rotating field on a uniform schedule grid."""
-    model = spin_chain_model(spec)
+    """Intertwining frame of the rotating field on a uniform schedule grid.
+
+    The field is a sum of identical commuting one-site terms, so the frame is
+    the tensor power ``a(s)^{(x)n}`` of the frame ``a(s)`` that
+    :func:`track_frame` follows for one spin, and the levels are the
+    magnetization sectors.  Level ``l`` (``l`` spins in the upper one-site
+    level) has rank ``C(n, l)``, eigenvalue and phase ``(n-l)`` times the
+    lower one-site value plus ``l`` times the upper one, and the projector
+    ``P_l = p_0 (x) P'_l + p_1 (x) P'_{l-1}``, grown site by site from the
+    one-site eigenprojectors ``p_0, p_1`` (``P'`` on one site fewer).  The
+    degeneracy tolerance is ``n`` times the one-site one, which is what the
+    dense route resolves from the chain's spectral range.  The chain frame's
+    own intertwining residual is checked against ``frame_tol``; a one-site
+    frame that misses it is carried on to that check.
+    """
+    pol = default_policy(policy)
+    n = spec.n_sites
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
-    return track_frame(model.h_meas, model.coupling, grid, policy, frame_tol=frame_tol)
+    try:
+        site = track_frame(_field_direction(1), spec.h * spec.T, grid, pol, frame_tol=frame_tol)
+    except FrameResidualError as exc:
+        site = exc.last_result  # the chain frame's check below decides
+    # The one-site factor goes first: its 2x2 blocks then scale contiguous rows.
+    a, (p0, p1) = site.intertwiners, site.projectors
+    intertwiners = a
+    for _ in range(n - 1):
+        intertwiners = _stacked_kron(a, intertwiners)
+    projectors = np.empty((n + 1, *intertwiners.shape), dtype=complex)
+    sectors = site.projectors
+    for j in range(2, n + 1):
+        grown = projectors if j == n else np.empty((j + 1, len(grid), 2**j, 2**j), dtype=complex)
+        for l in range(j + 1):
+            # l upper spins: the new site is lower (l among the rest) or upper (l - 1)
+            if l < j:
+                _stacked_kron(p0, sectors[l], out=grown[l])
+                if l > 0:
+                    grown[l] += _stacked_kron(p1, sectors[l - 1])
+            else:
+                _stacked_kron(p1, sectors[l - 1], out=grown[l])
+        sectors = grown
+    upper = np.arange(n + 1)[:, None]
+    frame = AdiabaticFrame(
+        grid=site.grid,
+        intertwiners=intertwiners,
+        eigenvalues=(n - upper) * site.eigenvalues[0] + upper * site.eigenvalues[1],
+        phases=(n - upper) * site.phases[0] + upper * site.phases[1],
+        projectors=projectors,
+        ranks=tuple(math.comb(n, l) for l in range(n + 1)),
+        coupling=site.coupling,
+        degeneracy_tol=n * site.degeneracy_tol,
+    )
+    return _checked_frame(frame, frame_tol, pol)
 
 
 def field_strength(s):

@@ -314,3 +314,36 @@ def test_non_positive_tolerance_exits_2_naming_the_key(tmp_path, capsys, monkeyp
     assert main(["run", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [tolerances] hermitian_tol: must be positive")
+
+
+@pytest.mark.parametrize(
+    "scenario, settings, reason",
+    [
+        ("continuous", "coupling = 1e160", "Numerical result out of range"),
+        ("continuous", "coupling = 1e200\ndelta_eps = 1e200", "math domain error"),
+        ("pulsed", "coupling = 1e-200", "float division by zero"),
+    ],
+)
+def test_closed_form_out_of_range_exits_3_without_traceback(
+    tmp_path, capsys, scenario, settings, reason
+):
+    cfg_path = write(tmp_path, f"[scenario]\ntype = {scenario}\n\n[{scenario}]\n{settings}\n")
+    target = tmp_path / "out.csv"
+    assert main(["run", "--config", cfg_path, "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {scenario} jump probability left ")
+    assert reason in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_non_finite_output_cell_exits_3_naming_point_and_column(tmp_path, capsys, monkeypatch):
+    from zenojump import cli
+
+    monkeypatch.setattr(cli, "pulsed_jump", lambda *args: float("nan") if args[2] > 0.6 else 0.1)
+    cfg_path = write(tmp_path, PULSED_SWEEP)
+    target = tmp_path / "out.csv"
+    assert main(["run", "--config", cfg_path, "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: tau = 0.69999999999999996: w is not finite (nan)\n"
+    assert not target.exists()

@@ -163,6 +163,7 @@ def test_static_frame_phases_exact_for_switched_eigenvalue():
     assert frame.phases[1, -1] == 0.0
     assert np.array_equal(frame.intertwiners[3], np.eye(2))
     assert frame.ranks == (1, 1)
+    assert frame.residual == 0.0
     assert frame.n_nodes == 9
     assert frame.dim == 2
     assert frame.node_index(0.5) == 4
@@ -234,6 +235,15 @@ def test_track_frame_residual_failure_carries_frame():
     with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
         zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 5), frame_tol=1e-10)
     assert isinstance(exc.value.last_result, zj.AdiabaticFrame)
+    assert exc.value.last_result.residual > 1e-10
+
+
+def test_track_frame_keeps_the_residual_it_checked():
+    rng = np.random.default_rng(22)
+    op = rotation_family(random_hermitian(rng, 3, scale=0.5), np.diag([-1.0, 0.0, 1.0]))
+    frame = zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 65))
+    assert frame.residual == frame.intertwining_residual()
+    assert 0.0 < frame.residual < 1e-6
 
 
 def test_track_frame_rejects_grid_missing_breakpoint():

@@ -49,7 +49,43 @@ def test_full_hamiltonian_combines_terms_and_breakpoints():
     assert np.array_equal(total(0.5), zj.SIGMA_X + 3.0 * p)
 
 
+def test_full_hamiltonian_checks_each_sample_once_and_still_rejects_bad_terms():
+    from zenojump.compare import _scaled_measurement
+
+    good = zj.TimeDependentOperator.constant(zj.SIGMA_X, (0.0, 1.0))
+    bad_terms = {
+        "non-finite": lambda t: np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        "shape": lambda t: np.eye(1),
+    }
+    for match, evaluator in bad_terms.items():
+        bad = zj.TimeDependentOperator(evaluator=evaluator, horizon=(0.0, 1.0), dim=2)
+        for model in (
+            zj.MeasurementModel(h0=good, h_meas=bad, coupling=2.0),
+            zj.MeasurementModel(h0=bad, h_meas=good, coupling=2.0),
+        ):
+            with pytest.raises(zj.ValidationError, match=match):
+                model.full_hamiltonian()(0.5)
+        with pytest.raises(zj.ValidationError, match=match):
+            _scaled_measurement(zj.MeasurementModel(h0=good, h_meas=bad, coupling=2.0))(0.5)
+    model = zj.MeasurementModel(h0=good, h_meas=good, coupling=2.0)
+    assert np.array_equal(_scaled_measurement(model)(0.5), 2.0 * zj.SIGMA_X)
+
+
 # --- closed forms ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "closed_form, args",
+    [
+        (zj.continuous_jump, (1.0, 1e160, 1.0, 1.0)),  # (K delta_eps)^2 overflows
+        (zj.continuous_jump, (1.0, 1e200, 1e200, 1.0)),  # K delta_eps is infinite
+        (zj.pulsed_jump, (1.0, 1e-200, 1.0, 0.5)),  # K^2 underflows to 0
+        (zj.pulsed_jump, (1.0, 1e-170, 1.0, 0.5)),  # 4 / K^2 is infinite
+    ],
+)
+def test_closed_forms_out_of_floating_point_range_raise_numerical_error(closed_form, args):
+    with pytest.raises(zj.NumericalError, match="jump probability"):
+        closed_form(*args)
 
 
 def test_pulsed_jump_validation_and_limits():

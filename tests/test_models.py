@@ -190,3 +190,45 @@ def test_pulsed_builders_and_level_convention():
     assert frame.phases[0, -1] == pytest.approx(4.0 * 0.5)
     with pytest.raises(zj.ValidationError, match="must be a node"):
         zj.pulsed_frame(p, 4.0, 1.0, 0.37, n_intervals=8)
+
+
+@pytest.mark.parametrize(
+    "n_sites, boundary", [(2, "open"), (3, "periodic"), (4, "open"), (5, "periodic")]
+)
+def test_spin_chain_frame_matches_the_dense_tracked_frame(n_sites, boundary):
+    # The structured frame is the tensor power of the tracked one-site frame;
+    # tracking the 2^n-dimensional field directly is the independent route.
+    spec = zj.SpinChainSpec(n_sites=n_sites, h=12.5, T=1.0, boundary=boundary)
+    model = zj.spin_chain_model(spec)
+    dense = zj.track_frame(model.h_meas, model.coupling, np.linspace(0.0, 1.0, 1025))
+    frame = zj.spin_chain_frame(spec)
+    for name in ("intertwiners", "projectors", "eigenvalues", "phases"):
+        assert np.max(np.abs(getattr(frame, name) - getattr(dense, name))) <= 1e-12, name
+    assert frame.ranks == dense.ranks == tuple(math.comb(n_sites, l) for l in range(n_sites + 1))
+    assert frame.degeneracy_tol == dense.degeneracy_tol
+    assert frame.coupling == dense.coupling
+    assert np.array_equal(frame.grid, dense.grid)
+    assert frame.residual == frame.intertwining_residual()
+    assert 0.0 < frame.residual <= zj.default_policy().frame_tol
+
+
+def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
+    spec = zj.SpinChainSpec(n_sites=4, h=12.5, T=1.0)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec)
+    dense = zj.track_frame(model.h_meas, model.coupling, frame.grid)
+    rho0 = frame.initial_projectors()[0]
+    res = zj.general_jump(model, rho0, 0, 2, frame)
+    ref = zj.general_jump(model, rho0, 0, 2, dense)
+    assert res.value == pytest.approx(ref.value, rel=1e-12)
+    assert res.adiabaticity == ref.adiabaticity
+
+
+def test_spin_chain_frame_residual_failure_carries_the_chain_frame():
+    spec = zj.SpinChainSpec(n_sites=3, h=5.0, T=1.0)
+    with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
+        zj.spin_chain_frame(spec, n_intervals=4, frame_tol=1e-15)
+    frame = exc.value.last_result
+    assert isinstance(frame, zj.AdiabaticFrame)
+    assert frame.dim == 8 and frame.ranks == (1, 3, 3, 1)
+    assert frame.residual > 1e-15
