@@ -108,15 +108,10 @@ def build_chain_h0(spec: SpinChainSpec) -> np.ndarray:
     return h0
 
 
-def _chain_field_parts(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    z = sum(_site_operator(SIGMA_Z, j, n_sites) for j in range(n_sites))
-    x = sum(_site_operator(SIGMA_X, j, n_sites) for j in range(n_sites))
-    return z, x
-
-
 def _field_direction(n_sites: int) -> TimeDependentOperator:
     """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
-    z, x = _chain_field_parts(n_sites)
+    z = sum(_site_operator(SIGMA_Z, j, n_sites) for j in range(n_sites))
+    x = sum(_site_operator(SIGMA_X, j, n_sites) for j in range(n_sites))
 
     def field_direction(s: float) -> np.ndarray:
         return -((1.0 - s) * z + s * x)
@@ -126,13 +121,11 @@ def _field_direction(n_sites: int) -> TimeDependentOperator:
 
 def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:
     """Rotating-field measurement ``-h * sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
-    z, x = _chain_field_parts(spec.n_sites)
+    direction = _field_direction(spec.n_sites)
     h = spec.h
-
-    def evaluate(s: float) -> np.ndarray:
-        return -h * ((1.0 - s) * z + s * x)
-
-    return TimeDependentOperator(evaluator=evaluate, horizon=(0.0, 1.0), dim=2**spec.n_sites)
+    return TimeDependentOperator(
+        evaluator=lambda s: h * direction.evaluator(s), horizon=(0.0, 1.0), dim=direction.dim
+    )
 
 
 def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:
