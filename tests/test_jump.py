@@ -49,7 +49,7 @@ def test_full_hamiltonian_combines_terms_and_breakpoints():
     assert np.array_equal(total(0.5), zj.SIGMA_X + 3.0 * p)
 
 
-def test_full_hamiltonian_checks_each_sample_once_and_still_rejects_bad_terms():
+def test_composed_oracle_operators_still_reject_bad_terms():
     from zenojump.compare import _scaled_measurement
 
     good = zj.TimeDependentOperator.constant(zj.SIGMA_X, (0.0, 1.0))
