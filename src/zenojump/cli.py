@@ -251,14 +251,22 @@ def _sweep_axis(cfg: ScenarioConfig) -> tuple[str, list[float]]:
 
 def _evaluate(cfg: ScenarioConfig, worker, jobs: int | None) -> tuple[str, tuple]:
     parameter, values = _sweep_axis(cfg)
+
+    def point(value: float) -> tuple:
+        try:
+            return worker(cfg, parameter, value)
+        except NumericalError as exc:
+            exc.args = (f"{exc} (at {parameter} = {_cell(value)})",)
+            raise
+
     max_workers = max(1, min(jobs or 1, len(values)))
     if max_workers == 1:
-        rows = [worker(cfg, parameter, v) for v in values]
+        rows = [point(v) for v in values]
     else:
         # Opt-in only: a point is many small numpy calls that hold the GIL, so
         # threads add contention and memory rather than speed on most machines.
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda v: worker(cfg, parameter, v), values))
+            rows = list(pool.map(point, values))
     return parameter, tuple(rows)
 
 

@@ -41,7 +41,10 @@ class TimeDependentOperator:
     sampled by symmetric differences clamped to the smooth piece containing
     the evaluation point, so they are one-sided at breakpoints and at the
     horizon edges.  An optional analytic ``derivative_evaluator`` takes
-    precedence over finite differences.
+    precedence over finite differences.  :meth:`constant` keeps its matrix
+    read-only in ``value`` (``None`` for a time-dependent operator): its
+    samples are views of that one matrix, and frames and reports decompose it
+    once, with ``dH/dt = 0`` exactly.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -49,6 +52,7 @@ class TimeDependentOperator:
     dim: int
     breakpoints: tuple[float, ...] = ()
     derivative_evaluator: Callable[[float], np.ndarray] | None = None
+    value: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t0, t1 = self.horizon
@@ -66,7 +70,10 @@ class TimeDependentOperator:
     @classmethod
     def constant(cls, matrix, horizon: tuple[float, float]) -> "TimeDependentOperator":
         mat = as_square_matrix(matrix).copy()
-        return cls(evaluator=lambda t: mat, horizon=horizon, dim=mat.shape[0])
+        mat.setflags(write=False)
+        op = cls(evaluator=lambda t: mat, horizon=horizon, dim=mat.shape[0])
+        object.__setattr__(op, "value", mat)
+        return op
 
     def _check_time(self, t: float) -> float:
         t0, t1 = self.horizon
@@ -104,8 +111,13 @@ class TimeDependentOperator:
         """``(len(times), dim, dim)`` stack of ``self(t)`` over ``times``.
 
         The stack is checked as one array; a bad sample raises the error the
-        per-time call would raise for it.
+        per-time call would raise for it.  A constant operator checks the
+        earliest and latest time and returns a read-only view of its matrix.
         """
+        if self.value is not None:
+            self._check_time(float(np.min(times, initial=self.horizon[0])))
+            self._check_time(float(np.max(times, initial=self.horizon[1])))
+            return np.broadcast_to(self.value, (len(times), self.dim, self.dim))
         raw = [self.evaluator(self._check_time(float(t))) for t in times]
         try:
             stack = np.asarray(raw, dtype=complex)
@@ -201,22 +213,28 @@ def _spectral_samples(
     samples (step ``h/2``), one-sided at the grid ends and where a neighbour
     lies in another smooth piece; an analytic derivative takes precedence.
     With ``midpoints`` every half-grid point is decomposed, otherwise only
-    the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples.  The
-    degeneracy tolerance is resolved over all samples.  Returns ``(vals, V,
-    V^dagger (dH/dt) V, first, level_mean, tol)``, one row per decomposed
-    sample, with the levels from :func:`_cluster`.
+    the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples (a
+    constant operator: one call, broadcast rows).  The degeneracy tolerance
+    is resolved over all samples.  Returns ``(vals, V, V^dagger (dH/dt) V,
+    first, level_mean, tol)``, one row per decomposed sample, with the levels
+    from :func:`_cluster`.
     """
     half = np.empty(2 * len(grid) - 1)
     half[::2] = grid
     half[1::2] = (grid[:-1] + grid[1:]) / 2.0
     at = np.arange(0, len(half), 1 if midpoints else 2)
+    samples = op.sample(half)  # checks every time against the horizon
+    if op.value is not None:
+        vals, vecs = (np.broadcast_to(x, (len(at), *x.shape)) for x in eigh(op.value, pol))
+        hdot = np.broadcast_to(np.zeros((), dtype=complex), vecs.shape)
+        tol = _resolve_degeneracy_tol(vals, max_norm(op.value), degeneracy_tol, pol)
+        return vals, vecs, hdot, *_cluster(vals, tol), tol
+
     lo, hi = op.piece_bounds(half[at])
     prev, nxt = np.maximum(at - 1, 0), np.minimum(at + 1, len(half) - 1)
     left = np.where(half[prev] >= lo, prev, at)
     right = np.where(half[nxt] <= hi, nxt, at)
     width = np.where(right > left, half[right] - half[left], 1.0)[:, None, None]
-    samples = op.sample(half)
-
     vals = np.empty((len(at), op.dim))
     vecs = np.empty((len(at), op.dim, op.dim), dtype=complex)
     hdot = np.empty_like(vecs)
@@ -405,13 +423,15 @@ class AdiabaticFrame:
             raise ValidationError("static frame levels must resolve the identity")
         n = len(grid)
         eps = np.empty((len(levels), n))
-        phases = np.zeros((len(levels), n))
+        mid_eps = np.empty((len(levels), n - 1))
         mids = (grid[:-1] + grid[1:]) / 2.0
         for l, (spec, _) in enumerate(levels):
-            fn = spec if callable(spec) else (lambda t, v=float(spec): v)
-            eps[l] = [float(fn(t)) for t in grid]
-            increments = coupling * np.array([float(fn(t)) for t in mids]) * np.diff(grid)
-            phases[l, 1:] = np.cumsum(increments)
+            if callable(spec):
+                eps[l], mid_eps[l] = [float(spec(t)) for t in grid], [float(spec(t)) for t in mids]
+            else:
+                eps[l] = mid_eps[l] = float(spec)
+        phases = np.zeros((len(levels), n))
+        phases[:, 1:] = np.cumsum(coupling * mid_eps * np.diff(grid), axis=1)
         return cls(
             grid=grid,
             intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),

@@ -337,6 +337,33 @@ def test_closed_form_out_of_range_exits_3_without_traceback(
     assert not target.exists()
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+def test_numerical_failure_names_the_sweep_point(tmp_path, capsys, jobs):
+    sweep = "[sweep]\nparameter = coupling\nstart = 1\nstop = 1e160\ncount = 2\n"
+    cfg_path = write(tmp_path, f"[scenario]\ntype = continuous\n\n{sweep}")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out.csv"), *jobs]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: continuous jump probability left ")
+    assert err.endswith(" (at coupling = 1e+160)\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_named_failure_keeps_its_class_and_last_result(monkeypatch, jobs):
+    from zenojump import cli
+
+    def failing(*args):
+        if args[2] > 0.6:
+            raise zj.QuadratureError("not converged", last_result=0.25)
+        return 0.1
+
+    monkeypatch.setattr(cli, "pulsed_jump", failing)
+    with pytest.raises(zj.QuadratureError) as info:
+        run_scenario(zj.parse_config(PULSED_SWEEP), jobs=jobs)
+    assert str(info.value) == "not converged (at tau = 0.69999999999999996)"
+    assert info.value.last_result == 0.25
+
+
 def test_non_finite_output_cell_exits_3_naming_point_and_column(tmp_path, capsys, monkeypatch):
     from zenojump import cli
 

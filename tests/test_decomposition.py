@@ -49,6 +49,33 @@ def test_operator_rejects_out_of_horizon_times():
         op(1.5)
 
 
+def test_constant_operator_matrix_is_read_only():
+    source = np.eye(2, dtype=complex)
+    op = zj.TimeDependentOperator.constant(source, (0.0, 1.0))
+    source[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        op(0.5)[0, 0] = 7.0
+    assert op(0.9)[0, 0] == 1.0
+    assert np.array_equal(op.value, np.eye(2))
+
+
+def test_constant_sample_is_a_read_only_view_checked_against_the_horizon():
+    mat = random_hermitian(np.random.default_rng(4), 3)
+    op = zj.TimeDependentOperator.constant(mat, (0.0, 1.0))
+    stack = op.sample(np.linspace(0.0, 1.0, 5))
+    assert stack.shape == (5, 3, 3)
+    assert all(np.array_equal(m, mat) for m in stack)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[2, 0, 0] = 0.0
+    for times, bad in (([0.5, 1.5], "1.5"), ([-2.0, 0.5], "-2.0")):
+        with pytest.raises(zj.ValidationError, match=f"time {bad} outside horizon"):
+            op.sample(times)
+    assert op.sample([]).shape == (0, 3, 3)
+    plain = zj.TimeDependentOperator(evaluator=lambda t: mat, horizon=(0.0, 1.0), dim=3)
+    assert plain.value is None
+
+
 def test_operator_rejects_evaluator_dimension_mismatch():
     op = zj.TimeDependentOperator(
         evaluator=lambda t: np.eye(3, dtype=complex), horizon=(0.0, 1.0), dim=2

@@ -226,6 +226,18 @@ def test_general_jump_warns_when_perturbative_value_is_large():
     assert any("unreliable" in w for w in res.warnings)
 
 
+def test_general_jump_on_constant_operators_equals_plain_evaluators():
+    model, frame, rho0, n = static_setup(seed=91, dim=5)
+    m = (n + 1) % frame.n_levels
+    h0, h_meas = model.h0.value, model.h_meas.value
+    plain = zj.MeasurementModel(
+        h0=zj.TimeDependentOperator(evaluator=lambda t: h0, horizon=model.horizon, dim=5),
+        h_meas=zj.TimeDependentOperator(evaluator=lambda t: h_meas, horizon=model.horizon, dim=5),
+        coupling=model.coupling,
+    )
+    assert zj.general_jump(model, rho0, n, m, frame) == zj.general_jump(plain, rho0, n, m, frame)
+
+
 # --- channel weights and timescales ------------------------------------------
 
 

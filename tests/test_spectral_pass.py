@@ -6,6 +6,8 @@ one-matrix-at-a-time implementation of the same definition, kept in this file
 so that the batched code can never drift from it unnoticed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -201,3 +203,42 @@ def test_static_frame_arrays_are_read_only_views():
     assert frame.intertwiners.shape == (1025, 3, 3)
     assert frame.projectors.shape == (2, 1025, 3, 3)
     assert np.array_equal(frame.projectors[0, 700], p0)
+
+
+def test_static_frame_phases_equal_per_node_reference():
+    grid = np.linspace(0.0, 1.5, 257)
+    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    switched = lambda t: 2.0 if t >= 0.375 else 0.0
+    levels = [(switched, p0), (-0.75, np.eye(3) - p0)]
+    frame = zj.AdiabaticFrame.static(grid, levels, coupling=3.0)
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    for l, (spec, _) in enumerate(levels):
+        fn = spec if callable(spec) else (lambda t, v=spec: v)
+        assert np.array_equal(frame.eigenvalues[l], [float(fn(t)) for t in grid])
+        increments = 3.0 * np.array([float(fn(t)) for t in mids]) * np.diff(grid)
+        assert np.array_equal(frame.phases[l], np.concatenate([[0.0], np.cumsum(increments)]))
+
+
+# --- constant operators ------------------------------------------------------
+
+
+def test_constant_report_equals_plain_evaluator_report_with_one_eigh(monkeypatch):
+    from zenojump import decomposition
+
+    mat = random_hermitian(np.random.default_rng(67), 6)
+    grid = np.linspace(0.0, 2.0, 1025)
+    plain = zj.TimeDependentOperator(evaluator=lambda t: mat, horizon=(0.0, 2.0), dim=6)
+    expected = zj.adiabaticity_report(plain, 8.0, grid)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return zj.eigh(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "eigh", counted)
+    constant = zj.TimeDependentOperator.constant(mat, (0.0, 2.0))
+    report = zj.adiabaticity_report(constant, 8.0, grid)
+    assert calls == [(6, 6)]
+    for field in dataclasses.fields(report):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    assert report.alpha_max == 0.0
