@@ -213,11 +213,12 @@ def _spectral_samples(
     samples (step ``h/2``), one-sided at the grid ends and where a neighbour
     lies in another smooth piece; an analytic derivative takes precedence.
     With ``midpoints`` every half-grid point is decomposed, otherwise only
-    the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples (a
-    constant operator: one call, broadcast rows).  The degeneracy tolerance
-    is resolved over all samples.  Returns ``(vals, V, V^dagger (dH/dt) V,
-    first, level_mean, tol)``, one row per decomposed sample, with the levels
-    from :func:`_cluster`.
+    the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples.  A
+    constant operator is decomposed once: one row, broadcast over the half
+    grid with ``midpoints``.  The degeneracy tolerance is resolved over all
+    samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first, level_mean,
+    tol)``, one row per decomposed sample, with the levels from
+    :func:`_cluster`.
     """
     half = np.empty(2 * len(grid) - 1)
     half[::2] = grid
@@ -225,7 +226,8 @@ def _spectral_samples(
     at = np.arange(0, len(half), 1 if midpoints else 2)
     samples = op.sample(half)  # checks every time against the horizon
     if op.value is not None:
-        vals, vecs = (np.broadcast_to(x, (len(at), *x.shape)) for x in eigh(op.value, pol))
+        rows = len(at) if midpoints else 1
+        vals, vecs = (np.broadcast_to(x, (rows, *x.shape)) for x in eigh(op.value, pol))
         hdot = np.broadcast_to(np.zeros((), dtype=complex), vecs.shape)
         tol = _resolve_degeneracy_tol(vals, max_norm(op.value), degeneracy_tol, pol)
         return vals, vecs, hdot, *_cluster(vals, tol), tol

@@ -242,3 +242,13 @@ def test_constant_report_equals_plain_evaluator_report_with_one_eigh(monkeypatch
     for field in dataclasses.fields(report):
         assert getattr(report, field.name) == getattr(expected, field.name), field.name
     assert report.alpha_max == 0.0
+
+
+def test_constant_frame_equals_plain_evaluator_frame():
+    mat = random_hermitian(np.random.default_rng(68), 4)
+    grid = np.linspace(0.0, 1.0, 65)
+    plain = zj.TimeDependentOperator(evaluator=lambda t: mat, horizon=(0.0, 1.0), dim=4)
+    expected = zj.track_frame(plain, 5.0, grid)
+    frame = zj.track_frame(zj.TimeDependentOperator.constant(mat, (0.0, 1.0)), 5.0, grid)
+    for field in dataclasses.fields(frame):
+        assert np.array_equal(getattr(frame, field.name), getattr(expected, field.name)), field.name
