@@ -187,7 +187,7 @@ def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float):
     if cfg.scenario == "custom-matrix" and dict(cfg.params).get("rho0") is not None:
         rho0 = _as_matrix(cfg.param("rho0"))
     else:
-        rho0 = _level_state(frame.initial_projectors()[n])
+        rho0 = _level_state(frame.initial_projectors[n])
     return model, frame, rho0, n, m, extra
 
 

@@ -98,10 +98,9 @@ def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, 
     if transport == "measurement":
         runs.append(exact_propagator(_scaled_measurement(model), t1, tol=tol, policy=pol))
         u_meas = runs[1].matrix
-        p_m0 = frame.initial_projectors()[m]
-        target = u_meas @ p_m0 @ u_meas.conj().T
+        target = u_meas @ frame.initial_projectors[m] @ u_meas.conj().T
     else:
-        target = frame.projectors[m, -1]
+        target = frame.final_projectors[m]
     u_full = runs[0].matrix
     rho_t = u_full @ rho @ u_full.conj().T
     val = complex(np.trace(rho_t @ target))
@@ -126,7 +125,7 @@ def exact_jump(
     The state is evolved under the full Hamiltonian; the arrival projector is
     either the initial level projector transported by the exact measurement
     propagator (``transport="measurement"``) or the instantaneous level
-    projector at the final grid node (``transport="instantaneous"``).
+    projector ``final_projectors[m]`` at the last node (``"instantaneous"``).
     """
     return _oracle_jump(model, rho0, m, frame, transport, tol, policy)[0]
 

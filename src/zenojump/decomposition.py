@@ -167,6 +167,8 @@ def _resolve_degeneracy_tol(
 ) -> float:
     """Clustering tolerance over the eigenvalue rows ``vals``, one per sample."""
     if degeneracy_tol is not None:
+        if not (0.0 <= degeneracy_tol < np.inf):
+            raise ValidationError(f"degeneracy_tol must be finite and >= 0, got {degeneracy_tol!r}")
         return float(degeneracy_tol)
     spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
     # Floor absorbs eigensolver rounding on exactly degenerate spectra.
@@ -338,21 +340,22 @@ def decompose(
 class AdiabaticFrame:
     """Intertwining frame sampled on a time grid.
 
-    ``intertwiners[k]`` is ``A(t_k)`` with ``A(0) = I``;
-    ``eigenvalues[l, k]`` and ``projectors[l, k]`` describe level ``l`` of the
-    measurement Hamiltonian at node ``k`` with a consistent identity along the
-    grid; ``phases[l, k]`` is the accumulated dynamical phase
-    ``integral of coupling * eps_l`` up to ``t_k``.  Frames are only defined
-    at their grid nodes; there is no interpolation between nodes.
-    ``residual`` is the :meth:`intertwining_residual` the frame was checked
-    against; static frames are exact by construction and keep 0.
+    ``intertwiners[k]`` is ``A(t_k)`` with ``A(0) = I``; ``eigenvalues[l, k]``
+    is level ``l`` of the measurement Hamiltonian at node ``k`` (a consistent
+    identity along the grid), ``initial_projectors[l]`` and
+    ``final_projectors[l]`` its projector at the first and the last node, and
+    ``phases[l, k]`` the integral of ``coupling * eps_l`` up to ``t_k``.  Frames
+    are defined at their grid nodes only.  The builder sets ``residual``, a
+    bound on the max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes and
+    levels, and checks it against ``frame_tol``; static frames keep 0.
     """
 
     grid: np.ndarray
     intertwiners: np.ndarray
     eigenvalues: np.ndarray
     phases: np.ndarray
-    projectors: np.ndarray
+    initial_projectors: np.ndarray
+    final_projectors: np.ndarray
     ranks: tuple[int, ...]
     coupling: float
     degeneracy_tol: float
@@ -370,9 +373,6 @@ class AdiabaticFrame:
     def dim(self) -> int:
         return self.intertwiners.shape[-1]
 
-    def initial_projectors(self) -> np.ndarray:
-        return self.projectors[:, 0]
-
     def node_index(self, t: float) -> int:
         """Index of the grid node equal to ``t``; error if ``t`` is off-grid."""
         grid = self.grid
@@ -384,18 +384,6 @@ class AdiabaticFrame:
         raise ValidationError(
             f"time {t!r} is not a frame grid node; frames are not interpolated"
         )
-
-    def intertwining_residual(self) -> float:
-        """Worst max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes/levels."""
-        worst = 0.0
-        p0 = self.initial_projectors()
-        for start in range(0, self.n_nodes, _BLOCK):
-            blk = slice(start, start + _BLOCK)
-            a = self.intertwiners[blk]
-            a_h = a.conj().swapaxes(-1, -2)
-            for l in range(self.n_levels):
-                worst = max(worst, max_norm(a @ p0[l] @ a_h - self.projectors[l, blk]))
-        return worst
 
     @classmethod
     def static(
@@ -413,12 +401,13 @@ class AdiabaticFrame:
         while the projectors stay fixed).  The intertwiner is the identity at
         every node.  Phases accumulate by midpoint sampling per grid interval,
         which is exact for piecewise-constant eigenvalues whose switching
-        times are grid nodes.  ``intertwiners`` and ``projectors`` are
-        read-only broadcast views of one identity and one projector per level.
+        times are grid nodes.  ``intertwiners`` is a read-only broadcast view
+        of one identity; one read-only projector stack is both end-node fields.
         """
         pol = default_policy(policy)
         grid = _check_grid(grid)
         projs = np.array([check_projector(p, pol) for _, p in levels])
+        projs.setflags(write=False)
         dim = projs.shape[-1]
         total = projs.sum(axis=0)
         if max_norm(total - np.eye(dim)) > pol.completeness_tol:
@@ -439,7 +428,8 @@ class AdiabaticFrame:
             intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
             eigenvalues=eps,
             phases=phases,
-            projectors=np.broadcast_to(projs[:, None], (len(levels), n, dim, dim)),
+            initial_projectors=projs,
+            final_projectors=projs,
             ranks=tuple(int(round(p.trace().real)) for p in projs),
             coupling=float(coupling),
             degeneracy_tol=float(degeneracy_tol),
@@ -492,13 +482,16 @@ def track_frame(
     :class:`LevelCrossingError` naming the node.  The frame ODE
     ``i dA/dt = M(t) A`` is advanced with one classical 4th-order step per
     grid interval (generator sampled at the interval midpoint), each step
-    matrix re-unitarised by its polar factor, and the transport property
-    ``A P_l(0) A^dagger = P_l(t)`` is verified at every node against
+    matrix re-unitarised by its polar factor.  ``residual``, the worst
+    max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
+    formed a node block at a time) and levels, is checked against the positive
     ``frame_tol``.  Phases are cumulative trapezoids of ``coupling * eps_l``.
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
     """
+    if frame_tol is not None and not (0.0 < frame_tol < np.inf):
+        raise ValidationError(f"frame_tol must be positive and finite, got {frame_tol!r}")
     pol = default_policy(policy)
     grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
@@ -558,11 +551,17 @@ def track_frame(
 
     steps = _rk4_steps(half_vecs, hdot, half_first, level_mean, grid)
     del half_vecs, hdot
-    projectors = _projectors(vecs, offsets, ranks[0])
     intertwiners = np.empty((n, dim, dim), dtype=complex)
     intertwiners[0] = np.eye(dim)
     for k in range(n - 1):
         np.matmul(steps[k], intertwiners[k], out=intertwiners[k + 1])
+    initial = _projectors(vecs[:1], offsets[:1], ranks[0])[:, 0]
+    residual = 0.0
+    for start in range(0, n, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        a, projectors = intertwiners[blk], _projectors(vecs[blk], offsets[blk], ranks[0])
+        transported = a @ initial[:, None] @ a.conj().swapaxes(1, 2)
+        residual = max(residual, max_norm(transported - projectors))
 
     y = float(coupling) * eps
     phases = np.zeros_like(y)
@@ -573,10 +572,12 @@ def track_frame(
         intertwiners=intertwiners,
         eigenvalues=eps,
         phases=phases,
-        projectors=projectors,
+        initial_projectors=initial,
+        final_projectors=projectors[:, -1].copy(),
         ranks=tuple(int(r) for r in ranks[0]),
         coupling=float(coupling),
         degeneracy_tol=tol,
+        residual=residual,
     )
     return _checked_frame(frame, frame_tol, pol)
 
@@ -584,10 +585,9 @@ def track_frame(
 def _checked_frame(
     frame: AdiabaticFrame, frame_tol: float | None, pol: NumericPolicy
 ) -> AdiabaticFrame:
-    """``frame`` carrying its intertwining residual, checked against ``frame_tol``
-    (default: the policy's); :class:`FrameResidualError` carries the frame."""
+    """``frame`` if its ``residual`` is within ``frame_tol`` (default: the
+    policy's); otherwise :class:`FrameResidualError` carrying the frame."""
     ftol = pol.frame_tol if frame_tol is None else float(frame_tol)
-    frame = dataclasses.replace(frame, residual=frame.intertwining_residual())
     if not (frame.residual <= ftol):
         raise FrameResidualError(
             f"frame residual {frame.residual:.3e} exceeds tolerance {ftol:.1e}; "

@@ -152,18 +152,17 @@ def general_jump(
     if rho.shape[0] != frame.dim or model.dim != frame.dim:
         raise ValidationError("model, frame and state dimensions disagree")
 
-    p0 = frame.initial_projectors()
-    pn0 = p0[n]
+    pn0, pm0 = frame.initial_projectors[n], frame.initial_projectors[m]
     if max_norm(rho - pn0 @ rho @ pn0) > 1e-8:
         raise ValidationError(
             "initial state is not confined to level n: "
             "rho0 != P_n(0) rho0 P_n(0) within 1e-8"
         )
     if target_projector is None:
-        target = p0[m]
+        target = pm0
     else:
         target = check_projector(target_projector, pol)
-        if max_norm(p0[m] @ target @ p0[m] - target) > 1e-8:
+        if max_norm(pm0 @ target @ pm0 - target) > 1e-8:
             raise ValidationError("target_projector must be a sub-projector of level m at t=0")
 
     grid = frame.grid

@@ -143,12 +143,10 @@ def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:
     )
 
 
-def _stacked_kron(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Slice-wise Kronecker product of the stacks ``a`` ``(K, p, p)`` and ``b`` ``(K, q, q)``."""
     k, p, q = len(a), a.shape[-1], b.shape[-1]
-    view = None if out is None else out.reshape(k, p, q, p, q)
-    prod = np.multiply(a[:, :, None, :, None], b[:, None, :, None, :], out=view)
-    return prod.reshape(k, p * q, p * q)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, p * q, p * q)
 
 
 def spin_chain_frame(
@@ -160,17 +158,27 @@ def spin_chain_frame(
     """Intertwining frame of the rotating field on a uniform schedule grid.
 
     The field is a sum of identical commuting one-site terms, so the frame is
-    the tensor power ``a(s)^{(x)n}`` of the frame ``a(s)`` that
+    the tensor power ``A = a^{(x)n}`` of the frame ``a(s)`` that
     :func:`track_frame` follows for one spin, and the levels are the
     magnetization sectors.  Level ``l`` (``l`` spins in the upper one-site
     level) has rank ``C(n, l)``, eigenvalue and phase ``(n-l)`` times the
     lower one-site value plus ``l`` times the upper one, and the projector
     ``P_l = p_0 (x) P'_l + p_1 (x) P'_{l-1}``, grown site by site from the
-    one-site eigenprojectors ``p_0, p_1`` (``P'`` on one site fewer).  The
-    degeneracy tolerance is ``n`` times the one-site one, which is what the
-    dense route resolves from the chain's spectral range.  The chain frame's
-    own intertwining residual is checked against ``frame_tol``; a one-site
-    frame that misses it is carried on to that check.
+    one-site eigenprojectors ``p_0, p_1`` (``P'`` on one site fewer) at the
+    two end nodes.  The degeneracy tolerance is ``n`` times the one-site one,
+    which is what the dense route resolves from the chain's spectral range.
+
+    ``residual`` is ``sqrt(2) n r``, ``r`` the one-site residual, checked
+    against ``frame_tol`` (a one-site frame that misses it is carried on to
+    that check).  It bounds the max-norm of ``E = P_l(t) - A P_l(0) A^dagger``
+    at every node.  With ``q_b = a p_b(0) a^dagger`` and ``D = p_0(t) - q_0 =
+    q_1 - p_1(t)``, ``E`` telescopes over the sites into ``n`` terms
+    ``(Pi_0 - Pi_1) (x) D``, ``D`` at site ``j`` and ``Pi_b`` the sum of the
+    other sites' orthogonal products (``q`` left of ``j``, ``p`` right) with
+    ``l - b`` upper spins.  ``Pi_0``, ``Pi_1`` are orthogonal projectors, so
+    ``max|E| <= |E|_2 <= n |D|_2``; and ``D``, a difference of rank-1 2x2
+    projectors and so Hermitian and traceless, has eigenvalues
+    ``+-(D_00^2 + |D_01|^2)^(1/2)``: ``|D|_2 <= sqrt(2) max|D_ij| <= sqrt(2) r``.
     """
     pol = default_policy(policy)
     n = spec.n_sites
@@ -180,33 +188,27 @@ def spin_chain_frame(
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check below decides
     # The one-site factor goes first: its 2x2 blocks then scale contiguous rows.
-    a, (p0, p1) = site.intertwiners, site.projectors
-    intertwiners = a
+    a = intertwiners = site.intertwiners
     for _ in range(n - 1):
         intertwiners = _stacked_kron(a, intertwiners)
-    projectors = np.empty((n + 1, *intertwiners.shape), dtype=complex)
-    sectors = site.projectors
-    for j in range(2, n + 1):
-        grown = projectors if j == n else np.empty((j + 1, len(grid), 2**j, 2**j), dtype=complex)
-        for l in range(j + 1):
-            # l upper spins: the new site is lower (l among the rest) or upper (l - 1)
-            if l < j:
-                _stacked_kron(p0, sectors[l], out=grown[l])
-                if l > 0:
-                    grown[l] += _stacked_kron(p1, sectors[l - 1])
-            else:
-                _stacked_kron(p1, sectors[l - 1], out=grown[l])
-        sectors = grown
+    # End-node level projectors; with l upper spins the new site is lower or upper.
+    sectors = list(np.stack([site.initial_projectors, site.final_projectors], axis=1))
+    p0, p1 = sectors
+    for _ in range(n - 1):
+        down, up = [_stacked_kron(p0, p) for p in sectors], [_stacked_kron(p1, p) for p in sectors]
+        sectors = [down[0], *map(np.add, down[1:], up[:-1]), up[-1]]
     upper = np.arange(n + 1)[:, None]
     frame = AdiabaticFrame(
         grid=site.grid,
         intertwiners=intertwiners,
         eigenvalues=(n - upper) * site.eigenvalues[0] + upper * site.eigenvalues[1],
         phases=(n - upper) * site.phases[0] + upper * site.phases[1],
-        projectors=projectors,
+        initial_projectors=np.array([p[0] for p in sectors]),
+        final_projectors=np.array([p[1] for p in sectors]),
         ranks=tuple(math.comb(n, l) for l in range(n + 1)),
         coupling=site.coupling,
         degeneracy_tol=n * site.degeneracy_tol,
+        residual=math.sqrt(2.0) * n * site.residual,
     )
     return _checked_frame(frame, frame_tol, pol)
 

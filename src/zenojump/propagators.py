@@ -120,6 +120,5 @@ def adiabatic_propagator(frame: AdiabaticFrame, t: float) -> np.ndarray:
     grid nodes is an error; frames are never interpolated.
     """
     k = frame.node_index(float(t))
-    p0 = frame.initial_projectors()
-    phi = np.tensordot(np.exp(-1j * frame.phases[:, k]), p0, axes=(0, 0))
+    phi = np.tensordot(np.exp(-1j * frame.phases[:, k]), frame.initial_projectors, axes=(0, 0))
     return frame.intertwiners[k] @ phi

@@ -106,7 +106,7 @@ def frame_intertwining_properties(cases: int = 100, seed: int = BASE_SEED + 3) -
         k = int(rng.integers(1, len(grid)))
         a = frame.intertwiners[k]
         assert zj.max_norm(a.conj().T @ a - np.eye(dim)) < 1e-8, f"case {case}: unitarity"
-        residual = frame.intertwining_residual()
+        residual = frame.residual
         assert residual < 1e-6, f"case {case}: residual {residual:.2e}"
     return cases
 
@@ -122,7 +122,7 @@ def kernel_realness_properties(cases: int = 100, seed: int = BASE_SEED + 4) -> i
         model = zj.time_independent_model(h0, h_meas, coupling, t_final=1.0)
         frame = zj.time_independent_frame(model, n_intervals=1024)
         n, m = rng.choice(frame.n_levels, size=2, replace=False)
-        vec = frame.initial_projectors()[n] @ rng.normal(size=dim)
+        vec = frame.initial_projectors[n] @ rng.normal(size=dim)
         vec = vec / np.linalg.norm(vec)
         rho0 = np.outer(vec, vec.conj())
         res = zj.general_jump(model, rho0, int(n), int(m), frame)

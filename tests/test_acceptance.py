@@ -72,12 +72,12 @@ def test_criterion_04_general_quadrature_equals_closed_forms():
         frame = zj.time_independent_frame(model, 2048)
         n = int(rng.integers(0, frame.n_levels))
         m = int((n + 1 + rng.integers(0, frame.n_levels - 1)) % frame.n_levels)
-        pn = frame.initial_projectors()[n]
+        pn = frame.initial_projectors[n]
         vec = pn @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))
         vec = vec / np.linalg.norm(vec)
         rho0 = np.outer(vec, vec.conj())
         res = zj.general_jump(model, rho0, n, m, frame)
-        tf = zj.transition_weight(h0, rho0, frame.initial_projectors()[m])
+        tf = zj.transition_weight(h0, rho0, frame.initial_projectors[m])
         delta = float(frame.eigenvalues[m, 0] - frame.eigenvalues[n, 0])
         ref = zj.continuous_jump(tf, coupling, delta, t_final)
         assert res.value == pytest.approx(ref, rel=1e-6)

@@ -96,3 +96,19 @@ def test_comparison_carries_the_oracle_diagnostics():
     frozen = zj.compare_jump(model, rho0, 0, 2, frame, transport="instantaneous")
     assert frozen.exact_steps == runs[0].steps_used
     assert frozen.exact_est_error == runs[0].est_error
+
+
+def test_instantaneous_transport_on_the_chain_frame_matches_the_dense_frame():
+    # The instantaneous transport reads the frame's final projectors; the
+    # chain frame's must give the dense tracked frame's value.
+    spec = zj.SpinChainSpec(n_sites=3, h=9.0, T=1.0)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec, n_intervals=256)
+    dense = zj.track_frame(model.h_meas, model.coupling, frame.grid)
+    rho0 = frame.initial_projectors[0]
+    values = [
+        zj.exact_jump(model, rho0, 1, f, transport="instantaneous", tol=1e-6)
+        for f in (frame, dense)
+    ]
+    assert values[0] == pytest.approx(values[1], rel=0.0, abs=1e-10)
+    assert values[0] > 0.0

@@ -158,6 +158,17 @@ def test_decompose_respects_explicit_tolerance():
     assert narrow.ranks == (1, 1, 1)
 
 
+BAD_DEGENERACY_TOLS = [float("nan"), float("inf"), -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_DEGENERACY_TOLS)
+def test_decompose_rejects_a_bad_degeneracy_tol(tol):
+    # A NaN tolerance would merge distinct levels, a negative one split every level.
+    with pytest.raises(zj.ValidationError, match="degeneracy_tol"):
+        zj.decompose(np.diag([0.0, 1.0]).astype(complex), degeneracy_tol=tol)
+    assert zj.decompose(np.diag([0.0, 1.0]).astype(complex), degeneracy_tol=0.0).ranks == (1, 1)
+
+
 def test_decompose_warns_on_ambiguous_gap():
     # Gap of 0.3 with tol 0.2 sits in the warn band (tol/2, 2 tol).
     dec = zj.decompose(np.diag([0.0, 0.3, 10.0]).astype(complex), degeneracy_tol=0.2)
@@ -214,7 +225,7 @@ def test_track_frame_transports_projectors():
     op = rotation_family(gen, base)
     grid = np.linspace(0.0, 1.0, 65)
     frame = zj.track_frame(op, coupling=5.0, grid=grid)
-    assert frame.intertwining_residual() < 1e-6
+    assert frame.residual < 1e-6
     assert np.max(np.abs(frame.intertwiners[0] - np.eye(3))) < 1e-12
     for k in (10, 32, 64):
         u = frame.intertwiners[k]
@@ -269,8 +280,29 @@ def test_track_frame_keeps_the_residual_it_checked():
     rng = np.random.default_rng(22)
     op = rotation_family(random_hermitian(rng, 3, scale=0.5), np.diag([-1.0, 0.0, 1.0]))
     frame = zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 65))
-    assert frame.residual == frame.intertwining_residual()
+    # The per-node residual, recomputed from decompose at every node; the
+    # frame's levels are in decompose's ascending order (rotations keep them).
+    recomputed = max(
+        zj.max_norm(a @ p0 @ a.conj().T - p)
+        for t, a in zip(frame.grid, frame.intertwiners)
+        for p0, p in zip(frame.initial_projectors, zj.decompose(op(t)).projectors)
+    )
+    assert frame.residual == pytest.approx(recomputed, rel=0.0, abs=1e-12)
     assert 0.0 < frame.residual < 1e-6
+
+
+@pytest.mark.parametrize("tol", BAD_DEGENERACY_TOLS)
+def test_track_frame_rejects_a_bad_degeneracy_tol(tol):
+    op = rotation_family(random_hermitian(np.random.default_rng(24), 3), np.diag([-1.0, 0.0, 1.0]))
+    with pytest.raises(zj.ValidationError, match="degeneracy_tol"):
+        zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 17), degeneracy_tol=tol)
+
+
+@pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_track_frame_rejects_a_bad_frame_tol(frame_tol):
+    op = rotation_family(random_hermitian(np.random.default_rng(24), 3), np.diag([-1.0, 0.0, 1.0]))
+    with pytest.raises(zj.ValidationError, match="frame_tol"):
+        zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 17), frame_tol=frame_tol)
 
 
 def test_track_frame_rejects_grid_missing_breakpoint():
@@ -330,6 +362,14 @@ def test_adiabaticity_single_level_has_no_transitions():
     assert rep.ratio == 0.0
     assert rep.adiabatic
     assert not np.isfinite(rep.eps_min)
+
+
+@pytest.mark.parametrize("tol", BAD_DEGENERACY_TOLS)
+def test_adiabaticity_rejects_a_bad_degeneracy_tol(tol):
+    # Three rotating levels: a NaN tolerance would report ratio 0, adiabatic.
+    op = rotation_family(random_hermitian(np.random.default_rng(25), 3), np.diag([-1.0, 0.0, 1.0]))
+    with pytest.raises(zj.ValidationError, match="degeneracy_tol"):
+        zj.adiabaticity_report(op, 5.0, np.linspace(0.0, 1.0, 17), degeneracy_tol=tol)
 
 
 def test_adiabaticity_rejects_nonpositive_coupling():

@@ -18,7 +18,7 @@ def static_setup(seed, dim=4, coupling=5.0, t_final=1.0, n_intervals=1024):
     model = zj.time_independent_model(h0, h_meas, coupling, t_final)
     frame = zj.time_independent_frame(model, n_intervals)
     n = int(rng.integers(0, frame.n_levels))
-    pn = frame.initial_projectors()[n]
+    pn = frame.initial_projectors[n]
     vec = pn @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))
     vec = vec / np.linalg.norm(vec)
     rho0 = np.outer(vec, vec.conj())
@@ -124,7 +124,7 @@ def test_general_jump_matches_static_closed_form():
             if m == n:
                 continue
             res = zj.general_jump(model, rho0, n, m, frame)
-            tf = zj.transition_weight(model.h0(0.0), rho0, frame.initial_projectors()[m])
+            tf = zj.transition_weight(model.h0(0.0), rho0, frame.initial_projectors[m])
             ref = zj.continuous_jump(tf, model.coupling, float(eps[m] - eps[n]), tau)
             assert res.value == pytest.approx(ref, rel=1e-6, abs=1e-12)
             assert res.imag_residual < 1e-10

@@ -106,7 +106,7 @@ def test_spin_chain_frame_structure():
     spec = zj.SpinChainSpec(h=5.0, T=1.0)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
     assert frame.ranks == (1, 2, 1)
-    assert frame.intertwining_residual() < 1e-9
+    assert frame.residual < 1e-9
     # The field levels are -2K(s), 0, +2K(s) along the schedule.
     ks = zj.field_strength(frame.grid)
     assert np.max(np.abs(frame.eigenvalues[0] + 2.0 * ks)) < 1e-10
@@ -183,7 +183,8 @@ def test_pulsed_builders_and_level_convention():
     assert np.allclose(model.h_meas(0.75), p)
     frame = zj.pulsed_frame(p, 4.0, 1.0, 0.5, n_intervals=8)
     # Level 0 is the watched projector; its eigenvalue switches on at tau_free.
-    assert np.allclose(frame.projectors[0, 0], p)
+    assert np.allclose(frame.initial_projectors[0], p)
+    assert np.allclose(frame.final_projectors[0], p)
     assert frame.eigenvalues[0, 0] == 0.0
     assert frame.eigenvalues[0, -1] == 1.0
     assert np.all(frame.eigenvalues[1] == 0.0)
@@ -202,14 +203,55 @@ def test_spin_chain_frame_matches_the_dense_tracked_frame(n_sites, boundary):
     model = zj.spin_chain_model(spec)
     dense = zj.track_frame(model.h_meas, model.coupling, np.linspace(0.0, 1.0, 1025))
     frame = zj.spin_chain_frame(spec)
-    for name in ("intertwiners", "projectors", "eigenvalues", "phases"):
+    for name in ("intertwiners", "initial_projectors", "final_projectors", "eigenvalues", "phases"):
         assert np.max(np.abs(getattr(frame, name) - getattr(dense, name))) <= 1e-12, name
     assert frame.ranks == dense.ranks == tuple(math.comb(n_sites, l) for l in range(n_sites + 1))
     assert frame.degeneracy_tol == dense.degeneracy_tol
     assert frame.coupling == dense.coupling
     assert np.array_equal(frame.grid, dense.grid)
-    assert frame.residual == frame.intertwining_residual()
     assert 0.0 < frame.residual <= zj.default_policy().frame_tol
+
+
+@pytest.mark.parametrize(
+    "n_sites, boundary", [(2, "open"), (3, "periodic"), (4, "open"), (5, "periodic")]
+)
+def test_spin_chain_residual_bounds_the_dense_per_node_residual(n_sites, boundary):
+    # The chain frame's residual is a proven bound, not a measurement: the
+    # residual against the dense field's eigenprojectors at every node stays
+    # below it (1e-14 covers rounding in forming the dense residual).
+    spec = zj.SpinChainSpec(n_sites=n_sites, h=12.5, T=1.0, boundary=boundary)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec)
+    dense = max(
+        zj.max_norm(a @ p0 @ a.conj().T - p)
+        for s, a in zip(frame.grid, frame.intertwiners)
+        for p0, p in zip(frame.initial_projectors, zj.decompose(model.h_meas(s)).projectors)
+    )
+    assert 0.0 < dense <= frame.residual + 1e-14
+
+
+@pytest.mark.parametrize("n_sites, boundary", [(3, "open"), (4, "periodic")])
+def test_spin_chain_end_projectors_equal_the_dense_decomposition(n_sites, boundary):
+    spec = zj.SpinChainSpec(n_sites=n_sites, h=9.0, T=1.0, boundary=boundary)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec, n_intervals=256)
+    for s, projectors in ((0.0, frame.initial_projectors), (1.0, frame.final_projectors)):
+        dense = zj.decompose(model.h_meas(s)).projectors
+        assert projectors.shape == dense.shape
+        assert np.max(np.abs(projectors - dense)) < 1e-12
+
+
+def test_spin_chain_frame_keeps_end_node_projectors_only():
+    # A per-node stack at 6 sites would be (7, 257, 64, 64).
+    frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=6, h=9.0, T=1.0), n_intervals=256)
+    assert frame.initial_projectors.shape == frame.final_projectors.shape == (7, 64, 64)
+    assert frame.intertwiners.shape == (257, 64, 64)
+
+
+@pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_spin_chain_frame_rejects_a_bad_frame_tol(frame_tol):
+    with pytest.raises(zj.ValidationError, match="frame_tol"):
+        zj.spin_chain_frame(zj.SpinChainSpec(), n_intervals=64, frame_tol=frame_tol)
 
 
 def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
@@ -217,7 +259,7 @@ def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec)
     dense = zj.track_frame(model.h_meas, model.coupling, frame.grid)
-    rho0 = frame.initial_projectors()[0]
+    rho0 = frame.initial_projectors[0]
     res = zj.general_jump(model, rho0, 0, 2, frame)
     ref = zj.general_jump(model, rho0, 0, 2, dense)
     assert res.value == pytest.approx(ref.value, rel=1e-12)

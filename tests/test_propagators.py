@@ -110,7 +110,7 @@ def test_pure_measurement_conserves_transported_populations():
         derivative_evaluator=lambda t: coupling * h_meas.derivative(t, 0.0),
     )
     frame = zj.track_frame(h_meas, coupling, np.linspace(0.0, 1.0, 129))
-    p0 = frame.initial_projectors()[1]
+    p0 = frame.initial_projectors[1]
     vec = p0 @ rng.normal(size=3)
     vec = vec / np.linalg.norm(vec)
     rho0 = np.outer(vec, vec.conj())

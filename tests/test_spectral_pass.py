@@ -106,6 +106,15 @@ def ref_track_frame(op, coupling, grid, tol):
     return intertwiners, projectors, phases
 
 
+def ref_residual(intertwiners, projectors):
+    """Worst max-norm of ``A P_l(0) A^dagger - P_l(t)``, node by node and level by level."""
+    return max(
+        zj.max_norm(a @ projectors[l, 0] @ a.conj().T - projectors[l, k])
+        for k, a in enumerate(intertwiners)
+        for l in range(len(projectors))
+    )
+
+
 # --- stacked eigh ------------------------------------------------------------
 
 
@@ -183,8 +192,25 @@ def test_track_frame_matches_per_node_reference(n_sites):
     frame = zj.track_frame(model.h_meas, model.coupling, grid, degeneracy_tol=1e-8)
     intertwiners, projectors, phases = ref_track_frame(model.h_meas, model.coupling, grid, 1e-8)
     assert np.max(np.abs(frame.intertwiners - intertwiners)) < 1e-12
-    assert np.max(np.abs(frame.projectors - projectors)) < 1e-12
+    assert np.max(np.abs(frame.initial_projectors - projectors[:, 0])) < 1e-12
+    assert np.max(np.abs(frame.final_projectors - projectors[:, -1])) < 1e-12
     assert np.max(np.abs(frame.phases - phases)) < 1e-12
+    # The frame keeps end-node projectors only; its residual is still the
+    # worst over every node, against the reference's per-node projectors.
+    residual = ref_residual(frame.intertwiners, projectors)
+    assert frame.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [63, 64, 65])
+def test_track_frame_residual_on_rotating_family(seed):
+    rng = np.random.default_rng(seed)
+    op = _rotating_family(rng, int(rng.integers(2, 6)))
+    grid = np.linspace(0.0, 1.0, 129)
+    frame = zj.track_frame(op, 7.0, grid, degeneracy_tol=1e-8)
+    _, projectors, _ = ref_track_frame(op, 7.0, grid, 1e-8)
+    residual = ref_residual(frame.intertwiners, projectors)
+    assert frame.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
+    assert frame.residual > 0.0
 
 
 # --- static frames -----------------------------------------------------------
@@ -195,14 +221,15 @@ def test_static_frame_arrays_are_read_only_views():
     frame = zj.AdiabaticFrame.static(
         np.linspace(0.0, 1.0, 1025), [(1.0, p0), (0.0, np.eye(3) - p0)], coupling=4.0
     )
-    for arr in (frame.intertwiners, frame.projectors):
+    assert frame.intertwiners.base is not None
+    for arr in (frame.intertwiners, frame.initial_projectors, frame.final_projectors):
         assert not arr.flags.writeable
-        assert arr.base is not None
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert frame.intertwiners.shape == (1025, 3, 3)
-    assert frame.projectors.shape == (2, 1025, 3, 3)
-    assert np.array_equal(frame.projectors[0, 700], p0)
+    assert frame.initial_projectors.shape == frame.final_projectors.shape == (2, 3, 3)
+    assert np.array_equal(frame.initial_projectors[0], p0)
+    assert np.array_equal(frame.final_projectors[0], p0)
 
 
 def test_static_frame_phases_equal_per_node_reference():
