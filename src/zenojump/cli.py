@@ -38,7 +38,9 @@ from .config import (
     parse_config,
     resolved_text,
     sweepable_parameters,
+    _REQUIRED,
     _SCHEMAS,
+    _SHARED,
 )
 from .decomposition import decompose
 from .errors import ConfigError, NumericalError, ValidationError
@@ -345,7 +347,7 @@ def _plot_script(csv_path: str, table: ResultTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _strict_violations(command: str, table: ResultTable) -> list[str]:
+def _strict_violations(table: ResultTable) -> list[str]:
     bad: list[str] = []
     cols = {name: i for i, name in enumerate(table.columns)}
     for row in table.rows:
@@ -361,19 +363,15 @@ def _strict_violations(command: str, table: ResultTable) -> list[str]:
     return bad
 
 
+def _keys_help(schema) -> str:
+    shown = {None: "optional", _REQUIRED: "required"}
+    return ", ".join(f"{key} ({shown.get(default) or repr(default)})" for key, _, default in schema)
+
+
 def _schema_help() -> str:
     rows = ["scenario keys (defaults in parentheses):"]
     for scenario in SCENARIOS:
-        keys = []
-        for key, kind, default in _SCHEMAS[scenario]:
-            if default is None:
-                shown = "optional"
-            elif isinstance(default, (int, float, str)):
-                shown = repr(default)
-            else:
-                shown = "required"
-            keys.append(f"{key} ({shown})")
-        rows.append(f"  [{scenario}] " + ", ".join(keys))
+        rows.append(f"  [{scenario}] " + _keys_help(_SCHEMAS[scenario]))
         rows.append(f"    sweepable: {', '.join(sweepable_parameters(scenario))}")
     rows += [
         "",
@@ -382,9 +380,10 @@ def _schema_help() -> str:
         "  compare:   <swept parameter>, " + ", ".join(_COMPARE_COLUMNS),
         "  decompose: " + ", ".join(_DECOMPOSE_COLUMNS),
         "",
-        "other sections: [sweep] parameter/start/stop/count, [grid] intervals,",
-        "  [quadrature] rel_tol/abs_floor, [tolerances] <numeric policy keys>,",
-        "  [compare] bound/transport/exact_tol, [output] path ('-' = stdout)",
+        "other sections (defaults in parentheses; [output] path '-' = stdout):",
+    ]
+    rows += [f"  [{section}] " + _keys_help(schema) for section, schema in _SHARED.items()]
+    rows += [
         "",
         f"environment: {ENV_VAR} overrides numeric tolerances, e.g.",
         f'  {ENV_VAR}="frame_tol=1e-5,adiabatic_margin=0.02"',
@@ -477,7 +476,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         root, _ext = os.path.splitext(out_path)
         _write_output(_plot_script(out_path, table), root + ".gp")
     if args.strict:
-        violations = _strict_violations(args.command, table)
+        violations = _strict_violations(table)
         if violations:
             for line in violations:
                 sys.stderr.write(f"strict: {line}\n")

@@ -21,7 +21,7 @@ import json
 import numpy as np
 
 from .compare import _TRANSPORTS
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .jump import QuadraturePolicy
 from .policy import NumericPolicy, default_policy
 
@@ -74,6 +74,33 @@ _SCHEMAS: dict[str, tuple[tuple[str, str, object], ...]] = {
 }
 
 SCENARIOS = tuple(_SCHEMAS)
+
+_SCENARIO = (("type", "str", _REQUIRED),)
+
+
+def _fields_schema(policy) -> tuple[tuple[str, str, object], ...]:
+    """Float keys of a policy dataclass, defaulting to ``policy``'s values."""
+    return tuple((f.name, "float", getattr(policy, f.name)) for f in dataclasses.fields(policy))
+
+
+# Sections shared by every scenario; [tolerances] defaults to the base policy.
+_SHARED: dict[str, tuple[tuple[str, str, object], ...]] = {
+    "sweep": (
+        ("parameter", "str", _REQUIRED),
+        ("start", "float", _REQUIRED),
+        ("stop", "float", _REQUIRED),
+        ("count", "int", _REQUIRED),
+    ),
+    "grid": (("intervals", "int", 2048),),
+    "quadrature": _fields_schema(QuadraturePolicy()),
+    "tolerances": _fields_schema(NumericPolicy()),
+    "compare": (
+        ("bound", "float", 0.1),
+        ("transport", "str", "measurement"),
+        ("exact_tol", "float", 1e-8),
+    ),
+    "output": (("path", "str", "-"),),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,28 +178,22 @@ def _parse_matrix(section: str, key: str, raw: str) -> tuple[tuple[complex, ...]
         raise _fail(section, key, f"not valid JSON: {exc}") from None
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise _fail(section, key, "expected a JSON 2D array")
-    rows: list[tuple[complex, ...]] = []
-    for row in data:
-        entries: list[complex] = []
-        for cell in row:
-            if isinstance(cell, (int, float)):
-                value = complex(cell)
-            elif (
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(isinstance(p, (int, float)) for p in cell)
-            ):
-                value = complex(cell[0], cell[1])
-            else:
-                raise _fail(section, key, f"entry {cell!r} is not a number or [re, im] pair")
-            if not cmath.isfinite(value):
-                raise _fail(section, key, f"entry {cell!r} must be finite")
-            entries.append(value)
-        rows.append(tuple(entries))
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+
+    def entry(cell) -> complex:
+        pair = cell if isinstance(cell, list) else [cell, 0]
+        if len(pair) != 2 or not all(isinstance(p, (int, float)) for p in pair):
+            raise _fail(section, key, f"entry {cell!r} is not a number or [re, im] pair")
+        try:
+            if cmath.isfinite(value := complex(*pair)):
+                return value
+        except OverflowError:  # a JSON integer beyond float range
+            pass
+        raise _fail(section, key, f"entry {cell!r} must be finite")
+
+    rows = tuple(tuple(entry(cell) for cell in row) for row in data)
+    if any(len(row) != len(rows) for row in rows):
         raise _fail(section, key, "matrix must be square")
-    return tuple(rows)
+    return rows
 
 
 def _format_float(x: float) -> str:
@@ -194,6 +215,16 @@ def _format_matrix(mat: tuple[tuple[complex, ...], ...]) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
+# kind -> (parse(section, key, raw), format(value))
+_KINDS = {
+    "float": (_parse_float, _format_float),
+    "int": (_parse_int, str),
+    "str": (lambda section, key, raw: raw, str),
+    "matrix": (_parse_matrix, _format_matrix),
+    "matrix?": (_parse_matrix, _format_matrix),
+}
+
+
 def _read_ini(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # keys are case-sensitive (T vs t)
@@ -204,155 +235,96 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
+def _section(parser, section: str, schema, noun: str = "key") -> dict[str, object]:
+    """``key -> value`` of one section: present keys parsed by kind, the others
+    defaulted; an unknown or a missing required key raises :class:`ConfigError`."""
+    present = dict(parser.items(section)) if parser.has_section(section) else {}
+    keys = tuple(key for key, _, _ in schema)
+    for key in present:
+        if key not in keys:
+            raise _fail(section, key, f"unknown {noun}; known: {keys}")
+    values: dict[str, object] = {}
+    for key, kind, default in schema:
+        if key in present:
+            values[key] = _KINDS[kind][0](section, key, present[key].strip())
+        elif default is _REQUIRED:
+            raise _fail(section, key, "key is required")
+        else:
+            values[key] = default
+    return values
+
+
+def _validated(section: str, cls, values: dict[str, object]):
+    """``cls(**values)``, its :class:`ValidationError` reported for ``section``."""
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def parse_config(text: str, base_policy: NumericPolicy | None = None) -> ScenarioConfig:
     """Parse and validate config text, materializing every default.
 
-    ``base_policy`` seeds the tolerance bundle before [tolerances] overrides
-    are applied; pass ``NumericPolicy.from_env()`` to honor the environment.
+    ``base_policy`` seeds the [tolerances] defaults; pass
+    ``NumericPolicy.from_env()`` to honor the environment.
     """
     parser = _read_ini(text)
-    if not parser.has_section("scenario"):
-        raise ConfigError("[scenario]: section is required")
-    scen_keys = set(parser.options("scenario"))
-    if "type" not in scen_keys:
-        raise _fail("scenario", "type", "key is required")
-    extra = scen_keys - {"type"}
-    if extra:
-        raise _fail("scenario", sorted(extra)[0], "unknown key")
-    scenario = parser.get("scenario", "type").strip()
+    scenario = _section(parser, "scenario", _SCENARIO)["type"]
     if scenario not in _SCHEMAS:
         raise _fail("scenario", "type", f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-
-    allowed_sections = {
-        "scenario", scenario, "sweep", "grid", "quadrature", "tolerances", "compare", "output",
-    }
     for section in parser.sections():
-        if section not in allowed_sections:
+        if section not in ("scenario", scenario, *_SHARED):
             raise _fail(section, None, f"section not used by scenario {scenario!r}")
-
-    schema = _SCHEMAS[scenario]
-    known = {k for k, _, _ in schema}
-    if parser.has_section(scenario):
-        for key in parser.options(scenario):
-            if key not in known:
-                raise _fail(scenario, key, "unknown key")
-    params: list[tuple[str, object]] = []
-    for key, kind, default in schema:
-        if parser.has_section(scenario) and parser.has_option(scenario, key):
-            raw = parser.get(scenario, key).strip()
-            if kind == "float":
-                params.append((key, _parse_float(scenario, key, raw)))
-            elif kind == "int":
-                params.append((key, _parse_int(scenario, key, raw)))
-            elif kind == "str":
-                params.append((key, raw))
-            else:
-                params.append((key, _parse_matrix(scenario, key, raw)))
-        elif default is _REQUIRED:
-            raise _fail(scenario, key, "key is required")
-        else:
-            params.append((key, default))
+    params = _section(parser, scenario, _SCHEMAS[scenario])
 
     sweep: SweepSpec | None = None
     if parser.has_section("sweep"):
-        have = set(parser.options("sweep"))
-        need = {"parameter", "start", "stop", "count"}
-        for key in sorted(have - need):
-            raise _fail("sweep", key, "unknown key")
-        for key in sorted(need - have):
-            raise _fail("sweep", key, "key is required")
-        parameter = parser.get("sweep", "parameter").strip()
-        if parameter not in sweepable_parameters(scenario):
+        sweep = SweepSpec(**_section(parser, "sweep", _SHARED["sweep"]))
+        if sweep.parameter not in sweepable_parameters(scenario):
             raise _fail(
                 "sweep",
                 "parameter",
-                f"{parameter!r} is not sweepable for {scenario!r}; "
+                f"{sweep.parameter!r} is not sweepable for {scenario!r}; "
                 f"choose from {sweepable_parameters(scenario)}",
             )
-        start = _parse_float("sweep", "start", parser.get("sweep", "start"))
-        stop = _parse_float("sweep", "stop", parser.get("sweep", "stop"))
-        count = _parse_int("sweep", "count", parser.get("sweep", "count"))
-        if count < 2:
-            raise _fail("sweep", "count", f"need at least 2 points, got {count}")
-        if not (start < stop):
-            raise _fail("sweep", "start", f"bounds must be ordered, got {start} >= {stop}")
-        sweep = SweepSpec(parameter=parameter, start=start, stop=stop, count=count)
+        if sweep.count < 2:
+            raise _fail("sweep", "count", f"need at least 2 points, got {sweep.count}")
+        if not (sweep.start < sweep.stop):
+            raise _fail(
+                "sweep", "start", f"bounds must be ordered, got {sweep.start} >= {sweep.stop}"
+            )
 
-    intervals = 2048
-    if parser.has_section("grid"):
-        for key in parser.options("grid"):
-            if key != "intervals":
-                raise _fail("grid", key, "unknown key")
-        if parser.has_option("grid", "intervals"):
-            intervals = _parse_int("grid", "intervals", parser.get("grid", "intervals"))
+    intervals = _section(parser, "grid", _SHARED["grid"])["intervals"]
     if intervals < 8 or intervals % 8 != 0:
         raise _fail("grid", "intervals", f"must be a positive multiple of 8, got {intervals}")
-
-    quad_kwargs = {"rel_tol": 1e-6, "abs_floor": 1e-12}
-    if parser.has_section("quadrature"):
-        for key in parser.options("quadrature"):
-            if key not in quad_kwargs:
-                raise _fail("quadrature", key, "unknown key")
-            quad_kwargs[key] = _parse_float("quadrature", key, parser.get("quadrature", key))
-    if not (quad_kwargs["rel_tol"] > 0):
-        raise _fail("quadrature", "rel_tol", "must be positive")
-    if quad_kwargs["abs_floor"] < 0:
-        raise _fail("quadrature", "abs_floor", "must be non-negative")
-    quadrature = QuadraturePolicy(**quad_kwargs)
-
-    policy = default_policy(base_policy)
-    if parser.has_section("tolerances"):
-        overrides = {}
-        fields = NumericPolicy.field_names()
-        for key in parser.options("tolerances"):
-            if key not in fields:
-                raise _fail("tolerances", key, f"unknown tolerance; known: {fields}")
-            value = _parse_float("tolerances", key, parser.get("tolerances", key))
-            if not (value > 0):
-                raise _fail("tolerances", key, f"must be positive, got {value!r}")
-            overrides[key] = value
-        policy = dataclasses.replace(policy, **overrides)
-
-    compare_bound = 0.1
-    compare_transport = "measurement"
-    compare_exact_tol = 1e-8
-    if parser.has_section("compare"):
-        for key in parser.options("compare"):
-            if key == "bound":
-                compare_bound = _parse_float("compare", key, parser.get("compare", key))
-            elif key == "transport":
-                compare_transport = parser.get("compare", key).strip()
-            elif key == "exact_tol":
-                compare_exact_tol = _parse_float("compare", key, parser.get("compare", key))
-            else:
-                raise _fail("compare", key, "unknown key")
-    if not (compare_bound > 0):
+    quadrature = _validated(
+        "quadrature", QuadraturePolicy, _section(parser, "quadrature", _SHARED["quadrature"])
+    )
+    tolerances = _fields_schema(default_policy(base_policy))
+    policy = _validated(
+        "tolerances", NumericPolicy, _section(parser, "tolerances", tolerances, "tolerance")
+    )
+    compare = _section(parser, "compare", _SHARED["compare"])
+    if not (compare["bound"] > 0):
         raise _fail("compare", "bound", "must be positive")
-    if compare_transport not in _TRANSPORTS:
+    if compare["transport"] not in _TRANSPORTS:
         raise _fail("compare", "transport", f"choose from {_TRANSPORTS}")
-    if not (compare_exact_tol > 0):
+    if not (compare["exact_tol"] > 0):
         raise _fail("compare", "exact_tol", "must be positive")
-
-    output_path = "-"
-    if parser.has_section("output"):
-        for key in parser.options("output"):
-            if key != "path":
-                raise _fail("output", key, "unknown key")
-        if parser.has_option("output", "path"):
-            output_path = parser.get("output", "path").strip()
+    output_path = _section(parser, "output", _SHARED["output"])["path"]
     if not output_path:
         raise _fail("output", "path", "must not be empty")
 
     return ScenarioConfig(
         scenario=scenario,
-        params=tuple(params),
+        params=tuple(params.items()),
         sweep=sweep,
         intervals=intervals,
         quadrature=quadrature,
         policy=policy,
-        compare_bound=compare_bound,
-        compare_transport=compare_transport,
-        compare_exact_tol=compare_exact_tol,
+        compare_bound=compare["bound"],
+        compare_transport=compare["transport"],
+        compare_exact_tol=compare["exact_tol"],
         output_path=output_path,
     )
 
@@ -368,55 +340,28 @@ def load_config(path: str, base_policy: NumericPolicy | None = None) -> Scenario
 
 def resolved_text(cfg: ScenarioConfig) -> str:
     """Canonical INI text of a resolved config; re-parses to an equal config."""
+    schemas = {"scenario": _SCENARIO, cfg.scenario: _SCHEMAS[cfg.scenario], **_SHARED}
+    sections = {
+        "scenario": {"type": cfg.scenario},
+        cfg.scenario: dict(cfg.params),
+        "sweep": cfg.sweep and dataclasses.asdict(cfg.sweep),
+        "grid": {"intervals": cfg.intervals},
+        "quadrature": dataclasses.asdict(cfg.quadrature),
+        "tolerances": dataclasses.asdict(cfg.policy),
+        "compare": {
+            "bound": cfg.compare_bound,
+            "transport": cfg.compare_transport,
+            "exact_tol": cfg.compare_exact_tol,
+        },
+        "output": {"path": cfg.output_path},
+    }
     out = io.StringIO()
-
-    def emit(section: str, items: list[tuple[str, str]]):
+    for section, values in sections.items():
+        if values is None:  # no sweep
+            continue
         out.write(f"[{section}]\n")
-        for key, val in items:
-            out.write(f"{key} = {val}\n")
+        for key, kind, _ in schemas[section]:
+            if values[key] is not None:  # an absent optional matrix
+                out.write(f"{key} = {_KINDS[kind][1](values[key])}\n")
         out.write("\n")
-
-    emit("scenario", [("type", cfg.scenario)])
-    rows: list[tuple[str, str]] = []
-    for (key, kind, _), (_, value) in zip(_SCHEMAS[cfg.scenario], cfg.params):
-        if kind == "float":
-            rows.append((key, _format_float(value)))
-        elif kind == "int":
-            rows.append((key, str(value)))
-        elif kind == "str":
-            rows.append((key, str(value)))
-        elif value is not None:
-            rows.append((key, _format_matrix(value)))
-    emit(cfg.scenario, rows)
-    if cfg.sweep is not None:
-        emit(
-            "sweep",
-            [
-                ("parameter", cfg.sweep.parameter),
-                ("start", _format_float(cfg.sweep.start)),
-                ("stop", _format_float(cfg.sweep.stop)),
-                ("count", str(cfg.sweep.count)),
-            ],
-        )
-    emit("grid", [("intervals", str(cfg.intervals))])
-    emit(
-        "quadrature",
-        [
-            ("rel_tol", _format_float(cfg.quadrature.rel_tol)),
-            ("abs_floor", _format_float(cfg.quadrature.abs_floor)),
-        ],
-    )
-    emit(
-        "tolerances",
-        [(name, _format_float(getattr(cfg.policy, name))) for name in NumericPolicy.field_names()],
-    )
-    emit(
-        "compare",
-        [
-            ("bound", _format_float(cfg.compare_bound)),
-            ("transport", cfg.compare_transport),
-            ("exact_tol", _format_float(cfg.compare_exact_tol)),
-        ],
-    )
-    emit("output", [("path", cfg.output_path)])
     return out.getvalue()

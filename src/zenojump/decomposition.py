@@ -472,7 +472,6 @@ def track_frame(
     grid,
     policy: NumericPolicy | None = None,
     degeneracy_tol: float | None = None,
-    frame_tol: float | None = None,
 ) -> AdiabaticFrame:
     """Integrate the intertwining frame of a rotating measurement.
 
@@ -484,14 +483,13 @@ def track_frame(
     grid interval (generator sampled at the interval midpoint), each step
     matrix re-unitarised by its polar factor.  ``residual``, the worst
     max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
-    formed a node block at a time) and levels, is checked against the positive
-    ``frame_tol``.  Phases are cumulative trapezoids of ``coupling * eps_l``.
+    formed a node block at a time) and levels, is checked against the
+    policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
+    bound.  Phases are cumulative trapezoids of ``coupling * eps_l``.
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
     """
-    if frame_tol is not None and not (0.0 < frame_tol < np.inf):
-        raise ValidationError(f"frame_tol must be positive and finite, got {frame_tol!r}")
     pol = default_policy(policy)
     grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
@@ -579,18 +577,15 @@ def track_frame(
         degeneracy_tol=tol,
         residual=residual,
     )
-    return _checked_frame(frame, frame_tol, pol)
+    return _checked_frame(frame, pol)
 
 
-def _checked_frame(
-    frame: AdiabaticFrame, frame_tol: float | None, pol: NumericPolicy
-) -> AdiabaticFrame:
-    """``frame`` if its ``residual`` is within ``frame_tol`` (default: the
-    policy's); otherwise :class:`FrameResidualError` carrying the frame."""
-    ftol = pol.frame_tol if frame_tol is None else float(frame_tol)
-    if not (frame.residual <= ftol):
+def _checked_frame(frame: AdiabaticFrame, pol: NumericPolicy) -> AdiabaticFrame:
+    """``frame`` if its ``residual`` is within the policy's ``frame_tol``;
+    otherwise :class:`FrameResidualError` carrying the frame."""
+    if not (frame.residual <= pol.frame_tol):
         raise FrameResidualError(
-            f"frame residual {frame.residual:.3e} exceeds tolerance {ftol:.1e}; "
+            f"frame residual {frame.residual:.3e} exceeds tolerance {pol.frame_tol:.1e}; "
             f"refine the grid",
             last_result=frame,
         )
@@ -630,7 +625,6 @@ def adiabaticity_report(
     grid,
     policy: NumericPolicy | None = None,
     degeneracy_tol: float | None = None,
-    margin: float | None = None,
 ) -> AdiabaticityReport:
     """Evaluate the adiabaticity figures on a grid.
 
@@ -639,10 +633,10 @@ def adiabaticity_report(
     simply contribute no transition pairs.  A genuinely near-degenerate pair
     of distinct levels below the tolerance raises, since the coefficients are
     undefined there.  ``dH/dt`` at a node is the difference of its
-    neighbouring interval midpoints, one-sided at piece boundaries.
+    neighbouring interval midpoints, one-sided at piece boundaries.  The
+    adiabatic flag reads the policy's ``adiabatic_margin``.
     """
     pol = default_policy(policy)
-    mrg = pol.adiabatic_margin if margin is None else float(margin)
     if coupling <= 0:
         raise ValidationError("coupling must be positive")
     grid = _check_grid(grid)
@@ -678,6 +672,6 @@ def adiabaticity_report(
         eps_min=eps_min,
         ratio=ratio,
         coupling=float(coupling),
-        margin=mrg,
-        adiabatic=bool(ratio <= mrg * coupling**2),
+        margin=pol.adiabatic_margin,
+        adiabatic=bool(ratio <= pol.adiabatic_margin * coupling**2),
     )

@@ -89,10 +89,19 @@ class MeasurementModel:
 
 @dataclasses.dataclass(frozen=True)
 class QuadraturePolicy:
-    """Convergence targets for the 2D Simpson refinement."""
+    """Convergence targets for the 2D Simpson refinement: ``rel_tol`` positive,
+    ``abs_floor`` non-negative, both finite, else :class:`ValidationError`."""
 
     rel_tol: float = 1e-6
     abs_floor: float = 1e-12
+
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValidationError(f"rel_tol: must be positive and finite, got {self.rel_tol!r}")
+        if not 0.0 <= self.abs_floor < math.inf:
+            raise ValidationError(
+                f"abs_floor: must be non-negative and finite, got {self.abs_floor!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -153,7 +153,6 @@ def spin_chain_frame(
     spec: SpinChainSpec,
     n_intervals: int = 1024,
     policy: NumericPolicy | None = None,
-    frame_tol: float | None = None,
 ) -> AdiabaticFrame:
     """Intertwining frame of the rotating field on a uniform schedule grid.
 
@@ -169,8 +168,8 @@ def spin_chain_frame(
     which is what the dense route resolves from the chain's spectral range.
 
     ``residual`` is ``sqrt(2) n r``, ``r`` the one-site residual, checked
-    against ``frame_tol`` (a one-site frame that misses it is carried on to
-    that check).  It bounds the max-norm of ``E = P_l(t) - A P_l(0) A^dagger``
+    against ``policy.frame_tol`` (a one-site frame that misses it is carried
+    on to that check).  It bounds the max-norm of ``E = P_l(t) - A P_l(0) A^dagger``
     at every node.  With ``q_b = a p_b(0) a^dagger`` and ``D = p_0(t) - q_0 =
     q_1 - p_1(t)``, ``E`` telescopes over the sites into ``n`` terms
     ``(Pi_0 - Pi_1) (x) D``, ``D`` at site ``j`` and ``Pi_b`` the sum of the
@@ -184,7 +183,7 @@ def spin_chain_frame(
     n = spec.n_sites
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
     try:
-        site = track_frame(_field_direction(1), spec.h * spec.T, grid, pol, frame_tol=frame_tol)
+        site = track_frame(_field_direction(1), spec.h * spec.T, grid, pol)
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check below decides
     # The one-site factor goes first: its 2x2 blocks then scale contiguous rows.
@@ -210,7 +209,7 @@ def spin_chain_frame(
         degeneracy_tol=n * site.degeneracy_tol,
         residual=math.sqrt(2.0) * n * site.residual,
     )
-    return _checked_frame(frame, frame_tol, pol)
+    return _checked_frame(frame, pol)
 
 
 def field_strength(s):

@@ -13,7 +13,7 @@ import dataclasses
 import math
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 
 ENV_VAR = "ZENO_NUM_POLICY"
@@ -22,6 +22,9 @@ ENV_VAR = "ZENO_NUM_POLICY"
 @dataclasses.dataclass(frozen=True)
 class NumericPolicy:
     """Tolerances used by validation and diagnostics.
+
+    Every field must be positive and finite; construction (``replace``
+    included) raises :class:`ValidationError` naming the first bad field.
 
     Attributes
     ----------
@@ -68,6 +71,12 @@ class NumericPolicy:
     adiabatic_margin: float = 0.01
     qze_margin: float = 10.0
     imag_residual_tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in self.field_names():
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name}: must be positive and finite, got {value!r}")
 
     def replace(self, **overrides: float) -> "NumericPolicy":
         return dataclasses.replace(self, **overrides)

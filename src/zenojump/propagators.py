@@ -80,11 +80,15 @@ def exact_propagator(
     pieces, where the commutator term vanishes.  Breakpoints of the
     Hamiltonian always land on step boundaries.  The total step count
     doubles until two successive refinements differ by less than ``tol`` in
-    max norm; the last difference is reported as ``est_error``.
+    max norm; the last difference is reported as ``est_error``.  ``tol`` must
+    be positive and finite (anything else could never be met), else
+    :class:`ValidationError` before any step.
     Raises :class:`NumericalError` carrying the last estimate if the budget of
     ``max_doublings`` (at least 1) is exhausted.
     """
     pol = default_policy(policy)
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     if max_doublings < 1:
         raise ValidationError(f"max_doublings must be >= 1, got {max_doublings!r}")
     t0, t1 = h_total.horizon

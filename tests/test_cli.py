@@ -80,6 +80,25 @@ def test_info_lists_schemas(capsys):
     assert "exit codes" in out
 
 
+def test_info_lists_every_shared_key_with_its_default(capsys):
+    assert main(["info"]) == 0
+    out = capsys.readouterr().out
+    assert "  [grid] intervals (2048)\n" in out
+    assert "  [quadrature] rel_tol (1e-06), abs_floor (1e-12)\n" in out
+    assert "  [compare] bound (0.1), transport ('measurement'), exact_tol (1e-08)\n" in out
+    assert "  [output] path ('-')\n" in out
+    defaults = zj.NumericPolicy()
+    for name in zj.NumericPolicy.field_names():
+        assert f"{name} ({getattr(defaults, name)!r})" in out
+
+
+def test_bad_quadrature_value_exits_2_naming_the_key(tmp_path, capsys):
+    cfg_path = write(tmp_path, "[scenario]\ntype = continuous\n[quadrature]\nabs_floor = -1\n")
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [quadrature] abs_floor: must be non-negative")
+
+
 def test_version_and_usage_errors(capsys):
     assert main(["--version"]) == 0
     assert "zenojump" in capsys.readouterr().out

@@ -148,6 +148,13 @@ def test_rejects_bad_config(text, needle):
     assert needle in str(exc.value)
 
 
+def test_integer_matrix_entry_beyond_float_range_is_rejected():
+    huge = "1" + "0" * 400  # JSON reads an integer, which complex() cannot convert
+    for matrix in (f"[[{huge}, 0], [0, -1]]", f"[[1, [0, {huge}]], [0, -1]]"):
+        with pytest.raises(zj.ConfigError, match=r"\[custom-matrix\] h_meas: entry .* must be finite"):
+            zj.parse_config(CUSTOM.replace("[[1, 0], [0, -1]]", matrix))
+
+
 def test_tolerances_override_policy():
     text = MINIMAL + "\n[tolerances]\nframe_tol = 1e-4\n"
     cfg = zj.parse_config(text)
@@ -170,6 +177,110 @@ def test_resolved_text_round_trips():
         assert zj.parse_config(echoed) == cfg
         # The echo also survives a second round unchanged (canonical form).
         assert zj.resolved_text(zj.parse_config(echoed)) == echoed
+
+
+# The echo heads every result file, so its exact text is pinned here.
+SPINCHAIN_SWEEP_ECHO = """\
+[scenario]
+type = spinchain
+
+[spinchain]
+n_sites = 2
+lambda1 = 1
+lambda2 = 2
+lambda3 = 1
+h = 9
+T = 1
+boundary = open
+level_from = 0
+level_to = -1
+
+[sweep]
+parameter = h
+start = 5
+stop = 15
+count = 3
+
+[grid]
+intervals = 1024
+
+[quadrature]
+rel_tol = 9.9999999999999995e-07
+abs_floor = 9.9999999999999998e-13
+
+[tolerances]
+hermitian_tol = 1e-10
+unitary_tol = 1e-08
+projector_tol = 1e-10
+rank_tol = 1e-08
+trace_tol = 1e-10
+psd_tol = 1e-10
+completeness_tol = 1.0000000000000001e-09
+orthogonality_tol = 1.0000000000000001e-09
+frame_tol = 9.9999999999999995e-07
+degeneracy_rel = 1e-08
+adiabatic_margin = 0.01
+qze_margin = 10
+imag_residual_tol = 9.9999999999999995e-07
+
+[compare]
+bound = 0.20000000000000001
+transport = instantaneous
+exact_tol = 1e-08
+
+[output]
+path = -
+
+"""
+
+CUSTOM_ECHO = """\
+[scenario]
+type = custom-matrix
+
+[custom-matrix]
+h0 = [[0, [0, -1]], [[0, 1], 0]]
+h_meas = [[1, 0], [0, -1]]
+coupling = 5
+tau = 1
+level_from = 0
+level_to = -1
+
+[grid]
+intervals = 2048
+
+[quadrature]
+rel_tol = 9.9999999999999995e-07
+abs_floor = 9.9999999999999998e-13
+
+[tolerances]
+hermitian_tol = 1e-10
+unitary_tol = 1e-08
+projector_tol = 1e-10
+rank_tol = 1e-08
+trace_tol = 1e-10
+psd_tol = 1e-10
+completeness_tol = 1.0000000000000001e-09
+orthogonality_tol = 1.0000000000000001e-09
+frame_tol = 9.9999999999999995e-07
+degeneracy_rel = 1e-08
+adiabatic_margin = 0.01
+qze_margin = 10
+imag_residual_tol = 9.9999999999999995e-07
+
+[compare]
+bound = 0.10000000000000001
+transport = measurement
+exact_tol = 1e-08
+
+[output]
+path = -
+
+"""
+
+
+def test_resolved_text_is_the_pinned_echo():
+    assert zj.resolved_text(zj.parse_config(SPINCHAIN_SWEEP)) == SPINCHAIN_SWEEP_ECHO
+    assert zj.resolved_text(zj.parse_config(CUSTOM)) == CUSTOM_ECHO
 
 
 def test_load_config(tmp_path):

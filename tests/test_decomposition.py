@@ -271,7 +271,9 @@ def test_track_frame_residual_failure_carries_frame():
     base = np.diag([-1.0, 0.0, 1.0]).astype(complex)
     op = rotation_family(gen, base, analytic=False)
     with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
-        zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 5), frame_tol=1e-10)
+        zj.track_frame(
+            op, coupling=5.0, grid=np.linspace(0.0, 1.0, 5), policy=zj.NumericPolicy(frame_tol=1e-10)
+        )
     assert isinstance(exc.value.last_result, zj.AdiabaticFrame)
     assert exc.value.last_result.residual > 1e-10
 
@@ -300,9 +302,9 @@ def test_track_frame_rejects_a_bad_degeneracy_tol(tol):
 
 @pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
 def test_track_frame_rejects_a_bad_frame_tol(frame_tol):
-    op = rotation_family(random_hermitian(np.random.default_rng(24), 3), np.diag([-1.0, 0.0, 1.0]))
+    # The tolerance is the policy's, so the policy rejects it before any tracking.
     with pytest.raises(zj.ValidationError, match="frame_tol"):
-        zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 17), frame_tol=frame_tol)
+        zj.NumericPolicy(frame_tol=frame_tol)
 
 
 def test_track_frame_rejects_grid_missing_breakpoint():

@@ -193,6 +193,19 @@ def test_general_jump_unconverged_quadrature_carries_value():
     assert isinstance(exc.value.last_result, float)
 
 
+@pytest.mark.parametrize(
+    "field, bad, needle",
+    [
+        *(("rel_tol", bad, "positive") for bad in (0.0, -1.0, float("nan"), float("inf"))),
+        *(("abs_floor", bad, "non-negative") for bad in (-1.0, float("nan"), float("inf"))),
+    ],
+)
+def test_quadrature_policy_rejects_a_bad_field_on_construction(field, bad, needle):
+    # A NaN rel_tol once made the convergence test pass unconverged sums.
+    with pytest.raises(zj.ValidationError, match=f"^{field}: must be {needle} and finite"):
+        zj.QuadraturePolicy(**{field: bad})
+
+
 def test_general_jump_target_projector_splits_degenerate_level():
     # Watching a degenerate level channel by channel adds up to the full level.
     rng = np.random.default_rng(50)

@@ -251,7 +251,9 @@ def test_spin_chain_frame_keeps_end_node_projectors_only():
 @pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
 def test_spin_chain_frame_rejects_a_bad_frame_tol(frame_tol):
     with pytest.raises(zj.ValidationError, match="frame_tol"):
-        zj.spin_chain_frame(zj.SpinChainSpec(), n_intervals=64, frame_tol=frame_tol)
+        zj.spin_chain_frame(
+            zj.SpinChainSpec(), n_intervals=64, policy=zj.NumericPolicy().replace(frame_tol=frame_tol)
+        )
 
 
 def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
@@ -269,7 +271,7 @@ def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
 def test_spin_chain_frame_residual_failure_carries_the_chain_frame():
     spec = zj.SpinChainSpec(n_sites=3, h=5.0, T=1.0)
     with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
-        zj.spin_chain_frame(spec, n_intervals=4, frame_tol=1e-15)
+        zj.spin_chain_frame(spec, n_intervals=4, policy=zj.NumericPolicy(frame_tol=1e-15))
     frame = exc.value.last_result
     assert isinstance(frame, zj.AdiabaticFrame)
     assert frame.dim == 8 and frame.ranks == (1, 3, 3, 1)

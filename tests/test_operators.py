@@ -164,6 +164,17 @@ def test_policy_from_string_rejects_non_positive_values(text):
         zj.NumericPolicy.from_string(text)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", zj.NumericPolicy.field_names())
+def test_numeric_policy_rejects_a_bad_field_on_construction(field, bad):
+    # A NaN projector_tol once let check_projector pass diag(2, 0), and a NaN
+    # degeneracy_rel merged distinct levels: no such policy can be built now.
+    with pytest.raises(zj.ValidationError, match=f"^{field}: must be positive and finite"):
+        zj.NumericPolicy(**{field: bad})
+    with pytest.raises(zj.ValidationError, match=f"^{field}: must be positive and finite"):
+        zj.NumericPolicy().replace(**{field: bad})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_square_matrix_rejects_non_finite_entries(bad):
     with pytest.raises(zj.ValidationError, match="non-finite"):

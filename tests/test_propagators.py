@@ -164,6 +164,19 @@ def test_exact_propagator_rejects_a_budget_without_doublings():
             zj.exact_propagator(op, 1.0, max_doublings=budget)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_exact_propagator_rejects_a_tolerance_it_cannot_meet(tol):
+    # 0, a negative value or NaN is never met, so the steps would double until
+    # the budget runs out; inf would accept the first refinement unchecked.
+    samples = []
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: samples.append(t) or zj.SIGMA_X, horizon=(0.0, 1.0), dim=2
+    )
+    with pytest.raises(zj.ValidationError, match="^tol must be positive and finite"):
+        zj.exact_propagator(op, 1.0, tol=tol)
+    assert samples == []  # rejected before any step
+
+
 # --- fourth-order Magnus step ------------------------------------------------
 
 
