@@ -41,6 +41,8 @@ STATUS_FAIL = "fail"
 STATUS_OUT_OF_VALIDITY = "out-of-validity"
 
 _TRANSPORTS = ("measurement", "instantaneous")
+#: comparison defaults, of the keywords below and of the ``[compare]`` config section
+_BOUND, _TRANSPORT, _EXACT_TOL = 0.1, "measurement", 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,8 +118,8 @@ def exact_jump(
     rho0,
     m: int,
     frame: AdiabaticFrame,
-    transport: str = "measurement",
-    tol: float = 1e-8,
+    transport: str = _TRANSPORT,
+    tol: float = _EXACT_TOL,
     policy: NumericPolicy | None = None,
 ) -> float:
     """Jump probability into level ``m`` from brute-force time evolution.
@@ -136,9 +138,9 @@ def compare_jump(
     n: int,
     m: int,
     frame: AdiabaticFrame,
-    bound: float = 0.1,
-    transport: str = "measurement",
-    exact_tol: float = 1e-8,
+    bound: float = _BOUND,
+    transport: str = _TRANSPORT,
+    exact_tol: float = _EXACT_TOL,
     quad: QuadraturePolicy | None = None,
     policy: NumericPolicy | None = None,
 ) -> JumpComparison:

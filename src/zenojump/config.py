@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .compare import _TRANSPORTS
+from .compare import _BOUND, _EXACT_TOL, _TRANSPORT, _TRANSPORTS
 from .errors import ConfigError, ValidationError
 from .jump import QuadraturePolicy
 from .policy import NumericPolicy, default_policy
@@ -95,9 +95,9 @@ _SHARED: dict[str, tuple[tuple[str, str, object], ...]] = {
     "quadrature": _fields_schema(QuadraturePolicy()),
     "tolerances": _fields_schema(NumericPolicy()),
     "compare": (
-        ("bound", "float", 0.1),
-        ("transport", "str", "measurement"),
-        ("exact_tol", "float", 1e-8),
+        ("bound", "float", _BOUND),
+        ("transport", "str", _TRANSPORT),
+        ("exact_tol", "float", _EXACT_TOL),
     ),
     "output": (("path", "str", "-"),),
 }

@@ -44,7 +44,10 @@ class TimeDependentOperator:
     precedence over finite differences.  :meth:`constant` keeps its matrix
     read-only in ``value`` (``None`` for a time-dependent operator): its
     samples are views of that one matrix, and frames and reports decompose it
-    once, with ``dH/dt = 0`` exactly.
+    once, with ``dH/dt = 0`` exactly.  :meth:`site_sum` keeps in ``site`` the
+    two-level operator that acts alike on each of ``n`` spins, the operator
+    being their sum (``None`` otherwise): :func:`adiabaticity_report` works
+    from the site alone.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -53,6 +56,9 @@ class TimeDependentOperator:
     breakpoints: tuple[float, ...] = ()
     derivative_evaluator: Callable[[float], np.ndarray] | None = None
     value: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    site: TimeDependentOperator | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         t0, t1 = self.horizon
@@ -73,6 +79,29 @@ class TimeDependentOperator:
         mat.setflags(write=False)
         op = cls(evaluator=lambda t: mat, horizon=horizon, dim=mat.shape[0])
         object.__setattr__(op, "value", mat)
+        return op
+
+    @classmethod
+    def site_sum(
+        cls, site: "TimeDependentOperator", n_sites: int, evaluator: Callable[[float], np.ndarray]
+    ) -> "TimeDependentOperator":
+        """``sum_j site_j`` over ``n_sites`` spins, ``site_j`` the two-level ``site`` at spin ``j``.
+
+        ``evaluator`` returns the dense ``2**n_sites``-dimensional sum; the
+        operator takes its horizon and breakpoints from ``site``, which it
+        keeps in ``site``.
+        """
+        if site.dim != 2:
+            raise ValidationError(f"a site sum needs a two-level site, got dimension {site.dim}")
+        if not (isinstance(n_sites, (int, np.integer)) and n_sites >= 1):
+            raise ValidationError(f"a site sum needs an integer n_sites >= 1, got {n_sites!r}")
+        op = cls(
+            evaluator=evaluator,
+            horizon=site.horizon,
+            dim=2 ** int(n_sites),
+            breakpoints=site.breakpoints,
+        )
+        object.__setattr__(op, "site", site)
         return op
 
     def _check_time(self, t: float) -> float:
@@ -160,6 +189,13 @@ def _check_grid(grid) -> np.ndarray:
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing with >= 2 nodes")
     return grid
+
+
+def _check_coupling(coupling) -> float:
+    """``coupling`` as a float; :class:`ValidationError` unless positive and finite."""
+    if not 0.0 < coupling < np.inf:
+        raise ValidationError(f"coupling must be positive and finite, got {coupling!r}")
+    return float(coupling)
 
 
 def _resolve_degeneracy_tol(
@@ -405,6 +441,7 @@ class AdiabaticFrame:
         of one identity; one read-only projector stack is both end-node fields.
         """
         pol = default_policy(policy)
+        coupling = _check_coupling(coupling)
         grid = _check_grid(grid)
         projs = np.array([check_projector(p, pol) for _, p in levels])
         projs.setflags(write=False)
@@ -431,7 +468,7 @@ class AdiabaticFrame:
             initial_projectors=projs,
             final_projectors=projs,
             ranks=tuple(int(round(p.trace().real)) for p in projs),
-            coupling=float(coupling),
+            coupling=coupling,
             degeneracy_tol=float(degeneracy_tol),
         )
 
@@ -491,6 +528,7 @@ def track_frame(
     integration step straddles a discontinuity.
     """
     pol = default_policy(policy)
+    coupling = _check_coupling(coupling)
     grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
     slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
@@ -561,7 +599,7 @@ def track_frame(
         transported = a @ initial[:, None] @ a.conj().swapaxes(1, 2)
         residual = max(residual, max_norm(transported - projectors))
 
-    y = float(coupling) * eps
+    y = coupling * eps
     phases = np.zeros_like(y)
     phases[:, 1:] = np.cumsum(np.diff(grid) * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
 
@@ -573,7 +611,7 @@ def track_frame(
         initial_projectors=initial,
         final_projectors=projectors[:, -1].copy(),
         ranks=tuple(int(r) for r in ranks[0]),
-        coupling=float(coupling),
+        coupling=coupling,
         degeneracy_tol=tol,
         residual=residual,
     )
@@ -628,27 +666,59 @@ def adiabaticity_report(
 ) -> AdiabaticityReport:
     """Evaluate the adiabaticity figures on a grid.
 
-    Levels are clustered node-locally, so instants where eigenvalues merge
-    within the degeneracy tolerance (a pulsed measurement switched off, say)
-    simply contribute no transition pairs.  A genuinely near-degenerate pair
-    of distinct levels below the tolerance raises, since the coefficients are
-    undefined there.  ``dH/dt`` at a node is the difference of its
-    neighbouring interval midpoints, one-sided at piece boundaries.  The
-    adiabatic flag reads the policy's ``adiabatic_margin``.
+    Levels are clustered node-locally with the operator's own tolerance
+    (``degeneracy_rel`` times its spectral range), or with ``degeneracy_tol``
+    where that is smaller.  Instants where eigenvalues merge (a pulsed
+    measurement switched off, say) simply contribute no transition pairs.
+    Distinct levels closer than ``degeneracy_tol`` (by default the operator's
+    own tolerance) raise, since the coefficients are undefined there.
+    ``dH/dt`` at a node is the difference of its neighbouring interval
+    midpoints, one-sided at piece boundaries.  The adiabatic flag reads the
+    policy's ``adiabatic_margin``.
+
+    A site sum ``H = sum_j h_j`` over ``n`` spins (``h_meas.site`` set) is
+    reported from its two-level site ``h`` alone, by a structural identity.
+    The levels of ``H`` are the sectors with ``l`` spins in the upper level of
+    ``h``; neighbouring sectors lie the site gap ``g`` apart, so ``eps_min``
+    is the site's.  ``dH/dt = sum_j dh_j/dt`` flips one spin at a time: a
+    product eigenvector couples to ``n`` states, each with
+    ``|<1|dh/dt|0>|^2 / (coupling g)^2``, which is the site's ``alpha`` from
+    either of its two levels.  So ``alpha_max`` is ``n`` times the site's.
+    The identity needs a two-level site: with more site levels a spin's share
+    depends on its level, and distinct configurations can share an
+    eigenvalue.  The gaps are held to the chain's tolerance,
+    ``degeneracy_tol`` or else ``n`` times the site's own, as
+    :func:`zenojump.models.spin_chain_frame` resolves it.
     """
     pol = default_policy(policy)
-    if coupling <= 0:
-        raise ValidationError("coupling must be positive")
+    coupling = _check_coupling(coupling)
     grid = _check_grid(grid)
+    if h_meas.site is None:
+        return _report(h_meas, coupling, grid, pol, degeneracy_tol, 1)
+    return _report(h_meas.site, coupling, grid, pol, degeneracy_tol, h_meas.dim.bit_length() - 1)
 
-    _, _, hdot, first, eps, tol = _spectral_samples(
-        h_meas, grid, degeneracy_tol, pol, midpoints=False
-    )
+
+def _report(
+    op: TimeDependentOperator,
+    coupling: float,
+    grid: np.ndarray,
+    pol: NumericPolicy,
+    degeneracy_tol: float | None,
+    n_sites: int,
+) -> AdiabaticityReport:
+    """:func:`adiabaticity_report` of ``op``, or of the sum of ``op`` over ``n_sites`` spins."""
+    vals, _, hdot, first, eps, tol = _spectral_samples(op, grid, None, pol, midpoints=False)
+    if degeneracy_tol is None:
+        limit = n_sites * tol
+    else:
+        limit = _resolve_degeneracy_tol(vals, 0.0, degeneracy_tol, pol)
+        if limit < tol:
+            first, eps = _cluster(vals, limit)
     starts = np.flatnonzero(first)
     node = starts // first.shape[1]
     gaps = np.diff(eps.ravel()[starts])
     inner = node[1:] == node[:-1]
-    close = inner & (gaps < tol)
+    close = inner & (gaps < limit)
     if np.any(close):
         t = grid[node[1:][close][0]]
         raise NumericalError(
@@ -665,13 +735,13 @@ def adiabaticity_report(
     bohr = np.where(other, coupling * (eps[:, :, None] - eps[:, None, :]), 1.0)
     rows = np.where(other, np.abs(hdot) ** 2 / bohr**2, 0.0).sum(axis=2)
     sizes = np.diff(np.append(starts, first.size))
-    alpha_max = float(np.max(np.add.reduceat(rows.ravel(), starts) / sizes))
+    alpha_max = n_sites * float(np.max(np.add.reduceat(rows.ravel(), starts) / sizes))
     ratio = alpha_max / eps_min
     return AdiabaticityReport(
         alpha_max=alpha_max,
         eps_min=eps_min,
         ratio=ratio,
-        coupling=float(coupling),
+        coupling=coupling,
         margin=pol.adiabatic_margin,
         adiabatic=bool(ratio <= pol.adiabatic_margin * coupling**2),
     )

@@ -22,7 +22,14 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, adiabaticity_report
+from .decomposition import (
+    AdiabaticFrame,
+    AdiabaticityReport,
+    TimeDependentOperator,
+    ZenoDecomposition,
+    _check_coupling,
+    adiabaticity_report,
+)
 from .errors import NumericalError, QuadratureError, ValidationError
 from .operators import check_density, check_projector, max_norm, trace_product
 from .policy import NumericPolicy, default_policy
@@ -60,8 +67,7 @@ class MeasurementModel:
             )
         if self.h0.horizon != self.h_meas.horizon:
             raise ValidationError("perturbation and measurement must share one horizon")
-        if not (self.coupling > 0):
-            raise ValidationError("coupling must be positive")
+        _check_coupling(self.coupling)
 
     @property
     def dim(self) -> int:

@@ -109,14 +109,23 @@ def build_chain_h0(spec: SpinChainSpec) -> np.ndarray:
 
 
 def _field_direction(n_sites: int) -> TimeDependentOperator:
-    """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
+    """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``.
+
+    A site sum of the one-site field ``-((1-s) Z + s X)``; the dense samples
+    are formed from the summed ``Z_j`` and ``X_j``, which the exact oracle
+    reads.
+    """
     z = sum(_site_operator(SIGMA_Z, j, n_sites) for j in range(n_sites))
     x = sum(_site_operator(SIGMA_X, j, n_sites) for j in range(n_sites))
 
     def field_direction(s: float) -> np.ndarray:
         return -((1.0 - s) * z + s * x)
 
-    return TimeDependentOperator(evaluator=field_direction, horizon=(0.0, 1.0), dim=2**n_sites)
+    def site_field(s: float) -> np.ndarray:
+        return -((1.0 - s) * SIGMA_Z + s * SIGMA_X)
+
+    site = TimeDependentOperator(evaluator=site_field, horizon=(0.0, 1.0), dim=2)
+    return TimeDependentOperator.site_sum(site, n_sites, field_direction)
 
 
 def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:

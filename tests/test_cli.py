@@ -335,6 +335,16 @@ def test_non_positive_tolerance_exits_2_naming_the_key(tmp_path, capsys, monkeyp
     assert err.startswith("config error: [tolerances] hermitian_tol: must be positive")
 
 
+def test_overflowing_chain_coupling_exits_2_without_traceback(tmp_path, capsys):
+    # h*T = inf: the model rejects the coupling before any frame is built.
+    cfg_path = write(tmp_path, "[scenario]\ntype = spinchain\n\n[spinchain]\nh = 1e300\nT = 1e10\n")
+    target = tmp_path / "out.csv"
+    assert main(["run", "--config", cfg_path, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: coupling must be positive and finite, got inf\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "scenario, settings, reason",
     [

@@ -1,5 +1,6 @@
 """Unit tests for config parsing, validation and canonical echo."""
 
+import inspect
 import json
 
 import pytest
@@ -60,6 +61,12 @@ def test_defaults_materialize():
     assert cfg.compare_bound == 0.1
     assert cfg.compare_transport == "measurement"
     assert cfg.output_path == "-"
+    # the [compare] defaults are the Python API's keyword defaults
+    compare = inspect.signature(zj.compare_jump).parameters
+    exact = inspect.signature(zj.exact_jump).parameters
+    assert cfg.compare_bound == compare["bound"].default
+    assert cfg.compare_transport == compare["transport"].default == exact["transport"].default
+    assert cfg.compare_exact_tol == compare["exact_tol"].default == exact["tol"].default
 
 
 def test_sweep_parsing():

@@ -42,6 +42,23 @@ def test_operator_validates_horizon_and_breakpoints():
         zj.TimeDependentOperator(evaluator=ev, horizon=(0.0, 1.0), dim=2, breakpoints=(0.5, 0.5))
 
 
+def test_site_sum_takes_a_two_level_site_and_its_horizon():
+    site = zj.TimeDependentOperator(
+        evaluator=lambda t: t * zj.SIGMA_X, horizon=(0.0, 2.0), dim=2, breakpoints=(0.5,)
+    )
+    dense = lambda t: t * (np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X))
+    op = zj.TimeDependentOperator.site_sum(site, 2, dense)
+    assert op.site is site
+    assert (op.dim, op.horizon, op.breakpoints) == (4, (0.0, 2.0), (0.5,))
+    assert zj.TimeDependentOperator(evaluator=dense, horizon=(0.0, 2.0), dim=4).site is None
+    three = zj.TimeDependentOperator.constant(np.eye(3, dtype=complex), (0.0, 2.0))
+    with pytest.raises(zj.ValidationError, match="two-level site"):
+        zj.TimeDependentOperator.site_sum(three, 2, dense)
+    for n_sites in (0, 2.0):
+        with pytest.raises(zj.ValidationError, match="n_sites"):
+            zj.TimeDependentOperator.site_sum(site, n_sites, dense)
+
+
 def test_operator_rejects_out_of_horizon_times():
     op = zj.TimeDependentOperator.constant(zj.SIGMA_Z, (0.0, 1.0))
     assert np.array_equal(op(0.3), zj.SIGMA_Z)
@@ -378,3 +395,22 @@ def test_adiabaticity_rejects_nonpositive_coupling():
     op = zj.TimeDependentOperator.constant(zj.SIGMA_Z, (0.0, 1.0))
     with pytest.raises(zj.ValidationError, match="coupling"):
         zj.adiabaticity_report(op, coupling=0.0, grid=np.linspace(0.0, 1.0, 9))
+
+
+BAD_COUPLINGS = [0.0, -1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("coupling", BAD_COUPLINGS)
+def test_frames_and_report_reject_a_bad_coupling(coupling):
+    # An infinite coupling (h*T overflowing, say) would give infinite phases.
+    op = rotation_family(random_hermitian(np.random.default_rng(26), 2), zj.SIGMA_Z)
+    grid = np.linspace(0.0, 1.0, 17)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    entry_points = (
+        lambda: zj.track_frame(op, coupling, grid),
+        lambda: zj.AdiabaticFrame.static(grid, [(1.0, p0), (0.0, np.eye(2) - p0)], coupling),
+        lambda: zj.adiabaticity_report(op, coupling, grid),
+    )
+    for call in entry_points:
+        with pytest.raises(zj.ValidationError, match="coupling must be positive and finite"):
+            call()

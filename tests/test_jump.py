@@ -36,8 +36,9 @@ def test_measurement_model_validation():
         zj.MeasurementModel(h0=op2, h_meas=op3, coupling=1.0)
     with pytest.raises(zj.ValidationError, match="horizon"):
         zj.MeasurementModel(h0=op2, h_meas=shifted, coupling=1.0)
-    with pytest.raises(zj.ValidationError, match="coupling"):
-        zj.MeasurementModel(h0=op2, h_meas=op2, coupling=0.0)
+    for coupling in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(zj.ValidationError, match="coupling must be positive and finite"):
+            zj.MeasurementModel(h0=op2, h_meas=op2, coupling=coupling)
 
 
 def test_full_hamiltonian_combines_terms_and_breakpoints():

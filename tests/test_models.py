@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zenojump as zj
+from zenojump.models import _field_direction
 
 
 CUM_FULL = 0.5 + (math.sqrt(2.0) / 4.0) * math.log(1.0 + math.sqrt(2.0))
@@ -191,6 +192,20 @@ def test_pulsed_builders_and_level_convention():
     assert frame.phases[0, -1] == pytest.approx(4.0 * 0.5)
     with pytest.raises(zj.ValidationError, match="must be a node"):
         zj.pulsed_frame(p, 4.0, 1.0, 0.37, n_intervals=8)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_field_samples_equal_the_sum_of_embedded_sites(n_sites):
+    h_meas = _field_direction(n_sites)
+    site = h_meas.site
+    assert (site.dim, h_meas.dim) == (2, 2**n_sites)
+    assert (site.horizon, site.breakpoints) == (h_meas.horizon, h_meas.breakpoints)
+    for s in np.linspace(0.0, 1.0, 17):
+        embedded = sum(
+            np.kron(np.kron(np.eye(2**j), site(s)), np.eye(2 ** (n_sites - 1 - j)))
+            for j in range(n_sites)
+        )
+        assert np.max(np.abs(h_meas(s) - embedded)) <= 1e-15
 
 
 @pytest.mark.parametrize(
