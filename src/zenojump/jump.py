@@ -22,14 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import (
-    AdiabaticFrame,
-    AdiabaticityReport,
-    TimeDependentOperator,
-    ZenoDecomposition,
-    _check_coupling,
-    adiabaticity_report,
-)
+from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
 from .errors import NumericalError, QuadratureError, ValidationError
 from .operators import check_density, check_projector, max_norm, trace_product
 from .policy import NumericPolicy, default_policy
