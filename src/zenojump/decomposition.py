@@ -44,10 +44,11 @@ class TimeDependentOperator:
     precedence over finite differences.  :meth:`constant` keeps its matrix
     read-only in ``value`` (``None`` for a time-dependent operator): its
     samples are views of that one matrix, and frames and reports decompose it
-    once, with ``dH/dt = 0`` exactly.  :meth:`site_sum` keeps in ``site`` the
-    two-level operator that acts alike on each of ``n`` spins, the operator
-    being their sum (``None`` otherwise): :func:`adiabaticity_report` works
-    from the site alone.
+    once, with ``dH/dt = 0`` exactly.  :meth:`linear` keeps its two endpoint
+    matrices read-only in ``ends`` (``None`` otherwise), and its :meth:`sample`
+    is one array expression.  :meth:`site_sum` keeps in ``site`` the two-level
+    operator that acts alike on each of ``n`` spins, the operator being their
+    sum (``None`` otherwise): :func:`adiabaticity_report` works from the site.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -56,6 +57,7 @@ class TimeDependentOperator:
     breakpoints: tuple[float, ...] = ()
     derivative_evaluator: Callable[[float], np.ndarray] | None = None
     value: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    ends: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
     site: TimeDependentOperator | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
@@ -82,34 +84,50 @@ class TimeDependentOperator:
         return op
 
     @classmethod
-    def site_sum(
-        cls, site: "TimeDependentOperator", n_sites: int, evaluator: Callable[[float], np.ndarray]
-    ) -> "TimeDependentOperator":
+    def linear(cls, start, end, horizon: tuple[float, float]) -> "TimeDependentOperator":
+        """``(1 - s) start + s end``, ``s = (t - t0) / (t1 - t0)`` the position of ``t`` in the horizon."""
+        a, b = as_square_matrix(start), as_square_matrix(end)
+        if a.shape != b.shape:
+            raise ValidationError(f"linear operator endpoints differ in shape: {a.shape} and {b.shape}")
+        ends = np.array([a, b])
+        ends.setflags(write=False)
+        op = cls(evaluator=lambda t: op._between(t), horizon=horizon, dim=a.shape[0])
+        object.__setattr__(op, "ends", ends)
+        return op
+
+    @classmethod
+    def site_sum(cls, site: "TimeDependentOperator", n_sites: int, dense) -> "TimeDependentOperator":
         """``sum_j site_j`` over ``n_sites`` spins, ``site_j`` the two-level ``site`` at spin ``j``.
 
-        ``evaluator`` returns the dense ``2**n_sites``-dimensional sum; the
-        operator takes its horizon and breakpoints from ``site``, which it
-        keeps in ``site``.
+        ``dense`` is the ``2**n_sites``-dimensional sum: an evaluator, or an
+        operator on the horizon and breakpoints of ``site``, copied with all
+        it keeps.  The result keeps ``site`` in ``site``.
         """
         if site.dim != 2:
             raise ValidationError(f"a site sum needs a two-level site, got dimension {site.dim}")
         if not (isinstance(n_sites, (int, np.integer)) and n_sites >= 1):
             raise ValidationError(f"a site sum needs an integer n_sites >= 1, got {n_sites!r}")
-        op = cls(
-            evaluator=evaluator,
-            horizon=site.horizon,
-            dim=2 ** int(n_sites),
-            breakpoints=site.breakpoints,
-        )
-        object.__setattr__(op, "site", site)
+        dim = 2 ** int(n_sites)
+        if not isinstance(dense, cls):
+            dense = cls(evaluator=dense, horizon=site.horizon, dim=dim, breakpoints=site.breakpoints)
+        if (dense.dim, dense.horizon, dense.breakpoints) != (dim, site.horizon, site.breakpoints):
+            raise ValidationError("a site sum's dense operator needs the site's horizon and 2**n_sites")
+        op = object.__new__(cls)
+        op.__dict__.update(vars(dense), site=site)
         return op
 
     def _check_time(self, t: float) -> float:
         t0, t1 = self.horizon
         slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
-        if t < t0 - slack or t > t1 + slack:
+        if not (t0 - slack <= t <= t1 + slack):  # NaN fails too
             raise ValidationError(f"time {t!r} outside horizon [{t0}, {t1}]")
         return min(max(t, t0), t1)
+
+    def _between(self, t):
+        """The :meth:`linear` operator at ``t``, a time or a ``(K, 1, 1)`` array of times."""
+        s = (t - self.horizon[0]) / (self.horizon[1] - self.horizon[0])
+        # Exact double negation: ends -Z, -X give -((1-s) Z + s X) down to signed zeros, which eigh sees
+        return -((1.0 - s) * -self.ends[0] + s * -self.ends[1])
 
     def _checked(self, sample) -> np.ndarray:
         m = as_square_matrix(sample)
@@ -139,15 +157,24 @@ class TimeDependentOperator:
     def sample(self, times) -> np.ndarray:
         """``(len(times), dim, dim)`` stack of ``self(t)`` over ``times``.
 
-        The stack is checked as one array; a bad sample raises the error the
-        per-time call would raise for it.  A constant operator checks the
-        earliest and latest time and returns a read-only view of its matrix.
+        Times and stack are each checked as one array; a bad one raises the
+        error the per-time call would raise for it.  A constant operator
+        returns a read-only view of its matrix, and a :meth:`linear` one forms
+        the stack in one broadcast of its per-time arithmetic.
         """
+        t = np.asarray(times, dtype=float)
+        t0, t1 = self.horizon
+        slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
+        bad = np.flatnonzero(~((t0 - slack <= t) & (t <= t1 + slack)))
+        if bad.size:
+            self._check_time(float(t[bad[0]]))  # raises, naming the first bad time
+        t = np.clip(t, t0, t1)
         if self.value is not None:
-            self._check_time(float(np.min(times, initial=self.horizon[0])))
-            self._check_time(float(np.max(times, initial=self.horizon[1])))
-            return np.broadcast_to(self.value, (len(times), self.dim, self.dim))
-        raw = [self.evaluator(self._check_time(float(t))) for t in times]
+            return np.broadcast_to(self.value, (len(t), self.dim, self.dim))
+        if self.ends is not None:
+            raw = self._between(t[:, None, None])
+        else:
+            raw = [self.evaluator(x) for x in t.tolist()]
         try:
             stack = np.asarray(raw, dtype=complex)
         except ValueError:  # samples of different shapes

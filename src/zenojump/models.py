@@ -88,6 +88,8 @@ class SpinChainSpec:
             raise ValidationError("field amplitude h must be positive")
         if not (self.T > 0):
             raise ValidationError("rotation duration T must be positive")
+        if not (0.0 < self.h * self.T < math.inf):
+            raise ValidationError(f"coupling h * T leaves float range: h = {self.h!r}, T = {self.T!r}")
         if self.boundary not in ("open", "periodic"):
             raise ValidationError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
 
@@ -111,21 +113,15 @@ def build_chain_h0(spec: SpinChainSpec) -> np.ndarray:
 def _field_direction(n_sites: int) -> TimeDependentOperator:
     """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``.
 
-    A site sum of the one-site field ``-((1-s) Z + s X)``; the dense samples
-    are formed from the summed ``Z_j`` and ``X_j``, which the exact oracle
-    reads.
+    A site sum of the one-site field ``-((1-s) Z + s X)``; both are
+    :meth:`~TimeDependentOperator.linear` in ``s``, with endpoints ``-Z``,
+    ``-X`` and the summed ``-Z_j``, ``-X_j``, so each samples a grid in one
+    array expression.  The exact oracle reads the dense samples.
     """
-    z = sum(_site_operator(SIGMA_Z, j, n_sites) for j in range(n_sites))
-    x = sum(_site_operator(SIGMA_X, j, n_sites) for j in range(n_sites))
-
-    def field_direction(s: float) -> np.ndarray:
-        return -((1.0 - s) * z + s * x)
-
-    def site_field(s: float) -> np.ndarray:
-        return -((1.0 - s) * SIGMA_Z + s * SIGMA_X)
-
-    site = TimeDependentOperator(evaluator=site_field, horizon=(0.0, 1.0), dim=2)
-    return TimeDependentOperator.site_sum(site, n_sites, field_direction)
+    z, x = (sum(_site_operator(p, j, n_sites) for j in range(n_sites)) for p in (SIGMA_Z, SIGMA_X))
+    site = TimeDependentOperator.linear(-SIGMA_Z, -SIGMA_X, (0.0, 1.0))
+    dense = TimeDependentOperator.linear(-z, -x, site.horizon)
+    return TimeDependentOperator.site_sum(site, n_sites, dense)
 
 
 def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:

@@ -116,6 +116,90 @@ def test_sample_stacks_the_per_time_calls_and_their_checks():
             wrong.sample(times)
 
 
+def test_nan_times_fail_the_horizon_check():
+    rng = np.random.default_rng(6)
+    mat = random_hermitian(rng, 2)
+    ops = [
+        rotation_family(random_hermitian(rng, 2), mat),
+        zj.TimeDependentOperator.constant(mat, (0.0, 1.0)),
+        zj.TimeDependentOperator.linear(zj.SIGMA_Z, zj.SIGMA_X, (0.0, 1.0)),
+    ]
+    for op in ops:
+        with pytest.raises(zj.ValidationError, match="time nan outside horizon"):
+            op(float("nan"))
+        with pytest.raises(zj.ValidationError, match="time nan outside horizon"):
+            op.sample([0.5, float("nan"), 0.7])
+
+
+def bits(stack):
+    """Raw bit patterns, so that signed zeros count as well."""
+    return np.ascontiguousarray(stack).view(np.uint64)
+
+
+def test_linear_sample_equals_the_per_time_stack_bit_for_bit():
+    rng = np.random.default_rng(7)
+    start, end = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    horizon = (-0.5, 1.75)
+    op = zj.TimeDependentOperator.linear(start, end, horizon)
+    slack = 1e-12 * (1.0 + 0.5 + 1.75)
+    grid = np.linspace(*horizon, 33)
+    half = np.sort(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
+    times = np.concatenate([[horizon[0] - slack / 2.0], half, [horizon[1] + slack / 2.0]])
+    stack = op.sample(times)
+    assert np.array_equal(bits(stack), bits(np.stack([op(t) for t in times])))
+    assert np.array_equal(stack[0], start) and np.array_equal(stack[-1], end)
+    assert np.allclose(stack[33], (start + end) / 2.0, rtol=0.0, atol=1e-15)
+    assert op.sample([]).shape == (0, 3, 3)
+    for times, bad in (([0.5, 1.75 + 2 * slack], "1.75"), ([-0.6, 0.5], "-0.6")):
+        with pytest.raises(zj.ValidationError, match=f"time {bad}.* outside horizon"):
+            op.sample(times)
+
+
+def test_linear_endpoints_are_checked_and_read_only():
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        zj.TimeDependentOperator.linear(np.diag([1.0, np.inf]), zj.SIGMA_X, (0.0, 1.0))
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        zj.TimeDependentOperator.linear(zj.SIGMA_Z, np.diag([np.nan, 0.0]), (0.0, 1.0))
+    with pytest.raises(zj.ValidationError, match="differ in shape"):
+        zj.TimeDependentOperator.linear(zj.SIGMA_Z, np.eye(3), (0.0, 1.0))
+    with pytest.raises(zj.ValidationError, match="square"):
+        zj.TimeDependentOperator.linear(np.ones((2, 3)), np.ones((2, 3)), (0.0, 1.0))
+    source = zj.SIGMA_Z.copy()
+    op = zj.TimeDependentOperator.linear(source, zj.SIGMA_X, (0.0, 1.0))
+    source[0, 0] = 5.0
+    assert np.array_equal(op.ends, [zj.SIGMA_Z, zj.SIGMA_X])
+    with pytest.raises(ValueError, match="read-only"):
+        op.ends[0, 0, 0] = 7.0
+    assert (op.value, op.site) == (None, None)
+
+
+def test_linear_sample_does_not_call_the_per_time_evaluator():
+    # Guards the one-expression path: a per-time loop would raise here.
+    op = zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0))
+
+    def refuse(t):
+        raise AssertionError("sample called the per-time evaluator")
+
+    object.__setattr__(op, "evaluator", refuse)
+    stack = op.sample(np.linspace(0.0, 1.0, 4097))
+    assert stack.shape == (4097, 2, 2)
+    assert np.array_equal(stack[2048], -(zj.SIGMA_Z + zj.SIGMA_X) / 2.0)
+
+
+def test_site_sum_keeps_a_dense_operator_and_checks_it():
+    site = zj.TimeDependentOperator.linear(zj.SIGMA_Z, zj.SIGMA_X, (0.0, 2.0))
+    z = np.kron(zj.SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_Z)
+    x = np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X)
+    dense = zj.TimeDependentOperator.linear(z, x, (0.0, 2.0))
+    op = zj.TimeDependentOperator.site_sum(site, 2, dense)
+    assert op.site is site and op.ends is dense.ends and op.evaluator is dense.evaluator
+    assert dense.site is None
+    for n_sites, horizon in ((3, (0.0, 2.0)), (2, (0.0, 1.0))):
+        other = zj.TimeDependentOperator.linear(z, x, horizon) if n_sites == 2 else dense
+        with pytest.raises(zj.ValidationError, match="dense operator"):
+            zj.TimeDependentOperator.site_sum(site, n_sites, other)
+
+
 def test_derivative_is_one_sided_at_breakpoints():
     # Triangle profile: slope +1 before the kink at 0.5, slope -1 after.
     def ev(t):

@@ -23,6 +23,9 @@ def test_spin_chain_spec_validation():
         zj.SpinChainSpec(T=-1.0)
     with pytest.raises(zj.ValidationError, match="boundary"):
         zj.SpinChainSpec(boundary="twisted")
+    for h, T in ((1e300, 1e10), (1e-300, 1e-300)):
+        with pytest.raises(zj.ValidationError, match=r"h \* T leaves float range: h = .*, T = "):
+            zj.SpinChainSpec(h=h, T=T)
 
 
 def test_build_chain_h0_two_sites():
@@ -206,6 +209,18 @@ def test_field_samples_equal_the_sum_of_embedded_sites(n_sites):
             for j in range(n_sites)
         )
         assert np.max(np.abs(h_meas(s) - embedded)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_field_and_site_sample_as_linear_operators_bit_for_bit(n_sites):
+    h_meas = _field_direction(n_sites)
+    grid = np.linspace(0.0, 1.0, 65)
+    half = np.sort(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
+    for op in (h_meas, h_meas.site):
+        assert op.ends is not None  # sampled in one array expression
+        stack = op.sample(half)
+        per_time = np.stack([op(s) for s in half])
+        assert np.array_equal(stack.view(np.uint64), per_time.view(np.uint64))
 
 
 @pytest.mark.parametrize(
