@@ -74,6 +74,8 @@ _COMPARE_COLUMNS = (
     "status",
     "adiabaticity_ratio",
     "adiabatic",
+    "exact_steps",
+    "exact_est_error",
 )
 _DECOMPOSE_COLUMNS = ("level", "eigenvalue", "rank")
 
@@ -241,6 +243,8 @@ def _compare_point(cfg: ScenarioConfig, parameter: str, value: float) -> tuple:
         comp.status,
         comp.adiabaticity.ratio,
         comp.adiabaticity.adiabatic,
+        comp.exact_steps,
+        comp.exact_est_error,
     )
 
 

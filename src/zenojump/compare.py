@@ -74,15 +74,7 @@ class JumpComparison:
 
 
 def _scaled_measurement(model: MeasurementModel) -> TimeDependentOperator:
-    # the wrapper's call checks each sample, so the inner one is not checked again
-    k = model.coupling
-    h_meas = model.h_meas
-    return TimeDependentOperator(
-        evaluator=lambda t: k * h_meas.unchecked(t),
-        horizon=model.horizon,
-        dim=model.dim,
-        breakpoints=h_meas.breakpoints,
-    )
+    return TimeDependentOperator._scaled_sum(((model.coupling, model.h_meas),))
 
 
 def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, int, float]:

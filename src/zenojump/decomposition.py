@@ -49,6 +49,8 @@ class TimeDependentOperator:
     is one array expression.  :meth:`site_sum` keeps in ``site`` the two-level
     operator that acts alike on each of ``n`` spins, the operator being their
     sum (``None`` otherwise): :func:`adiabaticity_report` works from the site.
+    A scaled sum of operators keeps its ``(scale, operator)`` pairs in
+    ``terms`` (``None`` otherwise), and its :meth:`sample` adds their stacks.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -59,6 +61,9 @@ class TimeDependentOperator:
     value: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
     ends: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
     site: TimeDependentOperator | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    terms: tuple[tuple[float, TimeDependentOperator], ...] | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -116,6 +121,26 @@ class TimeDependentOperator:
         op.__dict__.update(vars(dense), site=site)
         return op
 
+    @classmethod
+    def _scaled_sum(cls, terms) -> "TimeDependentOperator":
+        """``sum c op`` over the ``(c, op)`` pairs ``terms``, operators on one horizon.
+
+        The sum keeps ``terms`` and its breakpoints are theirs.  Each of its
+        samples is checked once: the terms are evaluated checked for shape
+        only, with :meth:`unchecked` per time and stacked by :meth:`sample`,
+        and the sum is checked for finiteness.
+        """
+        terms = tuple(terms)
+        first = terms[0][1]
+        op = cls(
+            evaluator=lambda t: _add_scaled(terms, [term.unchecked(t) for _, term in terms]),
+            horizon=first.horizon,
+            dim=first.dim,
+            breakpoints=tuple(sorted(set().union(*(term.breakpoints for _, term in terms)))),
+        )
+        object.__setattr__(op, "terms", terms)
+        return op
+
     def _check_time(self, t: float) -> float:
         t0, t1 = self.horizon
         slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
@@ -129,16 +154,8 @@ class TimeDependentOperator:
         # Exact double negation: ends -Z, -X give -((1-s) Z + s X) down to signed zeros, which eigh sees
         return -((1.0 - s) * -self.ends[0] + s * -self.ends[1])
 
-    def _checked(self, sample) -> np.ndarray:
-        m = as_square_matrix(sample)
-        if m.shape[0] != self.dim:
-            raise ValidationError(
-                f"evaluator returned dimension {m.shape[0]}, declared {self.dim}"
-            )
-        return m
-
     def __call__(self, t: float) -> np.ndarray:
-        return self._checked(self.evaluator(self._check_time(float(t))))
+        return as_square_matrix(self.unchecked(self._check_time(float(t))))
 
     def unchecked(self, t: float) -> np.ndarray:
         """The evaluator's sample at ``t``, checked for shape only.
@@ -159,8 +176,10 @@ class TimeDependentOperator:
 
         Times and stack are each checked as one array; a bad one raises the
         error the per-time call would raise for it.  A constant operator
-        returns a read-only view of its matrix, and a :meth:`linear` one forms
-        the stack in one broadcast of its per-time arithmetic.
+        returns a read-only view of its matrix, a :meth:`linear` one forms
+        the stack in one broadcast of its per-time arithmetic, and a scaled
+        sum adds its terms' stacks.  Other operators call the evaluator per
+        time.
         """
         t = np.asarray(times, dtype=float)
         t0, t1 = self.horizon
@@ -168,21 +187,22 @@ class TimeDependentOperator:
         bad = np.flatnonzero(~((t0 - slack <= t) & (t <= t1 + slack)))
         if bad.size:
             self._check_time(float(t[bad[0]]))  # raises, naming the first bad time
-        t = np.clip(t, t0, t1)
+        stack = self._stack(np.clip(t, t0, t1))
+        if self.value is None and not np.isfinite(stack).all():
+            for m in stack:
+                as_square_matrix(m)  # raises at the first non-finite sample
+        return stack
+
+    def _stack(self, t: np.ndarray) -> np.ndarray:
+        """Samples at the checked times ``t``, checked for shape only."""
         if self.value is not None:
             return np.broadcast_to(self.value, (len(t), self.dim, self.dim))
         if self.ends is not None:
-            raw = self._between(t[:, None, None])
-        else:
-            raw = [self.evaluator(x) for x in t.tolist()]
-        try:
-            stack = np.asarray(raw, dtype=complex)
-        except ValueError:  # samples of different shapes
-            stack = None
-        if stack is None or stack.shape[1:] != (self.dim, self.dim) or not np.isfinite(stack).all():
-            for m in raw:
-                self._checked(m)
-        return stack
+            return self._between(t[:, None, None])
+        if self.terms is not None:
+            return _add_scaled(self.terms, [op._stack(t) for _, op in self.terms])
+        samples = [self.unchecked(x) for x in t.tolist()]
+        return np.array(samples).reshape(len(t), self.dim, self.dim)
 
     def piece_bounds(self, t):
         """Bounds of the smooth piece owning ``t`` (a time or an array of times).
@@ -205,6 +225,21 @@ class TimeDependentOperator:
         if b <= a:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return (self(b) - self(a)) / (b - a)
+
+
+def _add_scaled(terms, samples) -> np.ndarray:
+    """``sum c m`` over the scales ``c`` of the ``(c, op)`` pairs ``terms`` and
+    the paired ``samples``.
+
+    A unit scale is not applied, so an unscaled term keeps the signs of its
+    zeros (a complex product with ``1.0`` can flip them, and ``eigh`` sees
+    those signs).
+    """
+    total = None
+    for (c, _), m in zip(terms, samples):
+        m = m if c == 1.0 else c * m
+        total = m if total is None else total + m
+    return total
 
 
 #: samples per stacked eigendecomposition; bounds the temporaries of a pass
@@ -500,6 +535,25 @@ class AdiabaticFrame:
         )
 
 
+def _level_orders(successor: np.ndarray) -> np.ndarray:
+    """Level order at each node from the node-to-node successor permutations.
+
+    ``orders[0]`` is the identity and ``orders[k] = successor[k - 1][orders[k - 1]]``.
+    The composition is associative, so the rows are an inclusive prefix scan,
+    formed in ``log2`` of the node count doubling rounds (Hillis & Steele,
+    Commun. ACM 29, 1170 (1986)): after the round of ``shift``, each row
+    composes the up to ``2 * shift`` permutations that end at it.
+    """
+    orders = np.empty((len(successor) + 1, successor.shape[1]), dtype=successor.dtype)
+    orders[0] = np.arange(successor.shape[1])
+    orders[1:] = successor
+    shift = 1
+    while shift < len(orders):
+        orders[shift:] = np.take_along_axis(orders[shift:], orders[:-shift], axis=1)
+        shift *= 2
+    return orders
+
+
 def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
     """Unitary RK4 steps of the frame ODE ``i dA/dt = M A``, one per interval.
 
@@ -599,10 +653,7 @@ def track_frame(
             f"two levels overlap most with one level at node t={grid[clash[0] + 1]:.9g}; "
             f"treat as a level crossing"
         )
-    orders = np.empty((n, n_levels), dtype=int)
-    orders[0] = np.arange(n_levels)
-    for k in range(1, n):
-        orders[k] = successor[k - 1, orders[k - 1]]
+    orders = _level_orders(successor)
     ranks = np.take_along_axis(ranks, orders, axis=1)
     moved = np.flatnonzero(np.any(ranks != ranks[0], axis=1))
     if moved.size:

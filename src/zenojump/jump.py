@@ -74,16 +74,11 @@ class MeasurementModel:
         """Total Hamiltonian for the exact-propagator route.
 
         Its call checks each sample once: the terms are evaluated with
-        :meth:`TimeDependentOperator.unchecked` and the sum is checked.
+        :meth:`TimeDependentOperator.unchecked` and the sum is checked.  Its
+        :meth:`~TimeDependentOperator.sample` adds the terms' own stacks and
+        checks the sum's stack once.
         """
-        h0, h_meas, k = self.h0, self.h_meas, self.coupling
-        breaks = sorted(set(h0.breakpoints) | set(h_meas.breakpoints))
-        return TimeDependentOperator(
-            evaluator=lambda t: h0.unchecked(t) + k * h_meas.unchecked(t),
-            horizon=self.horizon,
-            dim=self.dim,
-            breakpoints=tuple(breaks),
-        )
+        return TimeDependentOperator._scaled_sum(((1.0, self.h0), (self.coupling, self.h_meas)))
 
 
 @dataclasses.dataclass(frozen=True)

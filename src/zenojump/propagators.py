@@ -46,22 +46,31 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
 
 
+#: matrix entries per stack of Gauss samples; bounds the temporaries of a refinement
+_STACK_ENTRIES = 2**16
+
+
 def _product_over(op, segments, steps_per: list[int], policy) -> np.ndarray:
     """Time-ordered product of fourth-order Magnus steps.
 
     Step ``[s, s + dt]`` samples ``H1`` and ``H2`` at the two Gauss nodes
     ``s + (1/2 -+ sqrt(3)/6) dt`` and applies ``exp(-i G)`` with the
     Hermitian exponent ``G = dt/2 (H1 + H2) + i sqrt(3)/12 dt^2 [H1, H2]``.
+    The samples and exponents of a segment's steps are formed as stacks of
+    at most ``_STACK_ENTRIES`` matrix entries (at least one step); each
+    exponential is taken on its own, in time order.
     """
     u = np.eye(op.dim, dtype=complex)
+    block = max(1, _STACK_ENTRIES // (2 * op.dim**2))
     for (a, b), n in zip(segments, steps_per):
         dt = (b - a) / n
-        for i in range(n):
-            mid = a + (i + 0.5) * dt
-            h1 = op(mid - _GAUSS_OFFSET * dt)
-            h2 = op(mid + _GAUSS_OFFSET * dt)
+        for start in range(0, n, block):
+            mid = a + (np.arange(start, min(start + block, n)) + 0.5) * dt
+            nodes = np.concatenate([mid - _GAUSS_OFFSET * dt, mid + _GAUSS_OFFSET * dt])
+            h1, h2 = np.split(op.sample(nodes), 2)
             g = 0.5 * dt * (h1 + h2) + (1j * _COMMUTATOR_WEIGHT * dt * dt) * (h1 @ h2 - h2 @ h1)
-            u = matrix_exp_unitary(g, 1.0, policy) @ u
+            for step in g:
+                u = matrix_exp_unitary(step, 1.0, policy) @ u
     return u
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zenojump as zj
-from zenojump.cli import ResultTable, main, oracle_compare, parse_echo, run_scenario
+from zenojump.cli import ResultTable, _frame_setup, main, oracle_compare, parse_echo, run_scenario
 
 
 PULSED_SWEEP = """
@@ -168,7 +168,8 @@ def test_compare_custom_matrix_zero_perturbation(tmp_path, capsys):
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == (
-        "coupling,w_perturbative,w_exact,abs_gap,rel_gap,status,adiabaticity_ratio,adiabatic"
+        "coupling,w_perturbative,w_exact,abs_gap,rel_gap,status,adiabaticity_ratio,adiabatic,"
+        "exact_steps,exact_est_error"
     )
     cells = lines[1].split(",")
     assert cells[0] == "5"
@@ -176,6 +177,25 @@ def test_compare_custom_matrix_zero_perturbation(tmp_path, capsys):
     assert float(cells[2]) == pytest.approx(0.0, abs=1e-10)
     assert cells[5] == "pass"
     assert cells[7] == "true"
+
+
+def test_compare_csv_ends_with_the_oracle_diagnostics():
+    cfg = zj.parse_config(CHAIN_RUN)
+    table = oracle_compare(cfg)
+    assert table.columns[-2:] == ("exact_steps", "exact_est_error")
+    parameter, value = table.columns[0], table.rows[0][0]
+    model, frame, rho0, n, m, _extra = _frame_setup(cfg, parameter, value)
+    comp = zj.compare_jump(
+        model, rho0, n, m, frame,
+        bound=cfg.compare_bound, transport=cfg.compare_transport,
+        exact_tol=cfg.compare_exact_tol, quad=cfg.quadrature, policy=cfg.policy,
+    )
+    assert table.rows[0][-2:] == (comp.exact_steps, comp.exact_est_error)
+    header, row = [l for l in table.csv_text().splitlines() if not l.startswith("#")]
+    assert header.split(",")[-2:] == ["exact_steps", "exact_est_error"]
+    steps, est_error = row.split(",")[-2:]
+    assert (int(steps), float(est_error)) == (comp.exact_steps, comp.exact_est_error)
+    assert comp.exact_steps > 0 and 0.0 < comp.exact_est_error < cfg.compare_exact_tol
 
 
 def test_decompose_levels_csv(tmp_path, capsys):

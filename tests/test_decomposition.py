@@ -366,6 +366,21 @@ def test_track_frame_rejects_levels_that_cannot_be_followed():
         zj.track_frame(op, coupling=1.0, grid=np.linspace(0.0, 1.0, 9))
 
 
+def test_level_orders_scan_equals_the_sequential_composition():
+    from zenojump.decomposition import _level_orders
+
+    rng = np.random.default_rng(29)
+    for n_levels in (1, 2, 3, 5):
+        for n_steps in (1, 2, 3, 7, 64, 1000):
+            successor = np.array([rng.permutation(n_levels) for _ in range(n_steps)])
+            orders = np.empty((n_steps + 1, n_levels), dtype=int)
+            orders[0] = np.arange(n_levels)
+            for k in range(1, n_steps + 1):
+                orders[k] = successor[k - 1, orders[k - 1]]
+            assert np.array_equal(_level_orders(successor), orders), (n_levels, n_steps)
+    assert not np.array_equal(orders[-1], np.arange(5))  # the random stacks do permute
+
+
 def test_track_frame_residual_failure_carries_frame():
     rng = np.random.default_rng(23)
     gen = random_hermitian(rng, 3, scale=1.0)

@@ -66,8 +66,13 @@ def test_composed_oracle_operators_still_reject_bad_terms():
         ):
             with pytest.raises(zj.ValidationError, match=match):
                 model.full_hamiltonian()(0.5)
+            with pytest.raises(zj.ValidationError, match=match):
+                model.full_hamiltonian().sample([0.25, 0.5])
+        scaled = _scaled_measurement(zj.MeasurementModel(h0=good, h_meas=bad, coupling=2.0))
         with pytest.raises(zj.ValidationError, match=match):
-            _scaled_measurement(zj.MeasurementModel(h0=good, h_meas=bad, coupling=2.0))(0.5)
+            scaled(0.5)
+        with pytest.raises(zj.ValidationError, match=match):
+            scaled.sample([0.25, 0.5])
     model = zj.MeasurementModel(h0=good, h_meas=good, coupling=2.0)
     assert np.array_equal(_scaled_measurement(model)(0.5), 2.0 * zj.SIGMA_X)
 

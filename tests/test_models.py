@@ -223,6 +223,27 @@ def test_field_and_site_sample_as_linear_operators_bit_for_bit(n_sites):
         assert np.array_equal(stack.view(np.uint64), per_time.view(np.uint64))
 
 
+def _closed_form_site_frame(s):
+    """``exp(-i theta sigma_y / 2)``, ``theta = atan2(s, 1 - s)``: the one-site
+    field ``-((1 - s) Z + s X)`` turns by ``theta`` in the x-z plane, and this
+    real rotation is its parallel-transport frame."""
+    theta = np.arctan2(s, 1.0 - s)
+    c, sn = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.stack([np.stack([c, -sn], axis=-1), np.stack([sn, c], axis=-1)], axis=-2)
+
+
+@pytest.mark.parametrize("intervals", [1024, 2048])
+def test_tracked_site_frame_is_the_closed_form_rotation(intervals):
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0))
+    grid = np.linspace(0.0, 1.0, intervals + 1)
+    frame = zj.track_frame(model.h_meas.site, model.coupling, grid)
+    assert np.max(np.abs(frame.intertwiners - _closed_form_site_frame(grid))) <= 1e-13
+    chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0), n_intervals=intervals)
+    a = _closed_form_site_frame(grid)
+    pair = np.einsum("kab,kcd->kacbd", a, a).reshape(len(grid), 4, 4)
+    assert np.max(np.abs(chain.intertwiners - pair)) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "n_sites, boundary", [(2, "open"), (3, "periodic"), (4, "open"), (5, "periodic")]
 )
@@ -236,7 +257,9 @@ def test_spin_chain_frame_matches_the_dense_tracked_frame(n_sites, boundary):
     for name in ("intertwiners", "initial_projectors", "final_projectors", "eigenvalues", "phases"):
         assert np.max(np.abs(getattr(frame, name) - getattr(dense, name))) <= 1e-12, name
     assert frame.ranks == dense.ranks == tuple(math.comb(n_sites, l) for l in range(n_sites + 1))
-    assert frame.degeneracy_tol == dense.degeneracy_tol
+    # the chain's tolerance is n times the site's, the dense route's comes
+    # from the dense spectral range: equal up to rounding only
+    assert frame.degeneracy_tol == pytest.approx(dense.degeneracy_tol, rel=1e-12)
     assert frame.coupling == dense.coupling
     assert np.array_equal(frame.grid, dense.grid)
     assert 0.0 < frame.residual <= zj.default_policy().frame_tol

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 import zenojump as zj
-from zenojump.propagators import _product_over
+from zenojump.compare import _scaled_measurement
+from zenojump import propagators
+from zenojump.propagators import _product_over, _segments
 
 from properties import random_hermitian
 from test_decomposition import rotation_family
@@ -242,3 +244,80 @@ def test_chain_propagator_needs_a_sixteenth_of_the_midpoint_steps():
     op = _chain_at(15.0)
     res = zj.exact_propagator(op, 1.0, tol=1e-8)
     assert 16 * res.steps_used <= _midpoint_doubling_steps(op, 1e-8)
+
+
+# --- stacked sampling ----------------------------------------------------------
+
+
+def _per_step_product(op, segments, steps_per):
+    """The Magnus product one step at a time from per-time ``op(t)`` calls."""
+    u = np.eye(op.dim, dtype=complex)
+    offset, weight = np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 12.0
+    for (a, b), n in zip(segments, steps_per):
+        dt = (b - a) / n
+        for i in range(n):
+            mid = a + (i + 0.5) * dt
+            h1, h2 = op(mid - offset * dt), op(mid + offset * dt)
+            g = 0.5 * dt * (h1 + h2) + (1j * weight * dt * dt) * (h1 @ h2 - h2 @ h1)
+            u = zj.matrix_exp_unitary(g, 1.0) @ u
+    return u
+
+
+def _pulsed_model():
+    rng = np.random.default_rng(47)
+    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    return zj.pulsed_measurement_model(p, random_hermitian(rng, 3), 6.0, tau=1.0, tau_free=0.3)
+
+
+def _oracle_operators():
+    """Name -> ``(operator, steps per segment)``."""
+    rng = np.random.default_rng(43)
+    family = rotation_family(random_hermitian(rng, 3), np.diag([-1.0, 0.5, 2.0]).astype(complex))
+    pulsed = _pulsed_model()
+    return {
+        "chain": (_chain_at(12.5), [600]),
+        "rotation_family": (family, [300]),
+        "pulsed": (pulsed.full_hamiltonian(), [90, 290]),
+        "pulsed_measurement": (_scaled_measurement(pulsed), [90, 290]),
+    }
+
+
+@pytest.mark.parametrize("name", ["chain", "rotation_family", "pulsed", "pulsed_measurement"])
+@pytest.mark.parametrize("block", [None, 64])
+def test_stacked_product_matches_the_per_step_product(name, block, monkeypatch):
+    op, steps = _oracle_operators()[name]
+    if block is not None:  # stacks of 64 steps: several per segment, the last one partial
+        monkeypatch.setattr(propagators, "_STACK_ENTRIES", block * 2 * op.dim**2)
+    segments = _segments(op, 1.0)
+    assert len(segments) == len(steps)  # the pulsed switch at 0.3 splits the horizon
+    stacked = _product_over(op, segments, steps, zj.NumericPolicy())
+    assert zj.max_norm(stacked - _per_step_product(op, segments, steps)) <= 1e-14
+
+
+def _models():
+    rng = np.random.default_rng(53)
+    family = rotation_family(random_hermitian(rng, 3), np.diag([-1.0, 0.0, 1.0]).astype(complex))
+    return {
+        "chain": zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=12.5, T=1.0)),
+        "static": zj.time_independent_model(
+            random_hermitian(rng, 4), np.diag([-1.0, 0.0, 0.0, 2.0]), 7.0, 1.0
+        ),
+        "pulsed": _pulsed_model(),
+        "rotating": zj.MeasurementModel(
+            h0=zj.TimeDependentOperator.constant(random_hermitian(rng, 3), (0.0, 1.0)),
+            h_meas=family,
+            coupling=4.0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["chain", "static", "pulsed", "rotating"])
+def test_composed_operators_sample_their_per_time_calls_bit_for_bit(name):
+    model = _models()[name]
+    times = np.linspace(0.0, 1.0, 41)
+    for op in (model.full_hamiltonian(), _scaled_measurement(model)):
+        assert op.terms is not None
+        stack = op.sample(times)
+        per_time = np.stack([op(t) for t in times])
+        assert stack.shape == per_time.shape == (len(times), model.dim, model.dim)
+        assert stack.tobytes() == per_time.tobytes()
