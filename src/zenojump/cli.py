@@ -9,8 +9,9 @@ Subcommands
 Every result file starts with the fully resolved configuration echoed as
 ``# ``-prefixed lines, followed by a CSV header row and one row per sweep
 point.  Floats are written with 17 significant digits and ``\\n`` line
-endings, so identical configurations produce byte-identical files for any
-``--jobs`` value.
+endings, so identical configurations produce byte-identical files.  Sweep
+points run one after another; ``--jobs N`` is accepted (``N >= 1``) and has
+no effect.
 
 Exit codes: 0 success; 2 configuration error (including an output path that
 cannot be written); 3 numerical failure (including a non-finite value in any
@@ -21,7 +22,6 @@ under ``--strict``.  ``python -m zenojump`` runs :func:`main` as well.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -255,36 +255,27 @@ def _sweep_axis(cfg: ScenarioConfig) -> tuple[str, list[float]]:
     return primary, [float(cfg.param(primary))]
 
 
-def _evaluate(cfg: ScenarioConfig, worker, jobs: int | None) -> tuple[str, tuple]:
+def _evaluate(cfg: ScenarioConfig, worker) -> tuple[str, tuple]:
     parameter, values = _sweep_axis(cfg)
-
-    def point(value: float) -> tuple:
+    rows = []
+    for value in values:
         try:
-            return worker(cfg, parameter, value)
+            rows.append(worker(cfg, parameter, value))
         except NumericalError as exc:
             exc.args = (f"{exc} (at {parameter} = {_cell(value)})",)
             raise
-
-    max_workers = max(1, min(jobs or 1, len(values)))
-    if max_workers == 1:
-        rows = [point(v) for v in values]
-    else:
-        # Opt-in only: a point is many small numpy calls that hold the GIL, so
-        # threads add contention and memory rather than speed on most machines.
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(point, values))
     return parameter, tuple(rows)
 
 
-def run_scenario(cfg: ScenarioConfig, jobs: int | None = None) -> ResultTable:
+def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     """Scenario table: one row per sweep point, columns ``w`` + diagnostics."""
-    parameter, rows = _evaluate(cfg, _run_point, jobs)
+    parameter, rows = _evaluate(cfg, _run_point)
     return ResultTable(columns=(parameter,) + _RUN_COLUMNS, rows=rows, config=cfg)
 
 
-def oracle_compare(cfg: ScenarioConfig, jobs: int | None = None) -> ResultTable:
+def oracle_compare(cfg: ScenarioConfig) -> ResultTable:
     """Perturbative vs exact-propagator jump probability per sweep point."""
-    parameter, rows = _evaluate(cfg, _compare_point, jobs)
+    parameter, rows = _evaluate(cfg, _compare_point)
     return ResultTable(columns=(parameter,) + _COMPARE_COLUMNS, rows=rows, config=cfg)
 
 
@@ -427,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=None,
             metavar="N",
-            help="worker threads for sweep points (default: 1, serial; the "
-            "per-point work holds the GIL, so more threads rarely help)",
+            help="accepted for compatibility and ignored: sweep points always "
+            "run one after another",
         )
         sp.add_argument(
             "--strict",
@@ -467,9 +458,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.out:
         cfg = dataclasses.replace(cfg, output_path=args.out)
     if args.command == "run":
-        table = run_scenario(cfg, jobs=args.jobs)
+        table = run_scenario(cfg)
     elif args.command == "compare":
-        table = oracle_compare(cfg, jobs=args.jobs)
+        table = oracle_compare(cfg)
     else:
         table = decompose_levels(cfg)
     if args.emit_plot and out_path == "-":

@@ -12,6 +12,15 @@ intertwining frame and ``Lam(t) = int_0^t K (eps_m - eps_n) dt'`` the
 accumulated transition phase.  ``general_jump`` evaluates this double
 integral on a frame grid; ``pulsed_jump`` and ``continuous_jump`` are the
 closed forms it degenerates to for switched and for static measurements.
+
+Only the ``m <- n`` block of ``f`` enters ``W``.  With ``Q`` and ``Y``
+orthonormal bases of ``P_n(0)`` and ``P_m(0)``, a state confined to level
+``n`` is ``rho0 = Q sigma Q^dagger`` and ``P_m(0) = Y Y^dagger``, so
+
+    W = Tr[S sigma S^dagger],   S = int_0^t dt' Y^dagger f(t') Q exp(i Lam(t'))
+
+and ``general_jump`` works on the ``r_m x r_n`` blocks ``Y^dagger f Q``
+alone; it never forms ``f`` itself.
 """
 
 from __future__ import annotations
@@ -116,6 +125,12 @@ def _simpson_weights(n_intervals: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
+def _level_basis(projector: np.ndarray) -> np.ndarray:
+    """Orthonormal ``d x r`` basis of a validated projector's range."""
+    vals, vecs = np.linalg.eigh(projector)
+    return vecs[:, vals > 0.5]
+
+
 def general_jump(
     model: MeasurementModel,
     rho0,
@@ -129,20 +144,28 @@ def general_jump(
     """Second-order jump probability from level ``n`` to level ``m``.
 
     The double time integral runs over the frame's grid span with a
-    tensor-product composite Simpson rule; the frame-conjugated perturbation
-    ``f(t_k)`` is evaluated once per node and the transition phase is read
-    from the frame's accumulated phase arrays.  Refinement steps through the
-    stride-4 / stride-2 / stride-1 subsets of the grid, so the grid interval
-    count must be divisible by 8 and the spacing uniform; the rule refuses to
-    run when the grid resolves the fastest transition phase with fewer than
-    10 nodes per period.
+    tensor-product composite Simpson rule on the level blocks of the module
+    docstring: ``Q`` and ``Y`` are the eigenvectors with eigenvalue above
+    1/2 of ``P_n(0)`` and of the arrival projector, ``sigma = Q^dagger rho0
+    Q``, and each node contributes ``g_k = (A_k Y)^dagger h0(t_k) (A_k Q)``,
+    an ``r_m x r_n`` block; no ``(K, d, d)`` stack is formed.  The
+    transition phase is read from the frame's accumulated phase arrays.
+    Refinement steps through the stride-4 / stride-2 / stride-1 subsets of
+    the grid, each rung taking ``Tr[S sigma S^dagger]`` with
+    ``S = sum_k w_k exp(i Lam_k) g_k``, so the grid interval count must be
+    divisible by 8 and the spacing uniform; the rule refuses to run when the
+    grid resolves the fastest transition phase with fewer than 10 nodes per
+    period.  ``est_error`` is the change of the last refinement and
+    ``imag_residual`` the imaginary part of the finest rung, which rounding
+    alone makes nonzero.
 
     ``target_projector`` restricts the arrival projector to a sub-projector
     of level ``m`` (useful when a degenerate level is watched channel by
     channel); by default the level's full projector is used.
 
     The initial state must already live in level ``n``:
-    ``rho0 = P_n(0) rho0 P_n(0)`` within 1e-8.
+    ``rho0 = P_n(0) rho0 P_n(0)`` within 1e-8.  A state confined only to
+    that tolerance is read as ``P_n(0) rho0 P_n(0)``.
     """
     pol = default_policy(policy)
     qd = quad if quad is not None else QuadraturePolicy()
@@ -191,17 +214,19 @@ def general_jump(
                 f"per oscillation period, need >= 10 (about {needed} nodes over the span)"
             )
 
-    h0_nodes = model.h0.sample(grid)
+    q, y = _level_basis(pn0), _level_basis(target)
+    sigma = q.conj().T @ rho @ q
     a = frame.intertwiners
-    f_nodes = a.conj().swapaxes(-1, -2) @ h0_nodes @ a
+    h0_q = model.h0.sample(grid) @ (a @ q)
+    a_y = a @ y
+    g = np.conj(a_y, out=a_y).swapaxes(-1, -2) @ h0_q
 
     values: list[complex] = []
     for stride in (4, 2, 1):
         idx = np.arange(0, n_int + 1, stride)
         w = _simpson_weights(len(idx) - 1, steps[0] * stride)
-        amp = w * np.exp(1j * lam[idx])
-        f_sum = np.tensordot(amp, f_nodes[idx], axes=(0, 0))
-        values.append(complex(np.trace(f_sum @ rho @ f_sum.conj().T @ target)))
+        s = np.tensordot(w * np.exp(1j * lam[idx]), g[idx], axes=(0, 0))
+        values.append(complex(np.trace(s @ sigma @ s.conj().T)))
 
     est_error = abs(values[-1] - values[-2])
     raw = values[-1]

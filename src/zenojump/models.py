@@ -44,7 +44,6 @@ __all__ = [
     "spin_chain_frame",
     "field_strength",
     "cumulative_field_strength",
-    "site_frame_columns",
     "TwoQubitJump",
     "two_qubit_rotation_jump",
     "free_flip_probability",
@@ -237,29 +236,6 @@ def cumulative_field_strength(s):
         raise ValidationError(f"schedule value {float(s[outside].flat[0])!r} outside [0, 1]")
     out = _field_antiderivative(s - 0.5) - _field_antiderivative(-0.5)
     return float(out) if out.ndim == 0 else out
-
-
-def site_frame_columns(s: float) -> np.ndarray:
-    """Closed-form single-site frame for the rotating field.
-
-    Columns diagonalize the unit-amplitude single-site field:
-    ``A K(s) sigma_z A^dagger = (1-s) sigma_z + s sigma_x``.
-    Valid for ``s`` in ``(0, 1]``; at ``s = 0`` the expression degenerates
-    (its limit is ``diag(1, -1)``).
-    """
-    if not (0.0 < s <= 1.0):
-        raise ValidationError("closed-form frame columns need s in (0, 1]")
-    k = field_strength(s)
-    c = 1.0 - s
-    d_minus = math.sqrt(2.0 * k * k - 2.0 * k * c)
-    d_plus = math.sqrt(2.0 * k * k + 2.0 * k * c)
-    return np.array(
-        [
-            [s / d_minus, s / d_plus],
-            [(k - c) / d_minus, (-k - c) / d_plus],
-        ],
-        dtype=complex,
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -275,7 +275,7 @@ def test_parse_echo_requires_header():
 
 def test_python_api_tables():
     cfg = zj.parse_config(PULSED_SWEEP)
-    table = run_scenario(cfg, jobs=1)
+    table = run_scenario(cfg)
     assert isinstance(table, ResultTable)
     assert table.columns[0] == "tau"
     assert len(table.rows) == 3
@@ -398,8 +398,7 @@ def test_numerical_failure_names_the_sweep_point(tmp_path, capsys, jobs):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_named_failure_keeps_its_class_and_last_result(monkeypatch, jobs):
+def test_named_failure_keeps_its_class_and_last_result(monkeypatch):
     from zenojump import cli
 
     def failing(*args):
@@ -409,7 +408,7 @@ def test_named_failure_keeps_its_class_and_last_result(monkeypatch, jobs):
 
     monkeypatch.setattr(cli, "pulsed_jump", failing)
     with pytest.raises(zj.QuadratureError) as info:
-        run_scenario(zj.parse_config(PULSED_SWEEP), jobs=jobs)
+        run_scenario(zj.parse_config(PULSED_SWEEP))
     assert str(info.value) == "not converged (at tau = 0.69999999999999996)"
     assert info.value.last_result == 0.25
 

@@ -1,6 +1,7 @@
 """Unit tests for jump probabilities, spectral densities and survival laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,92 @@ def test_general_jump_on_constant_operators_equals_plain_evaluators():
         coupling=model.coupling,
     )
     assert zj.general_jump(model, rho0, n, m, frame) == zj.general_jump(plain, rho0, n, m, frame)
+
+
+def _trace_form(model, rho0, n, m, frame, target_projector=None):
+    """``(value, est_error)`` of the kernel's full-matrix form: the same
+    Simpson ladder on the whole ``f_k = A_k^dagger h0_k A_k`` stack, each
+    rung taking ``Tr[F rho0 F^dagger P]``."""
+    grid = frame.grid
+    step = grid[1] - grid[0]
+    lam = frame.phases[m] - frame.phases[n]
+    target = frame.initial_projectors[m] if target_projector is None else target_projector
+    a = frame.intertwiners
+    f_nodes = a.conj().swapaxes(-1, -2) @ model.h0.sample(grid) @ a
+    values = []
+    for stride in (4, 2, 1):
+        idx = np.arange(0, len(grid), stride)
+        weights = np.ones(len(idx))
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        amp = weights * (step * stride / 3.0) * np.exp(1j * lam[idx])
+        f_sum = np.tensordot(amp, f_nodes[idx], axes=(0, 0))
+        values.append(complex(np.trace(f_sum @ rho0 @ f_sum.conj().T @ target)))
+    return values[-1].real, abs(values[-1] - values[-2])
+
+
+def _assert_block_kernel_matches_trace_form(model, rho0, n, m, frame, target_projector=None):
+    res = zj.general_jump(model, rho0, n, m, frame, target_projector=target_projector)
+    value, est_error = _trace_form(model, rho0, n, m, frame, target_projector)
+    assert value > 1e-8
+    assert abs(res.value - value) <= 1e-13 * value
+    # est_error is a difference of two rungs: compare it at the value's scale
+    assert abs(res.est_error - est_error) <= 1e-13 * value
+
+
+def test_general_jump_block_kernel_matches_trace_form_on_a_static_pair():
+    for seed in (61, 62):
+        model, frame, rho0, n = static_setup(seed, dim=16, coupling=10.0, n_intervals=2048)
+        for m in {(n + 1) % frame.n_levels, (n + 5) % frame.n_levels}:
+            _assert_block_kernel_matches_trace_form(model, rho0, n, m, frame)
+
+
+@pytest.mark.parametrize(
+    "n_sites, pairs",
+    [(2, [(0, 2), (2, 0)]), (3, [(0, 2), (1, 3), (3, 1)]),
+     (4, [(0, 2), (2, 4), (3, 1)]), (5, [(0, 2), (3, 5), (4, 2)])],
+)
+def test_general_jump_block_kernel_matches_trace_form_on_chains(n_sites, pairs):
+    spec = zj.SpinChainSpec(n_sites=n_sites, h=12.5, T=1.0)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec, n_intervals=1024)
+    for n, m in pairs:
+        rho0 = frame.initial_projectors[n] / frame.ranks[n]
+        _assert_block_kernel_matches_trace_form(model, rho0, n, m, frame)
+
+
+def test_general_jump_block_kernel_matches_trace_form_on_mixed_state_and_sub_projector():
+    spec = zj.SpinChainSpec(n_sites=3, h=12.5, T=1.0)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec, n_intervals=1024)
+    assert frame.ranks == (1, 3, 3, 1)
+    rng = np.random.default_rng(63)
+    # a rank-2 mixed state in a random basis of the rank-3 level 1
+    basis = np.linalg.eigh(frame.initial_projectors[1])[1][:, 5:]
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    vecs = basis @ rotation
+    rho0 = 0.7 * np.outer(vecs[:, 0], vecs[:, 0].conj()) + 0.3 * np.outer(vecs[:, 1], vecs[:, 1].conj())
+    _assert_block_kernel_matches_trace_form(model, rho0, 1, 3, frame)
+    # a rank-1 arrival channel inside the degenerate level 2
+    vec = frame.initial_projectors[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
+    vec /= np.linalg.norm(vec)
+    channel = np.outer(vec, vec.conj())
+    rho_ground = frame.initial_projectors[0].astype(complex)
+    _assert_block_kernel_matches_trace_form(model, rho_ground, 0, 2, frame, channel)
+
+
+def test_general_jump_allocates_less_than_one_full_node_stack():
+    spec = zj.SpinChainSpec(n_sites=5, h=12.5, T=1.0)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec, n_intervals=1024)
+    rho0 = frame.initial_projectors[2] / frame.ranks[2]
+    stack_bytes = frame.intertwiners.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        zj.general_jump(model, rho0, 2, 4, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 # --- channel weights and timescales ------------------------------------------

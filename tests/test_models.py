@@ -94,18 +94,6 @@ def test_cumulative_field_strength_on_arrays_matches_quadrature():
         zj.cumulative_field_strength(np.array([0.5, np.nan]))
 
 
-def test_site_frame_columns_diagonalize_the_field():
-    for s in (0.1, 0.5, 1.0):
-        a = zj.site_frame_columns(s)
-        assert np.max(np.abs(a.conj().T @ a - np.eye(2))) < 1e-12
-        k = zj.field_strength(s)
-        rebuilt = a @ np.diag([k, -k]).astype(complex) @ a.conj().T
-        target = (1.0 - s) * zj.SIGMA_Z + s * zj.SIGMA_X
-        assert np.max(np.abs(rebuilt - target)) < 1e-12
-    with pytest.raises(zj.ValidationError, match="s in"):
-        zj.site_frame_columns(0.0)
-
-
 def test_spin_chain_frame_structure():
     spec = zj.SpinChainSpec(h=5.0, T=1.0)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
