@@ -398,18 +398,28 @@ def test_numerical_failure_names_the_sweep_point(tmp_path, capsys, jobs):
     assert "Traceback" not in err
 
 
-def test_named_failure_keeps_its_class_and_last_result(monkeypatch):
+# failing = how many of the sweep's points (tau = 0.5, 0.7, 0.9) raise; the
+# error names the first of them and the sweep stops there.
+@pytest.mark.parametrize("failing, threshold, first", [
+    (1, 0.8, "0.90000000000000002"),
+    (2, 0.6, "0.69999999999999996"),
+], ids=["1", "2"])
+def test_named_failure_keeps_its_class_and_last_result(monkeypatch, failing, threshold, first):
     from zenojump import cli
 
-    def failing(*args):
-        if args[2] > 0.6:
+    calls = []
+
+    def raising(*args):
+        calls.append(args[2])
+        if args[2] > threshold:
             raise zj.QuadratureError("not converged", last_result=0.25)
         return 0.1
 
-    monkeypatch.setattr(cli, "pulsed_jump", failing)
+    monkeypatch.setattr(cli, "pulsed_jump", raising)
     with pytest.raises(zj.QuadratureError) as info:
         run_scenario(zj.parse_config(PULSED_SWEEP))
-    assert str(info.value) == "not converged (at tau = 0.69999999999999996)"
+    assert str(info.value) == f"not converged (at tau = {first})"
+    assert len(calls) == 3 - failing + 1
     assert info.value.last_result == 0.25
 
 
