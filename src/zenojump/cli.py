@@ -11,7 +11,9 @@ Every result file starts with the fully resolved configuration echoed as
 point.  Floats are written with 17 significant digits and ``\\n`` line
 endings, so identical configurations produce byte-identical files.  Sweep
 points run one after another; ``--jobs N`` is accepted (``N >= 1``) and has
-no effect.
+no effect.  A ``spinchain`` sweep tracks its frame once: only the phases
+depend on the coupling ``h * T``, so each point re-forms those and shares the
+rest with the other points of the same sweep.
 
 Exit codes: 0 success; 2 configuration error (including an output path that
 cannot be written); 3 numerical failure (including a non-finite value in any
@@ -168,12 +170,16 @@ def _custom_model(cfg: ScenarioConfig, overrides: dict[str, float]) -> Measureme
     )
 
 
-def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float):
-    """Model, frame, initial state and level pair for a matrix-backed point."""
+def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float, shared: dict | None = None):
+    """Model, frame, initial state and level pair for a matrix-backed point.
+
+    ``shared`` carries the chain frame's coupling-free part between the
+    points of one sweep (see :func:`spin_chain_frame`).
+    """
     if cfg.scenario == "spinchain":
         spec = _chain_spec(cfg, {parameter: value})
         model = spin_chain_model(spec)
-        frame = spin_chain_frame(spec, n_intervals=cfg.intervals, policy=cfg.policy)
+        frame = spin_chain_frame(spec, n_intervals=cfg.intervals, policy=cfg.policy, shared=shared)
         extra = chain_validity_flags(spec.h, spec.T, spec.n_sites)
     elif cfg.scenario == "custom-matrix":
         model = _custom_model(cfg, {parameter: value})
@@ -195,7 +201,7 @@ def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float):
     return model, frame, rho0, n, m, extra
 
 
-def _run_point(cfg: ScenarioConfig, parameter: str, value: float) -> tuple:
+def _run_point(cfg: ScenarioConfig, parameter: str, value: float, shared: dict) -> tuple:
     params = {**dict(cfg.params), parameter: value}
     if cfg.scenario == "pulsed":
         w = pulsed_jump(
@@ -207,7 +213,7 @@ def _run_point(cfg: ScenarioConfig, parameter: str, value: float) -> tuple:
             params["trace_factor"], params["coupling"], params["delta_eps"], params["tau"]
         )
         return (value, w, 0.0, 0.0, True, "none")
-    model, frame, rho0, n, m, extra = _frame_setup(cfg, parameter, value)
+    model, frame, rho0, n, m, extra = _frame_setup(cfg, parameter, value, shared)
     res = general_jump(model, rho0, n, m, frame, quad=cfg.quadrature, policy=cfg.policy)
     flags = ";".join(extra + res.warnings) or "none"
     return (
@@ -220,8 +226,8 @@ def _run_point(cfg: ScenarioConfig, parameter: str, value: float) -> tuple:
     )
 
 
-def _compare_point(cfg: ScenarioConfig, parameter: str, value: float) -> tuple:
-    model, frame, rho0, n, m, _extra = _frame_setup(cfg, parameter, value)
+def _compare_point(cfg: ScenarioConfig, parameter: str, value: float, shared: dict) -> tuple:
+    model, frame, rho0, n, m, _extra = _frame_setup(cfg, parameter, value, shared)
     comp = compare_jump(
         model,
         rho0,
@@ -257,10 +263,11 @@ def _sweep_axis(cfg: ScenarioConfig) -> tuple[str, list[float]]:
 
 def _evaluate(cfg: ScenarioConfig, worker) -> tuple[str, tuple]:
     parameter, values = _sweep_axis(cfg)
+    shared: dict = {}  # what the sweep's points share; dropped with the sweep
     rows = []
     for value in values:
         try:
-            rows.append(worker(cfg, parameter, value))
+            rows.append(worker(cfg, parameter, value, shared))
         except NumericalError as exc:
             exc.args = (f"{exc} (at {parameter} = {_cell(value)})",)
             raise

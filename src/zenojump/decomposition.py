@@ -603,7 +603,9 @@ def track_frame(
     max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
     formed a node block at a time) and levels, is checked against the
     policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
-    bound.  Phases are cumulative trapezoids of ``coupling * eps_l``.
+    bound.  Phases are cumulative trapezoids of ``coupling * eps_l``
+    (:func:`_trapezoid_phases`); nothing else depends on ``coupling``, so a
+    frame at another coupling re-forms only its phases with that helper.
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
@@ -677,15 +679,11 @@ def track_frame(
         transported = a @ initial[:, None] @ a.conj().swapaxes(1, 2)
         residual = max(residual, max_norm(transported - projectors))
 
-    y = coupling * eps
-    phases = np.zeros_like(y)
-    phases[:, 1:] = np.cumsum(np.diff(grid) * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
-
     frame = AdiabaticFrame(
         grid=grid,
         intertwiners=intertwiners,
         eigenvalues=eps,
-        phases=phases,
+        phases=_trapezoid_phases(grid, coupling * eps),
         initial_projectors=initial,
         final_projectors=projectors[:, -1].copy(),
         ranks=tuple(int(r) for r in ranks[0]),
@@ -694,6 +692,13 @@ def track_frame(
         residual=residual,
     )
     return _checked_frame(frame, pol)
+
+
+def _trapezoid_phases(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoids of the rows of ``y`` over ``grid``, 0 at the first node."""
+    phases = np.zeros_like(y)
+    phases[:, 1:] = np.cumsum(np.diff(grid) * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
+    return phases
 
 
 def _checked_frame(frame: AdiabaticFrame, pol: NumericPolicy) -> AdiabaticFrame:

@@ -26,7 +26,9 @@ import numpy as np
 from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
+    _check_coupling,
     _checked_frame,
+    _trapezoid_phases,
     decompose,
     track_frame,
 )
@@ -157,6 +159,7 @@ def spin_chain_frame(
     spec: SpinChainSpec,
     n_intervals: int = 1024,
     policy: NumericPolicy | None = None,
+    shared: dict | None = None,
 ) -> AdiabaticFrame:
     """Intertwining frame of the rotating field on a uniform schedule grid.
 
@@ -170,6 +173,14 @@ def spin_chain_frame(
     one-site eigenprojectors ``p_0, p_1`` (``P'`` on one site fewer) at the
     two end nodes.  The degeneracy tolerance is ``n`` times the one-site one,
     which is what the dense route resolves from the chain's spectral range.
+
+    The field direction has unit amplitude, so only the phases depend on the
+    coupling ``h * T``.  ``shared`` is a dict that the calls of one sweep pass
+    in turn: the first call for an ``(n_sites, n_intervals, policy)`` keeps
+    the rest of the frame there (read-only), and each call re-forms the
+    phases from the one-site levels with :func:`track_frame`'s trapezoids.
+    The coupling and residual checks run on every call.  Keep the dict no
+    longer than the sweep.
 
     ``residual`` is ``sqrt(2) n r``, ``r`` the one-site residual, checked
     against ``policy.frame_tol`` (a one-site frame that misses it is carried
@@ -185,11 +196,34 @@ def spin_chain_frame(
     """
     pol = default_policy(policy)
     n = spec.n_sites
+    coupling = _check_coupling(spec.h * spec.T)
+    shared = {} if shared is None else shared
+    key = (n, n_intervals, pol)
+    if key not in shared:
+        shared[key] = _coupling_free_chain_frame(n, coupling, n_intervals, pol)
+    site_eps, fields = shared[key]
+    phases = _sector_rows(n, _trapezoid_phases(fields["grid"], coupling * site_eps))
+    return _checked_frame(AdiabaticFrame(**fields, phases=phases, coupling=coupling), pol)
+
+
+def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
+    """Rows ``(n - l) * site_rows[0] + l * site_rows[1]`` for ``l = 0..n`` upper spins."""
+    upper = np.arange(n + 1)[:, None]
+    return (n - upper) * site_rows[0] + upper * site_rows[1]
+
+
+def _coupling_free_chain_frame(
+    n: int, coupling: float, n_intervals: int, pol: NumericPolicy
+) -> tuple[np.ndarray, dict]:
+    """One-site level values and the chain frame's fields bar ``phases`` and ``coupling``.
+
+    Tracks the one-site frame at ``coupling`` (only its phases depend on it).
+    """
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
     try:
-        site = track_frame(_field_direction(1), spec.h * spec.T, grid, pol)
+        site = track_frame(_field_direction(1), coupling, grid, pol)
     except FrameResidualError as exc:
-        site = exc.last_result  # the chain frame's check below decides
+        site = exc.last_result  # the chain frame's check decides
     # The one-site factor goes first: its 2x2 blocks then scale contiguous rows.
     a = intertwiners = site.intertwiners
     for _ in range(n - 1):
@@ -200,20 +234,20 @@ def spin_chain_frame(
     for _ in range(n - 1):
         down, up = [_stacked_kron(p0, p) for p in sectors], [_stacked_kron(p1, p) for p in sectors]
         sectors = [down[0], *map(np.add, down[1:], up[:-1]), up[-1]]
-    upper = np.arange(n + 1)[:, None]
-    frame = AdiabaticFrame(
+    fields = dict(
         grid=site.grid,
         intertwiners=intertwiners,
-        eigenvalues=(n - upper) * site.eigenvalues[0] + upper * site.eigenvalues[1],
-        phases=(n - upper) * site.phases[0] + upper * site.phases[1],
+        eigenvalues=_sector_rows(n, site.eigenvalues),
         initial_projectors=np.array([p[0] for p in sectors]),
         final_projectors=np.array([p[1] for p in sectors]),
         ranks=tuple(math.comb(n, l) for l in range(n + 1)),
-        coupling=site.coupling,
         degeneracy_tol=n * site.degeneracy_tol,
         residual=math.sqrt(2.0) * n * site.residual,
     )
-    return _checked_frame(frame, pol)
+    for value in (site.eigenvalues, *fields.values()):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return site.eigenvalues, fields
 
 
 def field_strength(s):

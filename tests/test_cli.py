@@ -1,5 +1,6 @@
 """End-to-end tests of the command line driver (in-process)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -433,3 +434,86 @@ def test_non_finite_output_cell_exits_3_naming_point_and_column(tmp_path, capsys
     err = capsys.readouterr().err
     assert err == "numerical failure: tau = 0.69999999999999996: w is not finite (nan)\n"
     assert not target.exists()
+
+
+def _chain_sweep(n_sites, parameter, start, stop):
+    return (
+        f"[scenario]\ntype = spinchain\n\n[spinchain]\nn_sites = {n_sites}\nh = 10\n"
+        f"level_to = 2\n\n[grid]\nintervals = 1024\n\n[sweep]\nparameter = {parameter}\n"
+        f"start = {start}\nstop = {stop}\ncount = 3\n"
+    )
+
+
+def _row_lines(table):
+    return [l for l in table.csv_text().splitlines() if not l.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("evaluate", [run_scenario, oracle_compare], ids=["run", "compare"])
+@pytest.mark.parametrize("n_sites, parameter, start, stop", [
+    (3, "h", 9, 11),
+    (3, "T", 0.8, 1.2),
+    (4, "lambda3", 0.5, 1.5),
+])
+def test_chain_sweep_rows_equal_single_point_runs(evaluate, n_sites, parameter, start, stop):
+    from zenojump.config import SweepSpec
+
+    cfg = zj.parse_config(_chain_sweep(n_sites, parameter, start, stop))
+    rows = _row_lines(evaluate(cfg))
+    singles = [
+        _row_lines(evaluate(dataclasses.replace(cfg, sweep=SweepSpec(parameter, v, v, 1))))
+        for v in cfg.sweep.values()
+    ]
+    assert rows == [line for single in singles for line in single]
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_chain_sweep_tracks_its_frame_once(monkeypatch):
+    from zenojump import cli, models
+
+    tracked = _counting(monkeypatch, models, "track_frame")
+    framed = _counting(monkeypatch, cli, "spin_chain_frame")
+    cfg = zj.parse_config(CHAIN_SWEEP)
+    first = run_scenario(cfg)
+    assert (len(tracked), len(framed)) == (1, 3)
+    # Nothing outlives a sweep: the next call on the same config tracks again.
+    assert run_scenario(cfg).rows == first.rows
+    assert (len(tracked), len(framed)) == (2, 6)
+
+
+def test_a_custom_matrix_sweep_builds_a_static_frame_per_point(monkeypatch):
+    from zenojump import cli, models
+
+    tracked = _counting(monkeypatch, models, "track_frame")
+    framed = _counting(monkeypatch, cli, "time_independent_frame")
+    sweep = "[sweep]\nparameter = coupling\nstart = 5\nstop = 7\ncount = 3\n"
+    run_scenario(zj.parse_config(CUSTOM_COMPARE + sweep))
+    assert (len(tracked), len(framed)) == (0, 3)
+
+
+def test_a_frame_tol_below_the_site_residual_fails_at_the_first_point(tmp_path, capsys):
+    cfg_path = write(tmp_path, CHAIN_SWEEP + "\n[tolerances]\nframe_tol = 1e-14\n")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: frame residual ")
+    assert err.endswith(" (at h = 5)\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_sweep_point_with_an_invalid_coupling_fails_with_the_spec_message(tmp_path, capsys):
+    sweep = "[sweep]\nparameter = T\nstart = 1\nstop = 1.7e308\ncount = 2\n"
+    cfg_path = write(tmp_path, CHAIN_RUN + sweep)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: coupling h * T leaves float range: h = 5.0, T = 1.7e+308\n"
+    assert not (tmp_path / "out.csv").exists()

@@ -1,5 +1,6 @@
 """Unit tests for the concrete measurement scenarios."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -317,3 +318,44 @@ def test_spin_chain_frame_residual_failure_carries_the_chain_frame():
     assert isinstance(frame, zj.AdiabaticFrame)
     assert frame.dim == 8 and frame.ranks == (1, 3, 3, 1)
     assert frame.residual > 1e-15
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_a_shared_chain_frame_equals_a_fresh_one_bit_for_bit(n_sites):
+    shared = {}
+    first = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=n_sites, h=9.0), 256, shared=shared)
+    # Another field, duration and exchange: only the coupling h * T reaches the frame.
+    spec = zj.SpinChainSpec(n_sites=n_sites, couplings=(0.5, 1.0, 3.0), h=13.5, T=1.3)
+    frame = zj.spin_chain_frame(spec, 256, shared=shared)
+    fresh = zj.spin_chain_frame(spec, 256)
+    assert len(shared) == 1
+    for field in dataclasses.fields(zj.AdiabaticFrame):
+        assert _same_bits(getattr(frame, field.name), getattr(fresh, field.name)), field.name
+    assert frame.coupling == 13.5 * 1.3 != first.coupling
+    assert frame.intertwiners is first.intertwiners
+    assert not frame.intertwiners.flags.writeable
+
+
+def test_a_shared_chain_frame_is_keyed_by_size_grid_and_policy():
+    shared = {}
+    spec = zj.SpinChainSpec(n_sites=2, h=9.0)
+    looser = zj.NumericPolicy().replace(frame_tol=1e-5)
+    for n_intervals, policy in [(64, None), (128, None), (64, looser), (64, None)]:
+        zj.spin_chain_frame(spec, n_intervals, policy, shared=shared)
+    zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=9.0), 64, shared=shared)
+    assert len(shared) == 4
+
+
+def test_a_shared_chain_frame_checks_the_residual_on_every_call():
+    shared, tight = {}, zj.NumericPolicy(frame_tol=1e-15)
+    for h in (5.0, 6.0):
+        with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
+            zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=h), 4, tight, shared=shared)
+        assert exc.value.last_result.coupling == h
+    assert len(shared) == 1
