@@ -517,3 +517,30 @@ def test_a_sweep_point_with_an_invalid_coupling_fails_with_the_spec_message(tmp_
     err = capsys.readouterr().err
     assert err == "config error: coupling h * T leaves float range: h = 5.0, T = 1.7e+308\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_stalled_oracle_ladder_exits_3_within_a_few_doublings(tmp_path, capsys):
+    # Below about 1e-13 rounding outgrows the oracle's truncation error, so
+    # exact_tol = 1e-15 is never met; the ladder stops once its change has
+    # grown on two doublings in a row instead of running 20 of them.
+    text = CHAIN_RUN.replace("h = 5", "h = 12.5").replace("512", "2048")
+    cfg_path = write(tmp_path, text + "\n[compare]\nexact_tol = 1e-15\n")
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: exact propagator did not converge below 1.0e-15 after ")
+    assert err.endswith(" (at h = 12.5)\n")
+    assert int(err.split(" after ")[1].split()[0]) <= 10
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_four_site_oracle_keeps_its_fourth_order_value():
+    # w_exact of the fourth-order two-node oracle on this configuration; the
+    # sixth-order oracle must agree within 8 d exact_tol.
+    text = CHAIN_RUN.replace("512", "2048").replace(
+        "h = 5\nT = 1", "n_sites = 4\nh = 12.5\nT = 1\nlevel_to = 2"
+    )
+    cfg = zj.parse_config(text)
+    table = oracle_compare(cfg)
+    w_exact = table.rows[0][table.columns.index("w_exact")]
+    assert abs(w_exact - 0.0021162151049753243) <= 8 * 16 * cfg.compare_exact_tol

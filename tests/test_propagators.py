@@ -179,17 +179,17 @@ def test_exact_propagator_rejects_a_tolerance_it_cannot_meet(tol):
     assert samples == []  # rejected before any step
 
 
-# --- fourth-order Magnus step ------------------------------------------------
+# --- sixth-order Magnus step ------------------------------------------------
 
 
-def test_magnus_step_has_observed_order_four():
+def test_magnus_step_has_observed_order_six():
     rng = np.random.default_rng(41)
     gen = random_hermitian(rng, 3, scale=1.0)
     op = rotation_family(gen, np.diag([-1.0, 0.5, 2.0]).astype(complex))
     pol = zj.NumericPolicy()
     us = {n: _product_over(op, [(0.0, 1.0)], [n], pol) for n in (8, 16, 32)}
     ratio = zj.max_norm(us[8] - us[16]) / zj.max_norm(us[16] - us[32])
-    assert 3.5 < np.log2(ratio) < 4.5
+    assert 5.5 < np.log2(ratio) < 6.5
 
 
 def _chain_at(h):
@@ -246,20 +246,110 @@ def test_chain_propagator_needs_a_sixteenth_of_the_midpoint_steps():
     assert 16 * res.steps_used <= _midpoint_doubling_steps(op, 1e-8)
 
 
+def test_chain_propagator_accepts_at_most_256_steps():
+    # The fourth-order two-node step needed 1024 here.
+    assert zj.exact_propagator(_chain_at(15.0), 1.0, tol=1e-8).steps_used <= 256
+
+
+def _fourth_order_product(op, n):
+    """The two-node fourth-order Magnus product of ``n`` steps over ``[0, 1]``.
+
+    ``G = dt/2 (H1 + H2) + i sqrt(3)/12 dt^2 [H1, H2]`` at the Gauss nodes
+    ``(1/2 -+ sqrt(3)/6) dt``: an independent rule to check the oracle's
+    sixth-order step against.
+    """
+    dt = 1.0 / n
+    mid = (np.arange(n) + 0.5) * dt
+    h1 = np.stack([op(t) for t in mid - np.sqrt(3.0) / 6.0 * dt])
+    h2 = np.stack([op(t) for t in mid + np.sqrt(3.0) / 6.0 * dt])
+    g = 0.5 * dt * (h1 + h2) + (1j * np.sqrt(3.0) / 12.0 * dt * dt) * (h1 @ h2 - h2 @ h1)
+    vals, vecs = np.linalg.eigh(g)
+    u = np.eye(op.dim, dtype=complex)
+    for step in (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2):
+        u = step @ u
+    return u
+
+
+def _converged_fourth_order_product(op, tol):
+    steps, prev = 64, _fourth_order_product(op, 64)
+    for _ in range(8):
+        steps *= 2
+        cur = _fourth_order_product(op, steps)
+        if zj.max_norm(cur - prev) < tol:
+            return cur
+        prev = cur
+    raise AssertionError(f"fourth-order reference not converged at {steps} steps")
+
+
+@pytest.mark.parametrize("name", ["chain", "rotation_family"])
+def test_sixth_order_product_agrees_with_the_fourth_order_rule(name):
+    rng = np.random.default_rng(43)
+    op = {
+        "chain": lambda: _chain_at(12.5),
+        "rotation_family": lambda: rotation_family(
+            random_hermitian(rng, 3), np.diag([-1.0, 0.5, 2.0]).astype(complex)
+        ),
+    }[name]()
+    sixth = zj.exact_propagator(op, 1.0, tol=1e-10).matrix
+    assert zj.max_norm(sixth - _converged_fourth_order_product(op, 1e-10)) <= 1e-9
+
+
+def test_an_unresolved_ladder_may_rise_before_it_converges(monkeypatch):
+    # At coupling 200 the first steps span many periods: the changes rise on
+    # two doublings in a row before the steps resolve the dynamics, and the
+    # ladder must still run on to convergence.
+    rng = np.random.default_rng(16)
+    op = rotation_family(random_hermitian(rng, 2, scale=1.7), 200.0 * zj.SIGMA_Z)
+    changes = []
+
+    def recorded(m):
+        changes.append(zj.max_norm(m))
+        return changes[-1]
+
+    monkeypatch.setattr(propagators, "max_norm", recorded)
+    res = zj.exact_propagator(op, 1.0, tol=1e-8)
+    assert res.est_error < 1e-8
+    assert any(a <= b <= c for a, b, c in zip(changes, changes[1:], changes[2:]))
+
+
+def test_a_ladder_stalled_by_rounding_stops_early():
+    # Below about 1e-13 rounding outgrows the truncation error: the changes
+    # grow with the step count, and the ladder stops after two such doublings
+    # instead of running to its budget of 20.
+    with pytest.raises(zj.NumericalError, match="did not converge below 1.0e-15") as exc:
+        zj.exact_propagator(_chain_at(12.5), 1.0, tol=1e-15)
+    doublings = int(str(exc.value).split(" after ")[1].split()[0])
+    assert doublings <= 10
+    carried = exc.value.last_result
+    assert carried.steps_used == 8 * 2**doublings
+    assert 1e-15 < carried.est_error < 1e-11
+
+
 # --- stacked sampling ----------------------------------------------------------
 
 
 def _per_step_product(op, segments, steps_per):
-    """The Magnus product one step at a time from per-time ``op(t)`` calls."""
+    """The Magnus product one step at a time from per-time ``op(t)`` calls.
+
+    Each step forms Blanes et al.'s anti-Hermitian three-node exponent
+    ``Omega`` from ``A_j = -i op(t_j)`` and exponentiates ``G = i Omega``.
+    """
     u = np.eye(op.dim, dtype=complex)
-    offset, weight = np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 12.0
+    offset = np.sqrt(15.0) / 10.0
     for (a, b), n in zip(segments, steps_per):
         dt = (b - a) / n
         for i in range(n):
             mid = a + (i + 0.5) * dt
-            h1, h2 = op(mid - offset * dt), op(mid + offset * dt)
-            g = 0.5 * dt * (h1 + h2) + (1j * weight * dt * dt) * (h1 @ h2 - h2 @ h1)
-            u = zj.matrix_exp_unitary(g, 1.0) @ u
+            a1, a2, a3 = (-1j * op(t) for t in (mid - offset * dt, mid, mid + offset * dt))
+            al1 = dt * a2
+            al2 = (np.sqrt(15.0) * dt / 3.0) * (a3 - a1)
+            al3 = (10.0 * dt / 3.0) * (a3 - 2.0 * a2 + a1)
+            c1 = al1 @ al2 - al2 @ al1
+            x = 2.0 * al3 + c1
+            c2 = -(al1 @ x - x @ al1) / 60.0
+            left, right = -20.0 * al1 - al3 + c1, al2 + c2
+            omega = al1 + al3 / 12.0 + (left @ right - right @ left) / 240.0
+            u = zj.matrix_exp_unitary(1j * omega, 1.0) @ u
     return u
 
 
@@ -287,7 +377,7 @@ def _oracle_operators():
 def test_stacked_product_matches_the_per_step_product(name, block, monkeypatch):
     op, steps = _oracle_operators()[name]
     if block is not None:  # stacks of 64 steps: several per segment, the last one partial
-        monkeypatch.setattr(propagators, "_STACK_ENTRIES", block * 2 * op.dim**2)
+        monkeypatch.setattr(propagators, "_STACK_ENTRIES", block * 3 * op.dim**2)
     segments = _segments(op, 1.0)
     assert len(segments) == len(steps)  # the pulsed switch at 0.3 splits the horizon
     stacked = _product_over(op, segments, steps, zj.NumericPolicy())
