@@ -249,6 +249,57 @@ def test_strict_flags_exit_4(tmp_path, capsys):
     assert "strict: h = 0.1" in err
 
 
+CUSTOM_TWO_LEVEL = """
+[scenario]
+type = custom-matrix
+
+[custom-matrix]
+h0 = [[0, 1], [1, 0]]
+h_meas = [[1, 0], [0, -1]]
+coupling = 5
+tau = 1
+
+[grid]
+intervals = 256
+"""
+
+
+def test_strict_exits_4_on_a_failed_comparison(tmp_path, capsys):
+    # No second-order value meets a 1e-12 relative bound against the oracle.
+    cfg_path = write(tmp_path, CUSTOM_TWO_LEVEL + "\n[compare]\nbound = 1e-12\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["compare", "--config", cfg_path, "--out", out]) == 0
+    assert main(["compare", "--config", cfg_path, "--strict", "--out", out]) == 4
+    assert capsys.readouterr().err == "strict: coupling = 5: status fail\n"
+
+
+def test_strict_exits_4_on_a_flagged_adiabatic_run(tmp_path, capsys):
+    # A static measurement is adiabatic; W > 0.5 is flagged all the same.
+    cfg_path = write(tmp_path, CUSTOM_TWO_LEVEL.replace("coupling = 5", "coupling = 0.5"))
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_path, "--strict", "--out", str(out)]) == 4
+    row = out.read_text().splitlines()[-1].split(",")
+    assert float(row[1]) > 0.5 and row[4] == "true"
+    err = capsys.readouterr().err
+    assert err.startswith("strict: coupling = 0.5: perturbation theory unreliable: ")
+
+
+@pytest.mark.parametrize("command", ["compare", "decompose"])
+def test_a_pulsed_config_has_no_matrix_model(tmp_path, capsys, command):
+    cfg_path = write(tmp_path, PULSED_SWEEP)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario 'pulsed' has no matrix model; ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_decompose_a_custom_matrix(tmp_path, capsys):
+    cfg_path = write(tmp_path, CUSTOM_COMPARE)
+    assert main(["decompose", "--config", cfg_path]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines == ["level,eigenvalue,rank", "0,-5,1", "1,0,1", "2,5,1"]
+
+
 def test_emit_plot(tmp_path):
     cfg_path = write(tmp_path, PULSED_SWEEP)
     out_csv = tmp_path / "sweep.csv"
