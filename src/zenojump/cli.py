@@ -149,85 +149,70 @@ def _level_state(projector: np.ndarray) -> np.ndarray:
     return projector / rank
 
 
-def _chain_spec(cfg: ScenarioConfig, overrides: dict[str, float]) -> SpinChainSpec:
-    get = lambda key: overrides.get(key, cfg.param(key))
-    return SpinChainSpec(
-        n_sites=int(cfg.param("n_sites")),
-        couplings=(float(get("lambda1")), float(get("lambda2")), float(get("lambda3"))),
-        h=float(get("h")),
-        T=float(get("T")),
-        boundary=str(cfg.param("boundary")),
+def _model(cfg: ScenarioConfig, command: str) -> tuple[MeasurementModel, SpinChainSpec | None]:
+    """The matrix model of a sweep point's config, with its chain spec (``None`` off the chain)."""
+    get = lambda key: float(cfg.param(key))
+    if cfg.scenario == "spinchain":
+        spec = SpinChainSpec(
+            n_sites=int(cfg.param("n_sites")),
+            couplings=(get("lambda1"), get("lambda2"), get("lambda3")),
+            h=get("h"),
+            T=get("T"),
+            boundary=str(cfg.param("boundary")),
+        )
+        return spin_chain_model(spec), spec
+    if cfg.scenario == "custom-matrix":
+        h0, h_meas = (_as_matrix(cfg.param(key)) for key in ("h0", "h_meas"))
+        return time_independent_model(h0, h_meas, get("coupling"), get("tau")), None
+    raise ConfigError(
+        f"scenario {cfg.scenario!r} has no matrix model; "
+        f"{command} needs 'spinchain' or 'custom-matrix'"
     )
 
 
-def _custom_model(cfg: ScenarioConfig, overrides: dict[str, float]) -> MeasurementModel:
-    params = {**dict(cfg.params), **overrides}
-    return time_independent_model(
-        _as_matrix(params["h0"]),
-        _as_matrix(params["h_meas"]),
-        float(params["coupling"]),
-        float(params["tau"]),
-    )
-
-
-def _frame_setup(cfg: ScenarioConfig, parameter: str, value: float, shared: dict | None = None):
+def _frame_setup(cfg: ScenarioConfig, shared: dict | None = None):
     """Model, frame, initial state and level pair for a matrix-backed point.
 
     ``shared`` carries the chain frame's coupling-free part between the
-    points of one sweep (see :func:`spin_chain_frame`).
+    points of one sweep (see :func:`spin_chain_frame`).  ``run`` answers the
+    other scenarios in closed form, so only ``compare`` meets them here.
     """
-    if cfg.scenario == "spinchain":
-        spec = _chain_spec(cfg, {parameter: value})
-        model = spin_chain_model(spec)
+    model, spec = _model(cfg, "compare")
+    if spec is not None:
         frame = spin_chain_frame(spec, n_intervals=cfg.intervals, policy=cfg.policy, shared=shared)
         extra = chain_validity_flags(spec.h, spec.T, spec.n_sites)
-    elif cfg.scenario == "custom-matrix":
-        model = _custom_model(cfg, {parameter: value})
+    else:
         frame = time_independent_frame(model, cfg.intervals, policy=cfg.policy)
         extra = ()
-    else:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} has no matrix model; "
-            "this operation needs 'spinchain' or 'custom-matrix'"
-        )
     n = _resolve_level(int(cfg.param("level_from")), frame.n_levels, "level_from")
     m = _resolve_level(int(cfg.param("level_to")), frame.n_levels, "level_to")
     if n == m:
         raise ValidationError(f"level_from and level_to resolve to the same level {n}")
-    if cfg.scenario == "custom-matrix" and dict(cfg.params).get("rho0") is not None:
+    if cfg.scenario == "custom-matrix" and cfg.param("rho0") is not None:
         rho0 = _as_matrix(cfg.param("rho0"))
     else:
         rho0 = _level_state(frame.initial_projectors[n])
     return model, frame, rho0, n, m, extra
 
 
-def _run_point(cfg: ScenarioConfig, parameter: str, value: float, shared: dict) -> tuple:
-    params = {**dict(cfg.params), parameter: value}
+def _run_point(cfg: ScenarioConfig, shared: dict) -> tuple:
+    """The ``run`` columns of the sweep point ``cfg``."""
+    get = cfg.param
     if cfg.scenario == "pulsed":
-        w = pulsed_jump(
-            params["trace_factor"], params["coupling"], params["tau"], params["tau_free"]
-        )
-        return (value, w, 0.0, 0.0, True, "none")
+        w = pulsed_jump(get("trace_factor"), get("coupling"), get("tau"), get("tau_free"))
+        return (w, 0.0, 0.0, True, "none")
     if cfg.scenario == "continuous":
-        w = continuous_jump(
-            params["trace_factor"], params["coupling"], params["delta_eps"], params["tau"]
-        )
-        return (value, w, 0.0, 0.0, True, "none")
-    model, frame, rho0, n, m, extra = _frame_setup(cfg, parameter, value, shared)
+        w = continuous_jump(get("trace_factor"), get("coupling"), get("delta_eps"), get("tau"))
+        return (w, 0.0, 0.0, True, "none")
+    model, frame, rho0, n, m, extra = _frame_setup(cfg, shared)
     res = general_jump(model, rho0, n, m, frame, quad=cfg.quadrature, policy=cfg.policy)
     flags = ";".join(extra + res.warnings) or "none"
-    return (
-        value,
-        res.value,
-        res.est_error,
-        res.adiabaticity.ratio,
-        res.adiabaticity.adiabatic,
-        flags,
-    )
+    return (res.value, res.est_error, res.adiabaticity.ratio, res.adiabaticity.adiabatic, flags)
 
 
-def _compare_point(cfg: ScenarioConfig, parameter: str, value: float, shared: dict) -> tuple:
-    model, frame, rho0, n, m, _extra = _frame_setup(cfg, parameter, value, shared)
+def _compare_point(cfg: ScenarioConfig, shared: dict) -> tuple:
+    """The ``compare`` columns of the sweep point ``cfg``."""
+    model, frame, rho0, n, m, _extra = _frame_setup(cfg, shared)
     comp = compare_jump(
         model,
         rho0,
@@ -241,7 +226,6 @@ def _compare_point(cfg: ScenarioConfig, parameter: str, value: float, shared: di
         policy=cfg.policy,
     )
     return (
-        value,
         comp.perturbative,
         comp.exact,
         comp.abs_gap,
@@ -267,7 +251,7 @@ def _evaluate(cfg: ScenarioConfig, worker) -> tuple[str, tuple]:
     rows = []
     for value in values:
         try:
-            rows.append(worker(cfg, parameter, value, shared))
+            rows.append((value, *worker(cfg.with_param(parameter, value), shared)))
         except NumericalError as exc:
             exc.args = (f"{exc} (at {parameter} = {_cell(value)})",)
             raise
@@ -288,15 +272,7 @@ def oracle_compare(cfg: ScenarioConfig) -> ResultTable:
 
 def decompose_levels(cfg: ScenarioConfig) -> ResultTable:
     """Zeno levels (eigenvalue, rank) of the measurement operator at t=0."""
-    if cfg.scenario == "spinchain":
-        model = spin_chain_model(_chain_spec(cfg, {}))
-    elif cfg.scenario == "custom-matrix":
-        model = _custom_model(cfg, {})
-    else:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} has no matrix model; "
-            "decompose needs 'spinchain' or 'custom-matrix'"
-        )
+    model = _model(cfg, "decompose")[0]
     t0 = model.horizon[0]
     dec = decompose(model.coupling * model.h_meas(t0), policy=cfg.policy)
     rows = tuple(

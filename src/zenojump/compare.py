@@ -87,7 +87,7 @@ def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, 
     if model.dim != frame.dim:
         raise ValidationError("model and frame dimensions disagree")
     rho = check_density(rho0, pol)
-    t0, t1 = model.horizon
+    t1 = float(frame.grid[-1])  # the span that general_jump integrates
     runs = [exact_propagator(model.full_hamiltonian(), t1, tol=tol, policy=pol)]
     if transport == "measurement":
         runs.append(exact_propagator(_scaled_measurement(model), t1, tol=tol, policy=pol))

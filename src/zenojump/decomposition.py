@@ -41,7 +41,9 @@ class TimeDependentOperator:
     sampled by symmetric differences clamped to the smooth piece containing
     the evaluation point, so they are one-sided at breakpoints and at the
     horizon edges.  An optional analytic ``derivative_evaluator`` takes
-    precedence over finite differences.  :meth:`constant` keeps its matrix
+    precedence over finite differences.  ``evaluator`` must be callable, else
+    :class:`ValidationError`; a call ``op(t)`` is the one-row :meth:`sample`,
+    which holds every check.  :meth:`constant` keeps its matrix
     read-only in ``value`` (``None`` for a time-dependent operator): its
     samples are views of that one matrix, and frames and reports decompose it
     once, with ``dH/dt = 0`` exactly.  :meth:`linear` keeps its two endpoint
@@ -68,6 +70,8 @@ class TimeDependentOperator:
     )
 
     def __post_init__(self):
+        if not callable(self.evaluator):
+            raise ValidationError(f"evaluator must be callable, got {self.evaluator!r}")
         t0, t1 = self.horizon
         if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
             raise ValidationError(f"bad horizon {self.horizon}: need t0 < t1, finite")
@@ -104,19 +108,19 @@ class TimeDependentOperator:
     def site_sum(cls, site: "TimeDependentOperator", n_sites: int, dense) -> "TimeDependentOperator":
         """``sum_j site_j`` over ``n_sites`` spins, ``site_j`` the two-level ``site`` at spin ``j``.
 
-        ``dense`` is the ``2**n_sites``-dimensional sum: an evaluator, or an
-        operator on the horizon and breakpoints of ``site``, copied with all
-        it keeps.  The result keeps ``site`` in ``site``.
+        ``dense`` is the ``2**n_sites``-dimensional sum, an operator on the
+        horizon and breakpoints of ``site``, copied with all it keeps.  The
+        result keeps ``site`` in ``site``.
         """
         if site.dim != 2:
             raise ValidationError(f"a site sum needs a two-level site, got dimension {site.dim}")
         if not (isinstance(n_sites, (int, np.integer)) and n_sites >= 1):
             raise ValidationError(f"a site sum needs an integer n_sites >= 1, got {n_sites!r}")
-        dim = 2 ** int(n_sites)
-        if not isinstance(dense, cls):
-            dense = cls(evaluator=dense, horizon=site.horizon, dim=dim, breakpoints=site.breakpoints)
-        if (dense.dim, dense.horizon, dense.breakpoints) != (dim, site.horizon, site.breakpoints):
-            raise ValidationError("a site sum's dense operator needs the site's horizon and 2**n_sites")
+        shape = (2 ** int(n_sites), site.horizon, site.breakpoints)
+        if not (isinstance(dense, cls) and (dense.dim, dense.horizon, dense.breakpoints) == shape):
+            raise ValidationError(
+                "a site sum needs a dense operator with the site's horizon and dimension 2**n_sites"
+            )
         op = object.__new__(cls)
         op.__dict__.update(vars(dense), site=site)
         return op
@@ -125,15 +129,14 @@ class TimeDependentOperator:
     def _scaled_sum(cls, terms) -> "TimeDependentOperator":
         """``sum c op`` over the ``(c, op)`` pairs ``terms``, operators on one horizon.
 
-        The sum keeps ``terms`` and its breakpoints are theirs.  Each of its
-        samples is checked once: the terms are evaluated checked for shape
-        only, with :meth:`unchecked` per time and stacked by :meth:`sample`,
-        and the sum is checked for finiteness.
+        The sum keeps ``terms`` and its breakpoints are theirs.  Its
+        :meth:`sample` adds the terms' stacks, each checked for shape only,
+        and checks the sum once.
         """
         terms = tuple(terms)
         first = terms[0][1]
         op = cls(
-            evaluator=lambda t: _add_scaled(terms, [term.unchecked(t) for _, term in terms]),
+            evaluator=lambda t: op(t),
             horizon=first.horizon,
             dim=first.dim,
             breakpoints=tuple(sorted(set().union(*(term.breakpoints for _, term in terms)))),
@@ -141,12 +144,21 @@ class TimeDependentOperator:
         object.__setattr__(op, "terms", terms)
         return op
 
-    def _check_time(self, t: float) -> float:
+    @property
+    def slack(self) -> float:
+        """How far past its horizon a time may lie and still be read at the horizon edge."""
         t0, t1 = self.horizon
-        slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
-        if not (t0 - slack <= t <= t1 + slack):  # NaN fails too
-            raise ValidationError(f"time {t!r} outside horizon [{t0}, {t1}]")
-        return min(max(t, t0), t1)
+        return 1e-12 * (1.0 + abs(t0) + abs(t1))
+
+    def _times(self, times) -> np.ndarray:
+        """``times`` clamped to the horizon; :class:`ValidationError` at the first
+        time beyond the horizon and its :attr:`slack` (NaN too)."""
+        t = np.asarray(times, dtype=float)
+        t0, t1 = self.horizon
+        bad = np.flatnonzero(~((t0 - self.slack <= t) & (t <= t1 + self.slack)))
+        if bad.size:
+            raise ValidationError(f"time {float(t[bad[0]])!r} outside horizon [{t0}, {t1}]")
+        return np.clip(t, t0, t1)
 
     def _between(self, t):
         """The :meth:`linear` operator at ``t``, a time or a ``(K, 1, 1)`` array of times."""
@@ -155,39 +167,18 @@ class TimeDependentOperator:
         return -((1.0 - s) * -self.ends[0] + s * -self.ends[1])
 
     def __call__(self, t: float) -> np.ndarray:
-        return as_square_matrix(self.unchecked(self._check_time(float(t))))
-
-    def unchecked(self, t: float) -> np.ndarray:
-        """The evaluator's sample at ``t``, checked for shape only.
-
-        For operators composed of this one, whose own call checks the time and
-        the finiteness of the result: a non-finite entry here stays
-        non-finite under scaling and addition.
-        """
-        m = np.asarray(self.evaluator(t), dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"evaluator returned shape {m.shape}, declared dimension {self.dim}"
-            )
-        return m
+        return self.sample([float(t)])[0]
 
     def sample(self, times) -> np.ndarray:
-        """``(len(times), dim, dim)`` stack of ``self(t)`` over ``times``.
+        """``(len(times), dim, dim)`` stack of the operator over ``times``.
 
-        Times and stack are each checked as one array; a bad one raises the
-        error the per-time call would raise for it.  A constant operator
-        returns a read-only view of its matrix, a :meth:`linear` one forms
-        the stack in one broadcast of its per-time arithmetic, and a scaled
-        sum adds its terms' stacks.  Other operators call the evaluator per
-        time.
+        Times and stack are each checked as one array, and the first bad one
+        raises.  A constant operator returns a read-only view of its matrix,
+        a :meth:`linear` one forms the stack in one broadcast expression, and
+        a scaled sum adds its terms' stacks.  Other operators call the
+        evaluator per time.
         """
-        t = np.asarray(times, dtype=float)
-        t0, t1 = self.horizon
-        slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
-        bad = np.flatnonzero(~((t0 - slack <= t) & (t <= t1 + slack)))
-        if bad.size:
-            self._check_time(float(t[bad[0]]))  # raises, naming the first bad time
-        stack = self._stack(np.clip(t, t0, t1))
+        stack = self._stack(self._times(times))
         if self.value is None and not np.isfinite(stack).all():
             for m in stack:
                 as_square_matrix(m)  # raises at the first non-finite sample
@@ -201,7 +192,10 @@ class TimeDependentOperator:
             return self._between(t[:, None, None])
         if self.terms is not None:
             return _add_scaled(self.terms, [op._stack(t) for _, op in self.terms])
-        samples = [self.unchecked(x) for x in t.tolist()]
+        samples = [np.asarray(self.evaluator(x), dtype=complex) for x in t.tolist()]
+        shape = next((m.shape for m in samples if m.shape != (self.dim, self.dim)), None)
+        if shape is not None:
+            raise ValidationError(f"evaluator returned shape {shape}, declared dimension {self.dim}")
         return np.array(samples).reshape(len(t), self.dim, self.dim)
 
     def piece_bounds(self, t):
@@ -216,15 +210,15 @@ class TimeDependentOperator:
 
     def derivative(self, t: float, step: float) -> np.ndarray:
         """d(H)/dt at ``t`` by a symmetric difference clamped to the piece."""
-        t = self._check_time(float(t))
+        t = float(self._times([t])[0])
         if self.derivative_evaluator is not None:
             return as_square_matrix(self.derivative_evaluator(t))
         lo, hi = self.piece_bounds(t)
-        a = max(t - step, lo)
-        b = min(t + step, hi)
+        a, b = max(t - step, lo), min(t + step, hi)
         if b <= a:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return (self(b) - self(a)) / (b - a)
+        h_a, h_b = self.sample([a, b])
+        return (h_b - h_a) / (b - a)
 
 
 def _add_scaled(terms, samples) -> np.ndarray:
@@ -614,7 +608,7 @@ def track_frame(
     coupling = _check_coupling(coupling)
     grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
-    slack = 1e-12 * (1.0 + abs(t0) + abs(t1))
+    slack = h_meas.slack
     if abs(grid[0] - t0) > slack or grid[-1] > t1 + slack:
         raise ValidationError("grid must start at the horizon origin and stay inside it")
     for b in h_meas.breakpoints:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
 from .errors import NumericalError, QuadratureError, ValidationError
-from .operators import check_density, check_projector, max_norm, trace_product
+from .operators import check_density, check_hermitian, check_projector, max_norm, trace_product
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -82,10 +82,8 @@ class MeasurementModel:
     def full_hamiltonian(self) -> TimeDependentOperator:
         """Total Hamiltonian for the exact-propagator route.
 
-        Its call checks each sample once: the terms are evaluated with
-        :meth:`TimeDependentOperator.unchecked` and the sum is checked.  Its
-        :meth:`~TimeDependentOperator.sample` adds the terms' own stacks and
-        checks the sum's stack once.
+        Its :meth:`~TimeDependentOperator.sample` (and so its call, a one-row
+        sample) adds the terms' own stacks and checks the sum's stack once.
         """
         return TimeDependentOperator._scaled_sum(((1.0, self.h0), (self.coupling, self.h_meas)))
 
@@ -177,6 +175,10 @@ def general_jump(
         raise ValidationError("jump probability needs distinct levels n != m")
     if rho.shape[0] != frame.dim or model.dim != frame.dim:
         raise ValidationError("model, frame and state dimensions disagree")
+    if abs(frame.coupling - model.coupling) > 1e-12 * abs(model.coupling):
+        raise ValidationError(
+            f"frame coupling {frame.coupling!r} differs from the model's {model.coupling!r}"
+        )
 
     pn0, pm0 = frame.initial_projectors[n], frame.initial_projectors[m]
     if max_norm(rho - pn0 @ rho @ pn0) > 1e-8:
@@ -217,7 +219,9 @@ def general_jump(
     q, y = _level_basis(pn0), _level_basis(target)
     sigma = q.conj().T @ rho @ q
     a = frame.intertwiners
-    h0_q = model.h0.sample(grid) @ (a @ q)
+    h0 = model.h0.sample(grid)
+    check_hermitian(h0 if model.h0.value is None else model.h0.value, pol)
+    h0_q = h0 @ (a @ q)
     a_y = a @ y
     g = np.conj(a_y, out=a_y).swapaxes(-1, -2) @ h0_q
 

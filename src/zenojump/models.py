@@ -126,12 +126,8 @@ def _field_direction(n_sites: int) -> TimeDependentOperator:
 
 
 def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:
-    """Rotating-field measurement ``-h * sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
-    direction = _field_direction(spec.n_sites)
-    h = spec.h
-    return TimeDependentOperator(
-        evaluator=lambda s: h * direction.evaluator(s), horizon=(0.0, 1.0), dim=direction.dim
-    )
+    """``h`` times the field direction: ``-h * sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
+    return TimeDependentOperator._scaled_sum(((spec.h, _field_direction(spec.n_sites)),))
 
 
 def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:

@@ -61,9 +61,25 @@ def max_norm(m) -> float:
 
 
 def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
-    """Validate hermiticity within ``hermitian_tol * (1 + |M|)``."""
+    """Validate hermiticity within ``hermitian_tol * (1 + |M|)``.
+
+    A ``(K, d, d)`` stack is checked as one array, each matrix against its own
+    bound, and the first one that fails is named.
+    """
     pol = default_policy(policy)
-    a = _square(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        defect = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
+        limit = pol.hermitian_tol * (1.0 + np.max(np.abs(a), axis=(1, 2)))
+        bad = np.flatnonzero(~(defect <= limit))
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(
+                f"matrix {k} of the stack is not Hermitian: defect {defect[k]:.3e} "
+                f"exceeds {pol.hermitian_tol:.1e} * (1 + max|M|)"
+            )
+        return a
+    a = _square(a)
     defect = max_norm(a - a.conj().T)
     # NaN compares false, so a non-finite entry fails the check (and is
     # reported as a hermiticity defect rather than by as_square_matrix)
@@ -112,7 +128,7 @@ def projector_rank(m, policy: NumericPolicy | None = None) -> int:
 def check_density(m, policy: NumericPolicy | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     pol = default_policy(policy)
-    a = check_hermitian(m, policy)
+    a = check_hermitian(_square(m), policy)  # one matrix, though a stack passes check_hermitian
     tr = a.trace()
     if abs(tr - 1.0) > pol.trace_tol:
         raise ValidationError(f"density matrix trace {tr} differs from 1 by more than {pol.trace_tol:.1e}")
@@ -148,21 +164,7 @@ def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray
     :class:`ValidationError`.  A stack is solved by one LAPACK sweep, whose
     result for each slice equals that of the single-matrix call.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim == 3 and a.shape[1] == a.shape[2]:
-        pol = default_policy(policy)
-        defect = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
-        limit = pol.hermitian_tol * (1.0 + np.max(np.abs(a), axis=(1, 2)))
-        bad = np.flatnonzero(~(defect <= limit))
-        if bad.size:
-            k = int(bad[0])
-            raise ValidationError(
-                f"matrix {k} of the stack is not Hermitian: defect {defect[k]:.3e} "
-                f"exceeds {pol.hermitian_tol:.1e} * (1 + max|M|)"
-            )
-    else:
-        a = check_hermitian(a, policy)
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(check_hermitian(m, policy))
     return vals, _fix_phases(vecs)
 
 

@@ -130,7 +130,7 @@ def exact_propagator(
     if max_doublings < 1:
         raise ValidationError(f"max_doublings must be >= 1, got {max_doublings!r}")
     t0, t1 = h_total.horizon
-    if not (t0 < t_final <= t1 + 1e-12 * (1.0 + abs(t1))):
+    if not (t0 < t_final <= t1 + h_total.slack):
         raise ValidationError(f"t_final {t_final!r} outside horizon ({t0}, {t1}]")
     segments = _segments(h_total, float(t_final))
     total = float(t_final) - t0

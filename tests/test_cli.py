@@ -185,7 +185,7 @@ def test_compare_csv_ends_with_the_oracle_diagnostics():
     table = oracle_compare(cfg)
     assert table.columns[-2:] == ("exact_steps", "exact_est_error")
     parameter, value = table.columns[0], table.rows[0][0]
-    model, frame, rho0, n, m, _extra = _frame_setup(cfg, parameter, value)
+    model, frame, rho0, n, m, _extra = _frame_setup(cfg.with_param(parameter, value))
     comp = zj.compare_jump(
         model, rho0, n, m, frame,
         bound=cfg.compare_bound, transport=cfg.compare_transport,
@@ -284,12 +284,25 @@ def test_strict_exits_4_on_a_flagged_adiabatic_run(tmp_path, capsys):
     assert err.startswith("strict: coupling = 0.5: perturbation theory unreliable: ")
 
 
+def test_a_non_hermitian_h0_exits_2_under_run_and_compare(tmp_path, capsys):
+    cfg_path = write(tmp_path, CUSTOM_TWO_LEVEL.replace("h0 = [[0, 1], [1, 0]]", "h0 = [[0, 1], [0, 0]]"))
+    for command in ("run", "compare"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg_path, "--strict", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: matrix is not Hermitian: defect 1.000e+00 exceeds ")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compare", "decompose"])
 def test_a_pulsed_config_has_no_matrix_model(tmp_path, capsys, command):
     cfg_path = write(tmp_path, PULSED_SWEEP)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: scenario 'pulsed' has no matrix model; ")
+    assert err == (
+        f"config error: scenario 'pulsed' has no matrix model; "
+        f"{command} needs 'spinchain' or 'custom-matrix'\n"
+    )
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -44,6 +44,21 @@ def test_vanishing_perturbation_agrees_exactly():
     assert cmp.within_bound
 
 
+def test_the_oracle_propagates_over_the_frame_span():
+    # A frame over [0, 0.5] of a model over [0, 1]: both routes stop at 0.5.
+    h0, h_meas = 0.3 * zj.SIGMA_X, np.diag([1.0, -1.0])
+    model = zj.time_independent_model(h0, h_meas, 5.0, 1.0)
+    half = zj.time_independent_model(h0, h_meas, 5.0, 0.5)
+    frame = zj.time_independent_frame(half, 256)
+    rho0 = frame.initial_projectors[0]
+    for transport in ("measurement", "instantaneous"):
+        cmp = zj.compare_jump(model, rho0, 0, 1, frame, transport=transport)
+        ref = zj.compare_jump(half, rho0, 0, 1, frame, transport=transport)
+        assert (cmp.perturbative, cmp.exact) == (ref.perturbative, ref.exact)
+        assert cmp.status == STATUS_PASS
+    assert cmp.perturbative == pytest.approx(zj.continuous_jump(0.09, 5.0, 2.0, 0.5), rel=1e-6)
+
+
 def test_chain_comparison_passes_within_bound():
     model, frame, rho0 = chain_setup(9.0, 1.0, n_intervals=1024)
     cmp = zj.compare_jump(model, rho0, 0, 2, frame, bound=0.1)

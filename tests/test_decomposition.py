@@ -42,15 +42,24 @@ def test_operator_validates_horizon_and_breakpoints():
         zj.TimeDependentOperator(evaluator=ev, horizon=(0.0, 1.0), dim=2, breakpoints=(0.5, 0.5))
 
 
+def test_operator_rejects_a_non_callable_evaluator():
+    for evaluator in (None, np.eye(2)):
+        with pytest.raises(zj.ValidationError, match="evaluator must be callable"):
+            zj.TimeDependentOperator(evaluator=evaluator, horizon=(0.0, 1.0), dim=2)
+
+
 def test_site_sum_takes_a_two_level_site_and_its_horizon():
     site = zj.TimeDependentOperator(
         evaluator=lambda t: t * zj.SIGMA_X, horizon=(0.0, 2.0), dim=2, breakpoints=(0.5,)
     )
-    dense = lambda t: t * (np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X))
+    evaluate = lambda t: t * (np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X))
+    dense = zj.TimeDependentOperator(evaluator=evaluate, horizon=(0.0, 2.0), dim=4, breakpoints=(0.5,))
     op = zj.TimeDependentOperator.site_sum(site, 2, dense)
     assert op.site is site
     assert (op.dim, op.horizon, op.breakpoints) == (4, (0.0, 2.0), (0.5,))
-    assert zj.TimeDependentOperator(evaluator=dense, horizon=(0.0, 2.0), dim=4).site is None
+    assert dense.site is None
+    with pytest.raises(zj.ValidationError, match="dense operator"):
+        zj.TimeDependentOperator.site_sum(site, 2, evaluate)
     three = zj.TimeDependentOperator.constant(np.eye(3, dtype=complex), (0.0, 2.0))
     with pytest.raises(zj.ValidationError, match="two-level site"):
         zj.TimeDependentOperator.site_sum(three, 2, dense)
@@ -105,7 +114,8 @@ def test_sample_stacks_the_per_time_calls_and_their_checks():
     rng = np.random.default_rng(5)
     op = rotation_family(random_hermitian(rng, 3), np.diag([-1.0, 0.0, 1.0]).astype(complex))
     times = np.linspace(0.0, 1.0, 7)
-    assert np.array_equal(op.sample(times), np.stack([op(t) for t in times]))
+    assert np.array_equal(op.sample(times), np.stack([op.evaluator(t) for t in times]))
+    assert np.array_equal(op(times[3]), op.evaluator(times[3]))
     with pytest.raises(zj.ValidationError, match="outside horizon"):
         op.sample([0.5, 1.5])
     wrong = zj.TimeDependentOperator(
@@ -131,9 +141,15 @@ def test_nan_times_fail_the_horizon_check():
             op.sample([0.5, float("nan"), 0.7])
 
 
-def bits(stack):
-    """Raw bit patterns, so that signed zeros count as well."""
-    return np.ascontiguousarray(stack).view(np.uint64)
+def generic_linear(start, end, horizon):
+    """``(1 - s) start + s end`` as a plain operator, evaluated one time at a time."""
+    t0, t1 = horizon
+
+    def evaluate(t):
+        s = (t - t0) / (t1 - t0)
+        return (1.0 - s) * np.asarray(start) + s * np.asarray(end)
+
+    return zj.TimeDependentOperator(evaluator=evaluate, horizon=horizon, dim=len(start))
 
 
 def test_linear_sample_equals_the_per_time_stack_bit_for_bit():
@@ -146,7 +162,8 @@ def test_linear_sample_equals_the_per_time_stack_bit_for_bit():
     half = np.sort(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
     times = np.concatenate([[horizon[0] - slack / 2.0], half, [horizon[1] + slack / 2.0]])
     stack = op.sample(times)
-    assert np.array_equal(bits(stack), bits(np.stack([op(t) for t in times])))
+    assert np.array_equal(stack, generic_linear(start, end, horizon).sample(times))
+    assert np.array_equal(op(times[5]), stack[5])
     assert np.array_equal(stack[0], start) and np.array_equal(stack[-1], end)
     assert np.allclose(stack[33], (start + end) / 2.0, rtol=0.0, atol=1e-15)
     assert op.sample([]).shape == (0, 3, 3)

@@ -1,5 +1,6 @@
 """Unit tests for jump probabilities, spectral densities and survival laws."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -182,6 +183,35 @@ def test_general_jump_rejects_bad_grids():
     coarse = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 7), levels, model.coupling)
     with pytest.raises(zj.ValidationError, match="multiple of 8"):
         zj.general_jump(model, rho0, n, m, coarse)
+
+
+def test_general_jump_rejects_a_non_hermitian_perturbation():
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    model = zj.time_independent_model(raising, np.diag([1.0, -1.0]), 5.0, 1.0)
+    frame = zj.time_independent_frame(model, 256)
+    rho0 = frame.initial_projectors[0]
+    with pytest.raises(zj.ValidationError, match="^matrix is not Hermitian: defect 1.000e"):
+        zj.general_jump(model, rho0, 0, 1, frame)
+    # A time-dependent h0 is checked node by node; this one turns at t = 0.5.
+    turning = zj.TimeDependentOperator(
+        evaluator=lambda t: zj.SIGMA_X + (t > 0.5) * raising, horizon=(0.0, 1.0), dim=2
+    )
+    model = zj.MeasurementModel(h0=turning, h_meas=model.h_meas, coupling=5.0)
+    with pytest.raises(zj.ValidationError, match="^matrix 129 of the stack is not Hermitian"):
+        zj.general_jump(model, rho0, 0, 1, frame)
+
+
+def test_general_jump_rejects_a_frame_at_another_coupling():
+    # The measured case: a chain model at K = 5 with its frame at K = 10.
+    model = zj.spin_chain_model(zj.SpinChainSpec(h=5.0))
+    frame = zj.spin_chain_frame(zj.SpinChainSpec(h=10.0), n_intervals=512)
+    rho0 = frame.initial_projectors[0]
+    for route in (zj.general_jump, zj.compare_jump):
+        with pytest.raises(zj.ValidationError, match="frame coupling 10.0 differs from the model's 5.0"):
+            route(model, rho0, 0, 2, frame)
+    near = zj.spin_chain_frame(zj.SpinChainSpec(h=5.0), n_intervals=512)
+    near = dataclasses.replace(near, coupling=5.0 * (1.0 + 1e-13))
+    assert zj.general_jump(model, rho0, 0, 2, near).value > 0.0
 
 
 def test_general_jump_refuses_undersampled_phase():

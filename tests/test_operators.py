@@ -140,6 +140,15 @@ def test_policy_from_string_rejects_bad_values(text):
         zj.NumericPolicy.from_string(text)
 
 
+def test_stacks_pass_the_hermitian_check_but_not_the_density_check():
+    stack = np.stack([np.eye(2) / 2.0, zj.SIGMA_X, np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(zj.ValidationError, match="^matrix 2 of the stack is not Hermitian"):
+        zj.check_hermitian(stack)
+    assert np.array_equal(zj.check_hermitian(stack[:2]), stack[:2])
+    with pytest.raises(zj.ValidationError, match="square matrix"):
+        zj.check_density(stack[:1])
+
+
 def test_hermitian_checks_reject_non_finite_entries():
     bad = np.array([[0.0, np.nan], [np.nan, 0.0]])
     with pytest.raises(zj.ValidationError, match="not Hermitian"):

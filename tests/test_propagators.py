@@ -86,6 +86,17 @@ def test_propagator_validates_t_final():
         zj.exact_propagator(op, 0.0)
 
 
+def test_propagator_reads_the_operator_horizon_slack():
+    # t_final may pass the horizon end by the same slack that sampling allows.
+    op = zj.TimeDependentOperator.constant(zj.SIGMA_Z, (-5.0, 1.0))
+    assert op.slack == 1e-12 * 7.0
+    assert op.sample([1.0 + 0.5 * op.slack]).shape == (1, 2, 2)
+    u = zj.exact_propagator(op, 1.0 + 0.5 * op.slack).matrix
+    assert np.allclose(u, np.diag(np.exp([-6j, 6j])), rtol=0.0, atol=1e-10)
+    with pytest.raises(zj.ValidationError, match="horizon"):
+        zj.exact_propagator(op, 1.0 + 2.0 * op.slack)
+
+
 def test_propagator_budget_exhaustion_carries_estimate():
     rng = np.random.default_rng(35)
     gen = random_hermitian(rng, 2, scale=2.0)
@@ -405,9 +416,14 @@ def _models():
 def test_composed_operators_sample_their_per_time_calls_bit_for_bit(name):
     model = _models()[name]
     times = np.linspace(0.0, 1.0, 41)
-    for op in (model.full_hamiltonian(), _scaled_measurement(model)):
+    k = model.coupling
+    sums = [
+        (model.full_hamiltonian(), lambda t: model.h0(t) + k * model.h_meas(t)),
+        (_scaled_measurement(model), lambda t: k * model.h_meas(t)),
+    ]
+    for op, evaluate in sums:
         assert op.terms is not None
+        generic = zj.TimeDependentOperator(evaluator=evaluate, horizon=op.horizon, dim=op.dim)
         stack = op.sample(times)
-        per_time = np.stack([op(t) for t in times])
-        assert stack.shape == per_time.shape == (len(times), model.dim, model.dim)
-        assert stack.tobytes() == per_time.tobytes()
+        assert stack.shape == (len(times), model.dim, model.dim)
+        assert np.array_equal(stack, generic.sample(times))
