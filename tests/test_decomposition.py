@@ -42,10 +42,14 @@ def test_operator_validates_horizon_and_breakpoints():
         zj.TimeDependentOperator(evaluator=ev, horizon=(0.0, 1.0), dim=2, breakpoints=(0.5, 0.5))
 
 
-def test_operator_rejects_a_non_callable_evaluator():
+def test_every_operator_has_a_callable_evaluator():
     for evaluator in (None, np.eye(2)):
         with pytest.raises(zj.ValidationError, match="evaluator must be callable"):
             zj.TimeDependentOperator(evaluator=evaluator, horizon=(0.0, 1.0), dim=2)
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=5.0))
+    derived = (model.h0, model.h_meas, model.h_meas.site, model.full_hamiltonian())
+    for op in derived:
+        assert np.array_equal(op.evaluator(0.25), op(0.25))
 
 
 def test_site_sum_takes_a_two_level_site_and_its_horizon():
