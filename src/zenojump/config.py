@@ -7,7 +7,8 @@ materializes every default, so the resolved config echoed into result files
 re-parses to an equivalent configuration.
 
 Matrices (``custom-matrix`` scenario) are JSON 2D arrays; a complex entry is
-written as a two-element ``[real, imag]`` list.
+written as a two-element ``[real, imag]`` list.  Every matrix must be finite
+and Hermitian within the config's ``hermitian_tol``; an error names its key.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .compare import _BOUND, _EXACT_TOL, _TRANSPORT, _TRANSPORTS
 from .errors import ConfigError, ValidationError
 from .jump import QuadraturePolicy
+from .operators import check_hermitian
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -304,6 +306,12 @@ def parse_config(text: str, base_policy: NumericPolicy | None = None) -> Scenari
     policy = _validated(
         "tolerances", NumericPolicy, _section(parser, "tolerances", tolerances, "tolerance")
     )
+    for key, kind, _ in _SCHEMAS[scenario]:
+        if kind.startswith("matrix") and params[key] is not None:
+            try:
+                check_hermitian(np.array(params[key]), policy)
+            except ValidationError as exc:
+                raise _fail(scenario, key, str(exc)) from None
     compare = _section(parser, "compare", _SHARED["compare"])
     if not (compare["bound"] > 0):
         raise _fail("compare", "bound", "must be positive")

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FrameResidualError, LevelCrossingError, NumericalError, ValidationError
-from .operators import as_square_matrix, check_projector, eigh, max_norm
+from .operators import _bond_sum, as_square_matrix, check_projector, eigh, max_norm
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -51,7 +51,10 @@ class TimeDependentOperator:
     is one array expression.  :meth:`site_sum` keeps in ``site`` the two-level
     operator that acts alike on each of ``n`` spins, the operator being their
     sum (``None`` otherwise): :func:`adiabaticity_report` works from the site.
-    A scaled sum of operators keeps its ``(scale, operator)`` pairs in
+    :meth:`bond_sum` keeps the two-spin term that acts alike on each of its
+    spin pairs in ``bond`` (read-only) and the pairs in ``pairs`` (``None``
+    otherwise): :func:`~zenojump.jump.general_jump` works from the bond.  A
+    scaled sum of operators keeps its ``(scale, operator)`` pairs in
     ``terms`` (``None`` otherwise), and its :meth:`sample` adds their stacks.
     """
 
@@ -66,6 +69,10 @@ class TimeDependentOperator:
         default=None, init=False, repr=False, compare=False
     )
     terms: tuple[tuple[float, TimeDependentOperator], ...] | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    bond: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    pairs: tuple[tuple[int, int], ...] | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -123,6 +130,24 @@ class TimeDependentOperator:
             )
         op = object.__new__(cls)
         op.__dict__.update(vars(dense), site=site)
+        return op
+
+    @classmethod
+    def bond_sum(cls, bond, pairs, n_sites: int, horizon: tuple[float, float]) -> "TimeDependentOperator":
+        """:meth:`constant` sum over ``pairs`` of spins ``(i, j)`` of the ``4 x 4``
+        two-spin ``bond`` on ``i, j`` (see :func:`~zenojump.operators._bond_sum`);
+        it keeps ``bond`` and ``pairs``."""
+        b = as_square_matrix(bond).copy()
+        if b.shape != (4, 4):
+            raise ValidationError(f"a bond sum needs a 4 x 4 two-spin term, got shape {b.shape}")
+        pairs = tuple((int(i), int(j)) for i, j in pairs)
+        if not all(0 <= i < n_sites and 0 <= j < n_sites and i != j for i, j in pairs):
+            raise ValidationError(f"bond pairs {pairs} must join two distinct spins of {n_sites}")
+        states = np.arange(2**n_sites)
+        op = cls.constant(_bond_sum(b, pairs, n_sites, states, states), horizon)
+        b.setflags(write=False)
+        object.__setattr__(op, "bond", b)
+        object.__setattr__(op, "pairs", pairs)
         return op
 
     @classmethod
@@ -236,7 +261,8 @@ def _add_scaled(terms, samples) -> np.ndarray:
     return total
 
 
-#: samples per stacked eigendecomposition; bounds the temporaries of a pass
+#: samples per stacked eigendecomposition, or nodes per pass of the chain's bond
+#: coefficients in ``general_jump``; bounds the temporaries of a pass
 _BLOCK = 256
 
 
@@ -428,6 +454,52 @@ def decompose(
     )
 
 
+def _level_basis(projector: np.ndarray) -> np.ndarray:
+    """Orthonormal ``d x r`` basis of a validated projector's range."""
+    vals, vecs = np.linalg.eigh(projector)
+    return vecs[:, vals > 0.5]
+
+
+def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
+    """``m (x) m (x) ... (x) m`` with ``n`` factors, of a matrix or of each matrix of a stack."""
+    out = m
+    for _ in range(n - 1):
+        # the new factor goes first: its entries then scale contiguous blocks
+        out = m[..., :, None, :, None] * out[..., None, :, None, :]
+        out = out.reshape(*m.shape[:-2], out.shape[-4] * out.shape[-3], -1)
+    return out
+
+
+def _site_eigenbasis(site_projectors: np.ndarray) -> np.ndarray:
+    """One-site unitary whose columns span the two one-site level projectors in turn."""
+    return np.hstack([_level_basis(p) for p in site_projectors])
+
+
+def _sector_states(n_sites: int, level: int) -> np.ndarray:
+    """Computational states with ``level`` of ``n_sites`` bits set, ascending: level ``level``
+    of a tensor-power frame is spanned by the columns of ``u^{(x)n}`` there (``u`` the
+    :func:`_site_eigenbasis`)."""
+    states = np.arange(2**n_sites)
+    return states[((states[:, None] >> np.arange(n_sites)) & 1).sum(axis=1) == level]
+
+
+class _Intertwiners:
+    """:attr:`AdiabaticFrame.intertwiners`: the stack the frame was built with,
+    or, where it was built with ``None``, the tensor power of its ``site``
+    frame's stack, formed anew at each read."""
+
+    def __get__(self, frame, owner=None):
+        if frame is None:
+            raise AttributeError("intertwiners")  # a required field: no class default
+        stack = frame.__dict__["_intertwiners"]
+        if stack is None:
+            return _tensor_power(frame.site.intertwiners, frame.dim.bit_length() - 1)
+        return stack
+
+    def __set__(self, frame, stack):
+        frame.__dict__["_intertwiners"] = stack
+
+
 @dataclasses.dataclass(frozen=True)
 class AdiabaticFrame:
     """Intertwining frame sampled on a time grid.
@@ -440,10 +512,16 @@ class AdiabaticFrame:
     are defined at their grid nodes only.  The builder sets ``residual``, a
     bound on the max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes and
     levels, and checks it against ``frame_tol``; static frames keep 0.
+
+    A tensor-power frame ``A = a^{(x)n}`` of ``n`` spins keeps the two-level
+    frame ``a`` in ``site`` (``None`` otherwise) and is built with
+    ``intertwiners=None``: its dense ``(K, 2^n, 2^n)`` stack is formed from
+    ``site`` only when ``intertwiners`` is read, at each read.  Its level
+    ``l`` holds the states with ``l`` spins in the upper site level.
     """
 
     grid: np.ndarray
-    intertwiners: np.ndarray
+    intertwiners: np.ndarray | None = _Intertwiners()  # required: the descriptor has no default
     eigenvalues: np.ndarray
     phases: np.ndarray
     initial_projectors: np.ndarray
@@ -452,6 +530,7 @@ class AdiabaticFrame:
     coupling: float
     degeneracy_tol: float
     residual: float = 0.0
+    site: AdiabaticFrame | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def n_levels(self) -> int:
@@ -463,7 +542,14 @@ class AdiabaticFrame:
 
     @property
     def dim(self) -> int:
-        return self.intertwiners.shape[-1]
+        return self.initial_projectors.shape[-1]
+
+    def __repr__(self) -> str:
+        # the fields' arrays, and a tensor-power frame's stack formed on read, stay out
+        return (
+            f"AdiabaticFrame(levels={self.n_levels}, nodes={self.n_nodes}, dim={self.dim}, "
+            f"coupling={self.coupling!r}, residual={self.residual!r})"
+        )
 
     def node_index(self, t: float) -> int:
         """Index of the grid node equal to ``t``; error if ``t`` is off-grid."""

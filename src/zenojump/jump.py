@@ -20,7 +20,11 @@ orthonormal bases of ``P_n(0)`` and ``P_m(0)``, a state confined to level
     W = Tr[S sigma S^dagger],   S = int_0^t dt' Y^dagger f(t') Q exp(i Lam(t'))
 
 and ``general_jump`` works on the ``r_m x r_n`` blocks ``Y^dagger f Q``
-alone; it never forms ``f`` itself.
+alone; it never forms ``f`` itself.  The blocks are separable,
+``Y^dagger f(t) Q = sum_j c_j(t) G_j``: for the spin chain ``c`` holds the 16
+entries of one bond's ``(a (x) a)^dagger h (a (x) a)`` and ``G_j`` are bond
+sums between the levels' computational states, so nothing ``2^n``-dimensional
+is formed per node.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
+from .decomposition import _BLOCK, _level_basis, _sector_states, _site_eigenbasis, _tensor_power
 from .errors import NumericalError, QuadratureError, ValidationError
-from .operators import check_density, check_hermitian, check_projector, max_norm, trace_product
+from .operators import _bond_sum, check_density, check_hermitian, check_projector, max_norm, trace_product
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -123,12 +128,6 @@ def _simpson_weights(n_intervals: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _level_basis(projector: np.ndarray) -> np.ndarray:
-    """Orthonormal ``d x r`` basis of a validated projector's range."""
-    vals, vecs = np.linalg.eigh(projector)
-    return vecs[:, vals > 0.5]
-
-
 def general_jump(
     model: MeasurementModel,
     rho0,
@@ -143,19 +142,19 @@ def general_jump(
 
     The double time integral runs over the frame's grid span with a
     tensor-product composite Simpson rule on the level blocks of the module
-    docstring: ``Q`` and ``Y`` are the eigenvectors with eigenvalue above
-    1/2 of ``P_n(0)`` and of the arrival projector, ``sigma = Q^dagger rho0
-    Q``, and each node contributes ``g_k = (A_k Y)^dagger h0(t_k) (A_k Q)``,
-    an ``r_m x r_n`` block; no ``(K, d, d)`` stack is formed.  The
-    transition phase is read from the frame's accumulated phase arrays.
-    Refinement steps through the stride-4 / stride-2 / stride-1 subsets of
-    the grid, each rung taking ``Tr[S sigma S^dagger]`` with
-    ``S = sum_k w_k exp(i Lam_k) g_k``, so the grid interval count must be
-    divisible by 8 and the spacing uniform; the rule refuses to run when the
+    docstring: ``Q`` and ``Y`` are orthonormal bases of ``P_n(0)`` and of
+    the arrival projector, ``sigma = Q^dagger rho0 Q``, and each node
+    contributes the ``r_m x r_n`` block ``g_k = (A_k Y)^dagger h0(t_k) (A_k Q)``
+    of :func:`_separable_kernel`.  The transition phase is read from the
+    frame's accumulated phase arrays.  Refinement steps through the stride-4
+    / stride-2 / stride-1 subsets of the grid, each rung taking
+    ``Tr[S sigma S^dagger]`` with ``S = sum_k w_k exp(i Lam_k) g_k``, so the
+    grid interval count must be divisible by 8, the spacing uniform and the
+    first node the model's horizon origin; the rule refuses to run when the
     grid resolves the fastest transition phase with fewer than 10 nodes per
-    period.  ``est_error`` is the change of the last refinement and
-    ``imag_residual`` the imaginary part of the finest rung, which rounding
-    alone makes nonzero.
+    period.  ``est_error`` is the change of the last refinement, blind to the
+    phases' own error, and ``imag_residual`` the imaginary part of the finest
+    rung, which rounding alone makes nonzero.
 
     ``target_projector`` restricts the arrival projector to a sub-projector
     of level ``m`` (useful when a degenerate level is watched channel by
@@ -186,14 +185,16 @@ def general_jump(
             "initial state is not confined to level n: "
             "rho0 != P_n(0) rho0 P_n(0) within 1e-8"
         )
-    if target_projector is None:
-        target = pm0
-    else:
-        target = check_projector(target_projector, pol)
-        if max_norm(pm0 @ target @ pm0 - target) > 1e-8:
-            raise ValidationError("target_projector must be a sub-projector of level m at t=0")
+    target = None if target_projector is None else check_projector(target_projector, pol)
+    if target is not None and max_norm(pm0 @ target @ pm0 - target) > 1e-8:
+        raise ValidationError("target_projector must be a sub-projector of level m at t=0")
 
     grid = frame.grid
+    if abs(grid[0] - model.horizon[0]) > model.h0.slack:
+        raise ValidationError(
+            f"frame grid starts at {float(grid[0])!r}, not at the model's horizon origin "
+            f"{model.horizon[0]!r}"
+        )
     n_int = len(grid) - 1
     steps = np.diff(grid)
     span = float(grid[-1] - grid[0])
@@ -216,20 +217,18 @@ def general_jump(
                 f"per oscillation period, need >= 10 (about {needed} nodes over the span)"
             )
 
-    q, y = _level_basis(pn0), _level_basis(target)
+    q, y, c, blocks = _separable_kernel(model, frame, n, m, target, pol)
     sigma = q.conj().T @ rho @ q
-    a = frame.intertwiners
-    h0 = model.h0.sample(grid)
-    check_hermitian(h0 if model.h0.value is None else model.h0.value, pol)
-    h0_q = h0 @ (a @ q)
-    a_y = a @ y
-    g = np.conj(a_y, out=a_y).swapaxes(-1, -2) @ h0_q
-
     values: list[complex] = []
     for stride in (4, 2, 1):
-        idx = np.arange(0, n_int + 1, stride)
-        w = _simpson_weights(len(idx) - 1, steps[0] * stride)
-        s = np.tensordot(w * np.exp(1j * lam[idx]), g[idx], axes=(0, 0))
+        nodes = slice(None, None, stride)
+        w = _simpson_weights(n_int // stride, steps[0] * stride)
+        # einsum, not @: OpenBLAS threads these thin products, and its idle
+        # threads then spin through the rest of the process
+        coef = np.einsum("k,kj->j", w * np.exp(1j * lam[nodes]), c[nodes])
+        if blocks is not None:
+            coef = np.einsum("j,jx->x", coef, blocks)
+        s = coef.reshape(y.shape[1], q.shape[1])
         values.append(complex(np.trace(s @ sigma @ s.conj().T)))
 
     est_error = abs(values[-1] - values[-2])
@@ -267,6 +266,52 @@ def general_jump(
         adiabaticity=report,
         warnings=tuple(warnings),
     )
+
+
+def _separable_kernel(model, frame, n, m, target, pol):
+    """``(Q, Y, c, G)``: level bases and the node blocks
+    ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q`` as ``c[k] @ G``, ``c`` of shape
+    ``(K, J)``, ``G`` of shape ``(J, r_m r_n)`` or ``None`` for the identity.
+    ``Y`` spans ``target`` (validated), or level ``m`` where it is ``None``.
+
+    * A tensor-power frame (``frame.site``) under a ``bond_sum`` ``h0``: with
+      ``u`` the site eigenbasis at the first node and ``b_k = a_k u``, every
+      bond sees ``(b_k (x) b_k)^dagger bond (b_k (x) b_k)``, whose 16 entries
+      are ``c[k]``; ``G[j]`` is the bond sum of the matching unit matrix
+      between the sector states of levels ``m`` and ``n``.
+    * One intertwiner ``A`` (a broadcast stack, as static frames keep) and one
+      ``h0`` at every node: ``J = 1``, ``c = 1``, ``G = (A Y)^dagger h0 (A Q)``.
+    * Any other frame: ``c`` holds each node's block.
+    """
+    h0, site = model.h0, frame.site
+    h0_nodes = h0.sample(frame.grid)  # a constant operator's is a view of its matrix
+    check_hermitian(h0_nodes if h0.value is None else h0.value, pol)
+    if site is not None and h0.bond is not None:
+        n_sites = frame.dim.bit_length() - 1
+        u = _site_eigenbasis(site.initial_projectors)
+        power = _tensor_power(u, n_sites)
+        cols, rows = _sector_states(n_sites, n), _sector_states(n_sites, m)
+        q, y = power[:, cols], power[:, rows]
+        a_u = np.einsum("kab,bc->kac", site.intertwiners, u)  # a stacked @ on 2 x 2 is slower
+        c = np.empty((len(a_u), 16), dtype=complex)
+        for start in range(0, len(a_u), _BLOCK):  # bounds the (K, 4, 4) temporaries
+            b = _tensor_power(a_u[start:start + _BLOCK], 2)
+            c[start:start + _BLOCK] = (b.conj().swapaxes(-1, -2) @ h0.bond @ b).reshape(-1, 16)
+        blocks = _bond_sum(np.eye(16).reshape(16, 4, 4), h0.pairs, n_sites, rows, cols)
+        if target is not None:
+            y_t = _level_basis(target)
+            blocks, y = (y_t.conj().T @ y) @ blocks, y_t
+        return q, y, c, blocks.reshape(16, -1)
+    q = _level_basis(frame.initial_projectors[n])
+    y = _level_basis(frame.initial_projectors[m] if target is None else target)
+    a = frame.intertwiners
+    if a.strides[0] == 0 and (h0.value is not None or (h0_nodes == h0_nodes[0]).all()):
+        g = (a[0] @ y).conj().T @ h0_nodes[0] @ (a[0] @ q)
+        return q, y, np.ones((len(a), 1)), g.reshape(1, -1)
+    h0_q = h0_nodes @ (a @ q)
+    a_y = a @ y
+    g = np.conj(a_y, out=a_y).swapaxes(-1, -2) @ h0_q
+    return q, y, g.reshape(len(g), -1), None
 
 
 def transition_weight(h0, rho0, projector_m) -> float:

@@ -13,7 +13,9 @@ return models over ``[0, 1]`` with the perturbation scaled by ``T`` and the
 measurement coupling equal to ``h * T``, which reproduces the physical
 phases of the laboratory-time formulation.  The chain's field is a sum of
 identical commuting one-site terms, so its intertwining frame is the tensor
-power of the frame tracked for one spin (:func:`spin_chain_frame`).
+power of the frame tracked for one spin (:func:`spin_chain_frame`), and its
+perturbation is a sum of one two-spin exchange term over its bonds
+(:meth:`~zenojump.decomposition.TimeDependentOperator.bond_sum`).
 """
 
 from __future__ import annotations
@@ -28,13 +30,16 @@ from .decomposition import (
     TimeDependentOperator,
     _check_coupling,
     _checked_frame,
+    _sector_states,
+    _site_eigenbasis,
+    _tensor_power,
     _trapezoid_phases,
     decompose,
     track_frame,
 )
 from .errors import FrameResidualError, QuadratureError, ValidationError
 from .jump import MeasurementModel, _simpson_weights
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, as_square_matrix, check_projector, tensor_product
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, _bond_sum, as_square_matrix, check_projector, tensor_product
 from .policy import NumericPolicy, default_policy
 from .propagators import exact_propagator
 
@@ -95,20 +100,23 @@ class SpinChainSpec:
             raise ValidationError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
 
 
+def _bond_term(spec: SpinChainSpec) -> np.ndarray:
+    """Two-spin exchange ``l1 XX + l2 YY + l3 ZZ`` of one bond."""
+    l1, l2, l3 = spec.couplings
+    return l1 * np.kron(SIGMA_X, SIGMA_X) + l2 * np.kron(SIGMA_Y, SIGMA_Y) + l3 * np.kron(SIGMA_Z, SIGMA_Z)
+
+
+def _bond_pairs(spec: SpinChainSpec) -> tuple[tuple[int, int], ...]:
+    """Bonds ``(j, j+1)``, plus the wrap-around bond ``(n-1, 0)`` on a periodic chain."""
+    n = spec.n_sites
+    wrap = ((n - 1, 0),) if spec.boundary == "periodic" else ()
+    return tuple((j, j + 1) for j in range(n - 1)) + wrap
+
+
 def build_chain_h0(spec: SpinChainSpec) -> np.ndarray:
     """Exchange Hamiltonian ``sum_j (l1 XX + l2 YY + l3 ZZ)`` on the chain."""
-    n = spec.n_sites
-    l1, l2, l3 = spec.couplings
-    dim = 2**n
-    h0 = np.zeros((dim, dim), dtype=complex)
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if spec.boundary == "periodic":
-        bonds.append((n - 1, 0))
-    for a, b in bonds:
-        for lam, sig in ((l1, SIGMA_X), (l2, SIGMA_Y), (l3, SIGMA_Z)):
-            if lam != 0.0:
-                h0 += lam * (_site_operator(sig, a, n) @ _site_operator(sig, b, n))
-    return h0
+    states = np.arange(2**spec.n_sites)
+    return _bond_sum(_bond_term(spec), _bond_pairs(spec), spec.n_sites, states, states)
 
 
 def _field_direction(n_sites: int) -> TimeDependentOperator:
@@ -136,19 +144,14 @@ def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:
     The Schroedinger equation in ``s`` carries a Jacobian ``T``:
     ``H(s) = T * H0 + (h T) * h_meas(s)`` with the unit-amplitude field
     direction as ``h_meas``, so the measurement coupling is ``h * T``.
+    ``h0`` is a :meth:`~TimeDependentOperator.bond_sum` of ``T`` times one
+    bond's exchange term.
     """
-    h0 = spec.T * build_chain_h0(spec)
     return MeasurementModel(
-        h0=TimeDependentOperator.constant(h0, (0.0, 1.0)),
+        h0=TimeDependentOperator.bond_sum(spec.T * _bond_term(spec), _bond_pairs(spec), spec.n_sites, (0.0, 1.0)),
         h_meas=_field_direction(spec.n_sites),
         coupling=spec.h * spec.T,
     )
-
-
-def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Slice-wise Kronecker product of the stacks ``a`` ``(K, p, p)`` and ``b`` ``(K, q, q)``."""
-    k, p, q = len(a), a.shape[-1], b.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, p * q, p * q)
 
 
 def spin_chain_frame(
@@ -161,22 +164,23 @@ def spin_chain_frame(
 
     The field is a sum of identical commuting one-site terms, so the frame is
     the tensor power ``A = a^{(x)n}`` of the frame ``a(s)`` that
-    :func:`track_frame` follows for one spin, and the levels are the
+    :func:`track_frame` follows for one spin, kept in ``site``; the dense
+    ``A`` is formed only when ``intertwiners`` is read.  The levels are the
     magnetization sectors.  Level ``l`` (``l`` spins in the upper one-site
     level) has rank ``C(n, l)``, eigenvalue and phase ``(n-l)`` times the
-    lower one-site value plus ``l`` times the upper one, and the projector
-    ``P_l = p_0 (x) P'_l + p_1 (x) P'_{l-1}``, grown site by site from the
-    one-site eigenprojectors ``p_0, p_1`` (``P'`` on one site fewer) at the
-    two end nodes.  The degeneracy tolerance is ``n`` times the one-site one,
-    which is what the dense route resolves from the chain's spectral range.
+    lower one-site value plus ``l`` times the upper one, and at each end node
+    the projector onto the states with ``l`` bits set, conjugated by the
+    tensor power of the one-site eigenbasis there.  The degeneracy tolerance
+    is ``n`` times the one-site one, which is what the dense route resolves
+    from the chain's spectral range.
 
     The field direction has unit amplitude, so only the phases depend on the
     coupling ``h * T``.  ``shared`` is a dict that the calls of one sweep pass
     in turn: the first call for an ``(n_sites, n_intervals, policy)`` keeps
     the rest of the frame there (read-only), and each call re-forms the
-    phases from the one-site levels with :func:`track_frame`'s trapezoids.
-    The coupling and residual checks run on every call.  Keep the dict no
-    longer than the sweep.
+    phases, its own and its ``site``'s, from the one-site levels with
+    :func:`track_frame`'s trapezoids.  The coupling and residual checks run
+    on every call.  Keep the dict no longer than the sweep.
 
     ``residual`` is ``sqrt(2) n r``, ``r`` the one-site residual, checked
     against ``policy.frame_tol`` (a one-site frame that misses it is carried
@@ -197,9 +201,11 @@ def spin_chain_frame(
     key = (n, n_intervals, pol)
     if key not in shared:
         shared[key] = _coupling_free_chain_frame(n, coupling, n_intervals, pol)
-    site_eps, fields = shared[key]
-    phases = _sector_rows(n, _trapezoid_phases(fields["grid"], coupling * site_eps))
-    return _checked_frame(AdiabaticFrame(**fields, phases=phases, coupling=coupling), pol)
+    site, fields = shared[key]
+    phases = _trapezoid_phases(site.grid, coupling * site.eigenvalues)
+    site = dataclasses.replace(site, phases=phases, coupling=coupling)
+    frame = AdiabaticFrame(**fields, phases=_sector_rows(n, phases), coupling=coupling, site=site)
+    return _checked_frame(frame, pol)
 
 
 def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
@@ -210,8 +216,8 @@ def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
 
 def _coupling_free_chain_frame(
     n: int, coupling: float, n_intervals: int, pol: NumericPolicy
-) -> tuple[np.ndarray, dict]:
-    """One-site level values and the chain frame's fields bar ``phases`` and ``coupling``.
+) -> tuple[AdiabaticFrame, dict]:
+    """The one-site frame and the chain frame's fields bar ``phases``, ``coupling`` and ``site``.
 
     Tracks the one-site frame at ``coupling`` (only its phases depend on it).
     """
@@ -220,30 +226,25 @@ def _coupling_free_chain_frame(
         site = track_frame(_field_direction(1), coupling, grid, pol)
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check decides
-    # The one-site factor goes first: its 2x2 blocks then scale contiguous rows.
-    a = intertwiners = site.intertwiners
-    for _ in range(n - 1):
-        intertwiners = _stacked_kron(a, intertwiners)
-    # End-node level projectors; with l upper spins the new site is lower or upper.
-    sectors = list(np.stack([site.initial_projectors, site.final_projectors], axis=1))
-    p0, p1 = sectors
-    for _ in range(n - 1):
-        down, up = [_stacked_kron(p0, p) for p in sectors], [_stacked_kron(p1, p) for p in sectors]
-        sectors = [down[0], *map(np.add, down[1:], up[:-1]), up[-1]]
+    ends = []
+    for site_projectors in (site.initial_projectors, site.final_projectors):
+        power = _tensor_power(_site_eigenbasis(site_projectors), n)
+        sectors = (power[:, _sector_states(n, l)] for l in range(n + 1))
+        ends.append(np.array([b @ b.conj().T for b in sectors]))
     fields = dict(
         grid=site.grid,
-        intertwiners=intertwiners,
+        intertwiners=None,
         eigenvalues=_sector_rows(n, site.eigenvalues),
-        initial_projectors=np.array([p[0] for p in sectors]),
-        final_projectors=np.array([p[1] for p in sectors]),
+        initial_projectors=ends[0],
+        final_projectors=ends[1],
         ranks=tuple(math.comb(n, l) for l in range(n + 1)),
         degeneracy_tol=n * site.degeneracy_tol,
         residual=math.sqrt(2.0) * n * site.residual,
     )
-    for value in (site.eigenvalues, *fields.values()):
+    for value in (*vars(site).values(), *fields.values()):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    return site.eigenvalues, fields
+    return site, fields
 
 
 def field_strength(s):

@@ -290,8 +290,31 @@ def test_a_non_hermitian_h0_exits_2_under_run_and_compare(tmp_path, capsys):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg_path, "--strict", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: matrix is not Hermitian: defect 1.000e+00 exceeds ")
+        assert err.startswith(
+            "config error: [custom-matrix] h0: matrix is not Hermitian: defect 1.000e+00 exceeds "
+        )
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, line",
+    [
+        ("h0", "h0 = [[0, 1], [0, 0]]"),
+        ("h_meas", "h_meas = [[1, 0.5], [0, -1]]"),
+        ("rho0", "rho0 = [[1, [0, 1]], [[0, 1], 0]]"),
+    ],
+)
+def test_a_non_hermitian_matrix_is_named_by_its_key(tmp_path, capsys, key, line):
+    text = CUSTOM_TWO_LEVEL.replace("tau = 1", "tau = 1\nrho0 = [[1, 0], [0, 0]]")
+    old = next(row for row in text.splitlines() if row.startswith(f"{key} = "))
+    cfg_path = write(tmp_path, text.replace(old, line))
+    for command in ("run", "compare", "decompose"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [custom-matrix] {key}: matrix is not Hermitian: "), err
+    # the config's own hermitian_tol decides
+    loose = write(tmp_path, text.replace(old, line) + "\n[tolerances]\nhermitian_tol = 10\n", "loose.ini")
+    assert main(["decompose", "--config", loose, "--out", str(tmp_path / "o.csv")]) == 0
 
 
 @pytest.mark.parametrize("command", ["compare", "decompose"])

@@ -311,12 +311,23 @@ def config_texts(draw):
     scenario = draw(st.sampled_from(zj.SCENARIOS))
     dim = draw(st.integers(1, 3))
     cell = st.one_of(FINITE, st.lists(FINITE, min_size=2, max_size=2))
+
+    def hermitian(cells):
+        # upper triangle drawn, real diagonal, lower triangle the conjugate
+        rows = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                c = cells[i * dim + j]
+                rows[j][i] = [c[0], -c[1]] if isinstance(c, list) else c
+                rows[i][j] = c if i < j else rows[j][i]
+            rows[i][i] = rows[i][i][0] if isinstance(rows[i][i], list) else rows[i][i]
+        return rows
+
     values = {
         "float": FINITE.map(repr),
         "int": st.integers(-5, 10).map(str),
         "str": WORD,
-        "matrix": st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
-        .map(json.dumps),
+        "matrix": st.lists(cell, min_size=dim * dim, max_size=dim * dim).map(hermitian).map(json.dumps),
     }
     lines = ["[scenario]", f"type = {scenario}", f"[{scenario}]"]
     for key, kind, default in _SCHEMAS[scenario]:
@@ -343,7 +354,7 @@ def config_texts(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(config_texts())
-@example(CUSTOM.replace("h_meas = [[1, 0], [0, -1]]", "h_meas = [[-0.0, 1], [1, [-0.0, 1]]]"))
+@example(CUSTOM.replace("h_meas = [[1, 0], [0, -1]]", "h_meas = [[-0.0, [-0.0, 1]], [[-0.0, -1], 1]]"))
 def test_resolved_text_round_trips_any_valid_config(text):
     cfg = zj.parse_config(text)
     echoed = zj.resolved_text(cfg)

@@ -221,6 +221,25 @@ def test_site_sum_keeps_a_dense_operator_and_checks_it():
             zj.TimeDependentOperator.site_sum(site, n_sites, other)
 
 
+def test_bond_sum_keeps_its_bond_and_checks_it():
+    bond = np.kron(zj.SIGMA_X, zj.SIGMA_X) + np.kron(zj.SIGMA_Z, zj.SIGMA_Z)
+    op = zj.TimeDependentOperator.bond_sum(bond, [(0, 1), (1, 2)], 3, (0.0, 2.0))
+    assert (op.dim, op.horizon, op.pairs) == (8, (0.0, 2.0), ((0, 1), (1, 2)))
+    assert np.array_equal(op.bond, bond) and np.array_equal(op(1.0), op.value)
+    with pytest.raises(ValueError, match="read-only"):
+        op.bond[0, 0] = 2.0
+    first, second = (np.kron(np.kron(a, b), c) for a, b, c in
+                     ((zj.SIGMA_X, zj.SIGMA_X, np.eye(2)), (np.eye(2), zj.SIGMA_X, zj.SIGMA_X)))
+    assert np.array_equal(np.diag(op.value).real, [2.0, 0.0, -2.0, 0.0, 0.0, -2.0, 0.0, 2.0])
+    assert np.max(np.abs(op.value - np.diag(np.diag(op.value)) - first - second)) == 0.0
+    assert zj.TimeDependentOperator.constant(bond, (0.0, 1.0)).bond is None
+    with pytest.raises(zj.ValidationError, match="4 x 4 two-spin term"):
+        zj.TimeDependentOperator.bond_sum(np.eye(8), [(0, 1)], 3, (0.0, 1.0))
+    for pairs in ([(0, 0)], [(0, 3)], [(-1, 1)]):
+        with pytest.raises(zj.ValidationError, match="two distinct spins of 3"):
+            zj.TimeDependentOperator.bond_sum(bond, pairs, 3, (0.0, 1.0))
+
+
 def test_derivative_is_one_sided_at_breakpoints():
     # Triangle profile: slope +1 before the kink at 0.5, slope -1 after.
     def ev(t):

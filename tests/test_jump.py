@@ -374,6 +374,81 @@ def test_general_jump_allocates_less_than_one_full_node_stack():
     assert peak < stack_bytes
 
 
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("lambda3", [1.0, 0.4])
+def test_separable_chain_kernel_matches_the_dense_trace_form(n_sites, boundary, lambda3):
+    # The bond-block kernel against the full-matrix reference on the dense
+    # intertwiners that the frame forms when they are read.
+    spec = zj.SpinChainSpec(n_sites=n_sites, couplings=(1.0, 2.0, lambda3), h=12.5, boundary=boundary)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec, n_intervals=1024)
+    rng = np.random.default_rng(64 + n_sites)
+    scale = None
+    for n, m in [(0, 2), (1, 3), (2, 3)]:
+        rho0 = frame.initial_projectors[n] / frame.ranks[n]
+        vec = frame.initial_projectors[m] @ (rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim))
+        vec /= np.linalg.norm(vec)
+        for target in (None, np.outer(vec, vec.conj())):
+            res = zj.general_jump(model, rho0, n, m, frame, target_projector=target)
+            value, est_error = _trace_form(model, rho0, n, m, frame, target)
+            # a selection-rule zero (2 -> 3 at lambda1 = lambda3) is held at the 0 -> 2 scale
+            scale = value if scale is None else scale
+            assert abs(res.value - value) <= 1e-12 * max(value, scale), (n, m, target is None)
+            assert abs(res.est_error - est_error) <= 1e-12 * max(value, scale)
+    # an h0 without its bond falls back to per-node blocks on the dense intertwiners
+    plain = dataclasses.replace(model, h0=zj.TimeDependentOperator.constant(model.h0.value, model.horizon))
+    rho0 = frame.initial_projectors[0]
+    ref = zj.general_jump(model, rho0, 0, 2, frame).value
+    assert zj.general_jump(plain, rho0, 0, 2, frame).value == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chain_jump_to_level_two_is_the_bond_count_times_the_pair_value(boundary):
+    # Level 0 is one product state and every bond sees the same one-site
+    # frame, so each bond leaks into its own level-2 state with the 2-site
+    # amplitude, for any exchange couplings.
+    couplings = tuple(np.random.default_rng(65).uniform(0.3, 2.0, size=3))
+
+    def w(n_sites, boundary):
+        spec = zj.SpinChainSpec(n_sites=n_sites, couplings=couplings, h=12.5, boundary=boundary)
+        frame = zj.spin_chain_frame(spec, n_intervals=1024)
+        return zj.general_jump(zj.spin_chain_model(spec), frame.initial_projectors[0], 0, 2, frame).value
+
+    pair = w(2, "open")
+    for n_sites in range(2 if boundary == "open" else 3, 9):
+        bonds = n_sites - 1 if boundary == "open" else n_sites
+        assert abs(w(n_sites, boundary) - bonds * pair) <= 1e-12 * bonds * pair, n_sites
+
+
+def test_an_eight_site_chain_jump_allocates_far_less_than_one_dense_frame():
+    # One dense (2049, 256, 256) complex stack is 2.1 GB.
+    spec = zj.SpinChainSpec(n_sites=8, h=12.5, T=1.0)
+    model = zj.spin_chain_model(spec)
+    tracemalloc.start()
+    try:
+        frame = zj.spin_chain_frame(spec, n_intervals=2048)
+        res = zj.general_jump(model, frame.initial_projectors[0], 0, 2, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value > 0.0
+    assert peak < 64 * 2**20
+
+
+def test_general_jump_rejects_a_frame_that_starts_after_the_model():
+    model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([1.0, -1.0]), 5.0, 1.0)
+    dec = zj.decompose(model.h_meas(0.0))
+    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, dec.projectors)]
+    late = zj.AdiabaticFrame.static(np.linspace(0.5, 1.0, 257), levels, model.coupling)
+    rho0 = late.initial_projectors[0]
+    for route in (zj.general_jump, zj.compare_jump):
+        with pytest.raises(zj.ValidationError, match="frame grid starts at 0.5, not at the model's horizon origin 0.0"):
+            route(model, rho0, 0, 1, late)
+    full = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 257), levels, model.coupling)
+    assert zj.compare_jump(model, rho0, 0, 1, full).status == "pass"
+
+
 # --- channel weights and timescales ------------------------------------------
 
 

@@ -50,6 +50,47 @@ def test_build_chain_h0_boundary_and_size():
     assert np.max(np.abs(h0_3 - h0_3.conj().T)) == 0.0
 
 
+@pytest.mark.parametrize("n_sites, boundary", [(3, "open"), (4, "periodic"), (5, "open")])
+def test_build_chain_h0_equals_the_pauli_products(n_sites, boundary):
+    spec = zj.SpinChainSpec(n_sites=n_sites, couplings=(0.7, 1.3, 0.4), boundary=boundary)
+    bonds = [(j, j + 1) for j in range(n_sites - 1)] + ([(n_sites - 1, 0)] if boundary == "periodic" else [])
+    ref = sum(
+        lam * zj.models._site_operator(sig, a, n_sites) @ zj.models._site_operator(sig, b, n_sites)
+        for a, b in bonds
+        for lam, sig in zip(spec.couplings, (zj.SIGMA_X, zj.SIGMA_Y, zj.SIGMA_Z))
+    )
+    assert np.max(np.abs(zj.build_chain_h0(spec) - ref)) <= 1e-15
+    h0 = zj.spin_chain_model(dataclasses.replace(spec, T=1.5)).h0
+    assert h0.pairs == tuple(bonds)
+    assert np.max(np.abs(h0.value - 1.5 * ref)) <= 1e-14
+    pair = dataclasses.replace(spec, n_sites=2, boundary="open")
+    assert np.max(np.abs(h0.bond - 1.5 * zj.build_chain_h0(pair))) <= 1e-15
+
+
+def test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack():
+    spec = zj.SpinChainSpec(n_sites=5, h=9.0, T=1.0)
+    frame = zj.spin_chain_frame(spec, n_intervals=256)
+    site = frame.site
+    assert (site.dim, site.ranks, site.coupling, site.site) == (2, (1, 1), frame.coupling, None)
+    assert np.array_equal(site.grid, frame.grid)
+    assert np.array_equal(frame.phases, zj.models._sector_rows(5, site.phases))
+    # only the end-node projectors are 2^n-dimensional; the dense stack is formed on read
+    stack_bytes = 257 * 32 * 32 * np.dtype(complex).itemsize
+    kept = [v for f in (frame, site) for v in vars(f).values() if isinstance(v, np.ndarray)]
+    assert max(v.nbytes for v in kept) < stack_bytes / 16
+    dense = frame.intertwiners
+    assert dense.shape == (257, 32, 32) and dense is not frame.intertwiners
+    for k in (0, 100, 256):
+        power = np.eye(1)
+        for _ in range(5):
+            power = np.kron(site.intertwiners[k], power)
+        assert np.max(np.abs(dense[k] - power)) <= 1e-15
+    assert repr(frame).startswith("AdiabaticFrame(levels=6, nodes=257, dim=32, coupling=9.0, residual=")
+    tracked = zj.track_frame(zj.models._field_direction(1), frame.coupling, frame.grid)
+    assert tracked.site is None and zj.time_independent_frame(zj.time_independent_model(
+        zj.SIGMA_X, zj.SIGMA_Z, 2.0, 1.0), 16).site is None
+
+
 def test_spin_chain_model_scaling():
     spec = zj.SpinChainSpec(h=9.0, T=2.0)
     model = zj.spin_chain_model(spec)
@@ -325,6 +366,10 @@ def test_spin_chain_frame_residual_failure_carries_the_chain_frame():
 def _same_bits(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, zj.AdiabaticFrame):
+        return type(b) is zj.AdiabaticFrame and all(
+            _same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
     return type(a) is type(b) and a == b
 
 
@@ -339,9 +384,11 @@ def test_a_shared_chain_frame_equals_a_fresh_one_bit_for_bit(n_sites):
     assert len(shared) == 1
     for field in dataclasses.fields(zj.AdiabaticFrame):
         assert _same_bits(getattr(frame, field.name), getattr(fresh, field.name)), field.name
-    assert frame.coupling == 13.5 * 1.3 != first.coupling
-    assert frame.intertwiners is first.intertwiners
-    assert not frame.intertwiners.flags.writeable
+    assert frame.coupling == frame.site.coupling == 13.5 * 1.3 != first.coupling
+    # the shared one-site frame: only its phases are re-formed
+    assert frame.site.intertwiners is first.site.intertwiners
+    assert not frame.site.intertwiners.flags.writeable
+    assert np.array_equal(frame.phases, zj.models._sector_rows(n_sites, frame.site.phases))
 
 
 def test_a_shared_chain_frame_is_keyed_by_size_grid_and_policy():

@@ -197,3 +197,35 @@ def test_square_matrix_rejects_non_finite_entries(bad):
         op.sample([0.0, 0.5])
     with pytest.raises(zj.ValidationError, match="non-finite"):
         zj.check_unitary([[bad, 0.0], [0.0, 1.0]])
+
+
+def _embedded_bond(term, i, j, n_sites):
+    """``term`` on spins ``i, j`` of ``n_sites`` (spin 0 leading) as a sum of Kronecker products."""
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    unit = np.eye(2)
+    for a in range(4):
+        for b in range(4):
+            factors = [np.eye(2)] * n_sites
+            factors[i] = np.outer(unit[a >> 1], unit[b >> 1])
+            factors[j] = np.outer(unit[a & 1], unit[b & 1])
+            kron = np.eye(1)
+            for f in factors:
+                kron = np.kron(kron, f)
+            out += term[a, b] * kron
+    return out
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+def test_bond_sum_equals_the_kronecker_embedding(n_sites):
+    from zenojump.operators import _bond_sum
+
+    rng = np.random.default_rng(70 + n_sites)
+    terms = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    pairs = [(i, j) for i in range(n_sites) for j in range(n_sites) if i != j]
+    states = np.arange(2**n_sites)
+    dense = _bond_sum(terms, pairs, n_sites, states, states)
+    for term, got in zip(terms, dense):
+        ref = sum(_embedded_bond(term, i, j, n_sites) for i, j in pairs)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+    rows, cols = rng.permutation(states)[: 2**n_sites // 2], rng.permutation(states)[:3]
+    assert np.array_equal(_bond_sum(terms, pairs, n_sites, rows, cols), dense[:, rows][:, :, cols])

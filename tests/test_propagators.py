@@ -147,6 +147,15 @@ def test_adiabatic_propagator_static_frame_is_pure_phase():
         zj.adiabatic_propagator(frame, 0.3)
 
 
+def test_adiabatic_propagator_on_a_chain_frame_forms_one_node_from_the_site():
+    frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=9.0), n_intervals=64)
+    dense = frame.intertwiners
+    for k in (0, 17, 64):
+        t = float(frame.grid[k])
+        phi = np.tensordot(np.exp(-1j * frame.phases[:, k]), frame.initial_projectors, axes=(0, 0))
+        assert np.array_equal(zj.adiabatic_propagator(frame, t), dense[k] @ phi)
+
+
 def test_adiabatic_propagator_approaches_exact_with_coupling():
     # The measurement-dominated approximation improves as the coupling grows.
     rng = np.random.default_rng(37)
