@@ -11,9 +11,8 @@ Every result file starts with the fully resolved configuration echoed as
 point.  Floats are written with 17 significant digits and ``\\n`` line
 endings, so identical configurations produce byte-identical files.  Sweep
 points run one after another; ``--jobs N`` is accepted (``N >= 1``) and has
-no effect.  A ``spinchain`` sweep tracks its frame once: only the phases
-depend on the coupling ``h * T``, so each point re-forms those and shares the
-rest with the other points of the same sweep.
+no effect.  A ``spinchain`` sweep tracks its frame once: a frame carries no
+coupling, so the points of one sweep share one frame whatever ``h * T``.
 
 Exit codes: 0 success; 2 configuration error (including an output path that
 cannot be written); 3 numerical failure (including a non-finite value in any
@@ -173,9 +172,9 @@ def _model(cfg: ScenarioConfig, command: str) -> tuple[MeasurementModel, SpinCha
 def _frame_setup(cfg: ScenarioConfig, shared: dict | None = None):
     """Model, frame, initial state and level pair for a matrix-backed point.
 
-    ``shared`` carries the chain frame's coupling-free part between the
-    points of one sweep (see :func:`spin_chain_frame`).  ``run`` answers the
-    other scenarios in closed form, so only ``compare`` meets them here.
+    ``shared`` carries the chain frame between the points of one sweep (see
+    :func:`spin_chain_frame`).  ``run`` answers the other scenarios in closed
+    form, so only ``compare`` meets them here.
     """
     model, spec = _model(cfg, "compare")
     if spec is not None:

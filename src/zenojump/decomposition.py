@@ -5,8 +5,10 @@ eigenprojectors define the Zeno subspaces; degenerate eigenvalues are grouped
 into a single subspace of rank > 1.  For time-dependent ``H_meas(t)`` the
 subspaces rotate, and an intertwining frame ``A(t)`` with
 ``P_n(t) = A(t) P_n(0) A(t)^dagger`` is obtained by integrating
-``i dA/dt = M(t) A(t)`` where ``M = i sum_n (dP_n/dt) P_n``.  The quality of
-the adiabatic picture is summarised by an :class:`AdiabaticityReport`.
+``i dA/dt = M(t) A(t)`` where ``M = i sum_n (dP_n/dt) P_n``.  A frame depends
+on ``H_meas`` alone; the coupling ``K`` enters the transition phases and the
+:class:`AdiabaticityReport`, which summarises the quality of the adiabatic
+picture.
 """
 
 from __future__ import annotations
@@ -483,23 +485,6 @@ def _sector_states(n_sites: int, level: int) -> np.ndarray:
     return states[((states[:, None] >> np.arange(n_sites)) & 1).sum(axis=1) == level]
 
 
-class _Intertwiners:
-    """:attr:`AdiabaticFrame.intertwiners`: the stack the frame was built with,
-    or, where it was built with ``None``, the tensor power of its ``site``
-    frame's stack, formed anew at each read."""
-
-    def __get__(self, frame, owner=None):
-        if frame is None:
-            raise AttributeError("intertwiners")  # a required field: no class default
-        stack = frame.__dict__["_intertwiners"]
-        if stack is None:
-            return _tensor_power(frame.site.intertwiners, frame.dim.bit_length() - 1)
-        return stack
-
-    def __set__(self, frame, stack):
-        frame.__dict__["_intertwiners"] = stack
-
-
 @dataclasses.dataclass(frozen=True)
 class AdiabaticFrame:
     """Intertwining frame sampled on a time grid.
@@ -508,26 +493,26 @@ class AdiabaticFrame:
     is level ``l`` of the measurement Hamiltonian at node ``k`` (a consistent
     identity along the grid), ``initial_projectors[l]`` and
     ``final_projectors[l]`` its projector at the first and the last node, and
-    ``phases[l, k]`` the integral of ``coupling * eps_l`` up to ``t_k``.  Frames
-    are defined at their grid nodes only.  The builder sets ``residual``, a
+    ``eps_integrals[l, k]`` the integral of ``eps_l`` up to ``t_k``.  No
+    coupling enters: a reader forms the transition phase
+    ``K (eps_integrals[m] - eps_integrals[n])`` at its own ``K``.  Frames are
+    defined at their grid nodes only.  The builder sets ``residual``, a
     bound on the max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes and
     levels, and checks it against ``frame_tol``; static frames keep 0.
 
     A tensor-power frame ``A = a^{(x)n}`` of ``n`` spins keeps the two-level
-    frame ``a`` in ``site`` (``None`` otherwise) and is built with
-    ``intertwiners=None``: its dense ``(K, 2^n, 2^n)`` stack is formed from
-    ``site`` only when ``intertwiners`` is read, at each read.  Its level
+    frame ``a`` in ``site`` (``None`` otherwise) and ``intertwiners=None``:
+    a reader that needs ``A`` at a node forms it from ``site``.  Its level
     ``l`` holds the states with ``l`` spins in the upper site level.
     """
 
     grid: np.ndarray
-    intertwiners: np.ndarray | None = _Intertwiners()  # required: the descriptor has no default
+    intertwiners: np.ndarray | None
     eigenvalues: np.ndarray
-    phases: np.ndarray
+    eps_integrals: np.ndarray
     initial_projectors: np.ndarray
     final_projectors: np.ndarray
     ranks: tuple[int, ...]
-    coupling: float
     degeneracy_tol: float
     residual: float = 0.0
     site: AdiabaticFrame | None = dataclasses.field(default=None, repr=False, compare=False)
@@ -545,10 +530,10 @@ class AdiabaticFrame:
         return self.initial_projectors.shape[-1]
 
     def __repr__(self) -> str:
-        # the fields' arrays, and a tensor-power frame's stack formed on read, stay out
+        # sizes, not the fields' arrays
         return (
             f"AdiabaticFrame(levels={self.n_levels}, nodes={self.n_nodes}, dim={self.dim}, "
-            f"coupling={self.coupling!r}, residual={self.residual!r})"
+            f"residual={self.residual!r})"
         )
 
     def node_index(self, t: float) -> int:
@@ -568,7 +553,6 @@ class AdiabaticFrame:
         cls,
         grid,
         levels: Sequence[tuple[float | Callable[[float], float], np.ndarray]],
-        coupling: float,
         policy: NumericPolicy | None = None,
         degeneracy_tol: float = 0.0,
     ) -> "AdiabaticFrame":
@@ -577,13 +561,12 @@ class AdiabaticFrame:
         ``levels`` holds ``(eps, P)`` pairs where ``eps`` is a number or a
         function of time (as for pulsed measurements whose eigenvalues switch
         while the projectors stay fixed).  The intertwiner is the identity at
-        every node.  Phases accumulate by midpoint sampling per grid interval,
-        which is exact for piecewise-constant eigenvalues whose switching
+        every node.  ``eps_integrals`` accumulate by midpoint sampling per grid
+        interval, which is exact for piecewise-constant eigenvalues whose switching
         times are grid nodes.  ``intertwiners`` is a read-only broadcast view
         of one identity; one read-only projector stack is both end-node fields.
         """
         pol = default_policy(policy)
-        coupling = _check_coupling(coupling)
         grid = _check_grid(grid)
         projs = np.array([check_projector(p, pol) for _, p in levels])
         projs.setflags(write=False)
@@ -600,17 +583,16 @@ class AdiabaticFrame:
                 eps[l], mid_eps[l] = [float(spec(t)) for t in grid], [float(spec(t)) for t in mids]
             else:
                 eps[l] = mid_eps[l] = float(spec)
-        phases = np.zeros((len(levels), n))
-        phases[:, 1:] = np.cumsum(coupling * mid_eps * np.diff(grid), axis=1)
+        integrals = np.zeros((len(levels), n))
+        integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)
         return cls(
             grid=grid,
             intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
             eigenvalues=eps,
-            phases=phases,
+            eps_integrals=integrals,
             initial_projectors=projs,
             final_projectors=projs,
             ranks=tuple(int(round(p.trace().real)) for p in projs),
-            coupling=coupling,
             degeneracy_tol=float(degeneracy_tol),
         )
 
@@ -666,7 +648,6 @@ def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
 
 def track_frame(
     h_meas: TimeDependentOperator,
-    coupling: float,
     grid,
     policy: NumericPolicy | None = None,
     degeneracy_tol: float | None = None,
@@ -683,15 +664,12 @@ def track_frame(
     max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
     formed a node block at a time) and levels, is checked against the
     policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
-    bound.  Phases are cumulative trapezoids of ``coupling * eps_l``
-    (:func:`_trapezoid_phases`); nothing else depends on ``coupling``, so a
-    frame at another coupling re-forms only its phases with that helper.
+    bound.  ``eps_integrals`` are cumulative trapezoids of the levels.
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
     """
     pol = default_policy(policy)
-    coupling = _check_coupling(coupling)
     grid = _check_grid(grid)
     t0, t1 = h_meas.horizon
     slack = h_meas.slack
@@ -743,6 +721,8 @@ def track_frame(
             f"level ranks changed at node t={grid[moved[0]]:.9g}; treat as a level crossing"
         )
     eps = np.take_along_axis(means, orders, axis=1).T.copy()
+    integrals = np.zeros_like(eps)
+    integrals[:, 1:] = np.cumsum(np.diff(grid) * (eps[:, 1:] + eps[:, :-1]) / 2.0, axis=1)
     offsets = np.take_along_axis((starts % dim).reshape(n, n_levels), orders, axis=1)
 
     steps = _rk4_steps(half_vecs, hdot, half_first, level_mean, grid)
@@ -763,22 +743,14 @@ def track_frame(
         grid=grid,
         intertwiners=intertwiners,
         eigenvalues=eps,
-        phases=_trapezoid_phases(grid, coupling * eps),
+        eps_integrals=integrals,
         initial_projectors=initial,
         final_projectors=projectors[:, -1].copy(),
         ranks=tuple(int(r) for r in ranks[0]),
-        coupling=coupling,
         degeneracy_tol=tol,
         residual=residual,
     )
     return _checked_frame(frame, pol)
-
-
-def _trapezoid_phases(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoids of the rows of ``y`` over ``grid``, 0 at the first node."""
-    phases = np.zeros_like(y)
-    phases[:, 1:] = np.cumsum(np.diff(grid) * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
-    return phases
 
 
 def _checked_frame(frame: AdiabaticFrame, pol: NumericPolicy) -> AdiabaticFrame:

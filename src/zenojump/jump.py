@@ -145,16 +145,17 @@ def general_jump(
     docstring: ``Q`` and ``Y`` are orthonormal bases of ``P_n(0)`` and of
     the arrival projector, ``sigma = Q^dagger rho0 Q``, and each node
     contributes the ``r_m x r_n`` block ``g_k = (A_k Y)^dagger h0(t_k) (A_k Q)``
-    of :func:`_separable_kernel`.  The transition phase is read from the
-    frame's accumulated phase arrays.  Refinement steps through the stride-4
+    of :func:`_separable_kernel`.  The transition phase is
+    ``Lam = K (E_m - E_n)``, ``K`` the model's coupling and ``E`` the
+    frame's ``eps_integrals``.  Refinement steps through the stride-4
     / stride-2 / stride-1 subsets of the grid, each rung taking
     ``Tr[S sigma S^dagger]`` with ``S = sum_k w_k exp(i Lam_k) g_k``, so the
     grid interval count must be divisible by 8, the spacing uniform and the
     first node the model's horizon origin; the rule refuses to run when the
     grid resolves the fastest transition phase with fewer than 10 nodes per
     period.  ``est_error`` is the change of the last refinement, blind to the
-    phases' own error, and ``imag_residual`` the imaginary part of the finest
-    rung, which rounding alone makes nonzero.
+    error of ``eps_integrals``, and ``imag_residual`` the imaginary part of
+    the finest rung, which rounding alone makes nonzero.
 
     ``target_projector`` restricts the arrival projector to a sub-projector
     of level ``m`` (useful when a degenerate level is watched channel by
@@ -174,10 +175,6 @@ def general_jump(
         raise ValidationError("jump probability needs distinct levels n != m")
     if rho.shape[0] != frame.dim or model.dim != frame.dim:
         raise ValidationError("model, frame and state dimensions disagree")
-    if abs(frame.coupling - model.coupling) > 1e-12 * abs(model.coupling):
-        raise ValidationError(
-            f"frame coupling {frame.coupling!r} differs from the model's {model.coupling!r}"
-        )
 
     pn0, pm0 = frame.initial_projectors[n], frame.initial_projectors[m]
     if max_norm(rho - pn0 @ rho @ pn0) > 1e-8:
@@ -206,8 +203,8 @@ def general_jump(
             f"a multiple of 8"
         )
 
-    lam = frame.phases[m] - frame.phases[n]
-    rate = float(np.max(np.abs(frame.coupling * (frame.eigenvalues[m] - frame.eigenvalues[n]))))
+    lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
+    rate = float(np.max(np.abs(model.coupling * (frame.eigenvalues[m] - frame.eigenvalues[n]))))
     if rate > 0.0:
         period = 2.0 * math.pi / rate
         if steps[0] > period / 10.0:
@@ -247,7 +244,7 @@ def general_jump(
         )
 
     report = adiabaticity_report(
-        model.h_meas, frame.coupling, grid, pol, degeneracy_tol=frame.degeneracy_tol
+        model.h_meas, model.coupling, grid, pol, degeneracy_tol=frame.degeneracy_tol
     )
     warnings: list[str] = []
     if value > 0.5:
@@ -281,7 +278,7 @@ def _separable_kernel(model, frame, n, m, target, pol):
       between the sector states of levels ``m`` and ``n``.
     * One intertwiner ``A`` (a broadcast stack, as static frames keep) and one
       ``h0`` at every node: ``J = 1``, ``c = 1``, ``G = (A Y)^dagger h0 (A Q)``.
-    * Any other frame: ``c`` holds each node's block.
+    * Any other frame: ``c`` holds each node's block (``A`` from ``site`` on a tensor power).
     """
     h0, site = model.h0, frame.site
     h0_nodes = h0.sample(frame.grid)  # a constant operator's is a view of its matrix
@@ -305,6 +302,8 @@ def _separable_kernel(model, frame, n, m, target, pol):
     q = _level_basis(frame.initial_projectors[n])
     y = _level_basis(frame.initial_projectors[m] if target is None else target)
     a = frame.intertwiners
+    if a is None:
+        a = _tensor_power(site.intertwiners, frame.dim.bit_length() - 1)
     if a.strides[0] == 0 and (h0.value is not None or (h0_nodes == h0_nodes[0]).all()):
         g = (a[0] @ y).conj().T @ h0_nodes[0] @ (a[0] @ q)
         return q, y, np.ones((len(a), 1)), g.reshape(1, -1)

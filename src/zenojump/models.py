@@ -15,7 +15,8 @@ phases of the laboratory-time formulation.  The chain's field is a sum of
 identical commuting one-site terms, so its intertwining frame is the tensor
 power of the frame tracked for one spin (:func:`spin_chain_frame`), and its
 perturbation is a sum of one two-spin exchange term over its bonds
-(:meth:`~zenojump.decomposition.TimeDependentOperator.bond_sum`).
+(:meth:`~zenojump.decomposition.TimeDependentOperator.bond_sum`).  Frames
+carry no coupling, so one chain frame serves every ``h`` and ``T``.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ import numpy as np
 from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
-    _check_coupling,
     _checked_frame,
     _sector_states,
     _site_eigenbasis,
     _tensor_power,
-    _trapezoid_phases,
     decompose,
     track_frame,
 )
@@ -164,23 +163,22 @@ def spin_chain_frame(
 
     The field is a sum of identical commuting one-site terms, so the frame is
     the tensor power ``A = a^{(x)n}`` of the frame ``a(s)`` that
-    :func:`track_frame` follows for one spin, kept in ``site``; the dense
-    ``A`` is formed only when ``intertwiners`` is read.  The levels are the
-    magnetization sectors.  Level ``l`` (``l`` spins in the upper one-site
-    level) has rank ``C(n, l)``, eigenvalue and phase ``(n-l)`` times the
-    lower one-site value plus ``l`` times the upper one, and at each end node
-    the projector onto the states with ``l`` bits set, conjugated by the
-    tensor power of the one-site eigenbasis there.  The degeneracy tolerance
-    is ``n`` times the one-site one, which is what the dense route resolves
-    from the chain's spectral range.
+    :func:`track_frame` follows for one spin, kept in ``site``, with
+    ``intertwiners=None``.  The levels are the magnetization sectors.  Level
+    ``l`` (``l`` spins in the upper one-site level) has rank ``C(n, l)``,
+    eigenvalue and ``eps_integrals`` row ``(n-l)`` times the lower one-site
+    row plus ``l`` times the upper one, and at each end node the projector
+    onto the states with ``l`` bits set, conjugated by the tensor power of
+    the one-site eigenbasis there.  The degeneracy tolerance is ``n`` times
+    the one-site one, which is what the dense route resolves from the
+    chain's spectral range.
 
-    The field direction has unit amplitude, so only the phases depend on the
-    coupling ``h * T``.  ``shared`` is a dict that the calls of one sweep pass
-    in turn: the first call for an ``(n_sites, n_intervals, policy)`` keeps
-    the rest of the frame there (read-only), and each call re-forms the
-    phases, its own and its ``site``'s, from the one-site levels with
-    :func:`track_frame`'s trapezoids.  The coupling and residual checks run
-    on every call.  Keep the dict no longer than the sweep.
+    The field direction has unit amplitude and the frame carries no
+    coupling, so only ``n_sites`` of ``spec`` reaches it.  ``shared`` is a
+    dict that the calls of one sweep pass in turn: the first call for an
+    ``(n_sites, n_intervals, policy)`` keeps the frame there (read-only), and
+    every call returns that frame after the residual check.  Keep the dict
+    no longer than the sweep.
 
     ``residual`` is ``sqrt(2) n r``, ``r`` the one-site residual, checked
     against ``policy.frame_tol`` (a one-site frame that misses it is carried
@@ -195,17 +193,11 @@ def spin_chain_frame(
     ``+-(D_00^2 + |D_01|^2)^(1/2)``: ``|D|_2 <= sqrt(2) max|D_ij| <= sqrt(2) r``.
     """
     pol = default_policy(policy)
-    n = spec.n_sites
-    coupling = _check_coupling(spec.h * spec.T)
+    key = (spec.n_sites, n_intervals, pol)
     shared = {} if shared is None else shared
-    key = (n, n_intervals, pol)
     if key not in shared:
-        shared[key] = _coupling_free_chain_frame(n, coupling, n_intervals, pol)
-    site, fields = shared[key]
-    phases = _trapezoid_phases(site.grid, coupling * site.eigenvalues)
-    site = dataclasses.replace(site, phases=phases, coupling=coupling)
-    frame = AdiabaticFrame(**fields, phases=_sector_rows(n, phases), coupling=coupling, site=site)
-    return _checked_frame(frame, pol)
+        shared[key] = _chain_frame(*key)
+    return _checked_frame(shared[key], pol)
 
 
 def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
@@ -214,16 +206,11 @@ def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
     return (n - upper) * site_rows[0] + upper * site_rows[1]
 
 
-def _coupling_free_chain_frame(
-    n: int, coupling: float, n_intervals: int, pol: NumericPolicy
-) -> tuple[AdiabaticFrame, dict]:
-    """The one-site frame and the chain frame's fields bar ``phases``, ``coupling`` and ``site``.
-
-    Tracks the one-site frame at ``coupling`` (only its phases depend on it).
-    """
+def _chain_frame(n: int, n_intervals: int, pol: NumericPolicy) -> AdiabaticFrame:
+    """The chain frame of :func:`spin_chain_frame`, its arrays read-only, before the residual check."""
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
     try:
-        site = track_frame(_field_direction(1), coupling, grid, pol)
+        site = track_frame(_field_direction(1), grid, pol)
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check decides
     ends = []
@@ -231,20 +218,22 @@ def _coupling_free_chain_frame(
         power = _tensor_power(_site_eigenbasis(site_projectors), n)
         sectors = (power[:, _sector_states(n, l)] for l in range(n + 1))
         ends.append(np.array([b @ b.conj().T for b in sectors]))
-    fields = dict(
+    frame = AdiabaticFrame(
         grid=site.grid,
         intertwiners=None,
         eigenvalues=_sector_rows(n, site.eigenvalues),
+        eps_integrals=_sector_rows(n, site.eps_integrals),
         initial_projectors=ends[0],
         final_projectors=ends[1],
         ranks=tuple(math.comb(n, l) for l in range(n + 1)),
         degeneracy_tol=n * site.degeneracy_tol,
         residual=math.sqrt(2.0) * n * site.residual,
+        site=site,
     )
-    for value in (*vars(site).values(), *fields.values()):
+    for value in (*vars(site).values(), *vars(frame).values()):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    return site, fields
+    return frame
 
 
 def field_strength(s):
@@ -395,9 +384,7 @@ def time_independent_frame(
     dec = decompose(model.h_meas(t0), degeneracy_tol, pol)
     grid = np.linspace(t0, t1, n_intervals + 1)
     levels = [(float(dec.eigenvalues[l]), dec.projectors[l]) for l in range(dec.n_levels)]
-    return AdiabaticFrame.static(
-        grid, levels, model.coupling, pol, degeneracy_tol=dec.degeneracy_tol
-    )
+    return AdiabaticFrame.static(grid, levels, pol, degeneracy_tol=dec.degeneracy_tol)
 
 
 def pulsed_measurement_model(
@@ -433,7 +420,6 @@ def pulsed_measurement_model(
 
 def pulsed_frame(
     projector,
-    coupling: float,
     tau: float,
     tau_free: float,
     n_intervals: int,
@@ -458,6 +444,4 @@ def pulsed_frame(
         return 1.0 if t >= tau_free else 0.0
 
     complement = np.eye(p.shape[0], dtype=complex) - p
-    return AdiabaticFrame.static(
-        grid, [(watched_eps, p), (0.0, complement)], coupling, policy
-    )
+    return AdiabaticFrame.static(grid, [(watched_eps, p), (0.0, complement)], policy)

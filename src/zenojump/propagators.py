@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .decomposition import AdiabaticFrame, TimeDependentOperator, _tensor_power
+from .decomposition import AdiabaticFrame, TimeDependentOperator, _check_coupling, _tensor_power
 from .errors import NumericalError, ValidationError
 from .operators import matrix_exp_unitary, max_norm
 from .policy import NumericPolicy, default_policy
@@ -160,15 +160,18 @@ def exact_propagator(
     )
 
 
-def adiabatic_propagator(frame: AdiabaticFrame, t: float) -> np.ndarray:
+def adiabatic_propagator(frame: AdiabaticFrame, t: float, coupling: float) -> np.ndarray:
     """Zeroth-order propagator ``A(t) Phi(t)`` at a frame grid node.
 
-    ``Phi(t) = sum_l exp(-i phase_l(t)) P_l(0)``.  Requesting a time between
-    grid nodes is an error; frames are never interpolated.  A tensor-power
-    frame forms ``A(t)`` at that node alone, from its ``site``.
+    ``Phi(t) = sum_l exp(-i K E_l(t)) P_l(0)``, ``E`` the frame's
+    ``eps_integrals`` and ``K`` the ``coupling``, positive and finite.
+    Requesting a time between grid nodes is an error; frames are never
+    interpolated.  A tensor-power frame forms ``A(t)`` at that node alone,
+    from its ``site``.
     """
     k = frame.node_index(float(t))
-    phi = np.tensordot(np.exp(-1j * frame.phases[:, k]), frame.initial_projectors, axes=(0, 0))
+    phases = _check_coupling(coupling) * frame.eps_integrals[:, k]
+    phi = np.tensordot(np.exp(-1j * phases), frame.initial_projectors, axes=(0, 0))
     if frame.site is None:
         return frame.intertwiners[k] @ phi
     return _tensor_power(frame.site.intertwiners[k], frame.dim.bit_length() - 1) @ phi

@@ -100,8 +100,8 @@ def frame_intertwining_properties(cases: int = 100, seed: int = BASE_SEED + 3) -
     for case in range(cases):
         dim = int(rng.integers(2, 5))
         op = _rotating_family(rng, dim)
-        coupling = float(rng.uniform(4.0, 12.0))
-        frame = zj.track_frame(op, coupling, grid)
+        rng.uniform(4.0, 12.0)  # a frame takes no coupling; the draw keeps the cases as they were
+        frame = zj.track_frame(op, grid)
         assert zj.max_norm(frame.intertwiners[0] - np.eye(dim)) < 1e-12, f"case {case}: A(0)"
         k = int(rng.integers(1, len(grid)))
         a = frame.intertwiners[k]
@@ -109,6 +109,13 @@ def frame_intertwining_properties(cases: int = 100, seed: int = BASE_SEED + 3) -
         residual = frame.residual
         assert residual < 1e-6, f"case {case}: residual {residual:.2e}"
     return cases
+
+
+def dense_intertwiners(frame) -> np.ndarray:
+    """A frame's ``(K, d, d)`` intertwiner stack; a tensor-power frame's is formed from its ``site``."""
+    if frame.site is None:
+        return frame.intertwiners
+    return zj.decomposition._tensor_power(frame.site.intertwiners, frame.dim.bit_length() - 1)
 
 
 def kernel_realness_properties(cases: int = 100, seed: int = BASE_SEED + 4) -> int:

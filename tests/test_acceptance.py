@@ -89,7 +89,7 @@ def test_criterion_04_general_quadrature_equals_closed_forms():
     tau, tau_free = 0.8, 0.3
     for coupling in (5.0, 20.0):
         model = zj.pulsed_measurement_model(p, h0, coupling, tau, tau_free)
-        frame = zj.pulsed_frame(p, coupling, tau, tau_free, n_intervals=512)
+        frame = zj.pulsed_frame(p, tau, tau_free, n_intervals=512)
         res = zj.general_jump(model, rho0, 1, 0, frame)
         ref = zj.pulsed_jump(zj.transition_weight(h0, rho0, p), coupling, tau, tau_free)
         assert res.value == pytest.approx(ref, rel=1e-5)

@@ -119,7 +119,7 @@ def test_instantaneous_transport_on_the_chain_frame_matches_the_dense_frame():
     spec = zj.SpinChainSpec(n_sites=3, h=9.0, T=1.0)
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
-    dense = zj.track_frame(model.h_meas, model.coupling, frame.grid)
+    dense = zj.track_frame(model.h_meas, frame.grid)
     rho0 = frame.initial_projectors[0]
     values = [
         zj.exact_jump(model, rho0, 1, f, transport="instantaneous", tol=1e-6)

@@ -336,10 +336,10 @@ def test_static_frame_phases_exact_for_switched_eigenvalue():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     switch = lambda t: 1.0 if t >= 0.5 else 0.0
     grid = np.linspace(0.0, 1.0, 9)
-    frame = zj.AdiabaticFrame.static(grid, [(switch, p0), (0.0, p1)], coupling=10.0)
-    # Midpoint sampling integrates the step profile exactly: 10 * 1 * 0.5.
-    assert frame.phases[0, -1] == pytest.approx(5.0, abs=1e-14)
-    assert frame.phases[1, -1] == 0.0
+    frame = zj.AdiabaticFrame.static(grid, [(switch, p0), (0.0, p1)])
+    # Midpoint sampling integrates the step profile exactly: 1 * 0.5.
+    assert frame.eps_integrals[0, -1] == pytest.approx(0.5, abs=1e-15)
+    assert frame.eps_integrals[1, -1] == 0.0
     assert np.array_equal(frame.intertwiners[3], np.eye(2))
     assert frame.ranks == (1, 1)
     assert frame.residual == 0.0
@@ -353,7 +353,7 @@ def test_static_frame_phases_exact_for_switched_eigenvalue():
 def test_static_frame_requires_complete_levels():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(zj.ValidationError, match="identity"):
-        zj.AdiabaticFrame.static(np.linspace(0, 1, 5), [(1.0, p0)], coupling=1.0)
+        zj.AdiabaticFrame.static(np.linspace(0, 1, 5), [(1.0, p0)])
 
 
 # --- track_frame -------------------------------------------------------------
@@ -365,7 +365,7 @@ def test_track_frame_transports_projectors():
     base = np.diag([-1.0, 0.0, 1.0]).astype(complex)
     op = rotation_family(gen, base)
     grid = np.linspace(0.0, 1.0, 65)
-    frame = zj.track_frame(op, coupling=5.0, grid=grid)
+    frame = zj.track_frame(op, grid=grid)
     assert frame.residual < 1e-6
     assert np.max(np.abs(frame.intertwiners[0] - np.eye(3))) < 1e-12
     for k in (10, 32, 64):
@@ -380,7 +380,7 @@ def test_track_frame_detects_level_crossing():
         evaluator=lambda t: (0.5 - t) * zj.SIGMA_Z, horizon=(0.0, 1.0), dim=2
     )
     with pytest.raises(zj.LevelCrossingError, match="level"):
-        zj.track_frame(op, coupling=1.0, grid=np.linspace(0.0, 1.0, 33))
+        zj.track_frame(op, grid=np.linspace(0.0, 1.0, 33))
 
 
 def test_track_frame_rejects_levels_that_cannot_be_followed():
@@ -403,7 +403,7 @@ def test_track_frame_rejects_levels_that_cannot_be_followed():
         breakpoints=(0.5,),
     )
     with pytest.raises(zj.LevelCrossingError, match="at node t=0.5;"):
-        zj.track_frame(op, coupling=1.0, grid=np.linspace(0.0, 1.0, 9))
+        zj.track_frame(op, grid=np.linspace(0.0, 1.0, 9))
 
 
 def test_level_orders_scan_equals_the_sequential_composition():
@@ -428,7 +428,7 @@ def test_track_frame_residual_failure_carries_frame():
     op = rotation_family(gen, base, analytic=False)
     with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
         zj.track_frame(
-            op, coupling=5.0, grid=np.linspace(0.0, 1.0, 5), policy=zj.NumericPolicy(frame_tol=1e-10)
+            op, grid=np.linspace(0.0, 1.0, 5), policy=zj.NumericPolicy(frame_tol=1e-10)
         )
     assert isinstance(exc.value.last_result, zj.AdiabaticFrame)
     assert exc.value.last_result.residual > 1e-10
@@ -437,7 +437,7 @@ def test_track_frame_residual_failure_carries_frame():
 def test_track_frame_keeps_the_residual_it_checked():
     rng = np.random.default_rng(22)
     op = rotation_family(random_hermitian(rng, 3, scale=0.5), np.diag([-1.0, 0.0, 1.0]))
-    frame = zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 65))
+    frame = zj.track_frame(op, grid=np.linspace(0.0, 1.0, 65))
     # The per-node residual, recomputed from decompose at every node; the
     # frame's levels are in decompose's ascending order (rotations keep them).
     recomputed = max(
@@ -453,7 +453,7 @@ def test_track_frame_keeps_the_residual_it_checked():
 def test_track_frame_rejects_a_bad_degeneracy_tol(tol):
     op = rotation_family(random_hermitian(np.random.default_rng(24), 3), np.diag([-1.0, 0.0, 1.0]))
     with pytest.raises(zj.ValidationError, match="degeneracy_tol"):
-        zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, 17), degeneracy_tol=tol)
+        zj.track_frame(op, grid=np.linspace(0.0, 1.0, 17), degeneracy_tol=tol)
 
 
 @pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
@@ -471,7 +471,7 @@ def test_track_frame_rejects_grid_missing_breakpoint():
         breakpoints=(0.3,),
     )
     with pytest.raises(zj.ValidationError, match="grid node"):
-        zj.track_frame(op, coupling=1.0, grid=np.linspace(0.0, 1.0, 5))
+        zj.track_frame(op, grid=np.linspace(0.0, 1.0, 5))
 
 
 def test_track_frame_integrator_order():
@@ -482,7 +482,7 @@ def test_track_frame_integrator_order():
     op = rotation_family(gen, base)
 
     def endpoint(n_nodes):
-        frame = zj.track_frame(op, coupling=5.0, grid=np.linspace(0.0, 1.0, n_nodes))
+        frame = zj.track_frame(op, grid=np.linspace(0.0, 1.0, n_nodes))
         return frame.intertwiners[-1]
 
     ref = endpoint(1025)
@@ -542,12 +542,14 @@ BAD_COUPLINGS = [0.0, -1.0, float("nan"), float("inf")]
 @pytest.mark.parametrize("coupling", BAD_COUPLINGS)
 def test_frames_and_report_reject_a_bad_coupling(coupling):
     # An infinite coupling (h*T overflowing, say) would give infinite phases.
+    # Frames take no coupling; every entry point that does checks it.
     op = rotation_family(random_hermitian(np.random.default_rng(26), 2), zj.SIGMA_Z)
     grid = np.linspace(0.0, 1.0, 17)
     p0 = np.diag([1.0, 0.0]).astype(complex)
+    frame = zj.AdiabaticFrame.static(grid, [(1.0, p0), (0.0, np.eye(2) - p0)])
     entry_points = (
-        lambda: zj.track_frame(op, coupling, grid),
-        lambda: zj.AdiabaticFrame.static(grid, [(1.0, p0), (0.0, np.eye(2) - p0)], coupling),
+        lambda: zj.adiabatic_propagator(frame, 0.5, coupling),
+        lambda: zj.MeasurementModel(h0=op, h_meas=op, coupling=coupling),
         lambda: zj.adiabaticity_report(op, coupling, grid),
     )
     for call in entry_points:

@@ -9,7 +9,7 @@ import pytest
 
 import zenojump as zj
 
-from properties import random_hermitian, random_spread_hermitian
+from properties import dense_intertwiners, random_hermitian, random_spread_hermitian
 
 
 def static_setup(seed, dim=4, coupling=5.0, t_final=1.0, n_intervals=1024):
@@ -145,7 +145,7 @@ def test_general_jump_matches_pulsed_closed_form():
     p = np.diag([1.0, 0.0, 0.0]).astype(complex)
     coupling, tau, tau_free = 5.0, 0.8, 0.3
     model = zj.pulsed_measurement_model(p, h0, coupling, tau, tau_free)
-    frame = zj.pulsed_frame(p, coupling, tau, tau_free, n_intervals=512)
+    frame = zj.pulsed_frame(p, tau, tau_free, n_intervals=512)
     rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     res = zj.general_jump(model, rho0, 1, 0, frame)
     tf = zj.transition_weight(h0, rho0, p)
@@ -176,11 +176,11 @@ def test_general_jump_rejects_bad_grids():
     dec = zj.decompose(model.h_meas(0.0))
     levels = [(float(e), p) for e, p in zip(dec.eigenvalues, dec.projectors)]
     ragged = zj.AdiabaticFrame.static(
-        np.array([0.0, 0.1, 0.3, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0]), levels, model.coupling
+        np.array([0.0, 0.1, 0.3, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0]), levels
     )
     with pytest.raises(zj.ValidationError, match="uniform"):
         zj.general_jump(model, rho0, n, m, ragged)
-    coarse = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 7), levels, model.coupling)
+    coarse = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 7), levels)
     with pytest.raises(zj.ValidationError, match="multiple of 8"):
         zj.general_jump(model, rho0, n, m, coarse)
 
@@ -201,17 +201,24 @@ def test_general_jump_rejects_a_non_hermitian_perturbation():
         zj.general_jump(model, rho0, 0, 1, frame)
 
 
-def test_general_jump_rejects_a_frame_at_another_coupling():
-    # The measured case: a chain model at K = 5 with its frame at K = 10.
-    model = zj.spin_chain_model(zj.SpinChainSpec(h=5.0))
-    frame = zj.spin_chain_frame(zj.SpinChainSpec(h=10.0), n_intervals=512)
-    rho0 = frame.initial_projectors[0]
-    for route in (zj.general_jump, zj.compare_jump):
-        with pytest.raises(zj.ValidationError, match="frame coupling 10.0 differs from the model's 5.0"):
-            route(model, rho0, 0, 2, frame)
-    near = zj.spin_chain_frame(zj.SpinChainSpec(h=5.0), n_intervals=512)
-    near = dataclasses.replace(near, coupling=5.0 * (1.0 + 1e-13))
-    assert zj.general_jump(model, rho0, 0, 2, near).value > 0.0
+def test_one_frame_serves_every_coupling():
+    # A frame depends on the measurement alone; the model's coupling sets the phases.
+    # (at 512 intervals the Simpson ladder misses its 1e-6 target at h = 7 and 9)
+    chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=2), n_intervals=1024)
+    for h in (5.0, 7.0, 9.0):
+        model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=h, T=1.0))
+        res = zj.general_jump(model, chain.initial_projectors[0], 0, 2, chain)
+        assert res.value == pytest.approx(zj.two_qubit_rotation_jump(h, 1.0).to_opposite, rel=1e-5)
+        assert res.adiabaticity.coupling == h
+    base, frame, rho0, n = static_setup(66)
+    m = (n + 1) % frame.n_levels
+    eps = frame.eigenvalues[:, 0]
+    tf = zj.transition_weight(base.h0.value, rho0, frame.initial_projectors[m])
+    for coupling in (5.0, 10.0, 20.0):
+        model = zj.time_independent_model(base.h0.value, base.h_meas.value, coupling, 1.0)
+        res = zj.general_jump(model, rho0, n, m, frame)
+        ref = zj.continuous_jump(tf, coupling, float(eps[m] - eps[n]), 1.0)
+        assert res.value == pytest.approx(ref, rel=1e-6)
 
 
 def test_general_jump_refuses_undersampled_phase():
@@ -294,9 +301,9 @@ def _trace_form(model, rho0, n, m, frame, target_projector=None):
     rung taking ``Tr[F rho0 F^dagger P]``."""
     grid = frame.grid
     step = grid[1] - grid[0]
-    lam = frame.phases[m] - frame.phases[n]
+    lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
     target = frame.initial_projectors[m] if target_projector is None else target_projector
-    a = frame.intertwiners
+    a = dense_intertwiners(frame)
     f_nodes = a.conj().swapaxes(-1, -2) @ model.h0.sample(grid) @ a
     values = []
     for stride in (4, 2, 1):
@@ -364,7 +371,7 @@ def test_general_jump_allocates_less_than_one_full_node_stack():
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec, n_intervals=1024)
     rho0 = frame.initial_projectors[2] / frame.ranks[2]
-    stack_bytes = frame.intertwiners.size * np.dtype(complex).itemsize
+    stack_bytes = frame.n_nodes * frame.dim**2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         zj.general_jump(model, rho0, 2, 4, frame)
@@ -379,7 +386,7 @@ def test_general_jump_allocates_less_than_one_full_node_stack():
 @pytest.mark.parametrize("lambda3", [1.0, 0.4])
 def test_separable_chain_kernel_matches_the_dense_trace_form(n_sites, boundary, lambda3):
     # The bond-block kernel against the full-matrix reference on the dense
-    # intertwiners that the frame forms when they are read.
+    # intertwiners formed from the frame's site.
     spec = zj.SpinChainSpec(n_sites=n_sites, couplings=(1.0, 2.0, lambda3), h=12.5, boundary=boundary)
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec, n_intervals=1024)
@@ -440,12 +447,12 @@ def test_general_jump_rejects_a_frame_that_starts_after_the_model():
     model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([1.0, -1.0]), 5.0, 1.0)
     dec = zj.decompose(model.h_meas(0.0))
     levels = [(float(e), p) for e, p in zip(dec.eigenvalues, dec.projectors)]
-    late = zj.AdiabaticFrame.static(np.linspace(0.5, 1.0, 257), levels, model.coupling)
+    late = zj.AdiabaticFrame.static(np.linspace(0.5, 1.0, 257), levels)
     rho0 = late.initial_projectors[0]
     for route in (zj.general_jump, zj.compare_jump):
         with pytest.raises(zj.ValidationError, match="frame grid starts at 0.5, not at the model's horizon origin 0.0"):
             route(model, rho0, 0, 1, late)
-    full = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 257), levels, model.coupling)
+    full = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 257), levels)
     assert zj.compare_jump(model, rho0, 0, 1, full).status == "pass"
 
 

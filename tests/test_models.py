@@ -9,6 +9,8 @@ import pytest
 import zenojump as zj
 from zenojump.models import _field_direction
 
+from properties import dense_intertwiners
+
 
 CUM_FULL = 0.5 + (math.sqrt(2.0) / 4.0) * math.log(1.0 + math.sqrt(2.0))
 
@@ -71,22 +73,23 @@ def test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack():
     spec = zj.SpinChainSpec(n_sites=5, h=9.0, T=1.0)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
     site = frame.site
-    assert (site.dim, site.ranks, site.coupling, site.site) == (2, (1, 1), frame.coupling, None)
+    assert (site.dim, site.ranks, site.site) == (2, (1, 1), None)
     assert np.array_equal(site.grid, frame.grid)
-    assert np.array_equal(frame.phases, zj.models._sector_rows(5, site.phases))
-    # only the end-node projectors are 2^n-dimensional; the dense stack is formed on read
+    assert np.array_equal(frame.eps_integrals, zj.models._sector_rows(5, site.eps_integrals))
+    # only the end-node projectors are 2^n-dimensional; no stack over the nodes is kept
+    assert frame.intertwiners is None and frame == frame
     stack_bytes = 257 * 32 * 32 * np.dtype(complex).itemsize
     kept = [v for f in (frame, site) for v in vars(f).values() if isinstance(v, np.ndarray)]
     assert max(v.nbytes for v in kept) < stack_bytes / 16
-    dense = frame.intertwiners
-    assert dense.shape == (257, 32, 32) and dense is not frame.intertwiners
+    dense = dense_intertwiners(frame)
+    assert dense.shape == (257, 32, 32)
     for k in (0, 100, 256):
         power = np.eye(1)
         for _ in range(5):
             power = np.kron(site.intertwiners[k], power)
         assert np.max(np.abs(dense[k] - power)) <= 1e-15
-    assert repr(frame).startswith("AdiabaticFrame(levels=6, nodes=257, dim=32, coupling=9.0, residual=")
-    tracked = zj.track_frame(zj.models._field_direction(1), frame.coupling, frame.grid)
+    assert repr(frame).startswith("AdiabaticFrame(levels=6, nodes=257, dim=32, residual=")
+    tracked = zj.track_frame(zj.models._field_direction(1), frame.grid)
     assert tracked.site is None and zj.time_independent_frame(zj.time_independent_model(
         zj.SIGMA_X, zj.SIGMA_Z, 2.0, 1.0), 16).site is None
 
@@ -146,10 +149,9 @@ def test_spin_chain_frame_structure():
     assert np.max(np.abs(frame.eigenvalues[0] + 2.0 * ks)) < 1e-10
     assert np.max(np.abs(frame.eigenvalues[1])) < 1e-10
     assert np.max(np.abs(frame.eigenvalues[2] - 2.0 * ks)) < 1e-10
-    # Accumulated phase of the top level follows the field integral; the
-    # trapezoid accumulation is second order in the grid step.
-    expected = 2.0 * spec.h * spec.T * CUM_FULL
-    assert frame.phases[2, -1] == pytest.approx(expected, rel=1e-4)
+    # The top level's integral follows the field integral; the trapezoid
+    # accumulation is second order in the grid step.
+    assert frame.eps_integrals[2, -1] == pytest.approx(2.0 * CUM_FULL, rel=1e-4)
 
 
 def test_two_qubit_rotation_jump_matches_general_route():
@@ -203,8 +205,8 @@ def test_time_independent_builders():
     assert frame.n_nodes == 17
     assert frame.ranks == (1, 1)
     assert np.allclose(frame.eigenvalues[:, 0], [-1.0, 1.0])
-    # Static phases are exact linear ramps.
-    assert frame.phases[1, -1] == pytest.approx(2.0 * 1.5)
+    # Static level integrals are exact linear ramps.
+    assert frame.eps_integrals[1, -1] == pytest.approx(1.5)
 
 
 def test_pulsed_builders_and_level_convention():
@@ -215,16 +217,16 @@ def test_pulsed_builders_and_level_convention():
     assert model.h_meas.breakpoints == (0.5,)
     assert np.allclose(model.h_meas(0.25), np.zeros((2, 2)))
     assert np.allclose(model.h_meas(0.75), p)
-    frame = zj.pulsed_frame(p, 4.0, 1.0, 0.5, n_intervals=8)
+    frame = zj.pulsed_frame(p, 1.0, 0.5, n_intervals=8)
     # Level 0 is the watched projector; its eigenvalue switches on at tau_free.
     assert np.allclose(frame.initial_projectors[0], p)
     assert np.allclose(frame.final_projectors[0], p)
     assert frame.eigenvalues[0, 0] == 0.0
     assert frame.eigenvalues[0, -1] == 1.0
     assert np.all(frame.eigenvalues[1] == 0.0)
-    assert frame.phases[0, -1] == pytest.approx(4.0 * 0.5)
+    assert frame.eps_integrals[0, -1] == pytest.approx(0.5)
     with pytest.raises(zj.ValidationError, match="must be a node"):
-        zj.pulsed_frame(p, 4.0, 1.0, 0.37, n_intervals=8)
+        zj.pulsed_frame(p, 1.0, 0.37, n_intervals=8)
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
@@ -268,12 +270,12 @@ def _closed_form_site_frame(s):
 def test_tracked_site_frame_is_the_closed_form_rotation(intervals):
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0))
     grid = np.linspace(0.0, 1.0, intervals + 1)
-    frame = zj.track_frame(model.h_meas.site, model.coupling, grid)
+    frame = zj.track_frame(model.h_meas.site, grid)
     assert np.max(np.abs(frame.intertwiners - _closed_form_site_frame(grid))) <= 1e-13
     chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0), n_intervals=intervals)
     a = _closed_form_site_frame(grid)
     pair = np.einsum("kab,kcd->kacbd", a, a).reshape(len(grid), 4, 4)
-    assert np.max(np.abs(chain.intertwiners - pair)) <= 1e-13
+    assert np.max(np.abs(dense_intertwiners(chain) - pair)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -284,15 +286,15 @@ def test_spin_chain_frame_matches_the_dense_tracked_frame(n_sites, boundary):
     # tracking the 2^n-dimensional field directly is the independent route.
     spec = zj.SpinChainSpec(n_sites=n_sites, h=12.5, T=1.0, boundary=boundary)
     model = zj.spin_chain_model(spec)
-    dense = zj.track_frame(model.h_meas, model.coupling, np.linspace(0.0, 1.0, 1025))
+    dense = zj.track_frame(model.h_meas, np.linspace(0.0, 1.0, 1025))
     frame = zj.spin_chain_frame(spec)
-    for name in ("intertwiners", "initial_projectors", "final_projectors", "eigenvalues", "phases"):
+    assert np.max(np.abs(dense_intertwiners(frame) - dense.intertwiners)) <= 1e-12
+    for name in ("initial_projectors", "final_projectors", "eigenvalues", "eps_integrals"):
         assert np.max(np.abs(getattr(frame, name) - getattr(dense, name))) <= 1e-12, name
     assert frame.ranks == dense.ranks == tuple(math.comb(n_sites, l) for l in range(n_sites + 1))
     # the chain's tolerance is n times the site's, the dense route's comes
     # from the dense spectral range: equal up to rounding only
     assert frame.degeneracy_tol == pytest.approx(dense.degeneracy_tol, rel=1e-12)
-    assert frame.coupling == dense.coupling
     assert np.array_equal(frame.grid, dense.grid)
     assert 0.0 < frame.residual <= zj.default_policy().frame_tol
 
@@ -309,7 +311,7 @@ def test_spin_chain_residual_bounds_the_dense_per_node_residual(n_sites, boundar
     frame = zj.spin_chain_frame(spec)
     dense = max(
         zj.max_norm(a @ p0 @ a.conj().T - p)
-        for s, a in zip(frame.grid, frame.intertwiners)
+        for s, a in zip(frame.grid, dense_intertwiners(frame))
         for p0, p in zip(frame.initial_projectors, zj.decompose(model.h_meas(s)).projectors)
     )
     assert 0.0 < dense <= frame.residual + 1e-14
@@ -330,7 +332,7 @@ def test_spin_chain_frame_keeps_end_node_projectors_only():
     # A per-node stack at 6 sites would be (7, 257, 64, 64).
     frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=6, h=9.0, T=1.0), n_intervals=256)
     assert frame.initial_projectors.shape == frame.final_projectors.shape == (7, 64, 64)
-    assert frame.intertwiners.shape == (257, 64, 64)
+    assert frame.intertwiners is None and frame.site.intertwiners.shape == (257, 2, 2)
 
 
 @pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
@@ -345,7 +347,7 @@ def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
     spec = zj.SpinChainSpec(n_sites=4, h=12.5, T=1.0)
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec)
-    dense = zj.track_frame(model.h_meas, model.coupling, frame.grid)
+    dense = zj.track_frame(model.h_meas, frame.grid)
     rho0 = frame.initial_projectors[0]
     res = zj.general_jump(model, rho0, 0, 2, frame)
     ref = zj.general_jump(model, rho0, 0, 2, dense)
@@ -377,18 +379,16 @@ def _same_bits(a, b) -> bool:
 def test_a_shared_chain_frame_equals_a_fresh_one_bit_for_bit(n_sites):
     shared = {}
     first = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=n_sites, h=9.0), 256, shared=shared)
-    # Another field, duration and exchange: only the coupling h * T reaches the frame.
+    # Another field, duration and exchange: none of them reaches the frame.
     spec = zj.SpinChainSpec(n_sites=n_sites, couplings=(0.5, 1.0, 3.0), h=13.5, T=1.3)
     frame = zj.spin_chain_frame(spec, 256, shared=shared)
     fresh = zj.spin_chain_frame(spec, 256)
     assert len(shared) == 1
     for field in dataclasses.fields(zj.AdiabaticFrame):
         assert _same_bits(getattr(frame, field.name), getattr(fresh, field.name)), field.name
-    assert frame.coupling == frame.site.coupling == 13.5 * 1.3 != first.coupling
-    # the shared one-site frame: only its phases are re-formed
-    assert frame.site.intertwiners is first.site.intertwiners
-    assert not frame.site.intertwiners.flags.writeable
-    assert np.array_equal(frame.phases, zj.models._sector_rows(n_sites, frame.site.phases))
+    # the shared frame itself, read-only
+    assert frame is first
+    assert not (frame.eps_integrals.flags.writeable or frame.site.intertwiners.flags.writeable)
 
 
 def test_a_shared_chain_frame_is_keyed_by_size_grid_and_policy():
@@ -402,9 +402,9 @@ def test_a_shared_chain_frame_is_keyed_by_size_grid_and_policy():
 
 
 def test_a_shared_chain_frame_checks_the_residual_on_every_call():
-    shared, tight = {}, zj.NumericPolicy(frame_tol=1e-15)
+    shared, tight, failed = {}, zj.NumericPolicy(frame_tol=1e-15), []
     for h in (5.0, 6.0):
         with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
             zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=h), 4, tight, shared=shared)
-        assert exc.value.last_result.coupling == h
-    assert len(shared) == 1
+        failed.append(exc.value.last_result)
+    assert len(shared) == 1 and failed[0] is failed[1]

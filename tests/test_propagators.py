@@ -9,7 +9,7 @@ from zenojump.compare import _scaled_measurement
 from zenojump import propagators
 from zenojump.propagators import _product_over, _segments
 
-from properties import random_hermitian
+from properties import dense_intertwiners, random_hermitian
 from test_decomposition import rotation_family
 
 
@@ -122,7 +122,7 @@ def test_pure_measurement_conserves_transported_populations():
         dim=3,
         derivative_evaluator=lambda t: coupling * h_meas.derivative(t, 0.0),
     )
-    frame = zj.track_frame(h_meas, coupling, np.linspace(0.0, 1.0, 129))
+    frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 129))
     p0 = frame.initial_projectors[1]
     vec = p0 @ rng.normal(size=3)
     vec = vec / np.linalg.norm(vec)
@@ -139,21 +139,22 @@ def test_adiabatic_propagator_static_frame_is_pure_phase():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     grid = np.linspace(0.0, 1.0, 5)
-    frame = zj.AdiabaticFrame.static(grid, [(1.0, p0), (-1.0, p1)], coupling=3.0)
-    u = zj.adiabatic_propagator(frame, 0.5)
+    frame = zj.AdiabaticFrame.static(grid, [(1.0, p0), (-1.0, p1)])
+    u = zj.adiabatic_propagator(frame, 0.5, 3.0)
     expected = np.diag([np.exp(-1.5j), np.exp(1.5j)])
     assert np.max(np.abs(u - expected)) < 1e-12
     with pytest.raises(zj.ValidationError, match="grid node"):
-        zj.adiabatic_propagator(frame, 0.3)
+        zj.adiabatic_propagator(frame, 0.3, 3.0)
 
 
 def test_adiabatic_propagator_on_a_chain_frame_forms_one_node_from_the_site():
     frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=9.0), n_intervals=64)
-    dense = frame.intertwiners
+    dense = dense_intertwiners(frame)
     for k in (0, 17, 64):
         t = float(frame.grid[k])
-        phi = np.tensordot(np.exp(-1j * frame.phases[:, k]), frame.initial_projectors, axes=(0, 0))
-        assert np.array_equal(zj.adiabatic_propagator(frame, t), dense[k] @ phi)
+        phases = 9.0 * frame.eps_integrals[:, k]
+        phi = np.tensordot(np.exp(-1j * phases), frame.initial_projectors, axes=(0, 0))
+        assert np.array_equal(zj.adiabatic_propagator(frame, t, 9.0), dense[k] @ phi)
 
 
 def test_adiabatic_propagator_approaches_exact_with_coupling():
@@ -161,11 +162,10 @@ def test_adiabatic_propagator_approaches_exact_with_coupling():
     rng = np.random.default_rng(37)
     gen = random_hermitian(rng, 2, scale=0.4)
     h_meas = rotation_family(gen, zj.SIGMA_Z)
-    grid = np.linspace(0.0, 1.0, 257)
+    frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 257))
     gaps = []
     for coupling in (4.0, 8.0, 16.0):
-        frame = zj.track_frame(h_meas, coupling, grid)
-        approx = zj.adiabatic_propagator(frame, 1.0)
+        approx = zj.adiabatic_propagator(frame, 1.0, coupling)
         scaled = zj.TimeDependentOperator(
             evaluator=lambda t, k=coupling: k * h_meas(t),
             horizon=(0.0, 1.0),

@@ -71,8 +71,8 @@ def ref_generator(op, t, step, tol):
     return (m + m.conj().T) / 2.0
 
 
-def ref_track_frame(op, coupling, grid, tol):
-    """(intertwiners, projectors, phases): match levels node by node, then
+def ref_track_frame(op, grid, tol):
+    """(intertwiners, projectors, eps_integrals): match levels node by node, then
     one RK4 step per interval with polar re-unitarisation."""
     n, dim = len(grid), op.dim
     means, projs, *_ = ref_levels(op(grid[0]), tol)
@@ -102,8 +102,8 @@ def ref_track_frame(op, coupling, grid, tol):
         k4 = -1j * (m_b @ (a + h * k3))
         u, _, vh = np.linalg.svd(a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         intertwiners[k + 1] = u @ vh
-    phases = cumulative_trapezoid(coupling * eps, grid, axis=1, initial=0.0)
-    return intertwiners, projectors, phases
+    integrals = cumulative_trapezoid(eps, grid, axis=1, initial=0.0)
+    return intertwiners, projectors, integrals
 
 
 def ref_residual(intertwiners, projectors):
@@ -177,7 +177,7 @@ def test_report_on_pulsed_operator_with_merged_levels():
 def test_report_on_degenerate_three_site_chain():
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=9.0))
     grid = np.linspace(0.0, 1.0, 65)
-    frame = zj.track_frame(model.h_meas, model.coupling, grid)
+    frame = zj.track_frame(model.h_meas, grid)
     assert frame.ranks == (1, 3, 3, 1)
     assert_report_matches(model.h_meas, model.coupling, grid, frame.degeneracy_tol, 1e-9)
 
@@ -192,7 +192,7 @@ def test_report_on_degenerate_three_site_chain_from_the_dense_field():
     # dense clustering of ranks (1, 3, 3, 1) covered.
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=9.0))
     grid = np.linspace(0.0, 1.0, 65)
-    frame = zj.track_frame(model.h_meas, model.coupling, grid)
+    frame = zj.track_frame(model.h_meas, grid)
     assert frame.ranks == (1, 3, 3, 1)
     assert_report_matches(dense_copy(model.h_meas), model.coupling, grid, frame.degeneracy_tol, 1e-9)
 
@@ -240,12 +240,12 @@ def test_report_raises_when_the_tolerance_reaches_the_gap(dense, tol):
 def test_track_frame_matches_per_node_reference(n_sites):
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=n_sites, h=9.0))
     grid = np.linspace(0.0, 1.0, 129)
-    frame = zj.track_frame(model.h_meas, model.coupling, grid, degeneracy_tol=1e-8)
-    intertwiners, projectors, phases = ref_track_frame(model.h_meas, model.coupling, grid, 1e-8)
+    frame = zj.track_frame(model.h_meas, grid, degeneracy_tol=1e-8)
+    intertwiners, projectors, integrals = ref_track_frame(model.h_meas, grid, 1e-8)
     assert np.max(np.abs(frame.intertwiners - intertwiners)) < 1e-12
     assert np.max(np.abs(frame.initial_projectors - projectors[:, 0])) < 1e-12
     assert np.max(np.abs(frame.final_projectors - projectors[:, -1])) < 1e-12
-    assert np.max(np.abs(frame.phases - phases)) < 1e-12
+    assert np.max(np.abs(frame.eps_integrals - integrals)) < 1e-12
     # The frame keeps end-node projectors only; its residual is still the
     # worst over every node, against the reference's per-node projectors.
     residual = ref_residual(frame.intertwiners, projectors)
@@ -257,8 +257,8 @@ def test_track_frame_residual_on_rotating_family(seed):
     rng = np.random.default_rng(seed)
     op = _rotating_family(rng, int(rng.integers(2, 6)))
     grid = np.linspace(0.0, 1.0, 129)
-    frame = zj.track_frame(op, 7.0, grid, degeneracy_tol=1e-8)
-    _, projectors, _ = ref_track_frame(op, 7.0, grid, 1e-8)
+    frame = zj.track_frame(op, grid, degeneracy_tol=1e-8)
+    _, projectors, _ = ref_track_frame(op, grid, 1e-8)
     residual = ref_residual(frame.intertwiners, projectors)
     assert frame.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
     assert frame.residual > 0.0
@@ -270,7 +270,7 @@ def test_track_frame_residual_on_rotating_family(seed):
 def test_static_frame_arrays_are_read_only_views():
     p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     frame = zj.AdiabaticFrame.static(
-        np.linspace(0.0, 1.0, 1025), [(1.0, p0), (0.0, np.eye(3) - p0)], coupling=4.0
+        np.linspace(0.0, 1.0, 1025), [(1.0, p0), (0.0, np.eye(3) - p0)]
     )
     assert frame.intertwiners.base is not None
     for arr in (frame.intertwiners, frame.initial_projectors, frame.final_projectors):
@@ -288,13 +288,13 @@ def test_static_frame_phases_equal_per_node_reference():
     p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     switched = lambda t: 2.0 if t >= 0.375 else 0.0
     levels = [(switched, p0), (-0.75, np.eye(3) - p0)]
-    frame = zj.AdiabaticFrame.static(grid, levels, coupling=3.0)
+    frame = zj.AdiabaticFrame.static(grid, levels)
     mids = (grid[:-1] + grid[1:]) / 2.0
     for l, (spec, _) in enumerate(levels):
         fn = spec if callable(spec) else (lambda t, v=spec: v)
         assert np.array_equal(frame.eigenvalues[l], [float(fn(t)) for t in grid])
-        increments = 3.0 * np.array([float(fn(t)) for t in mids]) * np.diff(grid)
-        assert np.array_equal(frame.phases[l], np.concatenate([[0.0], np.cumsum(increments)]))
+        increments = np.array([float(fn(t)) for t in mids]) * np.diff(grid)
+        assert np.array_equal(frame.eps_integrals[l], np.concatenate([[0.0], np.cumsum(increments)]))
 
 
 # --- constant operators ------------------------------------------------------
@@ -326,7 +326,7 @@ def test_constant_frame_equals_plain_evaluator_frame():
     mat = random_hermitian(np.random.default_rng(68), 4)
     grid = np.linspace(0.0, 1.0, 65)
     plain = zj.TimeDependentOperator(evaluator=lambda t: mat, horizon=(0.0, 1.0), dim=4)
-    expected = zj.track_frame(plain, 5.0, grid)
-    frame = zj.track_frame(zj.TimeDependentOperator.constant(mat, (0.0, 1.0)), 5.0, grid)
+    expected = zj.track_frame(plain, grid)
+    frame = zj.track_frame(zj.TimeDependentOperator.constant(mat, (0.0, 1.0)), grid)
     for field in dataclasses.fields(frame):
         assert np.array_equal(getattr(frame, field.name), getattr(expected, field.name)), field.name
