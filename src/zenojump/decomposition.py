@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FrameResidualError, LevelCrossingError, NumericalError, ValidationError
-from .operators import _bond_sum, as_square_matrix, check_projector, eigh, max_norm
+from .operators import _bond_sum, _stack_matmul, as_square_matrix, check_projector, eigh, max_norm
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -263,8 +263,8 @@ def _add_scaled(terms, samples) -> np.ndarray:
     return total
 
 
-#: samples per stacked eigendecomposition, or nodes per pass of the chain's bond
-#: coefficients in ``general_jump``; bounds the temporaries of a pass
+#: samples per stacked eigendecomposition, or grid points per pass of the frame's RK4 steps,
+#: its residual or the chain's bond coefficients in ``general_jump``; bounds a pass's temporaries
 _BLOCK = 256
 
 
@@ -316,7 +316,7 @@ def _projectors(vecs: np.ndarray, starts: np.ndarray, ranks) -> np.ndarray:
     out = np.empty((len(ranks), *vecs.shape), dtype=complex)
     for l, rank in enumerate(ranks):
         block = np.take_along_axis(vecs, starts[:, l, None, None] + np.arange(rank), axis=2)
-        p = block @ block.conj().swapaxes(1, 2)
+        p = _stack_matmul(block, block.conj().swapaxes(1, 2))
         out[l] = (p + p.conj().swapaxes(1, 2)) / 2.0
     return out
 
@@ -369,7 +369,7 @@ def _spectral_samples(
             deriv = (samples[right[blk]] - samples[left[blk]]) / width[blk]
         else:
             deriv = np.stack([op.derivative(t, 0.0) for t in half[at[blk]]])
-        hdot[blk] = vecs[blk].conj().swapaxes(1, 2) @ deriv @ vecs[blk]
+        hdot[blk] = _stack_matmul(_stack_matmul(vecs[blk].conj().swapaxes(1, 2), deriv), vecs[blk])
     tol = _resolve_degeneracy_tol(vals, max_norm(samples), degeneracy_tol, pol)
     return vals, vecs, hdot, *_cluster(vals, tol), tol
 
@@ -623,7 +623,9 @@ def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
     is ``M_ab = i <a|dH/dt|b> / (eps_b - eps_a)`` between distinct levels of
     the instantaneous eigenbasis and zero inside a level (label-free, so
     midpoints need no level matching).  The ODE is linear, so a step is a
-    matrix applied to ``A(t_k)``; its polar factor is the unitary step.
+    matrix applied to ``A(t_k)``.  A step ``x`` not unitary to rounding
+    (``max|x^dagger x - I|`` above ``4 d`` ulps, or not finite) is replaced by
+    its polar factor (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)).
     """
     eye = np.eye(vecs.shape[-1], dtype=complex)
     steps = np.empty((len(grid) - 1, *eye.shape), dtype=complex)
@@ -634,16 +636,38 @@ def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
         labels = np.cumsum(first[pts], axis=1)
         same = labels[:, None, :] == labels[:, :, None]
         denom = np.where(same, 1.0, eps[:, None, :] - eps[:, :, None])
-        m = v @ np.where(same, 0.0, 1j * hdot[pts] / denom) @ v.conj().swapaxes(1, 2)
+        gen = np.where(same, 0.0, 1j * hdot[pts] / denom)
+        m = _stack_matmul(_stack_matmul(v, gen), v.conj().swapaxes(1, 2))
         m = (m + m.conj().swapaxes(1, 2)) / 2.0
         h = np.diff(grid)[ivl, None, None]
         k1 = -1j * m[:-1:2]
-        k2 = -1j * (m[1::2] @ (eye + (h / 2.0) * k1))
-        k3 = -1j * (m[1::2] @ (eye + (h / 2.0) * k2))
-        k4 = -1j * (m[2::2] @ (eye + h * k3))
-        u, _, vh = np.linalg.svd(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        steps[ivl] = u @ vh
+        k2 = -1j * _stack_matmul(m[1::2], eye + (h / 2.0) * k1)
+        k3 = -1j * _stack_matmul(m[1::2], eye + (h / 2.0) * k2)
+        k4 = -1j * _stack_matmul(m[2::2], eye + h * k3)
+        x = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        defect = np.max(np.abs(_stack_matmul(x.conj().swapaxes(1, 2), x) - eye), axis=(1, 2))
+        bad = np.flatnonzero(~(defect <= 4 * len(eye) * np.finfo(float).eps))
+        u, _, vh = np.linalg.svd(x[bad])
+        x[bad] = u @ vh
+        steps[ivl] = x
     return steps
+
+
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """``A_0 = I``, ``A_{k+1} = steps[k] A_k`` over ``K`` steps, in ``2 sqrt(K)`` stacked products:
+    the in-chunk prefixes of all ``sqrt(K)``-step chunks at once, then chunk by chunk the
+    product with the last node of the chunk before, so no temporary exceeds a chunk."""
+    count, dim = steps.shape[:2]
+    size = int(np.ceil(np.sqrt(count)))
+    out = np.empty((1 + -(-count // size) * size, dim, dim), dtype=complex)
+    out[0] = out[1 + count :] = np.eye(dim)
+    out[1 : 1 + count] = steps
+    chunks = out[1:].reshape(-1, size, dim, dim)
+    for i in range(1, size):
+        chunks[:, i] = _stack_matmul(chunks[:, i], chunks[:, i - 1])
+    for j in range(1, len(chunks)):
+        chunks[j] = _stack_matmul(chunks[j], chunks[j - 1, -1])
+    return out[: 1 + count]
 
 
 def track_frame(
@@ -659,8 +683,9 @@ def track_frame(
     successor per level from node to node.  A change raises
     :class:`LevelCrossingError` naming the node.  The frame ODE
     ``i dA/dt = M(t) A`` is advanced with one classical 4th-order step per
-    grid interval (generator sampled at the interval midpoint), each step
-    matrix re-unitarised by its polar factor.  ``residual``, the worst
+    grid interval (generator sampled at the interval midpoint); a step matrix
+    not unitary to rounding is replaced by its polar factor.  The
+    intertwiners are the steps' blocked prefix product.  ``residual``, the worst
     max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
     formed a node block at a time) and levels, is checked against the
     policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
@@ -701,8 +726,8 @@ def track_frame(
     starts = np.flatnonzero(first)
     ranks = np.diff(np.append(starts, first.size)).reshape(n, n_levels)
     member = (np.cumsum(first, axis=1)[:, :, None] == np.arange(1, n_levels + 1)).astype(float)
-    weights = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:]) ** 2
-    overlap = member[:-1].swapaxes(1, 2) @ weights @ member[1:]
+    weights = np.abs(_stack_matmul(vecs[:-1].conj().swapaxes(1, 2), vecs[1:])) ** 2
+    overlap = _stack_matmul(_stack_matmul(member[:-1].swapaxes(1, 2), weights), member[1:])
     spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
     tie = np.abs(means[:-1, :, None] - means[1:, None, :])
     cost = -overlap + 1e-9 * tie / (1.0 + spectral_range)
@@ -725,19 +750,16 @@ def track_frame(
     integrals[:, 1:] = np.cumsum(np.diff(grid) * (eps[:, 1:] + eps[:, :-1]) / 2.0, axis=1)
     offsets = np.take_along_axis((starts % dim).reshape(n, n_levels), orders, axis=1)
 
-    steps = _rk4_steps(half_vecs, hdot, half_first, level_mean, grid)
+    intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, half_first, level_mean, grid))
     del half_vecs, hdot
-    intertwiners = np.empty((n, dim, dim), dtype=complex)
-    intertwiners[0] = np.eye(dim)
-    for k in range(n - 1):
-        np.matmul(steps[k], intertwiners[k], out=intertwiners[k + 1])
     initial = _projectors(vecs[:1], offsets[:1], ranks[0])[:, 0]
     residual = 0.0
     for start in range(0, n, _BLOCK):
         blk = slice(start, start + _BLOCK)
         a, projectors = intertwiners[blk], _projectors(vecs[blk], offsets[blk], ranks[0])
-        transported = a @ initial[:, None] @ a.conj().swapaxes(1, 2)
-        residual = max(residual, max_norm(transported - projectors))
+        transported = _stack_matmul(_stack_matmul(a, initial[:, None]), a.conj().swapaxes(1, 2))
+        # np.maximum keeps a NaN block maximum, which the builtin max drops
+        residual = np.maximum(residual, max_norm(transported - projectors))
 
     frame = AdiabaticFrame(
         grid=grid,
@@ -748,7 +770,7 @@ def track_frame(
         final_projectors=projectors[:, -1].copy(),
         ranks=tuple(int(r) for r in ranks[0]),
         degeneracy_tol=tol,
-        residual=residual,
+        residual=float(residual),
     )
     return _checked_frame(frame, pol)
 

@@ -38,7 +38,7 @@ import numpy as np
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
 from .decomposition import _BLOCK, _level_basis, _sector_states, _site_eigenbasis, _tensor_power
 from .errors import NumericalError, QuadratureError, ValidationError
-from .operators import _bond_sum, check_density, check_hermitian, check_projector, max_norm, trace_product
+from .operators import _bond_sum, _stack_matmul, check_density, check_hermitian, check_projector, max_norm, trace_product
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -289,7 +289,7 @@ def _separable_kernel(model, frame, n, m, target, pol):
         power = _tensor_power(u, n_sites)
         cols, rows = _sector_states(n_sites, n), _sector_states(n_sites, m)
         q, y = power[:, cols], power[:, rows]
-        a_u = np.einsum("kab,bc->kac", site.intertwiners, u)  # a stacked @ on 2 x 2 is slower
+        a_u = _stack_matmul(site.intertwiners, u)
         c = np.empty((len(a_u), 16), dtype=complex)
         for start in range(0, len(a_u), _BLOCK):  # bounds the (K, 4, 4) temporaries
             b = _tensor_power(a_u[start:start + _BLOCK], 2)

@@ -62,11 +62,9 @@ __all__ = [
 
 
 def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at position ``site`` (0-based)."""
-    out = np.eye(1, dtype=complex)
-    for j in range(n_sites):
-        out = tensor_product(out, op if j == site else np.eye(2))
-    return out
+    """Embed a single-site operator at position ``site`` (0-based):
+    ``I_{2^site} (x) op (x) I_{2^(n_sites - site - 1)}``."""
+    return tensor_product(tensor_product(np.eye(2**site), op), np.eye(2 ** (n_sites - site - 1)))
 
 
 @dataclasses.dataclass(frozen=True)

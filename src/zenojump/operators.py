@@ -201,6 +201,17 @@ def trace_product(matrices) -> complex:
     return complex(np.sum(acc * mats[-1].T))
 
 
+def _stack_matmul(a, b) -> np.ndarray:
+    """``a @ b`` over broadcast stacks; a contraction of length 1 or 2 is summed index by
+    index from broadcast products, since a stacked ``@`` costs about 0.3 us per matrix."""
+    if a.shape[-1] > 2:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with complex dtype."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

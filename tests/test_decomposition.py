@@ -434,6 +434,26 @@ def test_track_frame_residual_failure_carries_frame():
     assert exc.value.last_result.residual > 1e-10
 
 
+def test_track_frame_keeps_a_non_finite_residual(monkeypatch):
+    from zenojump import decomposition
+
+    real, calls = decomposition._projectors, []
+
+    def poisoned(*args):
+        out = real(*args)
+        calls.append(len(out))
+        if len(calls) == 2:  # the first residual block; later blocks stay finite
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(decomposition, "_projectors", poisoned)
+    op = zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0))
+    with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
+        zj.track_frame(op, np.linspace(0.0, 1.0, 1025))
+    assert len(calls) > 2
+    assert np.isnan(exc.value.last_result.residual)
+
+
 def test_track_frame_keeps_the_residual_it_checked():
     rng = np.random.default_rng(22)
     op = rotation_family(random_hermitian(rng, 3, scale=0.5), np.diag([-1.0, 0.0, 1.0]))

@@ -69,6 +69,16 @@ def test_build_chain_h0_equals_the_pauli_products(n_sites, boundary):
     assert np.max(np.abs(h0.bond - 1.5 * zj.build_chain_h0(pair))) <= 1e-15
 
 
+def test_site_operator_equals_the_kronecker_chain():
+    for n_sites in (1, 2, 3, 5):
+        for site in range(n_sites):
+            for sig in (zj.SIGMA_X, zj.SIGMA_Y, zj.SIGMA_Z):
+                ref = np.eye(1)
+                for j in range(n_sites):
+                    ref = np.kron(ref, sig if j == site else np.eye(2))
+                assert np.array_equal(zj.models._site_operator(sig, site, n_sites), ref)
+
+
 def test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack():
     spec = zj.SpinChainSpec(n_sites=5, h=9.0, T=1.0)
     frame = zj.spin_chain_frame(spec, n_intervals=256)

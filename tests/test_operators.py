@@ -229,3 +229,25 @@ def test_bond_sum_equals_the_kronecker_embedding(n_sites):
         assert np.max(np.abs(got - ref)) <= 1e-13
     rows, cols = rng.permutation(states)[: 2**n_sites // 2], rng.permutation(states)[:3]
     assert np.array_equal(_bond_sum(terms, pairs, n_sites, rows, cols), dense[:, rows][:, :, cols])
+
+
+@pytest.mark.parametrize("inner", [1, 2, 3, 4, 5])
+def test_stack_matmul_equals_matmul(inner):
+    from zenojump.operators import _stack_matmul
+
+    rng = np.random.default_rng(90 + inner)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    cases = [
+        (draw(7, inner, inner), draw(inner, inner)),
+        (draw(3, 7, inner, inner), draw(3, 1, inner, inner)),
+        (draw(7, inner, inner).swapaxes(1, 2), draw(7, inner, inner).conj().swapaxes(1, 2)),
+    ]
+    for a, b in cases:
+        ref = a @ b
+        got = _stack_matmul(a, b)
+        assert got.shape == ref.shape
+        # rounding of a length-d dot product, relative to the sum of its term sizes
+        assert np.all(np.abs(got - ref) <= 1e-15 * inner * (np.abs(a) @ np.abs(b)))

@@ -264,6 +264,54 @@ def test_track_frame_residual_on_rotating_family(seed):
     assert frame.residual > 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 2048, 2049])
+def test_blocked_prefix_product_equals_the_sequential_loop(count, dim):
+    from zenojump.decomposition import _prefix_products
+
+    rng = np.random.default_rng(count + 10 * dim)
+    draws = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    steps = np.linalg.qr(draws)[0]
+    ref = np.empty((count + 1, dim, dim), dtype=complex)
+    ref[0] = np.eye(dim)
+    for k in range(count):
+        ref[k + 1] = steps[k] @ ref[k]
+    got = _prefix_products(steps)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "op, n_intervals",
+    [
+        (zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0)), 128),
+        (zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=9.0)).h_meas, 192),
+    ],
+    ids=["site", "two-site"],
+)
+def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypatch):
+    from zenojump.decomposition import _rk4_steps, _spectral_samples
+
+    svd, polar_rows = np.linalg.svd, []
+
+    def counted(x, *args, **kwargs):
+        polar_rows.append(len(x))
+        return svd(x, *args, **kwargs)
+
+    grid = np.linspace(0.0, 1.0, n_intervals + 1)
+    _, vecs, hdot, first, level_mean, _ = _spectral_samples(op, grid, 1e-8, zj.NumericPolicy(), True)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    steps = _rk4_steps(vecs, hdot, first, level_mean, grid)
+    monkeypatch.undo()
+    # the grid is coarse enough that some steps, not all, take the polar factor
+    assert 0 < sum(polar_rows) < n_intervals
+    defect = np.abs(steps.conj().swapaxes(1, 2) @ steps - np.eye(op.dim))
+    assert np.max(defect) <= 1e-14
+    frame = zj.track_frame(op, grid, degeneracy_tol=1e-8)
+    intertwiners, projectors, _ = ref_track_frame(op, grid, 1e-8)
+    assert frame.residual == pytest.approx(ref_residual(intertwiners, projectors), rel=0.0, abs=1e-12)
+
+
 # --- static frames -----------------------------------------------------------
 
 
