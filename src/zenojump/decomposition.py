@@ -286,6 +286,9 @@ def _resolve_degeneracy_tol(
     vals: np.ndarray, scale: float, degeneracy_tol: float | None, pol: NumericPolicy
 ) -> float:
     """Clustering tolerance over the eigenvalue rows ``vals``, one per sample."""
+    # halves cannot overflow, so a range beyond float range raises before it is formed
+    if not np.max(vals[:, -1] / 2.0 - vals[:, 0] / 2.0) <= np.finfo(float).max / 2.0:
+        raise NumericalError(f"spectral range from {np.min(vals):.6g} to {np.max(vals):.6g} is not finite")
     if degeneracy_tol is not None:
         if not (0.0 <= degeneracy_tol < np.inf):
             raise ValidationError(f"degeneracy_tol must be finite and >= 0, got {degeneracy_tol!r}")
@@ -500,6 +503,12 @@ class AdiabaticFrame:
     bound on the max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes and
     levels, and checks it against ``frame_tol``; static frames keep 0.
 
+    The builder keeps from its decomposition the coupling-free figures of
+    :func:`adiabaticity_report`: ``alpha_unit``, its ``alpha_max`` at unit
+    coupling, and ``eps_min``, the smallest gap between levels at a node.
+    Static frames keep ``alpha_unit = 0``; levels that coincide at a node (a
+    pulsed measurement switched off) give no gap there.
+
     A tensor-power frame ``A = a^{(x)n}`` of ``n`` spins keeps the two-level
     frame ``a`` in ``site`` (``None`` otherwise) and ``intertwiners=None``:
     a reader that needs ``A`` at a node forms it from ``site``.  Its level
@@ -514,6 +523,8 @@ class AdiabaticFrame:
     final_projectors: np.ndarray
     ranks: tuple[int, ...]
     degeneracy_tol: float
+    alpha_unit: float
+    eps_min: float
     residual: float = 0.0
     site: AdiabaticFrame | None = dataclasses.field(default=None, repr=False, compare=False)
 
@@ -585,6 +596,7 @@ class AdiabaticFrame:
                 eps[l] = mid_eps[l] = float(spec)
         integrals = np.zeros((len(levels), n))
         integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)
+        gaps = np.diff(np.sort(eps, axis=0), axis=0)
         return cls(
             grid=grid,
             intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
@@ -594,6 +606,8 @@ class AdiabaticFrame:
             final_projectors=projs,
             ranks=tuple(int(round(p.trace().real)) for p in projs),
             degeneracy_tol=float(degeneracy_tol),
+            alpha_unit=0.0,
+            eps_min=float(np.min(gaps[gaps > 0.0], initial=np.inf)),
         )
 
 
@@ -689,7 +703,8 @@ def track_frame(
     max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
     formed a node block at a time) and levels, is checked against the
     policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
-    bound.  ``eps_integrals`` are cumulative trapezoids of the levels.
+    bound.  ``eps_integrals`` are cumulative trapezoids of the levels.  The
+    report figures come from the pass's node rows (a site sum's from its site).
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
@@ -709,6 +724,10 @@ def track_frame(
     )
     n, dim = len(grid), h_meas.dim
     first = half_first[::2]
+    if h_meas.site is None:
+        alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
+    else:
+        alpha_unit, eps_min, *_ = _operator_figures(h_meas, grid, pol, None)
     counts = first.sum(axis=1)
     n_levels = int(counts[0])
     changed = np.flatnonzero(counts != n_levels)
@@ -770,6 +789,8 @@ def track_frame(
         final_projectors=projectors[:, -1].copy(),
         ranks=tuple(int(r) for r in ranks[0]),
         degeneracy_tol=tol,
+        alpha_unit=alpha_unit,
+        eps_min=eps_min,
         residual=float(residual),
     )
     return _checked_frame(frame, pol)
@@ -815,18 +836,24 @@ class AdiabaticityReport:
 
 
 def adiabaticity_report(
-    h_meas: TimeDependentOperator,
+    h_meas: TimeDependentOperator | AdiabaticFrame,
     coupling: float,
-    grid,
+    grid=None,
     policy: NumericPolicy | None = None,
     degeneracy_tol: float | None = None,
 ) -> AdiabaticityReport:
-    """Evaluate the adiabaticity figures on a grid.
+    """Evaluate the adiabaticity figures on a grid, or read them off a frame.
+
+    An :class:`AdiabaticFrame` in place of the operator and ``grid`` gives
+    its ``alpha_unit / coupling**2`` and ``eps_min`` with no spectral work,
+    held to its ``degeneracy_tol``.  The operator form is the reference for
+    those figures, and the only form for levels that merge (a pulsed
+    measurement switched off, say), which no frame can track.
 
     Levels are clustered node-locally with the operator's own tolerance
     (``degeneracy_rel`` times its spectral range), or with ``degeneracy_tol``
-    where that is smaller.  Instants where eigenvalues merge (a pulsed
-    measurement switched off, say) simply contribute no transition pairs.
+    where that is smaller.  Instants where eigenvalues merge simply
+    contribute no transition pairs.
     Distinct levels closer than ``degeneracy_tol`` (by default the operator's
     own tolerance) raise, since the coefficients are undefined there.
     ``dH/dt`` at a node is the difference of its neighbouring interval
@@ -849,50 +876,20 @@ def adiabaticity_report(
     """
     pol = default_policy(policy)
     coupling = _check_coupling(coupling)
-    grid = _check_grid(grid)
-    if h_meas.site is None:
-        return _report(h_meas, coupling, grid, pol, degeneracy_tol, 1)
-    return _report(h_meas.site, coupling, grid, pol, degeneracy_tol, h_meas.dim.bit_length() - 1)
-
-
-def _report(
-    op: TimeDependentOperator,
-    coupling: float,
-    grid: np.ndarray,
-    pol: NumericPolicy,
-    degeneracy_tol: float | None,
-    n_sites: int,
-) -> AdiabaticityReport:
-    """:func:`adiabaticity_report` of ``op``, or of the sum of ``op`` over ``n_sites`` spins."""
-    vals, _, hdot, first, eps, tol = _spectral_samples(op, grid, None, pol, midpoints=False)
-    if degeneracy_tol is None:
-        limit = n_sites * tol
+    if isinstance(h_meas, AdiabaticFrame):
+        if grid is not None or degeneracy_tol is not None:
+            raise ValidationError("a frame's report takes the frame's grid and degeneracy_tol")
+        alpha_unit, eps_min, limit, where = h_meas.alpha_unit, h_meas.eps_min, h_meas.degeneracy_tol, ""
     else:
-        limit = _resolve_degeneracy_tol(vals, 0.0, degeneracy_tol, pol)
-        if limit < tol:
-            first, eps = _cluster(vals, limit)
-    starts = np.flatnonzero(first)
-    node = starts // first.shape[1]
-    gaps = np.diff(eps.ravel()[starts])
-    inner = node[1:] == node[:-1]
-    close = inner & (gaps < limit)
-    if np.any(close):
-        t = grid[node[1:][close][0]]
+        grid = _check_grid(grid)
+        alpha_unit, eps_min, limit, node = _operator_figures(h_meas, grid, pol, degeneracy_tol)
+        where = f" at node t={grid[node]:.9g}"
+    if eps_min < limit:
         raise NumericalError(
-            f"levels closer than the degeneracy tolerance at node t={t:.9g}; "
-            f"transition coefficients are undefined"
+            f"levels closer than the degeneracy tolerance{where}; transition coefficients are undefined"
         )
     # No transition pairs anywhere leaves eps_min infinite and the ratio 0.
-    eps_min = float(np.min(gaps[inner], initial=np.inf))
-
-    # |alpha_mn|^2 for every pair of eigenvectors in distinct levels, summed
-    # over the targets and averaged over the source level's basis.
-    labels = np.cumsum(first, axis=1)
-    other = labels[:, :, None] != labels[:, None, :]
-    bohr = np.where(other, coupling * (eps[:, :, None] - eps[:, None, :]), 1.0)
-    rows = np.where(other, np.abs(hdot) ** 2 / bohr**2, 0.0).sum(axis=2)
-    sizes = np.diff(np.append(starts, first.size))
-    alpha_max = n_sites * float(np.max(np.add.reduceat(rows.ravel(), starts) / sizes))
+    alpha_max = alpha_unit / coupling**2
     ratio = alpha_max / eps_min
     return AdiabaticityReport(
         alpha_max=alpha_max,
@@ -902,3 +899,42 @@ def _report(
         margin=pol.adiabatic_margin,
         adiabatic=bool(ratio <= pol.adiabatic_margin * coupling**2),
     )
+
+
+def _operator_figures(op: TimeDependentOperator, grid: np.ndarray, pol: NumericPolicy, degeneracy_tol):
+    """``(alpha_unit, eps_min, limit, node)`` of :func:`adiabaticity_report`'s operator form."""
+    n_sites = 1
+    if op.site is not None:
+        op, n_sites = op.site, op.dim.bit_length() - 1
+    vals, _, hdot, first, eps, tol = _spectral_samples(op, grid, None, pol, midpoints=False)
+    if degeneracy_tol is None:
+        limit = n_sites * tol
+    else:
+        limit = _resolve_degeneracy_tol(vals, 0.0, degeneracy_tol, pol)
+        if limit < tol:
+            first, eps = _cluster(vals, limit)
+    alpha, eps_min, node = _level_figures(hdot, first, eps)
+    return n_sites * alpha, eps_min, limit, node
+
+
+def _level_figures(hdot: np.ndarray, first: np.ndarray, eps: np.ndarray) -> tuple[float, float, int]:
+    """``(alpha, eps_min, node)`` at unit coupling over node rows clustered by :func:`_cluster`.
+
+    ``alpha`` is the worst sum of ``|<m|dH/dt|n>|^2 / (eps_m - eps_n)^2``
+    over the targets ``m`` in other levels, averaged over the source level's
+    basis; ``eps_min`` the smallest gap between neighbouring levels at a node
+    (infinite where no node has two levels) and ``node`` the row holding it.
+    """
+    starts = np.flatnonzero(first)
+    node = starts // first.shape[1]
+    inner = node[1:] == node[:-1]
+    gaps = np.diff(eps.ravel()[starts])[inner]
+    eps_min = float(np.min(gaps, initial=np.inf))
+    at = int(node[1:][inner][np.argmin(gaps)]) if gaps.size else 0
+    labels = np.cumsum(first, axis=1)
+    other = labels[:, :, None] != labels[:, None, :]
+    diff = np.where(other, eps[:, :, None] - eps[:, None, :], 1.0)
+    rows = np.where(other, np.abs(hdot) ** 2 / diff**2, 0.0).sum(axis=2)
+    sizes = np.diff(np.append(starts, first.size))
+    return float(np.max(np.add.reduceat(rows.ravel(), starts) / sizes)), eps_min, at
+

@@ -155,7 +155,8 @@ def general_jump(
     grid resolves the fastest transition phase with fewer than 10 nodes per
     period.  ``est_error`` is the change of the last refinement, blind to the
     error of ``eps_integrals``, and ``imag_residual`` the imaginary part of
-    the finest rung, which rounding alone makes nonzero.
+    the finest rung, which rounding alone makes nonzero.  The adiabaticity
+    report reads the frame's figures (:func:`adiabaticity_report`).
 
     ``target_projector`` restricts the arrival projector to a sub-projector
     of level ``m`` (useful when a degenerate level is watched channel by
@@ -243,9 +244,7 @@ def general_jump(
             f"jump kernel lost hermiticity: imaginary residual {imag_residual:.3e}"
         )
 
-    report = adiabaticity_report(
-        model.h_meas, model.coupling, grid, pol, degeneracy_tol=frame.degeneracy_tol
-    )
+    report = adiabaticity_report(frame, model.coupling, policy=pol)
     warnings: list[str] = []
     if value > 0.5:
         warnings.append(

@@ -208,7 +208,7 @@ def _chain_frame(n: int, n_intervals: int, pol: NumericPolicy) -> AdiabaticFrame
     """The chain frame of :func:`spin_chain_frame`, its arrays read-only, before the residual check."""
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
     try:
-        site = track_frame(_field_direction(1), grid, pol)
+        site = track_frame(_field_direction(1).site, grid, pol)
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check decides
     ends = []
@@ -225,6 +225,8 @@ def _chain_frame(n: int, n_intervals: int, pol: NumericPolicy) -> AdiabaticFrame
         final_projectors=ends[1],
         ranks=tuple(math.comb(n, l) for l in range(n + 1)),
         degeneracy_tol=n * site.degeneracy_tol,
+        alpha_unit=n * site.alpha_unit,
+        eps_min=site.eps_min,
         residual=math.sqrt(2.0) * n * site.residual,
         site=site,
     )

@@ -238,6 +238,13 @@ def test_undersampled_grid_exits_3(tmp_path, capsys):
     assert "undersamples" in err
 
 
+def test_a_spectrum_wider_than_float_range_exits_3(tmp_path, capsys):
+    cfg_path = write(tmp_path, CUSTOM_TWO_LEVEL.replace("[1, 0], [0, -1]", "[1e308, 0], [0, -1e308]"))
+    assert main(["run", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: spectral range from -1e+308 to 1e+308 is not finite")
+
+
 def test_strict_flags_exit_4(tmp_path, capsys):
     # h = 0.1 trips both chain guideline flags; --strict turns them into rc 4.
     cfg_path = write(tmp_path, CHAIN_RUN.replace("h = 5", "h = 0.1"))
@@ -576,6 +583,19 @@ def test_a_chain_sweep_tracks_its_frame_once(monkeypatch):
     # Nothing outlives a sweep: the next call on the same config tracks again.
     assert run_scenario(cfg).rows == first.rows
     assert (len(tracked), len(framed)) == (2, 6)
+
+
+def test_a_chain_sweep_decomposes_its_field_once(monkeypatch):
+    # The frame's one half-grid pass (4097 samples in blocks of 256) is the
+    # only spectral work: every point's adiabaticity report reads the frame.
+    from zenojump import decomposition
+
+    passes = _counting(monkeypatch, decomposition, "_spectral_samples")
+    solves = _counting(monkeypatch, decomposition, "eigh")
+    sweep = "[sweep]\nparameter = h\nstart = 9\nstop = 9.5\ncount = 2\n"
+    chain = CHAIN_RUN.replace("512", "2048").replace("T = 1", "T = 1\nn_sites = 4\nlevel_to = 2")
+    assert len(run_scenario(zj.parse_config(chain + sweep)).rows) == 2
+    assert (len(passes), len(solves)) == (1, 17)
 
 
 def test_a_custom_matrix_sweep_builds_a_static_frame_per_point(monkeypatch):

@@ -310,6 +310,21 @@ def test_decompose_rejects_a_bad_degeneracy_tol(tol):
     assert zj.decompose(np.diag([0.0, 1.0]).astype(complex), degeneracy_tol=0.0).ranks == (1, 1)
 
 
+@pytest.mark.parametrize("tol", [None, 0.0])
+def test_a_spectrum_wider_than_float_range_raises_before_it_overflows(tol):
+    # The suite turns RuntimeWarning into an error, so an overflowing
+    # subtraction before the raise would fail here too.
+    with pytest.raises(zj.NumericalError, match="spectral range from -1e\\+308 to 1e\\+308 is not finite"):
+        zj.decompose(np.diag([1e308, -1e308]).astype(complex), degeneracy_tol=tol)
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: 1e308 * np.array([[1.0 - t, t], [t, t - 1.0]], dtype=complex),
+        horizon=(0.0, 1.0),
+        dim=2,
+    )
+    with pytest.raises(zj.NumericalError, match="spectral range .* is not finite"):
+        zj.track_frame(op, np.linspace(0.0, 1.0, 17), degeneracy_tol=tol)
+
+
 def test_decompose_warns_on_ambiguous_gap():
     # Gap of 0.3 with tol 0.2 sits in the warn band (tol/2, 2 tol).
     dec = zj.decompose(np.diag([0.0, 0.3, 10.0]).astype(complex), degeneracy_tol=0.2)

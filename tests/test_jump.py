@@ -9,7 +9,7 @@ import pytest
 
 import zenojump as zj
 
-from properties import dense_intertwiners, random_hermitian, random_spread_hermitian
+from properties import _rotating_family, dense_intertwiners, random_hermitian, random_spread_hermitian
 
 
 def static_setup(seed, dim=4, coupling=5.0, t_final=1.0, n_intervals=1024):
@@ -549,3 +549,92 @@ def test_survival_laws():
     power = zj.survival_power(1.0 - w_cycle, n_cycles)
     expo = zj.survival_exponential(w_cycle / tau, n_cycles, tau)
     assert power == pytest.approx(expo, rel=1e-4)
+
+
+# --- the adiabaticity report reads the frame ---------------------------------
+
+
+def _rotating_setup():
+    """A tracked three-level rotating measurement, its model and a state in level 0."""
+    rng = np.random.default_rng(71)
+    h_meas = _rotating_family(rng, 3)
+    h0 = zj.TimeDependentOperator.constant(random_hermitian(rng, 3, scale=0.3), h_meas.horizon)
+    model = zj.MeasurementModel(h0=h0, h_meas=h_meas, coupling=8.0)
+    frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 1025))
+    return model, frame, frame.initial_projectors[0], 0
+
+
+def _chain_setup(dense):
+    spec = zj.SpinChainSpec(n_sites=4, h=12.5, T=1.0)
+    model = zj.spin_chain_model(spec)
+    frame = zj.spin_chain_frame(spec)
+    if dense:
+        frame = zj.track_frame(model.h_meas, frame.grid)
+    return model, frame, frame.initial_projectors[0], 0
+
+
+def _pulsed_setup():
+    rng = np.random.default_rng(44)
+    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    model = zj.pulsed_measurement_model(p, random_hermitian(rng, 3), 5.0, 0.8, 0.3)
+    frame = zj.pulsed_frame(p, 0.8, 0.3, n_intervals=512)
+    return model, frame, np.diag([0.0, 0.0, 1.0]).astype(complex), 1
+
+
+FRAME_KINDS = {
+    "time-independent": lambda: static_setup(72),
+    "pulsed": _pulsed_setup,
+    "tracked": _rotating_setup,
+    "chain": lambda: _chain_setup(dense=False),
+    "dense-chain": lambda: _chain_setup(dense=True),
+}
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_general_jump_reports_the_frame_figures_of_the_operator_form(kind):
+    model, frame, rho0, n = FRAME_KINDS[kind]()
+    res = zj.general_jump(model, rho0, n, (n + 1) % frame.n_levels, frame)
+    ref = zj.adiabaticity_report(
+        model.h_meas, model.coupling, frame.grid, degeneracy_tol=frame.degeneracy_tol
+    )
+    for name in ("alpha_max", "eps_min", "ratio"):
+        assert getattr(res.adiabaticity, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0.0), name
+    assert res.adiabaticity.adiabatic == ref.adiabatic
+    assert res.adiabaticity == zj.adiabaticity_report(frame, model.coupling)
+    if kind in ("tracked", "chain", "dense-chain"):
+        assert res.adiabaticity.alpha_max > 0.0
+
+
+def test_a_frame_report_takes_the_frame_grid_and_tolerance():
+    model, frame, _, _ = static_setup(72)
+    for extra in ({"grid": frame.grid}, {"degeneracy_tol": 1e-3}):
+        with pytest.raises(zj.ValidationError, match="frame's grid and degeneracy_tol"):
+            zj.adiabaticity_report(frame, model.coupling, **extra)
+    with pytest.raises(zj.ValidationError, match="grid must be strictly increasing"):
+        zj.adiabaticity_report(model.h_meas, model.coupling)
+
+
+def test_pulsed_report_reads_the_switched_gap_not_a_rounding_gap():
+    # The operator pass at the frame's zero tolerance splits the projector's
+    # degenerate eigenvalue by rounding (a gap of about 1e-17); the frame
+    # knows its levels are exactly 1 and 0.
+    rng = np.random.default_rng(73)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0][:, :1]
+    p = q @ q.conj().T
+    model = zj.pulsed_measurement_model(p, random_hermitian(rng, 3), 20.0, 1.0, 0.25)
+    frame = zj.pulsed_frame(p, 1.0, 0.25, n_intervals=1024)
+    rho0 = (np.eye(3) - p) / 2.0
+    report = zj.general_jump(model, rho0, 1, 0, frame).adiabaticity
+    assert report.eps_min == 1.0
+    assert report.ratio == 0.0 and report.adiabatic
+
+
+def test_a_static_frame_with_levels_inside_its_tolerance_raises():
+    grid = np.linspace(0.0, 1.0, 65)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    frame = zj.AdiabaticFrame.static(grid, [(0.0, p0), (1e-3, np.eye(2) - p0)], degeneracy_tol=1e-2)
+    model = zj.time_independent_model(zj.SIGMA_X, np.diag([0.0, 1e-3]), 5.0, 1.0)
+    with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
+        zj.adiabaticity_report(model.h_meas, 5.0, grid, degeneracy_tol=1e-2)
+    with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
+        zj.general_jump(model, p0, 0, 1, frame)
