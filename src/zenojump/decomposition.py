@@ -50,13 +50,10 @@ class TimeDependentOperator:
     samples are views of that one matrix, and frames and reports decompose it
     once, with ``dH/dt = 0`` exactly.  :meth:`linear` keeps its two endpoint
     matrices read-only in ``ends`` (``None`` otherwise), and its :meth:`sample`
-    is one array expression.  :meth:`site_sum` keeps in ``site`` the two-level
-    operator that acts alike on each of ``n`` spins, the operator being their
-    sum (``None`` otherwise): :func:`adiabaticity_report` works from the site.
-    :meth:`bond_sum` keeps the two-spin term that acts alike on each of its
-    spin pairs in ``bond`` (read-only) and the pairs in ``pairs`` (``None``
-    otherwise): :func:`~zenojump.jump.general_jump` works from the bond.  A
-    scaled sum of operators keeps its ``(scale, operator)`` pairs in
+    is one array expression.  :meth:`bond_sum` keeps the two-spin term acting
+    alike on each spin pair in ``bond`` (read-only) and the pairs in ``pairs``
+    (``None`` otherwise): :func:`~zenojump.jump.general_jump` works from the
+    bond.  A scaled sum of operators keeps its ``(scale, operator)`` pairs in
     ``terms`` (``None`` otherwise), and its :meth:`sample` adds their stacks.
     """
 
@@ -67,9 +64,6 @@ class TimeDependentOperator:
     derivative_evaluator: Callable[[float], np.ndarray] | None = None
     value: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
     ends: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
-    site: TimeDependentOperator | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
     terms: tuple[tuple[float, TimeDependentOperator], ...] | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
@@ -111,27 +105,6 @@ class TimeDependentOperator:
         ends.setflags(write=False)
         op = cls(evaluator=lambda t: op._between(t), horizon=horizon, dim=a.shape[0])
         object.__setattr__(op, "ends", ends)
-        return op
-
-    @classmethod
-    def site_sum(cls, site: "TimeDependentOperator", n_sites: int, dense) -> "TimeDependentOperator":
-        """``sum_j site_j`` over ``n_sites`` spins, ``site_j`` the two-level ``site`` at spin ``j``.
-
-        ``dense`` is the ``2**n_sites``-dimensional sum, an operator on the
-        horizon and breakpoints of ``site``, copied with all it keeps.  The
-        result keeps ``site`` in ``site``.
-        """
-        if site.dim != 2:
-            raise ValidationError(f"a site sum needs a two-level site, got dimension {site.dim}")
-        if not (isinstance(n_sites, (int, np.integer)) and n_sites >= 1):
-            raise ValidationError(f"a site sum needs an integer n_sites >= 1, got {n_sites!r}")
-        shape = (2 ** int(n_sites), site.horizon, site.breakpoints)
-        if not (isinstance(dense, cls) and (dense.dim, dense.horizon, dense.breakpoints) == shape):
-            raise ValidationError(
-                "a site sum needs a dense operator with the site's horizon and dimension 2**n_sites"
-            )
-        op = object.__new__(cls)
-        op.__dict__.update(vars(dense), site=site)
         return op
 
     @classmethod
@@ -704,7 +677,7 @@ def track_frame(
     formed a node block at a time) and levels, is checked against the
     policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
     bound.  ``eps_integrals`` are cumulative trapezoids of the levels.  The
-    report figures come from the pass's node rows (a site sum's from its site).
+    report figures come from the pass's node rows.
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
@@ -724,10 +697,7 @@ def track_frame(
     )
     n, dim = len(grid), h_meas.dim
     first = half_first[::2]
-    if h_meas.site is None:
-        alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
-    else:
-        alpha_unit, eps_min, *_ = _operator_figures(h_meas, grid, pol, None)
+    alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
     counts = first.sum(axis=1)
     n_levels = int(counts[0])
     changed = np.flatnonzero(counts != n_levels)
@@ -859,20 +829,6 @@ def adiabaticity_report(
     ``dH/dt`` at a node is the difference of its neighbouring interval
     midpoints, one-sided at piece boundaries.  The adiabatic flag reads the
     policy's ``adiabatic_margin``.
-
-    A site sum ``H = sum_j h_j`` over ``n`` spins (``h_meas.site`` set) is
-    reported from its two-level site ``h`` alone, by a structural identity.
-    The levels of ``H`` are the sectors with ``l`` spins in the upper level of
-    ``h``; neighbouring sectors lie the site gap ``g`` apart, so ``eps_min``
-    is the site's.  ``dH/dt = sum_j dh_j/dt`` flips one spin at a time: a
-    product eigenvector couples to ``n`` states, each with
-    ``|<1|dh/dt|0>|^2 / (coupling g)^2``, which is the site's ``alpha`` from
-    either of its two levels.  So ``alpha_max`` is ``n`` times the site's.
-    The identity needs a two-level site: with more site levels a spin's share
-    depends on its level, and distinct configurations can share an
-    eigenvalue.  The gaps are held to the chain's tolerance,
-    ``degeneracy_tol`` or else ``n`` times the site's own, as
-    :func:`zenojump.models.spin_chain_frame` resolves it.
     """
     pol = default_policy(policy)
     coupling = _check_coupling(coupling)
@@ -882,7 +838,11 @@ def adiabaticity_report(
         alpha_unit, eps_min, limit, where = h_meas.alpha_unit, h_meas.eps_min, h_meas.degeneracy_tol, ""
     else:
         grid = _check_grid(grid)
-        alpha_unit, eps_min, limit, node = _operator_figures(h_meas, grid, pol, degeneracy_tol)
+        vals, _, hdot, first, eps, tol = _spectral_samples(h_meas, grid, None, pol, midpoints=False)
+        limit = tol if degeneracy_tol is None else _resolve_degeneracy_tol(vals, 0.0, degeneracy_tol, pol)
+        if limit < tol:
+            first, eps = _cluster(vals, limit)
+        alpha_unit, eps_min, node = _level_figures(hdot, first, eps)
         where = f" at node t={grid[node]:.9g}"
     if eps_min < limit:
         raise NumericalError(
@@ -899,22 +859,6 @@ def adiabaticity_report(
         margin=pol.adiabatic_margin,
         adiabatic=bool(ratio <= pol.adiabatic_margin * coupling**2),
     )
-
-
-def _operator_figures(op: TimeDependentOperator, grid: np.ndarray, pol: NumericPolicy, degeneracy_tol):
-    """``(alpha_unit, eps_min, limit, node)`` of :func:`adiabaticity_report`'s operator form."""
-    n_sites = 1
-    if op.site is not None:
-        op, n_sites = op.site, op.dim.bit_length() - 1
-    vals, _, hdot, first, eps, tol = _spectral_samples(op, grid, None, pol, midpoints=False)
-    if degeneracy_tol is None:
-        limit = n_sites * tol
-    else:
-        limit = _resolve_degeneracy_tol(vals, 0.0, degeneracy_tol, pol)
-        if limit < tol:
-            first, eps = _cluster(vals, limit)
-    alpha, eps_min, node = _level_figures(hdot, first, eps)
-    return n_sites * alpha, eps_min, limit, node
 
 
 def _level_figures(hdot: np.ndarray, first: np.ndarray, eps: np.ndarray) -> tuple[float, float, int]:

@@ -418,8 +418,8 @@ class SpectralDensity:
         ent = tuple((float(e), float(g)) for e, g in self.entries)
         if not ent:
             raise ValidationError("spectral density needs at least one entry")
-        if any(g < 0 for _, g in ent):
-            raise ValidationError("spectral density weights must be non-negative")
+        if not all(math.isfinite(e) and 0.0 <= g < math.inf for e, g in ent):
+            raise ValidationError("spectral density needs finite non-negative weights at finite positions")
         object.__setattr__(self, "entries", ent)
 
     @classmethod
@@ -537,8 +537,9 @@ def survival_power(w_cycle: float, n_cycles: int) -> float:
         raise ValidationError("cycle count must be non-negative")
     return w_cycle**n_cycles
 
+
 def survival_exponential(rate: float, n_cycles: int, tau: float) -> float:
     """Exponential-law survival ``exp(-rate * n_cycles * tau)``."""
-    if rate < 0:
-        raise ValidationError("rate must be non-negative")
+    if not (0.0 <= rate < math.inf and 0 <= n_cycles < math.inf and 0.0 <= tau < math.inf):
+        raise ValidationError(f"rate, n_cycles, tau must be finite and >= 0, got {(rate, n_cycles, tau)}")
     return math.exp(-rate * n_cycles * tau)

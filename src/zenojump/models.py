@@ -119,15 +119,12 @@ def build_chain_h0(spec: SpinChainSpec) -> np.ndarray:
 def _field_direction(n_sites: int) -> TimeDependentOperator:
     """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``.
 
-    A site sum of the one-site field ``-((1-s) Z + s X)``; both are
-    :meth:`~TimeDependentOperator.linear` in ``s``, with endpoints ``-Z``,
-    ``-X`` and the summed ``-Z_j``, ``-X_j``, so each samples a grid in one
-    array expression.  The exact oracle reads the dense samples.
+    :meth:`~TimeDependentOperator.linear` in ``s`` with endpoints the summed
+    ``-Z_j`` and ``-X_j``, so it samples a grid in one array expression; at
+    one site it is the one-site field ``-((1-s) Z + s X)``.
     """
     z, x = (sum(_site_operator(p, j, n_sites) for j in range(n_sites)) for p in (SIGMA_Z, SIGMA_X))
-    site = TimeDependentOperator.linear(-SIGMA_Z, -SIGMA_X, (0.0, 1.0))
-    dense = TimeDependentOperator.linear(-z, -x, site.horizon)
-    return TimeDependentOperator.site_sum(site, n_sites, dense)
+    return TimeDependentOperator.linear(-z, -x, (0.0, 1.0))
 
 
 def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:
@@ -171,6 +168,13 @@ def spin_chain_frame(
     the one-site one, which is what the dense route resolves from the
     chain's spectral range.
 
+    The report figures come from one spin.  Neighbouring sectors lie the
+    one-site gap ``g`` apart, so ``eps_min`` is the one-site one.  ``dH/dt``
+    flips one spin at a time, so a product eigenvector couples to ``n``
+    states, each with the one-site ``|<1|dh/dt|0>|^2 / g^2``: ``alpha_unit``
+    is ``n`` times the one-site one.  This needs two site levels; with more,
+    a spin's share depends on its level.
+
     The field direction has unit amplitude and the frame carries no
     coupling, so only ``n_sites`` of ``spec`` reaches it.  ``shared`` is a
     dict that the calls of one sweep pass in turn: the first call for an
@@ -208,7 +212,7 @@ def _chain_frame(n: int, n_intervals: int, pol: NumericPolicy) -> AdiabaticFrame
     """The chain frame of :func:`spin_chain_frame`, its arrays read-only, before the residual check."""
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
     try:
-        site = track_frame(_field_direction(1).site, grid, pol)
+        site = track_frame(_field_direction(1), grid, pol)
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check decides
     ends = []
@@ -291,11 +295,11 @@ def two_qubit_rotation_jump(
         Theta(s) = 4 h T * cumulative_field_strength(s),
 
     evaluated with composite Simpson under interval doubling until the value
-    moves by less than ``rel_tol`` relatively.  Requires ``h, T >= 0``; at
+    moves by less than ``rel_tol`` relatively.  Requires finite ``h, T >= 0``; at
     ``h T = 0`` the phase vanishes and the jump saturates at 1.
     """
-    if h < 0 or T < 0:
-        raise ValidationError("field amplitude and duration must be non-negative")
+    if not (0.0 <= h < math.inf and 0.0 <= T < math.inf):
+        raise ValidationError(f"h and T must be finite and non-negative, got {h!r}, {T!r}")
     if min_intervals % 4 != 0 or min_intervals < 4:
         raise ValidationError("min_intervals must be a multiple of 4")
     rate = 4.0 * h * T
@@ -352,6 +356,8 @@ def free_flip_probability(t: float, tol: float = 1e-9) -> float:
 
 def chain_validity_flags(h: float, T: float, n_sites: int = 2) -> tuple[str, ...]:
     """Guideline diagnostics for the chain's perturbative treatment."""
+    if not (0.0 <= h < math.inf and 0.0 <= T < math.inf):
+        raise ValidationError(f"h and T must be finite and non-negative, got {h!r}, {T!r}")
     flags: list[str] = []
     if h < 4.0:
         flags.append("field below the perturbative threshold h >= 4")

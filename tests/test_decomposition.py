@@ -47,29 +47,9 @@ def test_every_operator_has_a_callable_evaluator():
         with pytest.raises(zj.ValidationError, match="evaluator must be callable"):
             zj.TimeDependentOperator(evaluator=evaluator, horizon=(0.0, 1.0), dim=2)
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=5.0))
-    derived = (model.h0, model.h_meas, model.h_meas.site, model.full_hamiltonian())
+    derived = (model.h0, model.h_meas, model.full_hamiltonian())
     for op in derived:
         assert np.array_equal(op.evaluator(0.25), op(0.25))
-
-
-def test_site_sum_takes_a_two_level_site_and_its_horizon():
-    site = zj.TimeDependentOperator(
-        evaluator=lambda t: t * zj.SIGMA_X, horizon=(0.0, 2.0), dim=2, breakpoints=(0.5,)
-    )
-    evaluate = lambda t: t * (np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X))
-    dense = zj.TimeDependentOperator(evaluator=evaluate, horizon=(0.0, 2.0), dim=4, breakpoints=(0.5,))
-    op = zj.TimeDependentOperator.site_sum(site, 2, dense)
-    assert op.site is site
-    assert (op.dim, op.horizon, op.breakpoints) == (4, (0.0, 2.0), (0.5,))
-    assert dense.site is None
-    with pytest.raises(zj.ValidationError, match="dense operator"):
-        zj.TimeDependentOperator.site_sum(site, 2, evaluate)
-    three = zj.TimeDependentOperator.constant(np.eye(3, dtype=complex), (0.0, 2.0))
-    with pytest.raises(zj.ValidationError, match="two-level site"):
-        zj.TimeDependentOperator.site_sum(three, 2, dense)
-    for n_sites in (0, 2.0):
-        with pytest.raises(zj.ValidationError, match="n_sites"):
-            zj.TimeDependentOperator.site_sum(site, n_sites, dense)
 
 
 def test_operator_rejects_out_of_horizon_times():
@@ -191,7 +171,7 @@ def test_linear_endpoints_are_checked_and_read_only():
     assert np.array_equal(op.ends, [zj.SIGMA_Z, zj.SIGMA_X])
     with pytest.raises(ValueError, match="read-only"):
         op.ends[0, 0, 0] = 7.0
-    assert (op.value, op.site) == (None, None)
+    assert op.value is None
 
 
 def test_linear_sample_does_not_call_the_per_time_evaluator():
@@ -205,20 +185,6 @@ def test_linear_sample_does_not_call_the_per_time_evaluator():
     stack = op.sample(np.linspace(0.0, 1.0, 4097))
     assert stack.shape == (4097, 2, 2)
     assert np.array_equal(stack[2048], -(zj.SIGMA_Z + zj.SIGMA_X) / 2.0)
-
-
-def test_site_sum_keeps_a_dense_operator_and_checks_it():
-    site = zj.TimeDependentOperator.linear(zj.SIGMA_Z, zj.SIGMA_X, (0.0, 2.0))
-    z = np.kron(zj.SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_Z)
-    x = np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X)
-    dense = zj.TimeDependentOperator.linear(z, x, (0.0, 2.0))
-    op = zj.TimeDependentOperator.site_sum(site, 2, dense)
-    assert op.site is site and op.ends is dense.ends and op.evaluator is dense.evaluator
-    assert dense.site is None
-    for n_sites, horizon in ((3, (0.0, 2.0)), (2, (0.0, 1.0))):
-        other = zj.TimeDependentOperator.linear(z, x, horizon) if n_sites == 2 else dense
-        with pytest.raises(zj.ValidationError, match="dense operator"):
-            zj.TimeDependentOperator.site_sum(site, n_sites, other)
 
 
 def test_bond_sum_keeps_its_bond_and_checks_it():

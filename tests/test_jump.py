@@ -483,6 +483,13 @@ def test_spectral_density_validation_and_moments():
     assert empty.width() == 0.0
 
 
+@pytest.mark.parametrize("entry", [(1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.nan, 0.0)])
+def test_spectral_density_rejects_a_non_finite_position_or_weight(entry):
+    # NaN passed the sign check: total_weight() was nan, and center() was inf
+    with pytest.raises(zj.ValidationError, match="finite"):
+        zj.SpectralDensity(entries=(entry,))
+
+
 def test_spectral_density_from_transitions():
     rng = np.random.default_rng(51)
     h0 = random_hermitian(rng, 3)
@@ -531,6 +538,17 @@ def test_qze_flag_tracks_sampling_frequency():
     assert not slow.qze
     assert fast.nu == pytest.approx(25.0)
     assert fast.center_gap == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "rate, n_cycles, tau",
+    [(math.nan, 3, 0.1), (math.inf, 3, 0.1), (1.0, 3, -1.0), (1.0, 3, math.nan), (1.0, 3, math.inf),
+     (1.0, -1, 0.1), (1.0, math.inf, 0.1)],
+)
+def test_survival_exponential_rejects_what_is_not_a_finite_non_negative_law(rate, n_cycles, tau):
+    # a negative tau gave a survival above 1, and a NaN rate a NaN survival
+    with pytest.raises(zj.ValidationError, match="finite and >= 0"):
+        zj.survival_exponential(rate, n_cycles, tau)
 
 
 def test_survival_laws():

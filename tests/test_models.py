@@ -207,6 +207,16 @@ def test_chain_validity_flags():
     assert len(fast) == 1
 
 
+@pytest.mark.parametrize("h, T", [(math.nan, 1.0), (math.inf, 1.0), (9.0, math.nan), (9.0, math.inf)])
+def test_a_non_finite_field_or_duration_is_an_input_error(h, T):
+    # NaN and inf passed the sign check: the quadrature doubled to its ceiling
+    # under RuntimeWarnings and raised QuadratureError, and the flags read ()
+    with pytest.raises(zj.ValidationError, match="finite and non-negative"):
+        zj.two_qubit_rotation_jump(h, T)
+    with pytest.raises(zj.ValidationError, match="finite and non-negative"):
+        zj.chain_validity_flags(h, T)
+
+
 def test_time_independent_builders():
     with pytest.raises(zj.ValidationError, match="t_final"):
         zj.time_independent_model(zj.SIGMA_X, zj.SIGMA_Z, 1.0, 0.0)
@@ -241,10 +251,10 @@ def test_pulsed_builders_and_level_convention():
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
 def test_field_samples_equal_the_sum_of_embedded_sites(n_sites):
-    h_meas = _field_direction(n_sites)
-    site = h_meas.site
+    h_meas, site = _field_direction(n_sites), _field_direction(1)
     assert (site.dim, h_meas.dim) == (2, 2**n_sites)
     assert (site.horizon, site.breakpoints) == (h_meas.horizon, h_meas.breakpoints)
+    assert not hasattr(h_meas, "site") and not hasattr(zj.TimeDependentOperator, "site_sum")
     for s in np.linspace(0.0, 1.0, 17):
         embedded = sum(
             np.kron(np.kron(np.eye(2**j), site(s)), np.eye(2 ** (n_sites - 1 - j)))
@@ -258,7 +268,7 @@ def test_field_and_site_sample_as_linear_operators_bit_for_bit(n_sites):
     h_meas = _field_direction(n_sites)
     grid = np.linspace(0.0, 1.0, 65)
     half = np.sort(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
-    for op in (h_meas, h_meas.site):
+    for op in (h_meas, _field_direction(1)):
         assert op.ends is not None  # sampled in one array expression
         start, end = op.ends
         generic = zj.TimeDependentOperator(
@@ -278,9 +288,8 @@ def _closed_form_site_frame(s):
 
 @pytest.mark.parametrize("intervals", [1024, 2048])
 def test_tracked_site_frame_is_the_closed_form_rotation(intervals):
-    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0))
     grid = np.linspace(0.0, 1.0, intervals + 1)
-    frame = zj.track_frame(model.h_meas.site, grid)
+    frame = zj.track_frame(_field_direction(1), grid)
     assert np.max(np.abs(frame.intertwiners - _closed_form_site_frame(grid))) <= 1e-13
     chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0), n_intervals=intervals)
     a = _closed_form_site_frame(grid)
@@ -362,7 +371,13 @@ def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
     res = zj.general_jump(model, rho0, 0, 2, frame)
     ref = zj.general_jump(model, rho0, 0, 2, dense)
     assert res.value == pytest.approx(ref.value, rel=1e-12)
-    assert res.adiabaticity == ref.adiabaticity
+    # each report is its own frame's; the chain frame's figures come from one spin,
+    # the dense frame's from its own pass, so the two agree to rounding
+    assert res.adiabaticity == zj.adiabaticity_report(frame, model.coupling)
+    assert ref.adiabaticity == zj.adiabaticity_report(dense, model.coupling)
+    for name in ("alpha_max", "eps_min", "ratio"):
+        assert getattr(res.adiabaticity, name) == pytest.approx(getattr(ref.adiabaticity, name), rel=1e-14)
+    assert res.adiabaticity.adiabatic == ref.adiabaticity.adiabatic
 
 
 def test_spin_chain_frame_residual_failure_carries_the_chain_frame():

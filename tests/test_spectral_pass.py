@@ -175,6 +175,7 @@ def test_report_on_pulsed_operator_with_merged_levels():
 
 
 def test_report_on_degenerate_three_site_chain():
+    # the chain's field is one dense operator: this covers its clustering into ranks (1, 3, 3, 1)
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=9.0))
     grid = np.linspace(0.0, 1.0, 65)
     frame = zj.track_frame(model.h_meas, grid)
@@ -182,29 +183,17 @@ def test_report_on_degenerate_three_site_chain():
     assert_report_matches(model.h_meas, model.coupling, grid, frame.degeneracy_tol, 1e-9)
 
 
-def dense_copy(op):
-    """The same evaluator as a plain operator, which carries no ``site``."""
-    return zj.TimeDependentOperator(evaluator=op.evaluator, horizon=op.horizon, dim=op.dim)
-
-
-def test_report_on_degenerate_three_site_chain_from_the_dense_field():
-    # The chain's own field is reported from its site; this copy keeps the
-    # dense clustering of ranks (1, 3, 3, 1) covered.
-    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=9.0))
-    grid = np.linspace(0.0, 1.0, 65)
-    frame = zj.track_frame(model.h_meas, grid)
-    assert frame.ranks == (1, 3, 3, 1)
-    assert_report_matches(dense_copy(model.h_meas), model.coupling, grid, frame.degeneracy_tol, 1e-9)
-
-
 @pytest.mark.parametrize("tol", [None, 1e-12, 1e-6])
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_site_sum_report_equals_the_dense_report(n_sites, tol):
-    h_meas = zj.spin_chain_model(zj.SpinChainSpec(n_sites=n_sites)).h_meas
-    assert h_meas.site is not None
-    grid = np.linspace(0.0, 1.0, 257)
-    structured = zj.adiabaticity_report(h_meas, 9.0, grid, degeneracy_tol=tol)
-    dense = zj.adiabaticity_report(dense_copy(h_meas), 9.0, grid, degeneracy_tol=tol)
+    # The chain frame reads its figures off one spin; the dense operator form,
+    # clustered at the frame's tolerance or at ``tol``, is the reference.
+    spec = zj.SpinChainSpec(n_sites=n_sites)
+    frame = zj.spin_chain_frame(spec, 256)
+    structured = zj.adiabaticity_report(frame, 9.0)
+    h_meas = zj.spin_chain_model(spec).h_meas
+    limit = frame.degeneracy_tol if tol is None else tol
+    dense = zj.adiabaticity_report(h_meas, 9.0, frame.grid, degeneracy_tol=limit)
     for name in ("alpha_max", "eps_min", "ratio"):
         assert getattr(structured, name) == pytest.approx(getattr(dense, name), rel=1e-14), name
     assert structured.adiabatic == dense.adiabatic
@@ -213,22 +202,21 @@ def test_site_sum_report_equals_the_dense_report(n_sites, tol):
 
 def test_eight_site_report_is_four_times_the_two_site_report():
     # The dense 256-dimensional pass would hold about 4 GB of samples here.
-    grid = np.linspace(0.0, 1.0, 1025)
     two, eight = (
-        zj.adiabaticity_report(zj.spin_chain_model(zj.SpinChainSpec(n_sites=n)).h_meas, 9.0, grid)
-        for n in (2, 8)
+        zj.adiabaticity_report(zj.spin_chain_frame(zj.SpinChainSpec(n_sites=n)), 9.0) for n in (2, 8)
     )
     assert eight.ratio == 4.0 * two.ratio
     assert eight.eps_min == two.eps_min
 
 
 @pytest.mark.parametrize("tol", [1.5, 2.5, 100.0])
-@pytest.mark.parametrize("dense", [False, True])
-def test_report_raises_when_the_tolerance_reaches_the_gap(dense, tol):
+@pytest.mark.parametrize("per_time", [False, True])
+def test_report_raises_when_the_tolerance_reaches_the_gap(per_time, tol):
     # The field's gap is 2 |field|, between sqrt(2) and 2.  A tolerance above
-    # it must not merge the distinct levels into a silent ratio of 0.
+    # it must not merge the distinct levels into a silent ratio of 0, whether
+    # the field is sampled in one expression or by its evaluator per time.
     h_meas = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3)).h_meas
-    op = dense_copy(h_meas) if dense else h_meas
+    op = zj.TimeDependentOperator(h_meas.evaluator, h_meas.horizon, h_meas.dim) if per_time else h_meas
     with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
         zj.adiabaticity_report(op, 9.0, np.linspace(0.0, 1.0, 33), degeneracy_tol=tol)
 
