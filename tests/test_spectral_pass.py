@@ -183,6 +183,21 @@ def test_report_on_degenerate_three_site_chain():
     assert_report_matches(model.h_meas, model.coupling, grid, frame.degeneracy_tol, 1e-9)
 
 
+def test_report_on_degenerate_three_site_chain_from_the_dense_field():
+    # A plain operator on the field's evaluator alone samples one time at a
+    # time; its report at ranks (1, 3, 3, 1) equals the chain field's own.
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=9.0))
+    h_meas = model.h_meas
+    plain = zj.TimeDependentOperator(evaluator=h_meas.evaluator, horizon=h_meas.horizon, dim=h_meas.dim)
+    grid = np.linspace(0.0, 1.0, 65)
+    frame = zj.track_frame(plain, grid)
+    assert frame.ranks == (1, 3, 3, 1)
+    rep = assert_report_matches(plain, model.coupling, grid, frame.degeneracy_tol, 1e-9)
+    own = zj.adiabaticity_report(h_meas, model.coupling, grid, degeneracy_tol=frame.degeneracy_tol)
+    for name in ("alpha_max", "eps_min", "ratio"):
+        assert getattr(rep, name) == pytest.approx(getattr(own, name), rel=1e-12), name
+
+
 @pytest.mark.parametrize("tol", [None, 1e-12, 1e-6])
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_site_sum_report_equals_the_dense_report(n_sites, tol):
