@@ -6,159 +6,23 @@ them.  This package computes those transition (jump) probabilities to second
 order in the perturbation, tracks the rotating subspaces through an
 intertwining frame, and cross-checks everything against an exact
 time-ordered propagator.
+
+Each public name is declared once, in its own module's ``__all__``; the
+package re-exports those lists in module order.
 """
 
-from .policy import NumericPolicy, default_policy
-from .errors import (
-    ConfigError,
-    FrameResidualError,
-    LevelCrossingError,
-    NumericalError,
-    QuadratureError,
-    ValidationError,
-    ZenoJumpError,
-)
-from .operators import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    check_density,
-    check_hermitian,
-    check_projector,
-    check_unitary,
-    eigh,
-    matrix_exp_unitary,
-    max_norm,
-    projector_rank,
-    tensor_product,
-    trace_product,
-)
-from .decomposition import (
-    AdiabaticFrame,
-    AdiabaticityReport,
-    TimeDependentOperator,
-    ZenoDecomposition,
-    adiabaticity_report,
-    decompose,
-    track_frame,
-)
-from .propagators import PropagatorResult, adiabatic_propagator, exact_propagator
-from .jump import (
-    JumpResult,
-    MeasurementModel,
-    QuadraturePolicy,
-    SpectralDensity,
-    SpectralOverlap,
-    continuous_jump,
-    decay_rate,
-    general_jump,
-    pulsed_jump,
-    spectral_overlap,
-    survival_exponential,
-    survival_power,
-    transition_weight,
-    zeno_time,
-)
-from .compare import JumpComparison, compare_jump, exact_jump
-from .config import (
-    SCENARIOS,
-    ScenarioConfig,
-    SweepSpec,
-    load_config,
-    parse_config,
-    resolved_text,
-    sweepable_parameters,
-)
-from .models import (
-    SpinChainSpec,
-    TwoQubitJump,
-    build_chain_h0,
-    build_chain_interaction,
-    chain_validity_flags,
-    cumulative_field_strength,
-    field_strength,
-    free_flip_probability,
-    pulsed_frame,
-    pulsed_measurement_model,
-    spin_chain_frame,
-    spin_chain_model,
-    time_independent_frame,
-    time_independent_model,
-    two_qubit_rotation_jump,
-)
+from . import policy, errors, operators, decomposition, propagators, jump, compare, config, models
+from .policy import *
+from .errors import *
+from .operators import *
+from .decomposition import *
+from .propagators import *
+from .jump import *
+from .compare import *
+from .config import *
+from .models import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NumericPolicy",
-    "default_policy",
-    "ZenoJumpError",
-    "ValidationError",
-    "NumericalError",
-    "LevelCrossingError",
-    "FrameResidualError",
-    "QuadratureError",
-    "ConfigError",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "check_hermitian",
-    "check_unitary",
-    "check_projector",
-    "check_density",
-    "projector_rank",
-    "eigh",
-    "matrix_exp_unitary",
-    "trace_product",
-    "tensor_product",
-    "max_norm",
-    "TimeDependentOperator",
-    "ZenoDecomposition",
-    "AdiabaticFrame",
-    "AdiabaticityReport",
-    "decompose",
-    "track_frame",
-    "adiabaticity_report",
-    "PropagatorResult",
-    "exact_propagator",
-    "adiabatic_propagator",
-    "MeasurementModel",
-    "QuadraturePolicy",
-    "JumpResult",
-    "SpectralDensity",
-    "SpectralOverlap",
-    "general_jump",
-    "pulsed_jump",
-    "continuous_jump",
-    "zeno_time",
-    "transition_weight",
-    "decay_rate",
-    "spectral_overlap",
-    "survival_power",
-    "survival_exponential",
-    "SpinChainSpec",
-    "TwoQubitJump",
-    "build_chain_h0",
-    "build_chain_interaction",
-    "spin_chain_model",
-    "spin_chain_frame",
-    "field_strength",
-    "cumulative_field_strength",
-    "two_qubit_rotation_jump",
-    "free_flip_probability",
-    "chain_validity_flags",
-    "time_independent_model",
-    "time_independent_frame",
-    "pulsed_measurement_model",
-    "pulsed_frame",
-    "JumpComparison",
-    "exact_jump",
-    "compare_jump",
-    "ScenarioConfig",
-    "SweepSpec",
-    "SCENARIOS",
-    "parse_config",
-    "load_config",
-    "resolved_text",
-    "sweepable_parameters",
-]
+_MODULES = (policy, errors, operators, decomposition, propagators, jump, compare, config, models)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -668,7 +668,9 @@ def track_frame(
     The level structure must stay intact along the grid: constant level count
     and ranks, pairwise gaps above the degeneracy tolerance, one distinct
     successor per level from node to node.  A change raises
-    :class:`LevelCrossingError` naming the node.  The frame ODE
+    :class:`LevelCrossingError` naming the node, and a tolerance that merges
+    a spectrum split beyond rounding into one level raises
+    :class:`NumericalError`.  The frame ODE
     ``i dA/dt = M(t) A`` is advanced with one classical 4th-order step per
     grid interval (generator sampled at the interval midpoint); a step matrix
     not unitary to rounding is replaced by its polar factor.  The
@@ -706,6 +708,8 @@ def track_frame(
             f"level count changed from {n_levels} to {counts[changed[0]]} at node "
             f"t={grid[changed[0]]:.9g}; treat as a level crossing"
         )
+    if n_levels == 1 and np.max(vals[:, -1] - vals[:, 0]) > 1e-14 * (1.0 + np.max(np.abs(vals))):
+        raise NumericalError(f"degeneracy tolerance {tol:.3e} merges every level of a split spectrum")
 
     # Follow each level to the next node's level of largest projector overlap
     # Tr(P_a P_b), ties broken by eigenvalue distance.  Where that is a

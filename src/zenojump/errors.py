@@ -8,6 +8,16 @@ mid-run.  The CLI maps the two families onto distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "ZenoJumpError",
+    "ValidationError",
+    "NumericalError",
+    "LevelCrossingError",
+    "FrameResidualError",
+    "QuadratureError",
+    "ConfigError",
+]
+
 
 class ZenoJumpError(Exception):
     """Base class for package errors."""

@@ -38,7 +38,7 @@ import numpy as np
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
 from .decomposition import _BLOCK, _level_basis, _sector_states, _site_eigenbasis, _tensor_power
 from .errors import NumericalError, QuadratureError, ValidationError
-from .operators import _bond_sum, _stack_matmul, check_density, check_hermitian, check_projector, max_norm, trace_product
+from .operators import _bond_sum, _stack_matmul, as_square_matrix, check_density, check_hermitian, check_projector, max_norm
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -314,8 +314,10 @@ def _separable_kernel(model, frame, n, m, target, pol):
 
 def transition_weight(h0, rho0, projector_m) -> float:
     """Coupling strength ``Tr{P_m H0 rho0 H0}`` of the ``n -> m`` channel."""
-    val = trace_product([projector_m, h0, rho0, h0])
-    return float(val.real)
+    p, h, r = (as_square_matrix(x) for x in (projector_m, h0, rho0))
+    if not p.shape == h.shape == r.shape:
+        raise ValidationError(f"transition_weight shape mismatch: {p.shape}, {h.shape}, {r.shape}")
+    return float(np.sum((p @ h @ r) * h.T).real)
 
 
 def _closed_form(name: str, evaluate: Callable[[], float]) -> float:
@@ -533,8 +535,8 @@ def survival_power(w_cycle: float, n_cycles: int) -> float:
     """Survival after ``n_cycles`` independent cycles, ``w_cycle`` each."""
     if not (0.0 <= w_cycle <= 1.0):
         raise ValidationError("per-cycle survival must lie in [0, 1]")
-    if n_cycles < 0:
-        raise ValidationError("cycle count must be non-negative")
+    if not (0 <= n_cycles < math.inf):
+        raise ValidationError(f"cycle count must be finite and non-negative, got {n_cycles!r}")
     return w_cycle**n_cycles
 
 

@@ -358,6 +358,8 @@ def chain_validity_flags(h: float, T: float, n_sites: int = 2) -> tuple[str, ...
     """Guideline diagnostics for the chain's perturbative treatment."""
     if not (0.0 <= h < math.inf and 0.0 <= T < math.inf):
         raise ValidationError(f"h and T must be finite and non-negative, got {h!r}, {T!r}")
+    if not (2 <= n_sites <= 12):
+        raise ValidationError(f"n_sites must be within 2..12, got {n_sites!r}")
     flags: list[str] = []
     if h < 4.0:
         flags.append("field below the perturbative threshold h >= 4")

@@ -19,7 +19,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "as_square_matrix",
     "max_norm",
     "check_hermitian",
     "check_unitary",
@@ -28,7 +27,6 @@ __all__ = [
     "projector_rank",
     "eigh",
     "matrix_exp_unitary",
-    "trace_product",
     "tensor_product",
 ]
 
@@ -173,32 +171,6 @@ def matrix_exp_unitary(h, dt: float, policy: NumericPolicy | None = None) -> np.
     vals, vecs = eigh(h, policy)
     phases = np.exp(-1j * vals * float(dt))
     return (vecs * phases) @ vecs.conj().T
-
-
-def trace_product(matrices) -> complex:
-    """Trace of the ordered product of matrices.
-
-    All factors must be square with one common dimension; the empty list is
-    rejected.  The value is invariant under cyclic permutation of the
-    arguments up to floating-point noise.
-    """
-    mats = [as_square_matrix(m) for m in matrices]
-    if not mats:
-        raise ValidationError("trace_product requires at least one matrix")
-    dim = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape[0] != dim:
-            raise ValidationError(
-                f"trace_product dimension mismatch: argument {i} has dimension "
-                f"{m.shape[0]}, expected {dim}"
-            )
-    if len(mats) == 1:
-        return complex(mats[0].trace())
-    # Contract left to right, then close the trace; O(n d^3).
-    acc = mats[0]
-    for m in mats[1:-1]:
-        acc = acc @ m
-    return complex(np.sum(acc * mats[-1].T))
 
 
 def _stack_matmul(a, b) -> np.ndarray:

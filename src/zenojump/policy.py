@@ -15,6 +15,8 @@ import os
 
 from .errors import ConfigError, ValidationError
 
+__all__ = ["NumericPolicy", "default_policy"]
+
 
 ENV_VAR = "ZENO_NUM_POLICY"
 

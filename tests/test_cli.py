@@ -415,6 +415,15 @@ def test_bad_policy_environment_exits_2_without_traceback(tmp_path, capsys, monk
         assert "Traceback" not in err
 
 
+def test_a_policy_that_merges_every_chain_level_exits_3(tmp_path, capsys, monkeypatch):
+    # the one-level site frame used to reach the sector rows as an IndexError
+    monkeypatch.setenv("ZENO_NUM_POLICY", "degeneracy_rel=10")
+    assert main(["run", "--config", write(tmp_path, CHAIN_RUN)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "merges every level" in err
+    assert "Traceback" not in err
+
+
 def test_non_finite_matrix_entry_exits_2_under_strict(tmp_path, capsys):
     cfg_path = write(
         tmp_path, CUSTOM_COMPARE.replace("h0 = [[0, 0, 0],", "h0 = [[0, NaN, 0],")

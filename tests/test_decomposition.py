@@ -457,6 +457,16 @@ def test_track_frame_rejects_a_bad_degeneracy_tol(tol):
         zj.track_frame(op, grid=np.linspace(0.0, 1.0, 17), degeneracy_tol=tol)
 
 
+def test_track_frame_refuses_a_tolerance_that_merges_every_level():
+    # A one-level frame of a split spectrum read ratio = 0, adiabatic = True.
+    grid = np.linspace(0.0, 1.0, 33)
+    with pytest.raises(zj.NumericalError, match="merges every level"):
+        zj.track_frame(zj.models._field_direction(3), grid, degeneracy_tol=100.0)
+    # an exactly degenerate spectrum is one level, whatever the tolerance
+    flat = zj.TimeDependentOperator(evaluator=lambda t: (1.0 + t) * np.eye(2), horizon=(0.0, 1.0), dim=2)
+    assert zj.track_frame(flat, grid, degeneracy_tol=100.0).ranks == (2,)
+
+
 @pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
 def test_track_frame_rejects_a_bad_frame_tol(frame_tol):
     # The tolerance is the policy's, so the policy rejects it before any tracking.

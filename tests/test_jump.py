@@ -153,6 +153,20 @@ def test_general_jump_matches_pulsed_closed_form():
     assert res.value == pytest.approx(ref, rel=1e-5)
 
 
+def test_transition_weight_is_the_trace_and_checks_its_inputs():
+    rng = np.random.default_rng(16)
+    h0, rho0 = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    ref = np.trace(p @ h0 @ rho0 @ h0).real
+    assert zj.transition_weight(h0, rho0, p) == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(zj.ValidationError, match="shape mismatch"):
+        zj.transition_weight(h0, rho0, np.eye(3))
+    bad = rho0.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(zj.ValidationError, match="non-finite"):
+        zj.transition_weight(h0, bad, p)
+
+
 def test_general_jump_level_index_validation():
     model, frame, rho0, n = static_setup(45)
     m = (n + 1) % frame.n_levels
@@ -554,8 +568,9 @@ def test_survival_exponential_rejects_what_is_not_a_finite_non_negative_law(rate
 def test_survival_laws():
     with pytest.raises(zj.ValidationError, match="survival"):
         zj.survival_power(1.5, 3)
-    with pytest.raises(zj.ValidationError, match="cycle count"):
-        zj.survival_power(0.5, -1)
+    for n_cycles in (-1, math.nan, math.inf):
+        with pytest.raises(zj.ValidationError, match="cycle count"):
+            zj.survival_power(0.5, n_cycles)
     with pytest.raises(zj.ValidationError, match="rate"):
         zj.survival_exponential(-1.0, 3, 0.1)
     assert zj.survival_power(0.99, 10) == pytest.approx(0.99**10)

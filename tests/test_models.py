@@ -205,6 +205,10 @@ def test_chain_validity_flags():
     assert any("too fast" in f for f in weak)
     fast = zj.chain_validity_flags(9.0, 0.01)
     assert len(fast) == 1
+    # SpinChainSpec's range: -2 raised a bare math domain error and 0 returned ()
+    for n_sites in (-2, 0, 1, 13):
+        with pytest.raises(zj.ValidationError, match="n_sites must be within 2..12"):
+            zj.chain_validity_flags(9.0, 1.0, n_sites)
 
 
 @pytest.mark.parametrize("h, T", [(math.nan, 1.0), (math.inf, 1.0), (9.0, math.nan), (9.0, math.inf)])

@@ -96,23 +96,6 @@ def test_matrix_exp_unitary_matches_scipy():
         assert np.max(np.abs(u - ref)) < 1e-10
 
 
-def test_trace_product_cyclic_and_errors():
-    rng = np.random.default_rng(16)
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    c = random_hermitian(rng, 4)
-    t1 = zj.operators.trace_product([a, b, c])
-    t2 = complex(np.trace(a @ b @ c))
-    assert abs(t1 - t2) < 1e-12
-    t3 = zj.operators.trace_product([c, a, b])
-    assert abs(t1 - t3) < 1e-10
-    assert abs(zj.operators.trace_product([a]) - np.trace(a)) < 1e-14
-    with pytest.raises(zj.ValidationError, match="at least one"):
-        zj.operators.trace_product([])
-    with pytest.raises(zj.ValidationError, match="dimension mismatch"):
-        zj.operators.trace_product([a, np.eye(3)])
-
-
 def test_tensor_product_matches_kron():
     assert np.array_equal(
         zj.operators.tensor_product(zj.SIGMA_X, zj.SIGMA_Z),
