@@ -237,7 +237,7 @@ def _add_scaled(terms, samples) -> np.ndarray:
 
 
 #: samples per stacked eigendecomposition, or grid points per pass of the frame's RK4 steps,
-#: its residual or the chain's bond coefficients in ``general_jump``; bounds a pass's temporaries
+#: its residual or the jump kernel's node blocks; bounds a pass's temporaries
 _BLOCK = 256
 
 
@@ -432,12 +432,6 @@ def decompose(
     )
 
 
-def _level_basis(projector: np.ndarray) -> np.ndarray:
-    """Orthonormal ``d x r`` basis of a validated projector's range."""
-    vals, vecs = np.linalg.eigh(projector)
-    return vecs[:, vals > 0.5]
-
-
 def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     """``m (x) m (x) ... (x) m`` with ``n`` factors, of a matrix or of each matrix of a stack."""
     out = m
@@ -448,17 +442,19 @@ def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _site_eigenbasis(site_projectors: np.ndarray) -> np.ndarray:
-    """One-site unitary whose columns span the two one-site level projectors in turn."""
-    return np.hstack([_level_basis(p) for p in site_projectors])
+def _level_eigenbasis(projectors: np.ndarray) -> np.ndarray:
+    """Unitary whose columns span the level projectors in turn: the eigenvectors of
+    ``sum_l l P_l``, which ``eigh`` returns grouped by level in ascending order."""
+    # einsum, not tensordot: OpenBLAS threads that product, and its idle threads then spin
+    return np.linalg.eigh(np.einsum("l,lij->ij", np.arange(len(projectors)), projectors))[1]
 
 
-def _sector_states(n_sites: int, level: int) -> np.ndarray:
-    """Computational states with ``level`` of ``n_sites`` bits set, ascending: level ``level``
-    of a tensor-power frame is spanned by the columns of ``u^{(x)n}`` there (``u`` the
-    :func:`_site_eigenbasis`)."""
-    states = np.arange(2**n_sites)
-    return states[((states[:, None] >> np.arange(n_sites)) & 1).sum(axis=1) == level]
+def _level_columns(ranks, p: int, level: int) -> np.ndarray:
+    """Columns of ``u^{(x)p}`` spanning level ``level`` of a ``p``-fold tensor power of a
+    factor with level ``ranks`` (``u`` its :func:`_level_eigenbasis`), ascending: a column's
+    level is the sum of its factors' levels, the popcount for one spin, a range at ``p = 1``."""
+    factor = np.repeat(np.arange(len(ranks)), ranks)
+    return np.flatnonzero(sum(np.ix_(*[factor] * p)).ravel() == level)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -549,6 +545,8 @@ class AdiabaticFrame:
         interval, which is exact for piecewise-constant eigenvalues whose switching
         times are grid nodes.  ``intertwiners`` is a read-only broadcast view
         of one identity; one read-only projector stack is both end-node fields.
+        A level not finite at a node or midpoint, or a ``degeneracy_tol`` not
+        finite and non-negative, raises :class:`ValidationError`.
         """
         pol = default_policy(policy)
         grid = _check_grid(grid)
@@ -567,9 +565,13 @@ class AdiabaticFrame:
                 eps[l], mid_eps[l] = [float(spec(t)) for t in grid], [float(spec(t)) for t in mids]
             else:
                 eps[l] = mid_eps[l] = float(spec)
+        bad = np.flatnonzero(~(np.isfinite(eps).all(axis=1) & np.isfinite(mid_eps).all(axis=1)))
+        if bad.size:
+            raise ValidationError(f"static frame level {bad[0]}: its eigenvalue must be finite at every time")
         integrals = np.zeros((len(levels), n))
         integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)
-        gaps = np.diff(np.sort(eps, axis=0), axis=0)
+        ordered = np.sort(eps, axis=0)
+        gaps = np.diff(ordered, axis=0)
         return cls(
             grid=grid,
             intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
@@ -578,9 +580,9 @@ class AdiabaticFrame:
             initial_projectors=projs,
             final_projectors=projs,
             ranks=tuple(int(round(p.trace().real)) for p in projs),
-            degeneracy_tol=float(degeneracy_tol),
+            degeneracy_tol=_resolve_degeneracy_tol(ordered.T, 0.0, degeneracy_tol, pol),
             alpha_unit=0.0,
-            eps_min=float(np.min(gaps[gaps > 0.0], initial=np.inf)),
+            eps_min=float(np.min(gaps, where=gaps > 0.0, initial=np.inf)),
         )
 
 

@@ -23,7 +23,7 @@ and ``general_jump`` works on the ``r_m x r_n`` blocks ``Y^dagger f Q``
 alone; it never forms ``f`` itself.  The blocks are separable,
 ``Y^dagger f(t) Q = sum_j c_j(t) G_j``: for the spin chain ``c`` holds the 16
 entries of one bond's ``(a (x) a)^dagger h (a (x) a)`` and ``G_j`` are bond
-sums between the levels' computational states, so nothing ``2^n``-dimensional
+sums between the levels' product basis states, so nothing ``2^n``-dimensional
 is formed per node.
 """
 
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
-from .decomposition import _BLOCK, _level_basis, _sector_states, _site_eigenbasis, _tensor_power
+from .decomposition import _BLOCK, _level_columns, _level_eigenbasis, _tensor_power
 from .errors import NumericalError, QuadratureError, ValidationError
 from .operators import _bond_sum, _stack_matmul, as_square_matrix, check_density, check_hermitian, check_projector, max_norm
 from .policy import NumericPolicy, default_policy
@@ -142,10 +142,9 @@ def general_jump(
 
     The double time integral runs over the frame's grid span with a
     tensor-product composite Simpson rule on the level blocks of the module
-    docstring: ``Q`` and ``Y`` are orthonormal bases of ``P_n(0)`` and of
-    the arrival projector, ``sigma = Q^dagger rho0 Q``, and each node
-    contributes the ``r_m x r_n`` block ``g_k = (A_k Y)^dagger h0(t_k) (A_k Q)``
-    of :func:`_separable_kernel`.  The transition phase is
+    docstring: with ``Q`` and ``Y`` the level bases of :func:`_separable_kernel`,
+    ``sigma = Q^dagger rho0 Q`` and each node contributes the ``r_m x r_n``
+    block ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q``.  The transition phase is
     ``Lam = K (E_m - E_n)``, ``K`` the model's coupling and ``E`` the
     frame's ``eps_integrals``.  Refinement steps through the stride-4
     / stride-2 / stride-1 subsets of the grid, each rung taking
@@ -153,14 +152,17 @@ def general_jump(
     grid interval count must be divisible by 8, the spacing uniform and the
     first node the model's horizon origin; the rule refuses to run when the
     grid resolves the fastest transition phase with fewer than 10 nodes per
-    period.  ``est_error`` is the change of the last refinement, blind to the
-    error of ``eps_integrals``, and ``imag_residual`` the imaginary part of
-    the finest rung, which rounding alone makes nonzero.  The adiabaticity
-    report reads the frame's figures (:func:`adiabaticity_report`).
+    period, and a rung that leaves floating-point range raises
+    :class:`NumericalError`.  ``est_error`` is the change of the last
+    refinement, blind to the error of ``eps_integrals``, and
+    ``imag_residual`` the imaginary part of the finest rung, which rounding
+    alone makes nonzero.  The adiabaticity report reads the frame's figures
+    (:func:`adiabaticity_report`).
 
-    ``target_projector`` restricts the arrival projector to a sub-projector
-    of level ``m`` (useful when a degenerate level is watched channel by
-    channel); by default the level's full projector is used.
+    ``target_projector``, a sub-projector ``P_t`` of level ``m`` (useful when
+    a degenerate level is watched channel by channel), is the arrival
+    projector in place of the level's: each rung's ``S`` becomes
+    ``(Y^dagger P_t Y) S``.
 
     The initial state must already live in level ``n``:
     ``rho0 = P_n(0) rho0 P_n(0)`` within 1e-8.  A state confined only to
@@ -215,20 +217,25 @@ def general_jump(
                 f"per oscillation period, need >= 10 (about {needed} nodes over the span)"
             )
 
-    q, y, c, blocks = _separable_kernel(model, frame, n, m, target, pol)
+    q, y, c, blocks = _separable_kernel(model, frame, n, m, pol)
     sigma = q.conj().T @ rho @ q
+    arrival = None if target is None else y.conj().T @ target @ y
     values: list[complex] = []
-    for stride in (4, 2, 1):
-        nodes = slice(None, None, stride)
-        w = _simpson_weights(n_int // stride, steps[0] * stride)
-        # einsum, not @: OpenBLAS threads these thin products, and its idle
-        # threads then spin through the rest of the process
-        coef = np.einsum("k,kj->j", w * np.exp(1j * lam[nodes]), c[nodes])
-        if blocks is not None:
-            coef = np.einsum("j,jx->x", coef, blocks)
-        s = coef.reshape(y.shape[1], q.shape[1])
-        values.append(complex(np.trace(s @ sigma @ s.conj().T)))
-
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rung raises below
+        for stride in (4, 2, 1):
+            nodes = slice(None, None, stride)
+            w = _simpson_weights(n_int // stride, steps[0] * stride)
+            # einsum, not @: OpenBLAS threads these thin products, and its idle
+            # threads then spin through the rest of the process
+            coef = np.einsum("k,kj->j", w * np.exp(1j * lam[nodes]), c[nodes])
+            if blocks is not None:
+                coef = np.einsum("j,jx->x", coef, blocks)
+            s = coef.reshape(y.shape[1], q.shape[1])
+            if arrival is not None:
+                s = arrival @ s
+            values.append(complex(np.trace(s @ sigma @ s.conj().T)))
+    if not np.isfinite(values).all():
+        raise NumericalError(f"jump quadrature left floating-point range: rungs {values}")
     est_error = abs(values[-1] - values[-2])
     raw = values[-1]
     value = raw.real
@@ -264,52 +271,43 @@ def general_jump(
     )
 
 
-def _separable_kernel(model, frame, n, m, target, pol):
-    """``(Q, Y, c, G)``: level bases and the node blocks
+def _separable_kernel(model, frame, n, m, pol):
+    """``(Q, Y, c, G)``: bases of levels ``n`` and ``m`` and the node blocks
     ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q`` as ``c[k] @ G``, ``c`` of shape
     ``(K, J)``, ``G`` of shape ``(J, r_m r_n)`` or ``None`` for the identity.
-    ``Y`` spans ``target`` (validated), or level ``m`` where it is ``None``.
 
-    * A tensor-power frame (``frame.site``) under a ``bond_sum`` ``h0``: with
-      ``u`` the site eigenbasis at the first node and ``b_k = a_k u``, every
-      bond sees ``(b_k (x) b_k)^dagger bond (b_k (x) b_k)``, whose 16 entries
-      are ``c[k]``; ``G[j]`` is the bond sum of the matching unit matrix
-      between the sector states of levels ``m`` and ``n``.
-    * One intertwiner ``A`` (a broadcast stack, as static frames keep) and one
-      ``h0`` at every node: ``J = 1``, ``c = 1``, ``G = (A Y)^dagger h0 (A Q)``.
-    * Any other frame: ``c`` holds each node's block (``A`` from ``site`` on a tensor power).
+    The frame is the ``p``-fold tensor power of a factor, its ``site`` (``p``
+    spins) or itself (``p = 1``), with intertwiners ``a`` and, at the first
+    node, the :func:`_level_eigenbasis` ``u``.  ``Q`` and ``Y`` are level
+    columns of ``u^{(x)p}``; with ``b_k = a_k u``, ``g_k = (b_k^{(x)p})[:,
+    rows]^dagger h0_k (b_k^{(x)p})[:, cols]``.  A ``bond_sum`` ``h0`` at ``p > 1``
+    keeps the 16 entries of ``(b_k (x) b_k)^dagger bond (b_k (x) b_k)`` in
+    ``c[k]``, and ``G[j]`` is the bond sum of the matching unit matrix between
+    the level columns.  Other ``h0`` keep ``c[k] = g_k``, or ``c = 1`` and
+    ``G = g`` formed on one node where neither ``a`` (a broadcast stack, as
+    static frames keep) nor ``h0`` changes over the nodes.
     """
     h0, site = model.h0, frame.site
+    factor, p = (frame, 1) if site is None else (site, frame.dim.bit_length() - 1)
+    a, u = factor.intertwiners, _level_eigenbasis(factor.initial_projectors)
+    cols, rows = (_level_columns(factor.ranks, p, level) for level in (n, m))
     h0_nodes = h0.sample(frame.grid)  # a constant operator's is a view of its matrix
     check_hermitian(h0_nodes if h0.value is None else h0.value, pol)
-    if site is not None and h0.bond is not None:
-        n_sites = frame.dim.bit_length() - 1
-        u = _site_eigenbasis(site.initial_projectors)
-        power = _tensor_power(u, n_sites)
-        cols, rows = _sector_states(n_sites, n), _sector_states(n_sites, m)
-        q, y = power[:, cols], power[:, rows]
-        a_u = _stack_matmul(site.intertwiners, u)
-        c = np.empty((len(a_u), 16), dtype=complex)
-        for start in range(0, len(a_u), _BLOCK):  # bounds the (K, 4, 4) temporaries
-            b = _tensor_power(a_u[start:start + _BLOCK], 2)
-            c[start:start + _BLOCK] = (b.conj().swapaxes(-1, -2) @ h0.bond @ b).reshape(-1, 16)
-        blocks = _bond_sum(np.eye(16).reshape(16, 4, 4), h0.pairs, n_sites, rows, cols)
-        if target is not None:
-            y_t = _level_basis(target)
-            blocks, y = (y_t.conj().T @ y) @ blocks, y_t
-        return q, y, c, blocks.reshape(16, -1)
-    q = _level_basis(frame.initial_projectors[n])
-    y = _level_basis(frame.initial_projectors[m] if target is None else target)
-    a = frame.intertwiners
-    if a is None:
-        a = _tensor_power(site.intertwiners, frame.dim.bit_length() - 1)
-    if a.strides[0] == 0 and (h0.value is not None or (h0_nodes == h0_nodes[0]).all()):
-        g = (a[0] @ y).conj().T @ h0_nodes[0] @ (a[0] @ q)
-        return q, y, np.ones((len(a), 1)), g.reshape(1, -1)
-    h0_q = h0_nodes @ (a @ q)
-    a_y = a @ y
-    g = np.conj(a_y, out=a_y).swapaxes(-1, -2) @ h0_q
-    return q, y, g.reshape(len(g), -1), None
+    bond = h0.bond is not None and p > 1
+    fold, left, right = (2, np.arange(4), np.arange(4)) if bond else (p, rows, cols)
+    one_node = not bond and a.strides[0] == 0 and (h0.value is not None or (h0_nodes == h0_nodes[0]).all())
+    count = 1 if one_node else len(a)
+    c = np.empty((count, len(left) * len(right)), dtype=complex)
+    for start in range(0, count, _BLOCK):  # bounds the (_BLOCK, d^fold, d^fold) temporaries
+        nodes = slice(start, min(start + _BLOCK, count))
+        b = _tensor_power(_stack_matmul(a[nodes], u), fold)
+        h = h0.bond if bond else h0_nodes[nodes]
+        c[nodes] = (b[..., left].conj().swapaxes(-1, -2) @ h @ b[..., right]).reshape(len(b), -1)
+    blocks = _bond_sum(np.eye(16).reshape(16, 4, 4), h0.pairs, p, rows, cols).reshape(16, -1) if bond else None
+    if one_node:
+        c, blocks = np.ones((len(a), 1)), c
+    power = _tensor_power(u, p)
+    return power[:, cols], power[:, rows], c, blocks
 
 
 def transition_weight(h0, rho0, projector_m) -> float:
@@ -461,16 +459,20 @@ class SpectralDensity:
 
 def decay_rate(density: SpectralDensity, eps_n: float, coupling: float, tau: float) -> float:
     """Per-cycle decay rate ``R = sum_m W_m(tau) / tau`` out of level ``n``."""
-    if not (tau > 0):
-        raise ValidationError("tau must be positive")
-    total = 0.0
-    for eps_m, g in density.entries:
-        if eps_m == eps_n:
-            raise ValidationError(
-                f"spectral density carries weight at the watched level eps_n={eps_n!r}"
-            )
-        total += continuous_jump(g, coupling, eps_m - eps_n, tau) / tau
-    return total
+    _check_rate_inputs(density, eps_n, coupling, tau)
+    return sum(continuous_jump(g, coupling, eps_m - eps_n, tau) / tau for eps_m, g in density.entries)
+
+
+def _check_rate_inputs(density: SpectralDensity, eps_n: float, coupling: float, tau: float) -> None:
+    """:class:`ValidationError` unless ``tau`` and ``coupling`` are positive and finite,
+    ``eps_n`` is finite and ``density`` carries no weight at ``eps_n``."""
+    _check_coupling(coupling)
+    if not 0.0 < tau < math.inf:
+        raise ValidationError(f"tau must be positive and finite, got {tau!r}")
+    if not math.isfinite(eps_n):
+        raise ValidationError(f"watched level eps_n must be finite, got {eps_n!r}")
+    if any(eps_m == eps_n for eps_m, _ in density.entries):
+        raise ValidationError(f"spectral density carries weight at the watched level eps_n={eps_n!r}")
 
 
 def _filter_function(eps: float, eps_n: float, coupling: float, tau: float) -> float:
@@ -512,15 +514,11 @@ def spectral_overlap(
     filter-function route as an independent cross-check of that identity.
     """
     pol = default_policy(policy)
-    if not (tau > 0):
-        raise ValidationError("tau must be positive")
-    rate = 0.0
-    for eps_m, g in density.entries:
-        if eps_m == eps_n:
-            raise ValidationError(
-                f"spectral density carries weight at the watched level eps_n={eps_n!r}"
-            )
-        rate += g * 2.0 * math.pi * _filter_function(eps_m, eps_n, coupling, tau)
+    _check_rate_inputs(density, eps_n, coupling, tau)
+    rate = _closed_form(
+        "spectral overlap rate",
+        lambda: sum(g * 2.0 * math.pi * _filter_function(e, eps_n, coupling, tau) for e, g in density.entries),
+    )
     nu = 1.0 / tau
     width = density.width()
     center_gap = abs(eps_n - density.center())

@@ -30,8 +30,8 @@ from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
     _checked_frame,
-    _sector_states,
-    _site_eigenbasis,
+    _level_columns,
+    _level_eigenbasis,
     _tensor_power,
     decompose,
     track_frame,
@@ -217,8 +217,8 @@ def _chain_frame(n: int, n_intervals: int, pol: NumericPolicy) -> AdiabaticFrame
         site = exc.last_result  # the chain frame's check decides
     ends = []
     for site_projectors in (site.initial_projectors, site.final_projectors):
-        power = _tensor_power(_site_eigenbasis(site_projectors), n)
-        sectors = (power[:, _sector_states(n, l)] for l in range(n + 1))
+        power = _tensor_power(_level_eigenbasis(site_projectors), n)
+        sectors = (power[:, _level_columns(site.ranks, n, l)] for l in range(n + 1))
         ends.append(np.array([b @ b.conj().T for b in sectors]))
     frame = AdiabaticFrame(
         grid=site.grid,

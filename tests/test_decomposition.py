@@ -337,6 +337,55 @@ def test_static_frame_requires_complete_levels():
         zj.AdiabaticFrame.static(np.linspace(0, 1, 5), [(1.0, p0)])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [float("nan"), float("inf"), -float("inf"), lambda t: float("nan") if t == 0.5 else 1.0,
+     lambda t: float("inf") if t == 0.5625 else 1.0],
+)
+def test_static_frame_rejects_a_level_that_is_not_finite(spec):
+    # A NaN level made general_jump return nan with adiabatic=True, an
+    # infinite one a bare ZeroDivisionError; the last spec is infinite at a midpoint only.
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(zj.ValidationError, match="level 1: its eigenvalue must be finite"):
+        zj.AdiabaticFrame.static(np.linspace(0, 1, 9), [(0.0, p0), (spec, np.eye(2) - p0)])
+
+
+@pytest.mark.parametrize("tol", BAD_DEGENERACY_TOLS)
+def test_static_frame_rejects_a_bad_degeneracy_tol(tol):
+    # A NaN or negative tolerance was kept, and the report then never flagged close levels.
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(zj.ValidationError, match="degeneracy_tol must be finite and >= 0"):
+        zj.AdiabaticFrame.static(np.linspace(0, 1, 5), [(0.0, p0), (1.0, np.eye(2) - p0)], degeneracy_tol=tol)
+
+
+# --- tensor-power levels -----------------------------------------------------
+
+
+def test_level_columns_are_the_popcount_sectors_on_spins_and_ranges_at_p_one():
+    from zenojump.decomposition import _level_columns
+
+    for p in range(1, 7):
+        states = np.arange(2**p)
+        popcount = ((states[:, None] >> np.arange(p)) & 1).sum(axis=1)
+        for level in range(p + 1):
+            assert np.array_equal(_level_columns((1, 1), p, level), np.flatnonzero(popcount == level))
+    ranges = [_level_columns((2, 1, 3), 1, level) for level in range(3)]
+    assert [r.tolist() for r in ranges] == [[0, 1], [2], [3, 4, 5]]
+
+
+def test_level_eigenbasis_groups_its_columns_by_level():
+    from zenojump.decomposition import _level_eigenbasis
+
+    dec = zj.decompose(zj.spin_chain_model(zj.SpinChainSpec(n_sites=3)).h_meas(0.3))
+    u = _level_eigenbasis(dec.projectors)
+    assert zj.max_norm(u.conj().T @ u - np.eye(8)) < 1e-13
+    start = 0
+    for projector, rank in zip(dec.projectors, dec.ranks):
+        cols = u[:, start:start + rank]
+        assert zj.max_norm(projector @ cols - cols) < 1e-13
+        start += rank
+
+
 # --- track_frame -------------------------------------------------------------
 
 

@@ -380,6 +380,23 @@ def test_general_jump_block_kernel_matches_trace_form_on_mixed_state_and_sub_pro
     _assert_block_kernel_matches_trace_form(model, rho_ground, 0, 2, frame, channel)
 
 
+def test_general_jump_block_kernel_matches_trace_form_on_a_dense_frame_under_a_moving_h0():
+    # Per-node blocks on a p = 1 frame: a dense tracked chain field, a
+    # time-dependent h0, and an arrival channel applied to each rung's S.
+    spec = zj.SpinChainSpec(n_sites=3, h=12.5, T=1.0)
+    h_meas = zj.spin_chain_model(spec).h_meas
+    frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 1025))
+    assert frame.site is None and frame.ranks == (1, 3, 3, 1)
+    rng = np.random.default_rng(66)
+    h0 = zj.TimeDependentOperator.linear(random_hermitian(rng, 8), random_hermitian(rng, 8), (0.0, 1.0))
+    model = zj.MeasurementModel(h0=h0, h_meas=h_meas, coupling=12.5)
+    rho0 = frame.initial_projectors[1] / 3.0
+    _assert_block_kernel_matches_trace_form(model, rho0, 1, 2, frame)
+    vec = frame.initial_projectors[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
+    vec /= np.linalg.norm(vec)
+    _assert_block_kernel_matches_trace_form(model, rho0, 1, 2, frame, np.outer(vec, vec.conj()))
+
+
 def test_general_jump_allocates_less_than_one_full_node_stack():
     spec = zj.SpinChainSpec(n_sites=5, h=12.5, T=1.0)
     model = zj.spin_chain_model(spec)
@@ -455,6 +472,15 @@ def test_an_eight_site_chain_jump_allocates_far_less_than_one_dense_frame():
         tracemalloc.stop()
     assert res.value > 0.0
     assert peak < 64 * 2**20
+
+
+def test_general_jump_raises_when_a_rung_leaves_floating_point_range():
+    # The rungs overflowed to inf and NaN, which passed both tolerance
+    # checks: the result read value=inf, est_error=nan and adiabatic.
+    model = zj.time_independent_model(1e300 * zj.SIGMA_X, np.diag([-1.0, 1.0]), coupling=1.0, t_final=1.0)
+    frame = zj.time_independent_frame(model, 1024)
+    with pytest.raises(zj.NumericalError, match="left floating-point range"):
+        zj.general_jump(model, np.diag([1.0, 0.0]).astype(complex), 0, 1, frame)
 
 
 def test_general_jump_rejects_a_frame_that_starts_after_the_model():
@@ -535,13 +561,18 @@ def test_decay_rate_equals_spectral_overlap():
 
 
 def test_decay_rate_validation():
+    # spectral_overlap, documented as the same rate, once took a negative
+    # coupling and returned NaN or raised bare Python errors on the others.
     density = zj.SpectralDensity(entries=((2.0, 1.0),))
-    with pytest.raises(zj.ValidationError, match="tau"):
-        zj.decay_rate(density, 0.0, 1.0, 0.0)
-    with pytest.raises(zj.ValidationError, match="watched level"):
-        zj.decay_rate(density, 2.0, 1.0, 1.0)
-    with pytest.raises(zj.ValidationError, match="watched level"):
-        zj.spectral_overlap(density, 2.0, 1.0, 1.0)
+    cases = [
+        ((0.0, 1.0, 0.0), "tau"), ((0.0, 1.0, math.inf), "tau"), ((2.0, 1.0, 1.0), "watched level"),
+        ((math.nan, 1.0, 1.0), "eps_n"), ((0.0, 0.0, 1.0), "coupling"), ((0.0, -1.0, 1.0), "coupling"),
+        ((0.0, math.nan, 1.0), "coupling"), ((0.0, math.inf, 1.0), "coupling"),
+    ]
+    for route in (zj.decay_rate, zj.spectral_overlap):
+        for (eps_n, coupling, tau), needle in cases:
+            with pytest.raises(zj.ValidationError, match=needle):
+                route(density, eps_n, coupling, tau)
 
 
 def test_qze_flag_tracks_sampling_frequency():
