@@ -142,10 +142,9 @@ def _as_matrix(value) -> np.ndarray:
     return np.array(value, dtype=complex)
 
 
-def _level_state(projector: np.ndarray) -> np.ndarray:
-    # maximally mixed state on the level: valid and confined for any rank
-    rank = float(np.trace(projector).real)
-    return projector / rank
+def _level_state(basis: np.ndarray) -> np.ndarray:
+    # maximally mixed state on the level spanned by basis: valid and confined for any rank
+    return basis @ basis.conj().T / basis.shape[1]
 
 
 def _model(cfg: ScenarioConfig, command: str) -> tuple[MeasurementModel, SpinChainSpec | None]:
@@ -190,7 +189,7 @@ def _frame_setup(cfg: ScenarioConfig, shared: dict | None = None):
     if cfg.scenario == "custom-matrix" and cfg.param("rho0") is not None:
         rho0 = _as_matrix(cfg.param("rho0"))
     else:
-        rho0 = _level_state(frame.initial_projectors[n])
+        rho0 = _level_state(frame.level_basis(n))
     return model, frame, rho0, n, m, extra
 
 

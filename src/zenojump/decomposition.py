@@ -385,9 +385,7 @@ class ZenoDecomposition:
             for j in range(i + 1, self.n_levels):
                 cross = max_norm(self.projectors[i] @ self.projectors[j])
                 if cross > pol.orthogonality_tol:
-                    raise ValidationError(
-                        f"levels {i} and {j} are not orthogonal: defect {cross:.3e}"
-                    )
+                    raise ValidationError(f"levels {i} and {j} are not orthogonal: defect {cross:.3e}")
 
 
 def decompose(
@@ -442,16 +440,16 @@ def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _level_eigenbasis(projectors: np.ndarray) -> np.ndarray:
+def _level_eigenbasis(projectors: np.ndarray, policy: NumericPolicy | None = None) -> np.ndarray:
     """Unitary whose columns span the level projectors in turn: the eigenvectors of
-    ``sum_l l P_l``, which ``eigh`` returns grouped by level in ascending order."""
+    ``sum_l l P_l``, which :func:`eigh` returns grouped by level in ascending order."""
     # einsum, not tensordot: OpenBLAS threads that product, and its idle threads then spin
-    return np.linalg.eigh(np.einsum("l,lij->ij", np.arange(len(projectors)), projectors))[1]
+    return eigh(np.einsum("l,lij->ij", np.arange(len(projectors)), projectors), policy)[1]
 
 
 def _level_columns(ranks, p: int, level: int) -> np.ndarray:
     """Columns of ``u^{(x)p}`` spanning level ``level`` of a ``p``-fold tensor power of a
-    factor with level ``ranks`` (``u`` its :func:`_level_eigenbasis`), ascending: a column's
+    factor with level ``ranks`` (``u`` its level-grouped basis), ascending: a column's
     level is the sum of its factors' levels, the popcount for one spin, a range at ``p = 1``."""
     factor = np.repeat(np.arange(len(ranks)), ranks)
     return np.flatnonzero(sum(np.ix_(*[factor] * p)).ravel() == level)
@@ -461,12 +459,17 @@ def _level_columns(ranks, p: int, level: int) -> np.ndarray:
 class AdiabaticFrame:
     """Intertwining frame sampled on a time grid.
 
-    ``intertwiners[k]`` is ``A(t_k)`` with ``A(0) = I``; ``eigenvalues[l, k]``
-    is level ``l`` of the measurement Hamiltonian at node ``k`` (a consistent
-    identity along the grid), ``initial_projectors[l]`` and
-    ``final_projectors[l]`` its projector at the first and the last node, and
-    ``eps_integrals[l, k]`` the integral of ``eps_l`` up to ``t_k``.  No
-    coupling enters: a reader forms the transition phase
+    The frame ``A = a^{(x)power}`` is the ``power``-fold tensor power of a
+    factor ``a``: ``intertwiners[k]`` is ``a(t_k)``, ``a(0) = I``, and the
+    columns of the unitaries ``initial_basis`` and ``final_basis`` span the
+    factor's levels in turn, ``factor_ranks`` columns each, at the first and
+    the last node.  Level ``l`` of ``A`` holds the products of factor columns
+    whose levels sum to ``l`` (:meth:`level_basis`); ``ranks``, ``dim`` and
+    the end-node ``initial_projectors`` and ``final_projectors`` are formed
+    from these fields.  ``eigenvalues[l, k]`` is level ``l`` of the
+    measurement Hamiltonian at node ``k`` (a consistent identity along the
+    grid) and ``eps_integrals[l, k]`` the integral of ``eps_l`` up to ``t_k``.
+    No coupling enters: a reader forms the transition phase
     ``K (eps_integrals[m] - eps_integrals[n])`` at its own ``K``.  Frames are
     defined at their grid nodes only.  The builder sets ``residual``, a
     bound on the max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes and
@@ -477,25 +480,20 @@ class AdiabaticFrame:
     coupling, and ``eps_min``, the smallest gap between levels at a node.
     Static frames keep ``alpha_unit = 0``; levels that coincide at a node (a
     pulsed measurement switched off) give no gap there.
-
-    A tensor-power frame ``A = a^{(x)n}`` of ``n`` spins keeps the two-level
-    frame ``a`` in ``site`` (``None`` otherwise) and ``intertwiners=None``:
-    a reader that needs ``A`` at a node forms it from ``site``.  Its level
-    ``l`` holds the states with ``l`` spins in the upper site level.
     """
 
     grid: np.ndarray
-    intertwiners: np.ndarray | None
+    intertwiners: np.ndarray
     eigenvalues: np.ndarray
     eps_integrals: np.ndarray
-    initial_projectors: np.ndarray
-    final_projectors: np.ndarray
-    ranks: tuple[int, ...]
+    initial_basis: np.ndarray
+    final_basis: np.ndarray
+    factor_ranks: tuple[int, ...]
     degeneracy_tol: float
     alpha_unit: float
     eps_min: float
     residual: float = 0.0
-    site: AdiabaticFrame | None = dataclasses.field(default=None, repr=False, compare=False)
+    power: int = 1
 
     @property
     def n_levels(self) -> int:
@@ -507,14 +505,35 @@ class AdiabaticFrame:
 
     @property
     def dim(self) -> int:
-        return self.initial_projectors.shape[-1]
+        return len(self.initial_basis) ** self.power
 
-    def __repr__(self) -> str:
-        # sizes, not the fields' arrays
-        return (
-            f"AdiabaticFrame(levels={self.n_levels}, nodes={self.n_nodes}, dim={self.dim}, "
-            f"residual={self.residual!r})"
-        )
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(len(_level_columns(self.factor_ranks, self.power, l)) for l in range(self.n_levels))
+
+    @property
+    def initial_projectors(self) -> np.ndarray:
+        """Level projectors ``(levels, d, d)`` at the first node, formed on each read."""
+        return np.array([q @ q.conj().T for q in map(self.level_basis, range(self.n_levels))])
+
+    @property
+    def final_projectors(self) -> np.ndarray:
+        """Level projectors ``(levels, d, d)`` at the last node, formed on each read."""
+        return np.array([q @ q.conj().T for q in (self.level_basis(l, -1) for l in range(self.n_levels))])
+
+    def level_basis(self, level: int, end: int = 0) -> np.ndarray:
+        """Orthonormal ``(d, r_l)`` basis of level ``level`` at the first node
+        (``end = 0``) or the last (``end = -1``): the level's columns of
+        ``basis^{(x)power}``, formed column by column."""
+        basis = (self.initial_basis, self.final_basis)[end]
+        digits = np.unravel_index(_level_columns(self.factor_ranks, self.power, level), (len(basis),) * self.power)
+        out = basis[:, digits[-1]]
+        for d in digits[-2::-1]:  # the new factor goes first, as in _tensor_power
+            out = (basis[:, None, d] * out[None]).reshape(-1, out.shape[-1])
+        return out
+
+    def __repr__(self) -> str:  # sizes, not the fields' arrays
+        return f"AdiabaticFrame(levels={self.n_levels}, nodes={self.n_nodes}, dim={self.dim}, residual={self.residual!r})"
 
     def node_index(self, t: float) -> int:
         """Index of the grid node equal to ``t``; error if ``t`` is off-grid."""
@@ -524,9 +543,7 @@ class AdiabaticFrame:
         for cand in (idx - 1, idx, idx + 1):
             if 0 <= cand < len(grid) and abs(float(grid[cand]) - t) <= slack:
                 return cand
-        raise ValidationError(
-            f"time {t!r} is not a frame grid node; frames are not interpolated"
-        )
+        raise ValidationError(f"time {t!r} is not a frame grid node; frames are not interpolated")
 
     @classmethod
     def static(
@@ -544,14 +561,14 @@ class AdiabaticFrame:
         every node.  ``eps_integrals`` accumulate by midpoint sampling per grid
         interval, which is exact for piecewise-constant eigenvalues whose switching
         times are grid nodes.  ``intertwiners`` is a read-only broadcast view
-        of one identity; one read-only projector stack is both end-node fields.
-        A level not finite at a node or midpoint, or a ``degeneracy_tol`` not
-        finite and non-negative, raises :class:`ValidationError`.
+        of one identity; one read-only level basis, the eigenvectors of
+        ``sum_l l P_l``, is both end-node fields.  A level not finite at a node
+        or midpoint, or a ``degeneracy_tol`` not finite and non-negative,
+        raises :class:`ValidationError`.
         """
         pol = default_policy(policy)
         grid = _check_grid(grid)
         projs = np.array([check_projector(p, pol) for _, p in levels])
-        projs.setflags(write=False)
         dim = projs.shape[-1]
         total = projs.sum(axis=0)
         if max_norm(total - np.eye(dim)) > pol.completeness_tol:
@@ -572,14 +589,16 @@ class AdiabaticFrame:
         integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)
         ordered = np.sort(eps, axis=0)
         gaps = np.diff(ordered, axis=0)
+        basis = _level_eigenbasis(projs, pol)
+        basis.setflags(write=False)
         return cls(
             grid=grid,
             intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
             eigenvalues=eps,
             eps_integrals=integrals,
-            initial_projectors=projs,
-            final_projectors=projs,
-            ranks=tuple(int(round(p.trace().real)) for p in projs),
+            initial_basis=basis,
+            final_basis=basis,
+            factor_ranks=tuple(int(round(p.trace().real)) for p in projs),
             degeneracy_tol=_resolve_degeneracy_tol(ordered.T, 0.0, degeneracy_tol, pol),
             alpha_unit=0.0,
             eps_min=float(np.min(gaps, where=gaps > 0.0, initial=np.inf)),
@@ -756,14 +775,16 @@ def track_frame(
         # np.maximum keeps a NaN block maximum, which the builtin max drops
         residual = np.maximum(residual, max_norm(transported - projectors))
 
+    # node 0's columns are grouped by level already; the last node's follow the tracked levels
+    last = np.concatenate([np.arange(o, o + r) for o, r in zip(offsets[-1], ranks[0])])
     frame = AdiabaticFrame(
         grid=grid,
         intertwiners=intertwiners,
         eigenvalues=eps,
         eps_integrals=integrals,
-        initial_projectors=initial,
-        final_projectors=projectors[:, -1].copy(),
-        ranks=tuple(int(r) for r in ranks[0]),
+        initial_basis=vecs[0].copy(),
+        final_basis=vecs[-1][:, last],
+        factor_ranks=tuple(int(r) for r in ranks[0]),
         degeneracy_tol=tol,
         alpha_unit=alpha_unit,
         eps_min=eps_min,

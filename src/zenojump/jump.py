@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
-from .decomposition import _BLOCK, _level_columns, _level_eigenbasis, _tensor_power
+from .decomposition import _BLOCK, _level_columns, _tensor_power
 from .errors import NumericalError, QuadratureError, ValidationError
 from .operators import _bond_sum, _stack_matmul, as_square_matrix, check_density, check_hermitian, check_projector, max_norm
 from .policy import NumericPolicy, default_policy
@@ -105,9 +105,7 @@ class QuadraturePolicy:
         if not 0.0 < self.rel_tol < math.inf:
             raise ValidationError(f"rel_tol: must be positive and finite, got {self.rel_tol!r}")
         if not 0.0 <= self.abs_floor < math.inf:
-            raise ValidationError(
-                f"abs_floor: must be non-negative and finite, got {self.abs_floor!r}"
-            )
+            raise ValidationError(f"abs_floor: must be non-negative and finite, got {self.abs_floor!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,9 +140,10 @@ def general_jump(
 
     The double time integral runs over the frame's grid span with a
     tensor-product composite Simpson rule on the level blocks of the module
-    docstring: with ``Q`` and ``Y`` the level bases of :func:`_separable_kernel`,
-    ``sigma = Q^dagger rho0 Q`` and each node contributes the ``r_m x r_n``
-    block ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q``.  The transition phase is
+    docstring: with ``Q`` and ``Y`` the frame's :meth:`~AdiabaticFrame.level_basis`
+    of levels ``n`` and ``m``, ``sigma = Q^dagger rho0 Q`` and each node
+    contributes the ``r_m x r_n`` block ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q``
+    of :func:`_separable_kernel`.  The transition phase is
     ``Lam = K (E_m - E_n)``, ``K`` the model's coupling and ``E`` the
     frame's ``eps_integrals``.  Refinement steps through the stride-4
     / stride-2 / stride-1 subsets of the grid, each rung taking
@@ -162,11 +161,11 @@ def general_jump(
     ``target_projector``, a sub-projector ``P_t`` of level ``m`` (useful when
     a degenerate level is watched channel by channel), is the arrival
     projector in place of the level's: each rung's ``S`` becomes
-    ``(Y^dagger P_t Y) S``.
+    ``(Y^dagger P_t Y) S``, and ``Y (Y^dagger P_t Y) Y^dagger = P_t`` within 1e-8.
 
     The initial state must already live in level ``n``:
-    ``rho0 = P_n(0) rho0 P_n(0)`` within 1e-8.  A state confined only to
-    that tolerance is read as ``P_n(0) rho0 P_n(0)``.
+    ``rho0 = Q sigma Q^dagger`` within 1e-8.  A state confined only to that
+    tolerance is read as ``Q sigma Q^dagger``.
     """
     pol = default_policy(policy)
     qd = quad if quad is not None else QuadraturePolicy()
@@ -179,14 +178,13 @@ def general_jump(
     if rho.shape[0] != frame.dim or model.dim != frame.dim:
         raise ValidationError("model, frame and state dimensions disagree")
 
-    pn0, pm0 = frame.initial_projectors[n], frame.initial_projectors[m]
-    if max_norm(rho - pn0 @ rho @ pn0) > 1e-8:
-        raise ValidationError(
-            "initial state is not confined to level n: "
-            "rho0 != P_n(0) rho0 P_n(0) within 1e-8"
-        )
+    q, y = frame.level_basis(n), frame.level_basis(m)
+    sigma = q.conj().T @ rho @ q
+    if max_norm(rho - q @ sigma @ q.conj().T) > 1e-8:
+        raise ValidationError("initial state is not confined to level n: rho0 != P_n(0) rho0 P_n(0) within 1e-8")
     target = None if target_projector is None else check_projector(target_projector, pol)
-    if target is not None and max_norm(pm0 @ target @ pm0 - target) > 1e-8:
+    arrival = None if target is None else y.conj().T @ target @ y
+    if target is not None and max_norm(y @ arrival @ y.conj().T - target) > 1e-8:
         raise ValidationError("target_projector must be a sub-projector of level m at t=0")
 
     grid = frame.grid
@@ -201,25 +199,22 @@ def general_jump(
     if max_norm(steps - steps[0]) > 1e-9 * span:
         raise ValidationError("general_jump requires a uniform frame grid")
     if n_int % 8 != 0:
-        raise ValidationError(
-            f"frame grid has {n_int} intervals; the Simpson refinement ladder needs "
-            f"a multiple of 8"
-        )
+        raise ValidationError(f"frame grid has {n_int} intervals; the Simpson refinement ladder needs a multiple of 8")
 
-    lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
-    rate = float(np.max(np.abs(model.coupling * (frame.eigenvalues[m] - frame.eigenvalues[n]))))
+    # a frame's gaps are finite, and a Python float product overflows to inf without a warning
+    rate = model.coupling * float(np.max(np.abs(frame.eigenvalues[m] - frame.eigenvalues[n])))
+    if not math.isfinite(rate):
+        raise NumericalError(f"transition rate leaves floating-point range at coupling {model.coupling!r}")
     if rate > 0.0:
-        period = 2.0 * math.pi / rate
-        if steps[0] > period / 10.0:
-            needed = int(math.ceil(span / (period / 10.0))) + 1
+        period, step = 2.0 * math.pi / rate, float(steps[0])
+        if step > period / 10.0:
             raise QuadratureError(
-                f"grid undersamples the transition phase: {period / steps[0]:.2f} nodes "
-                f"per oscillation period, need >= 10 (about {needed} nodes over the span)"
+                f"grid undersamples the transition phase: {period / step:.2f} nodes per oscillation period, "
+                f"need >= 10 (about {span / (period / 10.0) + 1.0:.3g} nodes over the span)"
             )
+    lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
 
-    q, y, c, blocks = _separable_kernel(model, frame, n, m, pol)
-    sigma = q.conj().T @ rho @ q
-    arrival = None if target is None else y.conj().T @ target @ y
+    c, blocks = _separable_kernel(model, frame, n, m, pol)
     values: list[complex] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rung raises below
         for stride in (4, 2, 1):
@@ -237,9 +232,7 @@ def general_jump(
     if not np.isfinite(values).all():
         raise NumericalError(f"jump quadrature left floating-point range: rungs {values}")
     est_error = abs(values[-1] - values[-2])
-    raw = values[-1]
-    value = raw.real
-    imag_residual = abs(raw.imag)
+    value, imag_residual = values[-1].real, abs(values[-1].imag)
     if est_error > qd.rel_tol * abs(value) + qd.abs_floor:
         raise QuadratureError(
             f"jump quadrature not converged: last refinement changed the value by "
@@ -247,16 +240,12 @@ def general_jump(
             last_result=value,
         )
     if imag_residual > pol.imag_residual_tol * (1.0 + abs(value)):
-        raise NumericalError(
-            f"jump kernel lost hermiticity: imaginary residual {imag_residual:.3e}"
-        )
+        raise NumericalError(f"jump kernel lost hermiticity: imaginary residual {imag_residual:.3e}")
 
     report = adiabaticity_report(frame, model.coupling, policy=pol)
     warnings: list[str] = []
     if value > 0.5:
-        warnings.append(
-            f"perturbation theory unreliable: jump probability {value:.3g} > 0.5"
-        )
+        warnings.append(f"perturbation theory unreliable: jump probability {value:.3g} > 0.5")
     if not report.adiabatic:
         warnings.append(
             f"measurement rotation is not adiabatic: ratio {report.ratio:.3g} exceeds "
@@ -272,14 +261,14 @@ def general_jump(
 
 
 def _separable_kernel(model, frame, n, m, pol):
-    """``(Q, Y, c, G)``: bases of levels ``n`` and ``m`` and the node blocks
-    ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q`` as ``c[k] @ G``, ``c`` of shape
-    ``(K, J)``, ``G`` of shape ``(J, r_m r_n)`` or ``None`` for the identity.
+    """``(c, G)``: the node blocks ``g_k = Y^dagger A_k^dagger h0(t_k) A_k Q``
+    as ``c[k] @ G``, ``c`` of shape ``(K, J)``, ``G`` of shape ``(J, r_m r_n)``
+    or ``None`` for the identity.
 
-    The frame is the ``p``-fold tensor power of a factor, its ``site`` (``p``
-    spins) or itself (``p = 1``), with intertwiners ``a`` and, at the first
-    node, the :func:`_level_eigenbasis` ``u``.  ``Q`` and ``Y`` are level
-    columns of ``u^{(x)p}``; with ``b_k = a_k u``, ``g_k = (b_k^{(x)p})[:,
+    ``Q`` and ``Y``, the frame's :meth:`~AdiabaticFrame.level_basis` of levels
+    ``n`` and ``m``, are level columns of ``u^{(x)p}``, ``p`` the frame's
+    ``power``, ``u`` its ``initial_basis`` and ``a`` its ``intertwiners``;
+    with ``b_k = a_k u``, ``g_k = (b_k^{(x)p})[:,
     rows]^dagger h0_k (b_k^{(x)p})[:, cols]``.  A ``bond_sum`` ``h0`` at ``p > 1``
     keeps the 16 entries of ``(b_k (x) b_k)^dagger bond (b_k (x) b_k)`` in
     ``c[k]``, and ``G[j]`` is the bond sum of the matching unit matrix between
@@ -287,10 +276,9 @@ def _separable_kernel(model, frame, n, m, pol):
     ``G = g`` formed on one node where neither ``a`` (a broadcast stack, as
     static frames keep) nor ``h0`` changes over the nodes.
     """
-    h0, site = model.h0, frame.site
-    factor, p = (frame, 1) if site is None else (site, frame.dim.bit_length() - 1)
-    a, u = factor.intertwiners, _level_eigenbasis(factor.initial_projectors)
-    cols, rows = (_level_columns(factor.ranks, p, level) for level in (n, m))
+    h0, p = model.h0, frame.power
+    a, u = frame.intertwiners, frame.initial_basis
+    cols, rows = (_level_columns(frame.factor_ranks, p, level) for level in (n, m))
     h0_nodes = h0.sample(frame.grid)  # a constant operator's is a view of its matrix
     check_hermitian(h0_nodes if h0.value is None else h0.value, pol)
     bond = h0.bond is not None and p > 1
@@ -306,8 +294,7 @@ def _separable_kernel(model, frame, n, m, pol):
     blocks = _bond_sum(np.eye(16).reshape(16, 4, 4), h0.pairs, p, rows, cols).reshape(16, -1) if bond else None
     if one_node:
         c, blocks = np.ones((len(a), 1)), c
-    power = _tensor_power(u, p)
-    return power[:, cols], power[:, rows], c, blocks
+    return c, blocks
 
 
 def transition_weight(h0, rho0, projector_m) -> float:

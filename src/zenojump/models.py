@@ -30,9 +30,6 @@ from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
     _checked_frame,
-    _level_columns,
-    _level_eigenbasis,
-    _tensor_power,
     decompose,
     track_frame,
 )
@@ -158,15 +155,14 @@ def spin_chain_frame(
 
     The field is a sum of identical commuting one-site terms, so the frame is
     the tensor power ``A = a^{(x)n}`` of the frame ``a(s)`` that
-    :func:`track_frame` follows for one spin, kept in ``site``, with
-    ``intertwiners=None``.  The levels are the magnetization sectors.  Level
-    ``l`` (``l`` spins in the upper one-site level) has rank ``C(n, l)``,
-    eigenvalue and ``eps_integrals`` row ``(n-l)`` times the lower one-site
-    row plus ``l`` times the upper one, and at each end node the projector
-    onto the states with ``l`` bits set, conjugated by the tensor power of
-    the one-site eigenbasis there.  The degeneracy tolerance is ``n`` times
-    the one-site one, which is what the dense route resolves from the
-    chain's spectral range.
+    :func:`track_frame` follows for one spin: that frame with ``power = n``,
+    so no array it keeps has a ``2^n`` axis.  The levels are the
+    magnetization sectors.  Level ``l`` (``l`` spins in the upper one-site
+    level) has rank ``C(n, l)``, eigenvalue and ``eps_integrals`` row
+    ``(n-l)`` times the lower one-site row plus ``l`` times the upper one,
+    and the states with ``l`` bits set as its end-node basis.  The degeneracy
+    tolerance is ``n`` times the one-site one, which is what the dense route
+    resolves from the chain's spectral range.
 
     The report figures come from one spin.  Neighbouring sectors lie the
     one-site gap ``g`` apart, so ``eps_min`` is the one-site one.  ``dH/dt``
@@ -202,6 +198,13 @@ def spin_chain_frame(
     return _checked_frame(shared[key], pol)
 
 
+def _uniform_grid(t0: float, t1: float, n_intervals) -> np.ndarray:
+    """``n_intervals + 1`` equally spaced nodes from ``t0`` to ``t1``, ``n_intervals`` a positive integer."""
+    if not isinstance(n_intervals, (int, np.integer)) or n_intervals < 1:
+        raise ValidationError(f"n_intervals must be a positive integer, got {n_intervals!r}")
+    return np.linspace(t0, t1, n_intervals + 1)
+
+
 def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
     """Rows ``(n - l) * site_rows[0] + l * site_rows[1]`` for ``l = 0..n`` upper spins."""
     upper = np.arange(n + 1)[:, None]
@@ -210,31 +213,21 @@ def _sector_rows(n: int, site_rows: np.ndarray) -> np.ndarray:
 
 def _chain_frame(n: int, n_intervals: int, pol: NumericPolicy) -> AdiabaticFrame:
     """The chain frame of :func:`spin_chain_frame`, its arrays read-only, before the residual check."""
-    grid = np.linspace(0.0, 1.0, n_intervals + 1)
+    grid = _uniform_grid(0.0, 1.0, n_intervals)
     try:
         site = track_frame(_field_direction(1), grid, pol)
     except FrameResidualError as exc:
         site = exc.last_result  # the chain frame's check decides
-    ends = []
-    for site_projectors in (site.initial_projectors, site.final_projectors):
-        power = _tensor_power(_level_eigenbasis(site_projectors), n)
-        sectors = (power[:, _level_columns(site.ranks, n, l)] for l in range(n + 1))
-        ends.append(np.array([b @ b.conj().T for b in sectors]))
-    frame = AdiabaticFrame(
-        grid=site.grid,
-        intertwiners=None,
+    frame = dataclasses.replace(
+        site,
         eigenvalues=_sector_rows(n, site.eigenvalues),
         eps_integrals=_sector_rows(n, site.eps_integrals),
-        initial_projectors=ends[0],
-        final_projectors=ends[1],
-        ranks=tuple(math.comb(n, l) for l in range(n + 1)),
         degeneracy_tol=n * site.degeneracy_tol,
         alpha_unit=n * site.alpha_unit,
-        eps_min=site.eps_min,
         residual=math.sqrt(2.0) * n * site.residual,
-        site=site,
+        power=n,
     )
-    for value in (*vars(site).values(), *vars(frame).values()):
+    for value in vars(frame).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return frame
@@ -390,7 +383,7 @@ def time_independent_frame(
     pol = default_policy(policy)
     t0, t1 = model.horizon
     dec = decompose(model.h_meas(t0), degeneracy_tol, pol)
-    grid = np.linspace(t0, t1, n_intervals + 1)
+    grid = _uniform_grid(t0, t1, n_intervals)
     levels = [(float(dec.eigenvalues[l]), dec.projectors[l]) for l in range(dec.n_levels)]
     return AdiabaticFrame.static(grid, levels, pol, degeneracy_tol=dec.degeneracy_tol)
 
@@ -442,11 +435,9 @@ def pulsed_frame(
     if not (0.0 <= tau_free <= tau) or tau <= 0:
         raise ValidationError("need 0 <= tau_free <= tau with tau > 0")
     p = check_projector(projector, policy)
-    grid = np.linspace(0.0, float(tau), n_intervals + 1)
+    grid = _uniform_grid(0.0, float(tau), n_intervals)
     if tau_free > 0.0 and float(np.min(np.abs(grid - tau_free))) > 1e-12 * tau:
-        raise ValidationError(
-            f"switching time {tau_free} must be a node of the {n_intervals}-interval grid"
-        )
+        raise ValidationError(f"switching time {tau_free} must be a node of the {n_intervals}-interval grid")
 
     def watched_eps(t: float) -> float:
         return 1.0 if t >= tau_free else 0.0

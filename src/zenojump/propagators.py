@@ -13,11 +13,12 @@ not an error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .decomposition import AdiabaticFrame, TimeDependentOperator, _check_coupling, _tensor_power
+from .decomposition import AdiabaticFrame, TimeDependentOperator, _check_coupling
 from .errors import NumericalError, ValidationError
 from .operators import matrix_exp_unitary, max_norm
 from .policy import NumericPolicy, default_policy
@@ -164,14 +165,15 @@ def adiabatic_propagator(frame: AdiabaticFrame, t: float, coupling: float) -> np
     """Zeroth-order propagator ``A(t) Phi(t)`` at a frame grid node.
 
     ``Phi(t) = sum_l exp(-i K E_l(t)) P_l(0)``, ``E`` the frame's
-    ``eps_integrals`` and ``K`` the ``coupling``, positive and finite.
-    Requesting a time between grid nodes is an error; frames are never
-    interpolated.  A tensor-power frame forms ``A(t)`` at that node alone,
-    from its ``site``.
+    ``eps_integrals``, ``K`` the ``coupling``, positive and finite, and
+    ``P_l(0)`` formed from the frame's first-node level bases.  ``A(t)`` is
+    the ``power``-fold Kronecker power of the frame's intertwiner at that
+    node alone.  Requesting a time between grid nodes is an error; frames
+    are never interpolated.
     """
     k = frame.node_index(float(t))
     phases = _check_coupling(coupling) * frame.eps_integrals[:, k]
     phi = np.tensordot(np.exp(-1j * phases), frame.initial_projectors, axes=(0, 0))
-    if frame.site is None:
-        return frame.intertwiners[k] @ phi
-    return _tensor_power(frame.site.intertwiners[k], frame.dim.bit_length() - 1) @ phi
+    a = frame.intertwiners[k]
+    # the new factor goes first, as in the tensor power the frame's readers form
+    return functools.reduce(lambda power, _: np.kron(a, power), range(frame.power - 1), a) @ phi

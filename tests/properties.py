@@ -112,10 +112,8 @@ def frame_intertwining_properties(cases: int = 100, seed: int = BASE_SEED + 3) -
 
 
 def dense_intertwiners(frame) -> np.ndarray:
-    """A frame's ``(K, d, d)`` intertwiner stack; a tensor-power frame's is formed from its ``site``."""
-    if frame.site is None:
-        return frame.intertwiners
-    return zj.decomposition._tensor_power(frame.site.intertwiners, frame.dim.bit_length() - 1)
+    """A frame's ``(K, d, d)`` intertwiner stack: the ``power``-fold tensor power of its factor's."""
+    return zj.decomposition._tensor_power(frame.intertwiners, frame.power)
 
 
 def kernel_realness_properties(cases: int = 100, seed: int = BASE_SEED + 4) -> int:

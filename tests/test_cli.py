@@ -245,6 +245,60 @@ def test_a_spectrum_wider_than_float_range_exits_3(tmp_path, capsys):
     assert err.startswith("numerical failure: spectral range from -1e+308 to 1e+308 is not finite")
 
 
+def test_an_overflowing_transition_rate_exits_3_without_a_traceback(tmp_path, capsys):
+    text = CUSTOM_TWO_LEVEL.replace("[1, 0], [0, -1]", "[-1e10, 0], [0, 1e10]").replace("coupling = 5", "coupling = 1e300")
+    cfg_path = write(tmp_path, text.replace("256", "64"))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: transition rate leaves floating-point range")
+    assert "Traceback" not in err
+
+
+def test_a_huge_field_names_its_node_estimate_in_three_digits(tmp_path, capsys):
+    cfg_path = write(tmp_path, CHAIN_RUN.replace("h = 5", "h = 1e300"))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "(about 6.37e+300 nodes over the span)" in err and "Traceback" not in err
+
+
+CUSTOM_RANK_TWO = """
+[scenario]
+type = custom-matrix
+
+[custom-matrix]
+h0 = [[0, 0, 1], [0, 0, 0.5], [1, 0.5, 0]]
+h_meas = [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
+coupling = 5
+tau = 1
+level_from = 0
+level_to = 1
+
+[grid]
+intervals = 256
+"""
+
+
+def test_a_config_rho0_is_the_initial_state_of_a_run(tmp_path, capsys):
+    def w(text, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--config", write(tmp_path, text, f"{name}.ini"), "--out", str(out)]) == 0
+        return float(out.read_text().splitlines()[-1].split(",")[1])
+
+    pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    model = zj.time_independent_model(
+        [[0, 0, 1], [0, 0, 0.5], [1, 0.5, 0]], np.diag([-1.0, -1.0, 1.0]), 5.0, 1.0
+    )
+    frame = zj.time_independent_frame(model, 256)
+    expected = zj.general_jump(model, pure, 0, 1, frame).value
+    config_state = w(CUSTOM_RANK_TWO.replace("tau = 1", "tau = 1\nrho0 = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]"), "pure")
+    assert config_state == expected
+    # the default is the level's mixture, which |<2|h0|1>|^2 = 1/4 pulls below the pure state's
+    assert w(CUSTOM_RANK_TWO, "mixed") == pytest.approx(0.625 * expected, rel=1e-9)
+    outside = CUSTOM_RANK_TWO.replace("tau = 1", "tau = 1\nrho0 = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]")
+    assert main(["run", "--config", write(tmp_path, outside, "out.ini"), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: initial state is not confined to level n")
+
+
 def test_strict_flags_exit_4(tmp_path, capsys):
     # h = 0.1 trips both chain guideline flags; --strict turns them into rc 4.
     cfg_path = write(tmp_path, CHAIN_RUN.replace("h = 5", "h = 0.1"))

@@ -386,7 +386,7 @@ def test_general_jump_block_kernel_matches_trace_form_on_a_dense_frame_under_a_m
     spec = zj.SpinChainSpec(n_sites=3, h=12.5, T=1.0)
     h_meas = zj.spin_chain_model(spec).h_meas
     frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 1025))
-    assert frame.site is None and frame.ranks == (1, 3, 3, 1)
+    assert frame.power == 1 and frame.intertwiners.shape == (1025, 8, 8) and frame.ranks == (1, 3, 3, 1)
     rng = np.random.default_rng(66)
     h0 = zj.TimeDependentOperator.linear(random_hermitian(rng, 8), random_hermitian(rng, 8), (0.0, 1.0))
     model = zj.MeasurementModel(h0=h0, h_meas=h_meas, coupling=12.5)
@@ -395,6 +395,28 @@ def test_general_jump_block_kernel_matches_trace_form_on_a_dense_frame_under_a_m
     vec = frame.initial_projectors[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
     vec /= np.linalg.norm(vec)
     _assert_block_kernel_matches_trace_form(model, rho0, 1, 2, frame, np.outer(vec, vec.conj()))
+
+
+def test_an_overflowing_transition_rate_is_a_numerical_error():
+    model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([-1e10, 1e10]), 1e300, 1.0)
+    frame = zj.time_independent_frame(model, 64)
+    with pytest.raises(zj.NumericalError, match="transition rate leaves floating-point range at coupling 1e"):
+        zj.general_jump(model, np.diag([1.0, 0.0]), 0, 1, frame)
+    spec = zj.SpinChainSpec(h=1e300)
+    chain = zj.spin_chain_frame(spec, 64)
+    with pytest.raises(zj.QuadratureError, match=r"\(about 6\.37e\+300 nodes over the span\)"):
+        zj.general_jump(zj.spin_chain_model(spec), chain.initial_projectors[0], 0, 2, chain)
+
+
+def test_a_chain_frame_of_another_size_is_refused():
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=12.5))
+    frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=12.5), 256)
+    assert frame.dim == 8
+    for rho0 in (np.diag([1.0, 0.0, 0.0, 0.0]), frame.initial_projectors[0]):
+        with pytest.raises(zj.ValidationError, match="model, frame and state dimensions disagree"):
+            zj.general_jump(model, rho0, 0, 2, frame)
+    with pytest.raises(zj.ValidationError, match="model and frame dimensions disagree"):
+        zj.exact_jump(model, np.diag([1.0, 0.0, 0.0, 0.0]), 2, frame)
 
 
 def test_general_jump_allocates_less_than_one_full_node_stack():

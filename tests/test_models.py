@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,26 +83,80 @@ def test_site_operator_equals_the_kronecker_chain():
 def test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack():
     spec = zj.SpinChainSpec(n_sites=5, h=9.0, T=1.0)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
-    site = frame.site
-    assert (site.dim, site.ranks, site.site) == (2, (1, 1), None)
-    assert np.array_equal(site.grid, frame.grid)
+    site = zj.track_frame(_field_direction(1), frame.grid)
+    assert (frame.power, frame.factor_ranks, frame.dim, site.power, site.dim) == (5, (1, 1), 32, 1, 2)
+    assert frame.intertwiners.shape == (257, 2, 2) and frame.initial_basis.shape == (2, 2)
+    assert np.array_equal(frame.intertwiners, site.intertwiners)
     assert np.array_equal(frame.eps_integrals, zj.models._sector_rows(5, site.eps_integrals))
-    # only the end-node projectors are 2^n-dimensional; no stack over the nodes is kept
-    assert frame.intertwiners is None and frame == frame
+    # nothing 2^n-dimensional is kept, let alone a stack over the nodes
     stack_bytes = 257 * 32 * 32 * np.dtype(complex).itemsize
-    kept = [v for f in (frame, site) for v in vars(f).values() if isinstance(v, np.ndarray)]
-    assert max(v.nbytes for v in kept) < stack_bytes / 16
+    kept = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
+    assert max(v.nbytes for v in kept) < stack_bytes / 16 and frame == frame
     dense = dense_intertwiners(frame)
     assert dense.shape == (257, 32, 32)
     for k in (0, 100, 256):
         power = np.eye(1)
         for _ in range(5):
-            power = np.kron(site.intertwiners[k], power)
+            power = np.kron(frame.intertwiners[k], power)
         assert np.max(np.abs(dense[k] - power)) <= 1e-15
     assert repr(frame).startswith("AdiabaticFrame(levels=6, nodes=257, dim=32, residual=")
-    tracked = zj.track_frame(zj.models._field_direction(1), frame.grid)
-    assert tracked.site is None and zj.time_independent_frame(zj.time_independent_model(
-        zj.SIGMA_X, zj.SIGMA_Z, 2.0, 1.0), 16).site is None
+    static = zj.time_independent_frame(zj.time_independent_model(zj.SIGMA_X, zj.SIGMA_Z, 2.0, 1.0), 16)
+    assert static.power == 1 and static.intertwiners.shape == (17, 2, 2)
+
+
+def test_a_ten_site_chain_frame_keeps_nothing_two_to_the_n_dimensional():
+    # A dense end-projector stack alone would be 2 x (11, 1024, 1024) complex, 352 MiB.
+    tracemalloc.start()
+    try:
+        frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=10), 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.dim == 1024 and frame.ranks == tuple(math.comb(10, l) for l in range(11))
+    assert peak < 16 * 2**20
+
+
+def _assert_level_bases_span(frame, ends, tol):
+    """Each ``level_basis(l, end)`` is orthonormal, of rank ``ranks[l]``, and spans
+    ``reference[l]`` for the ``(end, reference)`` pairs ``ends``."""
+    for end, reference in ends:
+        own = frame.initial_projectors if end == 0 else frame.final_projectors
+        for level, (projector, rank) in enumerate(zip(reference, frame.ranks, strict=True)):
+            q = frame.level_basis(level, end)
+            assert q.shape == (frame.dim, rank)
+            assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) <= 1e-14
+            assert np.max(np.abs(q @ q.conj().T - own[level])) <= 1e-14
+            assert np.max(np.abs(q @ q.conj().T - projector)) <= tol
+
+
+def test_level_basis_spans_the_end_projectors_of_every_frame_shape():
+    # A chain frame and a dense tracked frame of the same field against the
+    # field's eigenprojectors at both ends, a pulsed static frame against its input.
+    spec = zj.SpinChainSpec(n_sites=3, h=12.5, T=1.0)
+    h_meas = zj.spin_chain_model(spec).h_meas
+    chain = zj.spin_chain_frame(spec, 256)
+    dense = zj.track_frame(h_meas, chain.grid)
+    assert (chain.power, dense.power, dense.ranks) == (3, 1, (1, 3, 3, 1))
+    ends = [(end, zj.decompose(h_meas(s)).projectors) for end, s in ((0, 0.0), (-1, 1.0))]
+    _assert_level_bases_span(chain, ends, 1e-12)
+    _assert_level_bases_span(dense, ends, 1e-12)
+    p = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    pulsed = zj.pulsed_frame(p, 1.0, 0.25, 64)
+    _assert_level_bases_span(pulsed, [(0, [p, np.eye(3) - p]), (-1, [p, np.eye(3) - p])], 1e-14)
+
+
+@pytest.mark.parametrize("n_intervals", [-5, 0, 2.5, 64.0, "64"])
+@pytest.mark.parametrize("builder", ["chain", "static", "pulsed"])
+def test_frame_builders_name_a_bad_interval_count(builder, n_intervals):
+    build = {
+        "chain": lambda: zj.spin_chain_frame(zj.SpinChainSpec(), n_intervals),
+        "static": lambda: zj.time_independent_frame(
+            zj.time_independent_model(zj.SIGMA_X, zj.SIGMA_Z, 2.0, 1.0), n_intervals
+        ),
+        "pulsed": lambda: zj.pulsed_frame(np.diag([1.0, 0.0]), 1.0, 0.0, n_intervals),
+    }[builder]
+    with pytest.raises(zj.ValidationError, match=f"n_intervals must be a positive integer, got {n_intervals!r}"):
+        build()
 
 
 def test_spin_chain_model_scaling():
@@ -352,10 +407,12 @@ def test_spin_chain_end_projectors_equal_the_dense_decomposition(n_sites, bounda
 
 
 def test_spin_chain_frame_keeps_end_node_projectors_only():
-    # A per-node stack at 6 sites would be (7, 257, 64, 64).
+    # The end-node projectors are formed on read from the 2 x 2 end bases; a
+    # per-node stack at 6 sites would be (7, 257, 64, 64).
     frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=6, h=9.0, T=1.0), n_intervals=256)
     assert frame.initial_projectors.shape == frame.final_projectors.shape == (7, 64, 64)
-    assert frame.intertwiners is None and frame.site.intertwiners.shape == (257, 2, 2)
+    assert frame.initial_basis.shape == frame.final_basis.shape == (2, 2)
+    assert frame.intertwiners.shape == (257, 2, 2) and frame.power == 6
 
 
 @pytest.mark.parametrize("frame_tol", [-1.0, 0.0, float("nan"), float("inf")])
@@ -417,7 +474,9 @@ def test_a_shared_chain_frame_equals_a_fresh_one_bit_for_bit(n_sites):
         assert _same_bits(getattr(frame, field.name), getattr(fresh, field.name)), field.name
     # the shared frame itself, read-only
     assert frame is first
-    assert not (frame.eps_integrals.flags.writeable or frame.site.intertwiners.flags.writeable)
+    for value in vars(frame).values():
+        assert not (isinstance(value, np.ndarray) and value.flags.writeable)
+    assert frame.intertwiners.shape == (257, 2, 2) and frame.power == n_sites
 
 
 def test_a_shared_chain_frame_is_keyed_by_size_grid_and_policy():

@@ -324,14 +324,16 @@ def test_static_frame_arrays_are_read_only_views():
         np.linspace(0.0, 1.0, 1025), [(1.0, p0), (0.0, np.eye(3) - p0)]
     )
     assert frame.intertwiners.base is not None
-    for arr in (frame.intertwiners, frame.initial_projectors, frame.final_projectors):
+    assert frame.initial_basis is frame.final_basis
+    for arr in (frame.intertwiners, frame.initial_basis):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert frame.intertwiners.shape == (1025, 3, 3)
+    assert frame.intertwiners.shape == (1025, 3, 3) and frame.initial_basis.shape == (3, 3)
     assert frame.initial_projectors.shape == frame.final_projectors.shape == (2, 3, 3)
-    assert np.array_equal(frame.initial_projectors[0], p0)
-    assert np.array_equal(frame.final_projectors[0], p0)
+    for projectors in (frame.initial_projectors, frame.final_projectors):
+        assert np.max(np.abs(projectors[0] - p0)) <= 1e-14
+        assert np.max(np.abs(projectors[1] - (np.eye(3) - p0))) <= 1e-14
 
 
 def test_static_frame_phases_equal_per_node_reference():
