@@ -91,10 +91,10 @@ def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, 
     runs = [exact_propagator(model.full_hamiltonian(), t1, tol=tol, policy=pol)]
     if transport == "measurement":
         runs.append(exact_propagator(_scaled_measurement(model), t1, tol=tol, policy=pol))
-        u_meas = runs[1].matrix
-        target = u_meas @ frame.initial_projectors[m] @ u_meas.conj().T
+        y = runs[1].matrix @ frame.level_basis(m)
     else:
-        target = frame.final_projectors[m]
+        y = frame.level_basis(m, -1)
+    target = y @ y.conj().T
     u_full = runs[0].matrix
     rho_t = u_full @ rho @ u_full.conj().T
     val = complex(np.trace(rho_t @ target))
@@ -119,7 +119,8 @@ def exact_jump(
     The state is evolved under the full Hamiltonian; the arrival projector is
     either the initial level projector transported by the exact measurement
     propagator (``transport="measurement"``) or the instantaneous level
-    projector ``final_projectors[m]`` at the last node (``"instantaneous"``).
+    projector at the last node (``"instantaneous"``), both formed from the
+    level's basis ``frame.level_basis``.
     """
     return _oracle_jump(model, rho0, m, frame, transport, tol, policy)[0]
 

@@ -388,6 +388,24 @@ class ZenoDecomposition:
                     raise ValidationError(f"levels {i} and {j} are not orthogonal: defect {cross:.3e}")
 
 
+def _eigenlevels(
+    h_meas, degeneracy_tol: float | None, pol: NumericPolicy
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray, float]:
+    """One :func:`eigh` of the square matrix ``h_meas``, clustered into levels.
+
+    Returns ``(vals, V, ranks, means, tol)``: the ascending eigenvalues, their
+    eigenvectors (whose columns come grouped by level, ``ranks`` each), the
+    level means and the resolved degeneracy tolerance.
+    """
+    mat = as_square_matrix(h_meas)
+    vals, vecs = eigh(mat, pol)
+    tol = _resolve_degeneracy_tol(vals[None], max_norm(mat), degeneracy_tol, pol)
+    first, level_mean = _cluster(vals[None], tol)
+    starts = np.flatnonzero(first[0])
+    ranks = tuple(int(r) for r in np.diff(np.append(starts, len(vals))))
+    return vals, vecs, ranks, level_mean[0, starts], tol
+
+
 def decompose(
     h_meas,
     degeneracy_tol: float | None = None,
@@ -401,12 +419,9 @@ def decompose(
     raised, since either clustering is defensible there.
     """
     pol = default_policy(policy)
-    mat = as_square_matrix(h_meas)
-    vals, vecs = eigh(mat, pol)
-    tol = _resolve_degeneracy_tol(vals[None], max_norm(mat), degeneracy_tol, pol)
-    first, level_mean = _cluster(vals[None], tol)
-    starts = np.flatnonzero(first[0])
-    bounds = np.append(starts, len(vals))
+    vals, vecs, ranks, means, tol = _eigenlevels(h_meas, degeneracy_tol, pol)
+    bounds = np.append(0, np.cumsum(ranks))
+    starts = bounds[:-1]
     warnings = [
         f"ambiguous gap {gap:.3e} near eigenvalue {val:.6g} (degeneracy tol {tol:.3e})"
         for gap, val in zip(np.diff(vals), vals[1:])
@@ -417,14 +432,14 @@ def decompose(
         for spread in vals[bounds[1:] - 1] - vals[starts]
         if spread > tol
     ]
-    projectors = _projectors(vecs[None], starts[None], np.diff(bounds))[:, 0]
-    total_defect = max_norm(projectors.sum(axis=0) - np.eye(mat.shape[0]))
+    projectors = _projectors(vecs[None], starts[None], ranks)[:, 0]
+    total_defect = max_norm(projectors.sum(axis=0) - np.eye(len(vals)))
     if total_defect > pol.completeness_tol:
         raise ValidationError(f"projectors do not sum to identity: defect {total_defect:.3e}")
     return ZenoDecomposition(
-        eigenvalues=level_mean[0, starts],
+        eigenvalues=means,
         projectors=projectors,
-        ranks=tuple(int(r) for r in np.diff(bounds)),
+        ranks=ranks,
         degeneracy_tol=tol,
         warnings=tuple(warnings),
     )
@@ -560,18 +575,19 @@ class AdiabaticFrame:
         while the projectors stay fixed).  The intertwiner is the identity at
         every node.  ``eps_integrals`` accumulate by midpoint sampling per grid
         interval, which is exact for piecewise-constant eigenvalues whose switching
-        times are grid nodes.  ``intertwiners`` is a read-only broadcast view
-        of one identity; one read-only level basis, the eigenvectors of
-        ``sum_l l P_l``, is both end-node fields.  A level not finite at a node
-        or midpoint, or a ``degeneracy_tol`` not finite and non-negative,
-        raises :class:`ValidationError`.
+        times are grid nodes.  Each ``P`` passes :func:`check_projector` and
+        together they must resolve the identity.  One read-only level basis,
+        the eigenvectors of ``sum_l l P_l``, is both end bases; the frame is
+        built as ``time_independent_frame`` builds its own from the
+        measurement's eigenvectors.  A level not finite at a node or
+        midpoint, or a ``degeneracy_tol`` not finite and non-negative, raises
+        :class:`ValidationError`.
         """
         pol = default_policy(policy)
         grid = _check_grid(grid)
         projs = np.array([check_projector(p, pol) for _, p in levels])
-        dim = projs.shape[-1]
         total = projs.sum(axis=0)
-        if max_norm(total - np.eye(dim)) > pol.completeness_tol:
+        if max_norm(total - np.eye(projs.shape[-1])) > pol.completeness_tol:
             raise ValidationError("static frame levels must resolve the identity")
         n = len(grid)
         eps = np.empty((len(levels), n))
@@ -582,23 +598,39 @@ class AdiabaticFrame:
                 eps[l], mid_eps[l] = [float(spec(t)) for t in grid], [float(spec(t)) for t in mids]
             else:
                 eps[l] = mid_eps[l] = float(spec)
+        ranks = tuple(int(round(p.trace().real)) for p in projs)
+        return cls._from_basis(grid, eps, mid_eps, _level_eigenbasis(projs, pol), ranks, degeneracy_tol, pol)
+
+    @classmethod
+    def _from_basis(cls, grid, eps, mid_eps, basis, ranks, degeneracy_tol, pol) -> "AdiabaticFrame":
+        """Static frame on the checked ``grid`` whose unitary ``basis`` holds
+        the levels' columns in turn, ``ranks`` each, at level eigenvalues
+        ``eps`` at the nodes and ``mid_eps`` at the interval midpoints; one
+        column in place of either stands for levels constant in time, whose
+        gaps are then taken once.  ``eigenvalues`` and ``intertwiners`` are
+        read-only broadcast views, of ``eps`` and of one identity, and
+        ``basis``, made read-only, is both end bases.
+        """
         bad = np.flatnonzero(~(np.isfinite(eps).all(axis=1) & np.isfinite(mid_eps).all(axis=1)))
         if bad.size:
             raise ValidationError(f"static frame level {bad[0]}: its eigenvalue must be finite at every time")
-        integrals = np.zeros((len(levels), n))
+        defect = max_norm(basis.conj().T @ basis - np.eye(len(basis)))
+        if not defect <= pol.projector_tol:
+            raise ValidationError(f"static frame level basis is not unitary: defect {defect:.3e}")
+        n = len(grid)
+        integrals = np.zeros((len(eps), n))
         integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)
         ordered = np.sort(eps, axis=0)
         gaps = np.diff(ordered, axis=0)
-        basis = _level_eigenbasis(projs, pol)
         basis.setflags(write=False)
         return cls(
             grid=grid,
-            intertwiners=np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)),
-            eigenvalues=eps,
+            intertwiners=np.broadcast_to(np.eye(len(basis), dtype=complex), (n, *basis.shape)),
+            eigenvalues=np.broadcast_to(eps, (len(eps), n)),
             eps_integrals=integrals,
             initial_basis=basis,
             final_basis=basis,
-            factor_ranks=tuple(int(round(p.trace().real)) for p in projs),
+            factor_ranks=ranks,
             degeneracy_tol=_resolve_degeneracy_tol(ordered.T, 0.0, degeneracy_tol, pol),
             alpha_unit=0.0,
             eps_min=float(np.min(gaps, where=gaps > 0.0, initial=np.inf)),

@@ -30,7 +30,7 @@ from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
     _checked_frame,
-    decompose,
+    _eigenlevels,
     track_frame,
 )
 from .errors import FrameResidualError, QuadratureError, ValidationError
@@ -379,13 +379,18 @@ def time_independent_frame(
     policy: NumericPolicy | None = None,
     degeneracy_tol: float | None = None,
 ) -> AdiabaticFrame:
-    """Static frame from the spectral decomposition of a constant measurement."""
+    """Static frame from the one eigendecomposition of a constant measurement.
+
+    The measurement's eigenvectors, which come grouped by level, are both end
+    bases; the level sizes are ``factor_ranks`` and the level means the
+    eigenvalues, as :func:`decompose` clusters them.  The one check on this
+    path is ``max|V^dagger V - I| <= projector_tol``.
+    """
     pol = default_policy(policy)
     t0, t1 = model.horizon
-    dec = decompose(model.h_meas(t0), degeneracy_tol, pol)
+    _, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), degeneracy_tol, pol)
     grid = _uniform_grid(t0, t1, n_intervals)
-    levels = [(float(dec.eigenvalues[l]), dec.projectors[l]) for l in range(dec.n_levels)]
-    return AdiabaticFrame.static(grid, levels, pol, degeneracy_tol=dec.degeneracy_tol)
+    return AdiabaticFrame._from_basis(grid, means[:, None], means[:, None], vecs, ranks, tol, pol)
 
 
 def pulsed_measurement_model(

@@ -66,6 +66,8 @@ def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
     """
     pol = default_policy(policy)
     a = np.asarray(m, dtype=complex)
+    if not a.size:
+        raise ValidationError(f"expected a non-empty matrix, got shape {a.shape}")
     if a.ndim == 3 and a.shape[1] == a.shape[2]:
         defect = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
         limit = pol.hermitian_tol * (1.0 + np.max(np.abs(a), axis=(1, 2)))
@@ -78,10 +80,11 @@ def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
             )
         return a
     a = _square(a)
-    defect = max_norm(a - a.conj().T)
+    # Python floats: a numpy scalar would warn where the bound overflows to inf
+    defect = float(np.abs(a - a.conj().T).max())
     # NaN compares false, so a non-finite entry fails the check (and is
     # reported as a hermiticity defect rather than by as_square_matrix)
-    if not (defect <= pol.hermitian_tol * (1.0 + max_norm(a))):
+    if not (defect <= pol.hermitian_tol * (1.0 + float(np.abs(a).max()))):
         raise ValidationError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{pol.hermitian_tol:.1e} * (1 + max|M|)"
@@ -141,15 +144,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
     Works on one matrix or a stack of them (columns along the last axis).
     Ties resolve to the smallest row index, which keeps the output
-    deterministic across runs and platforms.
+    deterministic across runs and platforms.  Each column is divided by its
+    pivot's phase ``p / |p|``: an eigenvector column is a unit vector, so its
+    pivot is not zero.  One matrix takes its pivots by plain indexing, which
+    costs less than ``take_along_axis`` on small matrices; its result equals
+    its slice of a stack bit for bit.
     """
     idx = np.argmax(np.abs(vectors), axis=-2)
-    lead = (np.arange(len(vectors))[:, None],) if vectors.ndim == 3 else ()
-    pivots = vectors[(*lead, idx, np.arange(vectors.shape[-1]))]
-    scale = np.abs(pivots)
-    # Zero columns cannot occur for unitary eigenvector matrices.
-    phases = np.where(scale > 0, pivots / np.where(scale > 0, scale, 1.0), 1.0)
-    return vectors / phases[..., None, :]
+    if vectors.ndim == 2:
+        pivots = vectors[idx, np.arange(vectors.shape[1])]
+    else:
+        pivots = np.take_along_axis(vectors, idx[:, None, :], axis=1)
+    return vectors / (pivots / np.abs(pivots))
 
 
 def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +173,13 @@ def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray
 
 
 def matrix_exp_unitary(h, dt: float, policy: NumericPolicy | None = None) -> np.ndarray:
-    """``exp(-i * H * dt)`` for Hermitian ``H`` via eigendecomposition."""
+    """``exp(-i * H * dt)`` for Hermitian ``H`` via eigendecomposition; a ``dt``
+    that is not finite raises :class:`ValidationError`."""
+    dt = float(dt)
+    if not np.isfinite(dt):
+        raise ValidationError(f"dt must be finite, got {dt!r}")
     vals, vecs = eigh(h, policy)
-    phases = np.exp(-1j * vals * float(dt))
+    phases = np.exp(-1j * vals * dt)
     return (vecs * phases) @ vecs.conj().T
 
 

@@ -127,3 +127,25 @@ def test_instantaneous_transport_on_the_chain_frame_matches_the_dense_frame():
     ]
     assert values[0] == pytest.approx(values[1], rel=0.0, abs=1e-10)
     assert values[0] > 0.0
+
+
+def test_the_oracle_target_comes_from_the_level_basis(monkeypatch):
+    # The arrival projector is formed from level_basis, never from the
+    # projector properties, which form every level's dense projector.
+    model, frame, rho0 = chain_setup(12.5, 1.0, n_intervals=64)
+    u_meas = zj.exact_propagator(zj.compare._scaled_measurement(model), 1.0, tol=1e-8).matrix
+    u_full = zj.exact_propagator(model.full_hamiltonian(), 1.0, tol=1e-8).matrix
+    rho_t = u_full @ rho0 @ u_full.conj().T
+    targets = {
+        "measurement": u_meas @ frame.initial_projectors[2] @ u_meas.conj().T,
+        "instantaneous": frame.final_projectors[2],
+    }
+
+    def unread(self):
+        raise AssertionError("the oracle read a projector property")
+
+    monkeypatch.setattr(zj.AdiabaticFrame, "initial_projectors", property(unread))
+    monkeypatch.setattr(zj.AdiabaticFrame, "final_projectors", property(unread))
+    for transport, target in targets.items():
+        w = zj.exact_jump(model, rho0, 2, frame, transport=transport)
+        assert w == pytest.approx(np.trace(rho_t @ target).real, rel=1e-12, abs=1e-15)

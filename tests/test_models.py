@@ -1,7 +1,10 @@
 """Unit tests for the concrete measurement scenarios."""
 
 import dataclasses
+import importlib.util
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -286,6 +289,58 @@ def test_time_independent_builders():
     assert np.allclose(frame.eigenvalues[:, 0], [-1.0, 1.0])
     # Static level integrals are exact linear ramps.
     assert frame.eps_integrals[1, -1] == pytest.approx(1.5)
+
+
+def _static_run_matrices(seed):
+    """``h0`` and ``h_meas`` of the benchmark's ``static-run`` workload at ``seed``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)  # its dataclass needs the module registered
+    mats = workloads._static_matrices(np.random.default_rng(seed))
+    return mats["h0"], mats["h_meas"]
+
+
+def _degenerate_measurement():
+    # levels -1, 0.5, 2 of ranks 2, 1, 3 in a random basis
+    rng = np.random.default_rng(24)
+    basis = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    return np.zeros((6, 6)), (basis * [-1.0, -1.0, 0.5, 2.0, 2.0, 2.0]) @ basis.conj().T
+
+
+@pytest.mark.parametrize("matrices", [1, 2, 3, "degenerate"])
+def test_a_static_frame_is_the_decompose_and_static_route_from_one_eigh(monkeypatch, matrices):
+    from zenojump import decomposition, operators
+
+    h0, h_meas = _degenerate_measurement() if matrices == "degenerate" else _static_run_matrices(matrices)
+    model = zj.time_independent_model(h0, h_meas, 10.0, 1.5)
+    dec = zj.decompose(h_meas)
+    levels = [(float(eps), p) for eps, p in zip(dec.eigenvalues, dec.projectors)]
+    old = zj.AdiabaticFrame.static(zj.models._uniform_grid(0.0, 1.5, 512), levels, degeneracy_tol=dec.degeneracy_tol)
+    calls = {"decomposition": 0, "operators": 0}
+    for module in (decomposition, operators):
+        def counted(*args, original=module.eigh, name=module.__name__.rsplit(".", 1)[1], **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "eigh", counted)
+    frame = zj.time_independent_frame(model, 512)
+    assert calls == {"decomposition": 1, "operators": 0}
+    if matrices == "degenerate":
+        assert frame.factor_ranks == (2, 1, 3)
+    for field in ("grid", "eigenvalues", "eps_integrals"):
+        assert np.array_equal(getattr(frame, field), getattr(old, field)), field
+    for field in ("factor_ranks", "degeneracy_tol", "eps_min"):
+        assert getattr(frame, field) == getattr(old, field), field
+    assert np.max(np.abs(frame.initial_projectors - old.initial_projectors)) <= 1e-12
+    assert not frame.initial_basis.flags.writeable and frame.final_basis is frame.initial_basis
+
+
+def test_a_static_frame_refuses_a_basis_that_is_not_unitary():
+    grid = np.linspace(0.0, 1.0, 5)
+    eps = np.array([[0.0], [1.0]])
+    with pytest.raises(zj.ValidationError, match="not unitary"):
+        zj.AdiabaticFrame._from_basis(grid, eps, eps, np.diag([1.0, 1.0 + 1e-9]).astype(complex), (1, 1), 0.0, zj.NumericPolicy())
 
 
 def test_pulsed_builders_and_level_convention():

@@ -1,5 +1,7 @@
 """Unit tests for operator primitives and the tolerance policy."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,6 +86,38 @@ def test_eigh_phase_convention_is_deterministic():
     pivots = vecs_a[idx, np.arange(vecs_a.shape[1])]
     assert np.all(pivots.real > 0)
     assert np.max(np.abs(pivots.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_eigh_of_one_matrix_equals_its_slice_of_a_stack_bit_for_bit(dim):
+    rng = np.random.default_rng(16 + dim)
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    degenerate = (basis * np.repeat([-1.0, 2.0], [dim // 2, dim - dim // 2])) @ basis.conj().T
+    for m in (random_hermitian(rng, dim), degenerate, np.eye(dim)):
+        vals, vecs = zj.operators.eigh(m)
+        stack_vals, stack_vecs = zj.operators.eigh(m[None])
+        assert np.array_equal(vals, stack_vals[0]) and np.array_equal(vecs, stack_vecs[0])
+
+
+def test_the_hermitian_bound_may_overflow_without_a_warning():
+    # the bound tol * (1 + max|M|) exceeds the float range here
+    m = [[0.0, 0.0], [0.0, 4.592412528299992e117]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zj.check_hermitian(m, zj.NumericPolicy(hermitian_tol=3.91448530327867e190))
+
+
+def test_eigh_rejects_a_non_finite_or_empty_matrix():
+    with pytest.raises(zj.ValidationError, match="not Hermitian"):
+        zj.operators.eigh(np.array([[1.0, 0.0], [0.0, np.nan]]))
+    with pytest.raises(zj.ValidationError, match="non-empty"):
+        zj.operators.eigh(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_matrix_exp_unitary_rejects_a_step_that_is_not_finite(dt):
+    with pytest.raises(zj.ValidationError, match="dt must be finite"):
+        zj.operators.matrix_exp_unitary(zj.SIGMA_X, dt)
 
 
 def test_matrix_exp_unitary_matches_scipy():
