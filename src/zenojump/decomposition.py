@@ -354,13 +354,15 @@ def _spectral_samples(
 class ZenoDecomposition:
     """Spectral resolution of a measurement Hamiltonian into Zeno levels.
 
-    ``eigenvalues`` are the cluster means in ascending order, ``projectors``
-    the matching orthogonal projectors (rank > 1 where eigenvalues are
-    degenerate within the clustering tolerance).
+    ``eigenvalues`` are the cluster means in ascending order and ``basis``
+    the read-only unitary whose columns span the levels in turn, ``ranks``
+    each (rank > 1 where eigenvalues are degenerate within the clustering
+    tolerance).  Level ``l``'s projector is ``q q^dagger``, ``q`` its
+    :meth:`level_basis`.
     """
 
     eigenvalues: np.ndarray
-    projectors: np.ndarray
+    basis: np.ndarray
     ranks: tuple[int, ...]
     degeneracy_tol: float
     warnings: tuple[str, ...] = ()
@@ -371,21 +373,19 @@ class ZenoDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[-1]
+        return len(self.basis)
 
-    def verify(self, policy: NumericPolicy | None = None) -> None:
-        """Check completeness, orthogonality and projector structure."""
-        pol = default_policy(policy)
-        total = self.projectors.sum(axis=0)
-        defect = max_norm(total - np.eye(self.dim))
-        if defect > pol.completeness_tol:
-            raise ValidationError(f"projectors do not sum to identity: defect {defect:.3e}")
-        for i in range(self.n_levels):
-            check_projector(self.projectors[i], pol)
-            for j in range(i + 1, self.n_levels):
-                cross = max_norm(self.projectors[i] @ self.projectors[j])
-                if cross > pol.orthogonality_tol:
-                    raise ValidationError(f"levels {i} and {j} are not orthogonal: defect {cross:.3e}")
+    def level_basis(self, level: int) -> np.ndarray:
+        """Orthonormal ``(d, r_l)`` basis of level ``level``: its column block of ``basis``."""
+        start = sum(self.ranks[:level])
+        return self.basis[:, start : start + self.ranks[level]]
+
+
+def _check_level_basis(basis: np.ndarray, pol: NumericPolicy) -> None:
+    """:class:`ValidationError` unless the level basis ``V`` has ``max|V^dagger V - I| <= projector_tol``."""
+    defect = max_norm(basis.conj().T @ basis - np.eye(len(basis)))
+    if not defect <= pol.projector_tol:
+        raise ValidationError(f"level basis is not unitary: defect {defect:.3e}")
 
 
 def _eigenlevels(
@@ -416,12 +416,13 @@ def decompose(
     Eigenvalues are clustered with an absolute tolerance (default:
     ``degeneracy_rel`` times the spectral range); gaps falling inside
     ``(tol/2, 2 tol)`` are flagged as ambiguous in ``warnings`` rather than
-    raised, since either clustering is defensible there.
+    raised, since either clustering is defensible there.  The eigenvectors,
+    grouped by level, are the ``basis``; one that is not unitary to
+    ``projector_tol`` raises :class:`ValidationError`.
     """
     pol = default_policy(policy)
     vals, vecs, ranks, means, tol = _eigenlevels(h_meas, degeneracy_tol, pol)
     bounds = np.append(0, np.cumsum(ranks))
-    starts = bounds[:-1]
     warnings = [
         f"ambiguous gap {gap:.3e} near eigenvalue {val:.6g} (degeneracy tol {tol:.3e})"
         for gap, val in zip(np.diff(vals), vals[1:])
@@ -429,16 +430,14 @@ def decompose(
     ]
     warnings += [
         f"cluster spread {spread:.3e} exceeds degeneracy tol {tol:.3e}"
-        for spread in vals[bounds[1:] - 1] - vals[starts]
+        for spread in vals[bounds[1:] - 1] - vals[bounds[:-1]]
         if spread > tol
     ]
-    projectors = _projectors(vecs[None], starts[None], ranks)[:, 0]
-    total_defect = max_norm(projectors.sum(axis=0) - np.eye(len(vals)))
-    if total_defect > pol.completeness_tol:
-        raise ValidationError(f"projectors do not sum to identity: defect {total_defect:.3e}")
+    _check_level_basis(vecs, pol)
+    vecs.setflags(write=False)
     return ZenoDecomposition(
         eigenvalues=means,
-        projectors=projectors,
+        basis=vecs,
         ranks=ranks,
         degeneracy_tol=tol,
         warnings=tuple(warnings),
@@ -479,9 +478,8 @@ class AdiabaticFrame:
     columns of the unitaries ``initial_basis`` and ``final_basis`` span the
     factor's levels in turn, ``factor_ranks`` columns each, at the first and
     the last node.  Level ``l`` of ``A`` holds the products of factor columns
-    whose levels sum to ``l`` (:meth:`level_basis`); ``ranks``, ``dim`` and
-    the end-node ``initial_projectors`` and ``final_projectors`` are formed
-    from these fields.  ``eigenvalues[l, k]`` is level ``l`` of the
+    whose levels sum to ``l`` (:meth:`level_basis`); ``ranks`` and ``dim``
+    are formed from these fields.  ``eigenvalues[l, k]`` is level ``l`` of the
     measurement Hamiltonian at node ``k`` (a consistent identity along the
     grid) and ``eps_integrals[l, k]`` the integral of ``eps_l`` up to ``t_k``.
     No coupling enters: a reader forms the transition phase
@@ -525,16 +523,6 @@ class AdiabaticFrame:
     @property
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(_level_columns(self.factor_ranks, self.power, l)) for l in range(self.n_levels))
-
-    @property
-    def initial_projectors(self) -> np.ndarray:
-        """Level projectors ``(levels, d, d)`` at the first node, formed on each read."""
-        return np.array([q @ q.conj().T for q in map(self.level_basis, range(self.n_levels))])
-
-    @property
-    def final_projectors(self) -> np.ndarray:
-        """Level projectors ``(levels, d, d)`` at the last node, formed on each read."""
-        return np.array([q @ q.conj().T for q in (self.level_basis(l, -1) for l in range(self.n_levels))])
 
     def level_basis(self, level: int, end: int = 0) -> np.ndarray:
         """Orthonormal ``(d, r_l)`` basis of level ``level`` at the first node
@@ -614,9 +602,7 @@ class AdiabaticFrame:
         bad = np.flatnonzero(~(np.isfinite(eps).all(axis=1) & np.isfinite(mid_eps).all(axis=1)))
         if bad.size:
             raise ValidationError(f"static frame level {bad[0]}: its eigenvalue must be finite at every time")
-        defect = max_norm(basis.conj().T @ basis - np.eye(len(basis)))
-        if not defect <= pol.projector_tol:
-            raise ValidationError(f"static frame level basis is not unitary: defect {defect:.3e}")
+        _check_level_basis(basis, pol)
         n = len(grid)
         integrals = np.zeros((len(eps), n))
         integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)

@@ -420,7 +420,8 @@ class SpectralDensity:
         for m in range(decomposition.n_levels):
             if m == n:
                 continue
-            g = transition_weight(h0, rho0, decomposition.projectors[m])
+            y = decomposition.level_basis(m)
+            g = transition_weight(h0, rho0, y @ y.conj().T)
             entries.append((float(decomposition.eigenvalues[m]), max(g, 0.0)))
         return cls(entries=tuple(entries))
 

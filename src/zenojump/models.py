@@ -42,7 +42,6 @@ from .propagators import exact_propagator
 __all__ = [
     "SpinChainSpec",
     "build_chain_h0",
-    "build_chain_interaction",
     "spin_chain_model",
     "spin_chain_frame",
     "field_strength",
@@ -122,11 +121,6 @@ def _field_direction(n_sites: int) -> TimeDependentOperator:
     """
     z, x = (sum(_site_operator(p, j, n_sites) for j in range(n_sites)) for p in (SIGMA_Z, SIGMA_X))
     return TimeDependentOperator.linear(-z, -x, (0.0, 1.0))
-
-
-def build_chain_interaction(spec: SpinChainSpec) -> TimeDependentOperator:
-    """``h`` times the field direction: ``-h * sum_j ((1-s) Z_j + s X_j)`` over ``s``."""
-    return TimeDependentOperator._scaled_sum(((spec.h, _field_direction(spec.n_sites)),))
 
 
 def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:

@@ -1,7 +1,7 @@
 """Dense operator primitives.
 
 Operators are plain complex ``numpy`` arrays; the functions here validate the
-structural invariants (hermiticity, unitarity, projector idempotence, density
+structural invariants (hermiticity, projector idempotence, density
 positivity) against a :class:`~zenojump.policy.NumericPolicy` and provide the
 small set of exact-linear-algebra operations the rest of the package builds
 on.  All eigenvector phases are fixed deterministically so repeated runs
@@ -21,10 +21,8 @@ __all__ = [
     "SIGMA_Z",
     "max_norm",
     "check_hermitian",
-    "check_unitary",
     "check_projector",
     "check_density",
-    "projector_rank",
     "eigh",
     "matrix_exp_unitary",
     "tensor_product",
@@ -92,18 +90,6 @@ def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
     return a
 
 
-def check_unitary(m, policy: NumericPolicy | None = None) -> np.ndarray:
-    """Validate ``U^dagger U = I`` within ``unitary_tol``."""
-    pol = default_policy(policy)
-    a = as_square_matrix(m)
-    defect = max_norm(a.conj().T @ a - np.eye(a.shape[0]))
-    if defect > pol.unitary_tol:
-        raise ValidationError(
-            f"matrix is not unitary: defect {defect:.3e} exceeds {pol.unitary_tol:.1e}"
-        )
-    return a
-
-
 def check_projector(m, policy: NumericPolicy | None = None) -> np.ndarray:
     """Validate an orthogonal projector: Hermitian, idempotent, integer trace."""
     pol = default_policy(policy)
@@ -118,12 +104,6 @@ def check_projector(m, policy: NumericPolicy | None = None) -> np.ndarray:
     if abs(tr - round(tr)) > pol.rank_tol:
         raise ValidationError(f"projector trace {tr!r} is not within {pol.rank_tol:.1e} of an integer")
     return a
-
-
-def projector_rank(m, policy: NumericPolicy | None = None) -> int:
-    """Rank of a validated projector, read off its trace."""
-    a = check_projector(m, policy)
-    return int(round(a.trace().real))
 
 
 def check_density(m, policy: NumericPolicy | None = None) -> np.ndarray:

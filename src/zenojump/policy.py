@@ -32,10 +32,9 @@ class NumericPolicy:
     ----------
     hermitian_tol:
         Max-norm defect allowed in ``M - M^dagger``, relative to ``1 + |M|``.
-    unitary_tol:
-        Max-norm defect allowed in ``U^dagger U - I``.
     projector_tol:
-        Max-norm defect allowed in ``P^2 - P`` and ``P - P^dagger``.
+        Max-norm defect allowed in ``P^2 - P`` and ``P - P^dagger``, and in
+        ``V^dagger V - I`` of a level basis ``V``.
     rank_tol:
         How far ``trace(P)`` may sit from the nearest integer.
     trace_tol:
@@ -43,9 +42,8 @@ class NumericPolicy:
     psd_tol:
         Most negative eigenvalue a density matrix may carry.
     completeness_tol:
-        Max-norm defect of ``sum_n P_n - I`` in a decomposition.
-    orthogonality_tol:
-        Max-norm defect of ``P_n P_m`` for distinct levels.
+        Max-norm defect of ``sum_n P_n - I`` over the projectors passed to
+        :meth:`~zenojump.decomposition.AdiabaticFrame.static`.
     frame_tol:
         Allowed max-norm residual ``A P_n(0) A^dagger - P_n(t)``.
     degeneracy_rel:
@@ -61,13 +59,11 @@ class NumericPolicy:
     """
 
     hermitian_tol: float = 1e-10
-    unitary_tol: float = 1e-8
     projector_tol: float = 1e-10
     rank_tol: float = 1e-8
     trace_tol: float = 1e-10
     psd_tol: float = 1e-10
     completeness_tol: float = 1e-9
-    orthogonality_tol: float = 1e-9
     frame_tol: float = 1e-6
     degeneracy_rel: float = 1e-8
     adiabatic_margin: float = 0.01

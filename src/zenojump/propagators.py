@@ -164,16 +164,18 @@ def exact_propagator(
 def adiabatic_propagator(frame: AdiabaticFrame, t: float, coupling: float) -> np.ndarray:
     """Zeroth-order propagator ``A(t) Phi(t)`` at a frame grid node.
 
-    ``Phi(t) = sum_l exp(-i K E_l(t)) P_l(0)``, ``E`` the frame's
+    ``Phi(t) = sum_l exp(-i K E_l(t)) q_l q_l^dagger``, ``E`` the frame's
     ``eps_integrals``, ``K`` the ``coupling``, positive and finite, and
-    ``P_l(0)`` formed from the frame's first-node level bases.  ``A(t)`` is
+    ``q_l`` the frame's first-node level bases, formed as one
+    ``(q * phases) @ q^dagger`` over their concatenation ``q``.  ``A(t)`` is
     the ``power``-fold Kronecker power of the frame's intertwiner at that
     node alone.  Requesting a time between grid nodes is an error; frames
     are never interpolated.
     """
     k = frame.node_index(float(t))
-    phases = _check_coupling(coupling) * frame.eps_integrals[:, k]
-    phi = np.tensordot(np.exp(-1j * phases), frame.initial_projectors, axes=(0, 0))
+    phases = np.exp(-1j * _check_coupling(coupling) * frame.eps_integrals[:, k])
+    q = np.concatenate([frame.level_basis(l) for l in range(frame.n_levels)], axis=1)
+    phi = (q * np.repeat(phases, frame.ranks)) @ q.conj().T
     a = frame.intertwiners[k]
     # the new factor goes first, as in the tensor power the frame's readers form
     return functools.reduce(lambda power, _: np.kron(a, power), range(frame.power - 1), a) @ phi

@@ -29,31 +29,42 @@ def random_spread_hermitian(rng: np.random.Generator, dim: int, min_gap: float) 
     return (basis * vals) @ basis.conj().T
 
 
+def level_projectors(obj, end: int = 0) -> np.ndarray:
+    """``(levels, d, d)`` stack of the level projectors ``q q^dagger``, ``q`` each
+    ``level_basis`` of a decomposition, or of a frame at its first node
+    (``end = 0``) or its last (``end = -1``)."""
+    at = (end,) if end else ()
+    return np.array([q @ q.conj().T for q in (obj.level_basis(l, *at) for l in range(obj.n_levels))])
+
+
 def projector_properties(cases: int = 100, seed: int = BASE_SEED) -> int:
-    """Each decomposed level projector is Hermitian, idempotent, integer-rank."""
+    """Each decomposed level projector ``q q^dagger`` is Hermitian, idempotent, of trace ``ranks[l]``."""
     rng = np.random.default_rng(seed)
     for case in range(cases):
         dim = int(rng.integers(2, 9))
         dec = zj.decompose(random_hermitian(rng, dim, scale=3.0))
-        for lvl in range(dec.n_levels):
-            p = dec.projectors[lvl]
+        for lvl, p in enumerate(level_projectors(dec)):
             assert zj.max_norm(p - p.conj().T) < 1e-10, f"case {case}: not Hermitian"
             assert zj.max_norm(p @ p - p) < 1e-9, f"case {case}: not idempotent"
-            assert zj.projector_rank(p) == dec.ranks[lvl], f"case {case}: rank mismatch"
+            rank = zj.check_projector(p).trace().real
+            assert round(rank) == dec.ranks[lvl] == dec.level_basis(lvl).shape[1], f"case {case}: rank mismatch"
     return cases
 
 
 def completeness_properties(cases: int = 100, seed: int = BASE_SEED + 1) -> int:
-    """Level projectors resolve the identity and are mutually orthogonal."""
+    """The level basis is unitary: its projectors resolve the identity and are mutually orthogonal."""
     rng = np.random.default_rng(seed)
     for case in range(cases):
         dim = int(rng.integers(2, 9))
         dec = zj.decompose(random_hermitian(rng, dim, scale=2.0))
-        total = np.sum(dec.projectors, axis=0)
+        assert dec.basis.shape == (dim, dim) and sum(dec.ranks) == dec.dim == dim, f"case {case}: shape"
+        assert zj.max_norm(dec.basis.conj().T @ dec.basis - np.eye(dim)) < 1e-9, f"case {case}: not unitary"
+        projectors = level_projectors(dec)
+        total = np.sum(projectors, axis=0)
         assert zj.max_norm(total - np.eye(dim)) < 1e-9, f"case {case}: incomplete"
         for a in range(dec.n_levels):
             for b in range(a + 1, dec.n_levels):
-                cross = dec.projectors[a] @ dec.projectors[b]
+                cross = projectors[a] @ projectors[b]
                 assert zj.max_norm(cross) < 1e-9, f"case {case}: levels {a},{b} overlap"
     return cases
 
@@ -127,7 +138,7 @@ def kernel_realness_properties(cases: int = 100, seed: int = BASE_SEED + 4) -> i
         model = zj.time_independent_model(h0, h_meas, coupling, t_final=1.0)
         frame = zj.time_independent_frame(model, n_intervals=1024)
         n, m = rng.choice(frame.n_levels, size=2, replace=False)
-        vec = frame.initial_projectors[n] @ rng.normal(size=dim)
+        vec = level_projectors(frame)[n] @ rng.normal(size=dim)
         vec = vec / np.linalg.norm(vec)
         rho0 = np.outer(vec, vec.conj())
         res = zj.general_jump(model, rho0, int(n), int(m), frame)

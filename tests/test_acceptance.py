@@ -52,8 +52,7 @@ def test_criterion_02_free_flip_probability_is_sine_squared():
 
 def test_criterion_03_chain_field_levels_at_unit_amplitude():
     spec = zj.SpinChainSpec(h=1.0, T=1.0)
-    field = zj.build_chain_interaction(spec)
-    dec = zj.decompose(field(0.0))
+    dec = zj.decompose(zj.spin_chain_model(spec).h_meas(0.0))
     assert dec.n_levels == 3
     assert np.max(np.abs(dec.eigenvalues - np.array([-2.0, 0.0, 2.0]))) <= 1e-10
     assert dec.ranks == (1, 2, 1)
@@ -72,12 +71,12 @@ def test_criterion_04_general_quadrature_equals_closed_forms():
         frame = zj.time_independent_frame(model, 2048)
         n = int(rng.integers(0, frame.n_levels))
         m = int((n + 1 + rng.integers(0, frame.n_levels - 1)) % frame.n_levels)
-        pn = frame.initial_projectors[n]
+        pn = properties.level_projectors(frame)[n]
         vec = pn @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))
         vec = vec / np.linalg.norm(vec)
         rho0 = np.outer(vec, vec.conj())
         res = zj.general_jump(model, rho0, n, m, frame)
-        tf = zj.transition_weight(h0, rho0, frame.initial_projectors[m])
+        tf = zj.transition_weight(h0, rho0, properties.level_projectors(frame)[m])
         delta = float(frame.eigenvalues[m, 0] - frame.eigenvalues[n, 0])
         ref = zj.continuous_jump(tf, coupling, delta, t_final)
         assert res.value == pytest.approx(ref, rel=1e-6)

@@ -469,6 +469,19 @@ def test_bad_policy_environment_exits_2_without_traceback(tmp_path, capsys, monk
         assert "Traceback" not in err
 
 
+def test_a_removed_tolerance_exits_2_as_an_unknown_key(tmp_path, capsys, monkeypatch):
+    # the policy has no unitary_tol or orthogonality_tol: either is an unknown key
+    cfg_path = write(tmp_path, CHAIN_RUN + "\n[tolerances]\nunitary_tol = 1e-8\n")
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [tolerances] unitary_tol: unknown tolerance")
+    monkeypatch.setenv("ZENO_NUM_POLICY", "orthogonality_tol=1e-9")
+    assert main(["run", "--config", write(tmp_path, CHAIN_RUN, "plain.ini")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown policy key 'orthogonality_tol'")
+    assert "Traceback" not in err
+
+
 def test_a_policy_that_merges_every_chain_level_exits_3(tmp_path, capsys, monkeypatch):
     # the one-level site frame used to reach the sector rows as an IndexError
     monkeypatch.setenv("ZENO_NUM_POLICY", "degeneracy_rel=10")

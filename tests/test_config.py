@@ -166,7 +166,7 @@ def test_tolerances_override_policy():
     text = MINIMAL + "\n[tolerances]\nframe_tol = 1e-4\n"
     cfg = zj.parse_config(text)
     assert cfg.policy.frame_tol == 1e-4
-    assert cfg.policy.unitary_tol == zj.NumericPolicy().unitary_tol
+    assert cfg.policy.projector_tol == zj.NumericPolicy().projector_tol
     # Base policy seeds the bundle before file overrides.
     seeded = zj.parse_config(MINIMAL, base_policy=zj.NumericPolicy(psd_tol=1e-5))
     assert seeded.policy.psd_tol == 1e-5
@@ -217,13 +217,11 @@ abs_floor = 9.9999999999999998e-13
 
 [tolerances]
 hermitian_tol = 1e-10
-unitary_tol = 1e-08
 projector_tol = 1e-10
 rank_tol = 1e-08
 trace_tol = 1e-10
 psd_tol = 1e-10
 completeness_tol = 1.0000000000000001e-09
-orthogonality_tol = 1.0000000000000001e-09
 frame_tol = 9.9999999999999995e-07
 degeneracy_rel = 1e-08
 adiabatic_margin = 0.01
@@ -261,13 +259,11 @@ abs_floor = 9.9999999999999998e-13
 
 [tolerances]
 hermitian_tol = 1e-10
-unitary_tol = 1e-08
 projector_tol = 1e-10
 rank_tol = 1e-08
 trace_tol = 1e-10
 psd_tol = 1e-10
 completeness_tol = 1.0000000000000001e-09
-orthogonality_tol = 1.0000000000000001e-09
 frame_tol = 9.9999999999999995e-07
 degeneracy_rel = 1e-08
 adiabatic_margin = 0.01

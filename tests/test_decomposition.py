@@ -1,11 +1,13 @@
 """Unit tests for level decomposition and adiabatic frame tracking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import zenojump as zj
 
-from properties import random_hermitian
+from properties import level_projectors, random_hermitian
 
 
 def rotation_family(generator, base, horizon=(0.0, 1.0), analytic=True):
@@ -244,8 +246,7 @@ def test_decompose_nondegenerate_spectrum():
     dec = zj.decompose(h)
     assert dec.n_levels == 5
     assert dec.ranks == (1,) * 5
-    dec.verify()
-    rebuilt = sum(e * p for e, p in zip(dec.eigenvalues, dec.projectors))
+    rebuilt = sum(e * p for e, p in zip(dec.eigenvalues, level_projectors(dec)))
     assert np.max(np.abs(rebuilt - h)) < 1e-9
 
 
@@ -254,7 +255,9 @@ def test_decompose_groups_degenerate_eigenvalues():
     dec = zj.decompose(h)
     assert dec.ranks == (1, 2, 1)
     assert np.allclose(dec.eigenvalues, [-2.0, 0.0, 2.0])
-    dec.verify()
+    assert [dec.level_basis(l).shape for l in range(3)] == [(4, 1), (4, 2), (4, 1)]
+    assert np.array_equal(np.hstack([dec.level_basis(l) for l in range(3)]), dec.basis)
+    assert not dec.basis.flags.writeable
 
 
 def test_decompose_respects_explicit_tolerance():
@@ -297,16 +300,33 @@ def test_decompose_warns_on_ambiguous_gap():
     assert any("ambiguous gap" in w for w in dec.warnings)
 
 
-def test_verify_flags_broken_structure():
-    good = zj.decompose(np.diag([0.0, 1.0]).astype(complex))
-    broken = zj.ZenoDecomposition(
-        eigenvalues=good.eigenvalues,
-        projectors=good.projectors * 0.5,
-        ranks=good.ranks,
-        degeneracy_tol=good.degeneracy_tol,
-    )
-    with pytest.raises(zj.ValidationError, match="sum to identity"):
-        broken.verify()
+def test_decomposing_a_nine_site_chain_field_forms_no_projector_stack():
+    # The field has 10 levels at d = 512: a (10, d, d) complex stack is 40 MiB;
+    # the basis, its check and eigh's temporaries stay within a few d x d.
+    h = zj.spin_chain_model(zj.SpinChainSpec(n_sites=9)).h_meas(0.0)
+    d = len(h)
+    tracemalloc.start()
+    try:
+        dec = zj.decompose(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.n_levels == 10 and dec.dim == d == 512
+    assert peak < 6 * d * d * 16
+
+
+def test_decompose_refuses_a_basis_that_is_not_unitary(monkeypatch):
+    from zenojump import decomposition
+
+    real = decomposition.eigh
+
+    def scaled(*args):
+        vals, vecs = real(*args)
+        return vals, 0.5 * vecs
+
+    monkeypatch.setattr(decomposition, "eigh", scaled)
+    with pytest.raises(zj.ValidationError, match="not unitary"):
+        zj.decompose(np.diag([0.0, 1.0]).astype(complex))
 
 
 # --- static frames -----------------------------------------------------------
@@ -377,10 +397,10 @@ def test_level_eigenbasis_groups_its_columns_by_level():
     from zenojump.decomposition import _level_eigenbasis
 
     dec = zj.decompose(zj.spin_chain_model(zj.SpinChainSpec(n_sites=3)).h_meas(0.3))
-    u = _level_eigenbasis(dec.projectors)
+    u = _level_eigenbasis(level_projectors(dec))
     assert zj.max_norm(u.conj().T @ u - np.eye(8)) < 1e-13
     start = 0
-    for projector, rank in zip(dec.projectors, dec.ranks):
+    for projector, rank in zip(level_projectors(dec), dec.ranks):
         cols = u[:, start:start + rank]
         assert zj.max_norm(projector @ cols - cols) < 1e-13
         start += rank
@@ -493,7 +513,7 @@ def test_track_frame_keeps_the_residual_it_checked():
     recomputed = max(
         zj.max_norm(a @ p0 @ a.conj().T - p)
         for t, a in zip(frame.grid, frame.intertwiners)
-        for p0, p in zip(frame.initial_projectors, zj.decompose(op(t)).projectors)
+        for p0, p in zip(level_projectors(frame), level_projectors(zj.decompose(op(t))))
     )
     assert frame.residual == pytest.approx(recomputed, rel=0.0, abs=1e-12)
     assert 0.0 < frame.residual < 1e-6

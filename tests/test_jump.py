@@ -9,7 +9,7 @@ import pytest
 
 import zenojump as zj
 
-from properties import _rotating_family, dense_intertwiners, random_hermitian, random_spread_hermitian
+from properties import _rotating_family, dense_intertwiners, level_projectors, random_hermitian, random_spread_hermitian
 
 
 def static_setup(seed, dim=4, coupling=5.0, t_final=1.0, n_intervals=1024):
@@ -20,7 +20,7 @@ def static_setup(seed, dim=4, coupling=5.0, t_final=1.0, n_intervals=1024):
     model = zj.time_independent_model(h0, h_meas, coupling, t_final)
     frame = zj.time_independent_frame(model, n_intervals)
     n = int(rng.integers(0, frame.n_levels))
-    pn = frame.initial_projectors[n]
+    pn = level_projectors(frame)[n]
     vec = pn @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))
     vec = vec / np.linalg.norm(vec)
     rho0 = np.outer(vec, vec.conj())
@@ -132,7 +132,7 @@ def test_general_jump_matches_static_closed_form():
             if m == n:
                 continue
             res = zj.general_jump(model, rho0, n, m, frame)
-            tf = zj.transition_weight(model.h0(0.0), rho0, frame.initial_projectors[m])
+            tf = zj.transition_weight(model.h0(0.0), rho0, level_projectors(frame)[m])
             ref = zj.continuous_jump(tf, model.coupling, float(eps[m] - eps[n]), tau)
             assert res.value == pytest.approx(ref, rel=1e-6, abs=1e-12)
             assert res.imag_residual < 1e-10
@@ -188,7 +188,7 @@ def test_general_jump_rejects_bad_grids():
     model, frame, rho0, n = static_setup(47)
     m = (n + 1) % frame.n_levels
     dec = zj.decompose(model.h_meas(0.0))
-    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, dec.projectors)]
+    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, level_projectors(dec))]
     ragged = zj.AdiabaticFrame.static(
         np.array([0.0, 0.1, 0.3, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0]), levels
     )
@@ -203,7 +203,7 @@ def test_general_jump_rejects_a_non_hermitian_perturbation():
     raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     model = zj.time_independent_model(raising, np.diag([1.0, -1.0]), 5.0, 1.0)
     frame = zj.time_independent_frame(model, 256)
-    rho0 = frame.initial_projectors[0]
+    rho0 = level_projectors(frame)[0]
     with pytest.raises(zj.ValidationError, match="^matrix is not Hermitian: defect 1.000e"):
         zj.general_jump(model, rho0, 0, 1, frame)
     # A time-dependent h0 is checked node by node; this one turns at t = 0.5.
@@ -221,13 +221,13 @@ def test_one_frame_serves_every_coupling():
     chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=2), n_intervals=1024)
     for h in (5.0, 7.0, 9.0):
         model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=h, T=1.0))
-        res = zj.general_jump(model, chain.initial_projectors[0], 0, 2, chain)
+        res = zj.general_jump(model, level_projectors(chain)[0], 0, 2, chain)
         assert res.value == pytest.approx(zj.two_qubit_rotation_jump(h, 1.0).to_opposite, rel=1e-5)
         assert res.adiabaticity.coupling == h
     base, frame, rho0, n = static_setup(66)
     m = (n + 1) % frame.n_levels
     eps = frame.eigenvalues[:, 0]
-    tf = zj.transition_weight(base.h0.value, rho0, frame.initial_projectors[m])
+    tf = zj.transition_weight(base.h0.value, rho0, level_projectors(frame)[m])
     for coupling in (5.0, 10.0, 20.0):
         model = zj.time_independent_model(base.h0.value, base.h_meas.value, coupling, 1.0)
         res = zj.general_jump(model, rho0, n, m, frame)
@@ -316,7 +316,7 @@ def _trace_form(model, rho0, n, m, frame, target_projector=None):
     grid = frame.grid
     step = grid[1] - grid[0]
     lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
-    target = frame.initial_projectors[m] if target_projector is None else target_projector
+    target = level_projectors(frame)[m] if target_projector is None else target_projector
     a = dense_intertwiners(frame)
     f_nodes = a.conj().swapaxes(-1, -2) @ model.h0.sample(grid) @ a
     values = []
@@ -356,7 +356,7 @@ def test_general_jump_block_kernel_matches_trace_form_on_chains(n_sites, pairs):
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec, n_intervals=1024)
     for n, m in pairs:
-        rho0 = frame.initial_projectors[n] / frame.ranks[n]
+        rho0 = level_projectors(frame)[n] / frame.ranks[n]
         _assert_block_kernel_matches_trace_form(model, rho0, n, m, frame)
 
 
@@ -367,16 +367,16 @@ def test_general_jump_block_kernel_matches_trace_form_on_mixed_state_and_sub_pro
     assert frame.ranks == (1, 3, 3, 1)
     rng = np.random.default_rng(63)
     # a rank-2 mixed state in a random basis of the rank-3 level 1
-    basis = np.linalg.eigh(frame.initial_projectors[1])[1][:, 5:]
+    basis = np.linalg.eigh(level_projectors(frame)[1])[1][:, 5:]
     rotation = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     vecs = basis @ rotation
     rho0 = 0.7 * np.outer(vecs[:, 0], vecs[:, 0].conj()) + 0.3 * np.outer(vecs[:, 1], vecs[:, 1].conj())
     _assert_block_kernel_matches_trace_form(model, rho0, 1, 3, frame)
     # a rank-1 arrival channel inside the degenerate level 2
-    vec = frame.initial_projectors[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
+    vec = level_projectors(frame)[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
     vec /= np.linalg.norm(vec)
     channel = np.outer(vec, vec.conj())
-    rho_ground = frame.initial_projectors[0].astype(complex)
+    rho_ground = level_projectors(frame)[0].astype(complex)
     _assert_block_kernel_matches_trace_form(model, rho_ground, 0, 2, frame, channel)
 
 
@@ -390,9 +390,9 @@ def test_general_jump_block_kernel_matches_trace_form_on_a_dense_frame_under_a_m
     rng = np.random.default_rng(66)
     h0 = zj.TimeDependentOperator.linear(random_hermitian(rng, 8), random_hermitian(rng, 8), (0.0, 1.0))
     model = zj.MeasurementModel(h0=h0, h_meas=h_meas, coupling=12.5)
-    rho0 = frame.initial_projectors[1] / 3.0
+    rho0 = level_projectors(frame)[1] / 3.0
     _assert_block_kernel_matches_trace_form(model, rho0, 1, 2, frame)
-    vec = frame.initial_projectors[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
+    vec = level_projectors(frame)[2] @ (rng.normal(size=8) + 1j * rng.normal(size=8))
     vec /= np.linalg.norm(vec)
     _assert_block_kernel_matches_trace_form(model, rho0, 1, 2, frame, np.outer(vec, vec.conj()))
 
@@ -405,14 +405,14 @@ def test_an_overflowing_transition_rate_is_a_numerical_error():
     spec = zj.SpinChainSpec(h=1e300)
     chain = zj.spin_chain_frame(spec, 64)
     with pytest.raises(zj.QuadratureError, match=r"\(about 6\.37e\+300 nodes over the span\)"):
-        zj.general_jump(zj.spin_chain_model(spec), chain.initial_projectors[0], 0, 2, chain)
+        zj.general_jump(zj.spin_chain_model(spec), level_projectors(chain)[0], 0, 2, chain)
 
 
 def test_a_chain_frame_of_another_size_is_refused():
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=2, h=12.5))
     frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=12.5), 256)
     assert frame.dim == 8
-    for rho0 in (np.diag([1.0, 0.0, 0.0, 0.0]), frame.initial_projectors[0]):
+    for rho0 in (np.diag([1.0, 0.0, 0.0, 0.0]), level_projectors(frame)[0]):
         with pytest.raises(zj.ValidationError, match="model, frame and state dimensions disagree"):
             zj.general_jump(model, rho0, 0, 2, frame)
     with pytest.raises(zj.ValidationError, match="model and frame dimensions disagree"):
@@ -423,7 +423,7 @@ def test_general_jump_allocates_less_than_one_full_node_stack():
     spec = zj.SpinChainSpec(n_sites=5, h=12.5, T=1.0)
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec, n_intervals=1024)
-    rho0 = frame.initial_projectors[2] / frame.ranks[2]
+    rho0 = level_projectors(frame)[2] / frame.ranks[2]
     stack_bytes = frame.n_nodes * frame.dim**2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -446,8 +446,8 @@ def test_separable_chain_kernel_matches_the_dense_trace_form(n_sites, boundary, 
     rng = np.random.default_rng(64 + n_sites)
     scale = None
     for n, m in [(0, 2), (1, 3), (2, 3)]:
-        rho0 = frame.initial_projectors[n] / frame.ranks[n]
-        vec = frame.initial_projectors[m] @ (rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim))
+        rho0 = level_projectors(frame)[n] / frame.ranks[n]
+        vec = level_projectors(frame)[m] @ (rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim))
         vec /= np.linalg.norm(vec)
         for target in (None, np.outer(vec, vec.conj())):
             res = zj.general_jump(model, rho0, n, m, frame, target_projector=target)
@@ -458,7 +458,7 @@ def test_separable_chain_kernel_matches_the_dense_trace_form(n_sites, boundary, 
             assert abs(res.est_error - est_error) <= 1e-12 * max(value, scale)
     # an h0 without its bond falls back to per-node blocks on the dense intertwiners
     plain = dataclasses.replace(model, h0=zj.TimeDependentOperator.constant(model.h0.value, model.horizon))
-    rho0 = frame.initial_projectors[0]
+    rho0 = level_projectors(frame)[0]
     ref = zj.general_jump(model, rho0, 0, 2, frame).value
     assert zj.general_jump(plain, rho0, 0, 2, frame).value == pytest.approx(ref, rel=1e-12)
 
@@ -473,7 +473,7 @@ def test_chain_jump_to_level_two_is_the_bond_count_times_the_pair_value(boundary
     def w(n_sites, boundary):
         spec = zj.SpinChainSpec(n_sites=n_sites, couplings=couplings, h=12.5, boundary=boundary)
         frame = zj.spin_chain_frame(spec, n_intervals=1024)
-        return zj.general_jump(zj.spin_chain_model(spec), frame.initial_projectors[0], 0, 2, frame).value
+        return zj.general_jump(zj.spin_chain_model(spec), level_projectors(frame)[0], 0, 2, frame).value
 
     pair = w(2, "open")
     for n_sites in range(2 if boundary == "open" else 3, 9):
@@ -488,7 +488,7 @@ def test_an_eight_site_chain_jump_allocates_far_less_than_one_dense_frame():
     tracemalloc.start()
     try:
         frame = zj.spin_chain_frame(spec, n_intervals=2048)
-        res = zj.general_jump(model, frame.initial_projectors[0], 0, 2, frame)
+        res = zj.general_jump(model, level_projectors(frame)[0], 0, 2, frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,9 +508,9 @@ def test_general_jump_raises_when_a_rung_leaves_floating_point_range():
 def test_general_jump_rejects_a_frame_that_starts_after_the_model():
     model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([1.0, -1.0]), 5.0, 1.0)
     dec = zj.decompose(model.h_meas(0.0))
-    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, dec.projectors)]
+    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, level_projectors(dec))]
     late = zj.AdiabaticFrame.static(np.linspace(0.5, 1.0, 257), levels)
-    rho0 = late.initial_projectors[0]
+    rho0 = level_projectors(late)[0]
     for route in (zj.general_jump, zj.compare_jump):
         with pytest.raises(zj.ValidationError, match="frame grid starts at 0.5, not at the model's horizon origin 0.0"):
             route(model, rho0, 0, 1, late)
@@ -562,7 +562,7 @@ def test_spectral_density_from_transitions():
     positions = [e for e, _ in density.entries]
     assert positions == [0.0, 2.0]
     for (_, g), m in zip(density.entries, (1, 2)):
-        assert g == pytest.approx(zj.transition_weight(h0, rho0, dec.projectors[m]))
+        assert g == pytest.approx(zj.transition_weight(h0, rho0, level_projectors(dec)[m]))
     with pytest.raises(zj.ValidationError, match="outside"):
         zj.SpectralDensity.from_transitions(h0, rho0, dec, n=5)
 
@@ -647,7 +647,7 @@ def _rotating_setup():
     h0 = zj.TimeDependentOperator.constant(random_hermitian(rng, 3, scale=0.3), h_meas.horizon)
     model = zj.MeasurementModel(h0=h0, h_meas=h_meas, coupling=8.0)
     frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 1025))
-    return model, frame, frame.initial_projectors[0], 0
+    return model, frame, level_projectors(frame)[0], 0
 
 
 def _chain_setup(dense):
@@ -656,7 +656,7 @@ def _chain_setup(dense):
     frame = zj.spin_chain_frame(spec)
     if dense:
         frame = zj.track_frame(model.h_meas, frame.grid)
-    return model, frame, frame.initial_projectors[0], 0
+    return model, frame, level_projectors(frame)[0], 0
 
 
 def _pulsed_setup():

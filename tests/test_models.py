@@ -13,7 +13,7 @@ import pytest
 import zenojump as zj
 from zenojump.models import _field_direction
 
-from properties import dense_intertwiners
+from properties import dense_intertwiners, level_projectors
 
 
 CUM_FULL = 0.5 + (math.sqrt(2.0) / 4.0) * math.log(1.0 + math.sqrt(2.0))
@@ -123,7 +123,7 @@ def _assert_level_bases_span(frame, ends, tol):
     """Each ``level_basis(l, end)`` is orthonormal, of rank ``ranks[l]``, and spans
     ``reference[l]`` for the ``(end, reference)`` pairs ``ends``."""
     for end, reference in ends:
-        own = frame.initial_projectors if end == 0 else frame.final_projectors
+        own = level_projectors(frame) if end == 0 else level_projectors(frame, -1)
         for level, (projector, rank) in enumerate(zip(reference, frame.ranks, strict=True)):
             q = frame.level_basis(level, end)
             assert q.shape == (frame.dim, rank)
@@ -140,7 +140,7 @@ def test_level_basis_spans_the_end_projectors_of_every_frame_shape():
     chain = zj.spin_chain_frame(spec, 256)
     dense = zj.track_frame(h_meas, chain.grid)
     assert (chain.power, dense.power, dense.ranks) == (3, 1, (1, 3, 3, 1))
-    ends = [(end, zj.decompose(h_meas(s)).projectors) for end, s in ((0, 0.0), (-1, 1.0))]
+    ends = [(end, level_projectors(zj.decompose(h_meas(s)))) for end, s in ((0, 0.0), (-1, 1.0))]
     _assert_level_bases_span(chain, ends, 1e-12)
     _assert_level_bases_span(dense, ends, 1e-12)
     p = np.diag([1.0, 0.0, 1.0]).astype(complex)
@@ -315,7 +315,7 @@ def test_a_static_frame_is_the_decompose_and_static_route_from_one_eigh(monkeypa
     h0, h_meas = _degenerate_measurement() if matrices == "degenerate" else _static_run_matrices(matrices)
     model = zj.time_independent_model(h0, h_meas, 10.0, 1.5)
     dec = zj.decompose(h_meas)
-    levels = [(float(eps), p) for eps, p in zip(dec.eigenvalues, dec.projectors)]
+    levels = [(float(eps), p) for eps, p in zip(dec.eigenvalues, level_projectors(dec))]
     old = zj.AdiabaticFrame.static(zj.models._uniform_grid(0.0, 1.5, 512), levels, degeneracy_tol=dec.degeneracy_tol)
     calls = {"decomposition": 0, "operators": 0}
     for module in (decomposition, operators):
@@ -332,7 +332,7 @@ def test_a_static_frame_is_the_decompose_and_static_route_from_one_eigh(monkeypa
         assert np.array_equal(getattr(frame, field), getattr(old, field)), field
     for field in ("factor_ranks", "degeneracy_tol", "eps_min"):
         assert getattr(frame, field) == getattr(old, field), field
-    assert np.max(np.abs(frame.initial_projectors - old.initial_projectors)) <= 1e-12
+    assert np.max(np.abs(level_projectors(frame) - level_projectors(old))) <= 1e-12
     assert not frame.initial_basis.flags.writeable and frame.final_basis is frame.initial_basis
 
 
@@ -353,8 +353,8 @@ def test_pulsed_builders_and_level_convention():
     assert np.allclose(model.h_meas(0.75), p)
     frame = zj.pulsed_frame(p, 1.0, 0.5, n_intervals=8)
     # Level 0 is the watched projector; its eigenvalue switches on at tau_free.
-    assert np.allclose(frame.initial_projectors[0], p)
-    assert np.allclose(frame.final_projectors[0], p)
+    assert np.allclose(level_projectors(frame)[0], p)
+    assert np.allclose(level_projectors(frame, -1)[0], p)
     assert frame.eigenvalues[0, 0] == 0.0
     assert frame.eigenvalues[0, -1] == 1.0
     assert np.all(frame.eigenvalues[1] == 0.0)
@@ -422,7 +422,9 @@ def test_spin_chain_frame_matches_the_dense_tracked_frame(n_sites, boundary):
     dense = zj.track_frame(model.h_meas, np.linspace(0.0, 1.0, 1025))
     frame = zj.spin_chain_frame(spec)
     assert np.max(np.abs(dense_intertwiners(frame) - dense.intertwiners)) <= 1e-12
-    for name in ("initial_projectors", "final_projectors", "eigenvalues", "eps_integrals"):
+    for end in (0, -1):
+        assert np.max(np.abs(level_projectors(frame, end) - level_projectors(dense, end))) <= 1e-12, end
+    for name in ("eigenvalues", "eps_integrals"):
         assert np.max(np.abs(getattr(frame, name) - getattr(dense, name))) <= 1e-12, name
     assert frame.ranks == dense.ranks == tuple(math.comb(n_sites, l) for l in range(n_sites + 1))
     # the chain's tolerance is n times the site's, the dense route's comes
@@ -445,7 +447,7 @@ def test_spin_chain_residual_bounds_the_dense_per_node_residual(n_sites, boundar
     dense = max(
         zj.max_norm(a @ p0 @ a.conj().T - p)
         for s, a in zip(frame.grid, dense_intertwiners(frame))
-        for p0, p in zip(frame.initial_projectors, zj.decompose(model.h_meas(s)).projectors)
+        for p0, p in zip(level_projectors(frame), level_projectors(zj.decompose(model.h_meas(s))))
     )
     assert 0.0 < dense <= frame.residual + 1e-14
 
@@ -455,17 +457,17 @@ def test_spin_chain_end_projectors_equal_the_dense_decomposition(n_sites, bounda
     spec = zj.SpinChainSpec(n_sites=n_sites, h=9.0, T=1.0, boundary=boundary)
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
-    for s, projectors in ((0.0, frame.initial_projectors), (1.0, frame.final_projectors)):
-        dense = zj.decompose(model.h_meas(s)).projectors
+    for s, projectors in ((0.0, level_projectors(frame)), (1.0, level_projectors(frame, -1))):
+        dense = level_projectors(zj.decompose(model.h_meas(s)))
         assert projectors.shape == dense.shape
         assert np.max(np.abs(projectors - dense)) < 1e-12
 
 
 def test_spin_chain_frame_keeps_end_node_projectors_only():
-    # The end-node projectors are formed on read from the 2 x 2 end bases; a
-    # per-node stack at 6 sites would be (7, 257, 64, 64).
+    # The frame keeps the 2 x 2 end bases, from which a reader forms the
+    # end-node projectors; a per-node stack at 6 sites would be (7, 257, 64, 64).
     frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=6, h=9.0, T=1.0), n_intervals=256)
-    assert frame.initial_projectors.shape == frame.final_projectors.shape == (7, 64, 64)
+    assert level_projectors(frame).shape == level_projectors(frame, -1).shape == (7, 64, 64)
     assert frame.initial_basis.shape == frame.final_basis.shape == (2, 2)
     assert frame.intertwiners.shape == (257, 2, 2) and frame.power == 6
 
@@ -483,7 +485,7 @@ def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
     model = zj.spin_chain_model(spec)
     frame = zj.spin_chain_frame(spec)
     dense = zj.track_frame(model.h_meas, frame.grid)
-    rho0 = frame.initial_projectors[0]
+    rho0 = level_projectors(frame)[0]
     res = zj.general_jump(model, rho0, 0, 2, frame)
     ref = zj.general_jump(model, rho0, 0, 2, dense)
     assert res.value == pytest.approx(ref.value, rel=1e-12)

@@ -38,16 +38,19 @@ def test_check_hermitian_accepts_and_rejects():
 
 
 def test_check_unitary():
+    # a level basis is checked for unitarity against projector_tol
+    from zenojump.decomposition import _check_level_basis
+
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    assert zj.check_unitary(q) is not None
+    _check_level_basis(q, zj.NumericPolicy())
     with pytest.raises(zj.ValidationError, match="not unitary"):
-        zj.check_unitary(1.001 * q)
+        _check_level_basis(1.001 * q, zj.NumericPolicy())
 
 
 def test_check_projector_and_rank():
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    assert zj.projector_rank(p) == 2
+    assert zj.check_projector(p).trace().real == 2.0
     with pytest.raises(zj.ValidationError, match="idempotent"):
         zj.check_projector(0.5 * p)
     skew = p.copy()
@@ -141,9 +144,9 @@ def test_policy_from_string():
     base = zj.NumericPolicy()
     same = zj.NumericPolicy.from_string("", base)
     assert same == base
-    tweaked = zj.NumericPolicy.from_string("frame_tol=1e-4, unitary_tol=1e-6", base)
+    tweaked = zj.NumericPolicy.from_string("frame_tol=1e-4, projector_tol=1e-6", base)
     assert tweaked.frame_tol == 1e-4
-    assert tweaked.unitary_tol == 1e-6
+    assert tweaked.projector_tol == 1e-6
     assert tweaked.hermitian_tol == base.hermitian_tol
     with pytest.raises(ValueError, match="unknown policy key"):
         zj.NumericPolicy.from_string("no_such_key=1")
@@ -213,7 +216,7 @@ def test_square_matrix_rejects_non_finite_entries(bad):
     with pytest.raises(zj.ValidationError, match="non-finite"):
         op.sample([0.0, 0.5])
     with pytest.raises(zj.ValidationError, match="non-finite"):
-        zj.check_unitary([[bad, 0.0], [0.0, 1.0]])
+        zj.check_projector([[bad, 0.0], [0.0, 1.0]])
 
 
 def _embedded_bond(term, i, j, n_sites):

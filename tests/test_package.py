@@ -6,13 +6,13 @@ import zenojump as zj
 
 EXPORTED = {
     "adiabatic_propagator", "AdiabaticFrame", "adiabaticity_report", "AdiabaticityReport",
-    "build_chain_h0", "build_chain_interaction", "chain_validity_flags", "check_density",
-    "check_hermitian", "check_projector", "check_unitary", "compare_jump", "ConfigError",
+    "build_chain_h0", "chain_validity_flags", "check_density",
+    "check_hermitian", "check_projector", "compare_jump", "ConfigError",
     "continuous_jump", "cumulative_field_strength", "decay_rate", "decompose", "default_policy",
     "eigh", "exact_jump", "exact_propagator", "field_strength", "FrameResidualError",
     "free_flip_probability", "general_jump", "JumpComparison", "JumpResult", "LevelCrossingError",
     "load_config", "matrix_exp_unitary", "max_norm", "MeasurementModel", "NumericalError",
-    "NumericPolicy", "parse_config", "projector_rank", "PropagatorResult", "pulsed_frame",
+    "NumericPolicy", "parse_config", "PropagatorResult", "pulsed_frame",
     "pulsed_jump", "pulsed_measurement_model", "QuadratureError", "QuadraturePolicy",
     "resolved_text", "ScenarioConfig", "SCENARIOS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "spectral_overlap", "SpectralDensity", "SpectralOverlap", "spin_chain_frame",

@@ -9,7 +9,7 @@ from zenojump.compare import _scaled_measurement
 from zenojump import propagators
 from zenojump.propagators import _product_over, _segments
 
-from properties import dense_intertwiners, random_hermitian
+from properties import dense_intertwiners, level_projectors, random_hermitian
 from test_decomposition import rotation_family
 
 
@@ -123,7 +123,7 @@ def test_pure_measurement_conserves_transported_populations():
         derivative_evaluator=lambda t: coupling * h_meas.derivative(t, 0.0),
     )
     frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 129))
-    p0 = frame.initial_projectors[1]
+    p0 = level_projectors(frame)[1]
     vec = p0 @ rng.normal(size=3)
     vec = vec / np.linalg.norm(vec)
     rho0 = np.outer(vec, vec.conj())
@@ -153,7 +153,7 @@ def test_adiabatic_propagator_on_a_chain_frame_forms_one_node_from_the_site():
     for k in (0, 17, 64):
         t = float(frame.grid[k])
         phases = 9.0 * frame.eps_integrals[:, k]
-        phi = np.tensordot(np.exp(-1j * phases), frame.initial_projectors, axes=(0, 0))
+        phi = np.tensordot(np.exp(-1j * phases), level_projectors(frame), axes=(0, 0))
         assert np.array_equal(zj.adiabatic_propagator(frame, t, 9.0), dense[k] @ phi)
 
 

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 import zenojump as zj
 
-from properties import _rotating_family, random_hermitian
+from properties import _rotating_family, level_projectors, random_hermitian
 
 
 # --- per-slice reference implementations -------------------------------------
@@ -246,8 +246,8 @@ def test_track_frame_matches_per_node_reference(n_sites):
     frame = zj.track_frame(model.h_meas, grid, degeneracy_tol=1e-8)
     intertwiners, projectors, integrals = ref_track_frame(model.h_meas, grid, 1e-8)
     assert np.max(np.abs(frame.intertwiners - intertwiners)) < 1e-12
-    assert np.max(np.abs(frame.initial_projectors - projectors[:, 0])) < 1e-12
-    assert np.max(np.abs(frame.final_projectors - projectors[:, -1])) < 1e-12
+    assert np.max(np.abs(level_projectors(frame) - projectors[:, 0])) < 1e-12
+    assert np.max(np.abs(level_projectors(frame, -1) - projectors[:, -1])) < 1e-12
     assert np.max(np.abs(frame.eps_integrals - integrals)) < 1e-12
     # The frame keeps end-node projectors only; its residual is still the
     # worst over every node, against the reference's per-node projectors.
@@ -330,8 +330,8 @@ def test_static_frame_arrays_are_read_only_views():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert frame.intertwiners.shape == (1025, 3, 3) and frame.initial_basis.shape == (3, 3)
-    assert frame.initial_projectors.shape == frame.final_projectors.shape == (2, 3, 3)
-    for projectors in (frame.initial_projectors, frame.final_projectors):
+    assert level_projectors(frame).shape == level_projectors(frame, -1).shape == (2, 3, 3)
+    for projectors in (level_projectors(frame), level_projectors(frame, -1)):
         assert np.max(np.abs(projectors[0] - p0)) <= 1e-14
         assert np.max(np.abs(projectors[1] - (np.eye(3) - p0))) <= 1e-14
 
