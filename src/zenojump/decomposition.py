@@ -14,12 +14,12 @@ picture.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import FrameResidualError, LevelCrossingError, NumericalError, ValidationError
-from .operators import _bond_sum, _stack_matmul, as_square_matrix, check_projector, eigh, max_norm
+from .operators import _bond_sum, _stack_matmul, as_square_matrix, eigh, max_norm
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -271,6 +271,13 @@ def _resolve_degeneracy_tol(
     return max(pol.degeneracy_rel * spectral_range, 1e-14 * (1.0 + scale))
 
 
+def _check_split(vals: np.ndarray, n_levels: int, tol: float) -> None:
+    """:class:`NumericalError` when ``tol`` clusters into ``n_levels = 1`` level
+    the rows of ascending eigenvalues ``vals``, one of which is split beyond rounding."""
+    if n_levels == 1 and np.max(vals[:, -1] - vals[:, 0]) > 1e-14 * (1.0 + np.max(np.abs(vals))):
+        raise NumericalError(f"degeneracy tolerance {tol:.3e} merges every level of a split spectrum")
+
+
 def _cluster(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of ascending eigenvalues into levels at gaps > tol.
 
@@ -454,13 +461,6 @@ def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _level_eigenbasis(projectors: np.ndarray, policy: NumericPolicy | None = None) -> np.ndarray:
-    """Unitary whose columns span the level projectors in turn: the eigenvectors of
-    ``sum_l l P_l``, which :func:`eigh` returns grouped by level in ascending order."""
-    # einsum, not tensordot: OpenBLAS threads that product, and its idle threads then spin
-    return eigh(np.einsum("l,lij->ij", np.arange(len(projectors)), projectors), policy)[1]
-
-
 def _level_columns(ranks, p: int, level: int) -> np.ndarray:
     """Columns of ``u^{(x)p}`` spanning level ``level`` of a ``p``-fold tensor power of a
     factor with level ``ranks`` (``u`` its level-grouped basis), ascending: a column's
@@ -549,63 +549,18 @@ class AdiabaticFrame:
         raise ValidationError(f"time {t!r} is not a frame grid node; frames are not interpolated")
 
     @classmethod
-    def static(
-        cls,
-        grid,
-        levels: Sequence[tuple[float | Callable[[float], float], np.ndarray]],
-        policy: NumericPolicy | None = None,
-        degeneracy_tol: float = 0.0,
-    ) -> "AdiabaticFrame":
-        """Frame for measurements with constant projectors.
-
-        ``levels`` holds ``(eps, P)`` pairs where ``eps`` is a number or a
-        function of time (as for pulsed measurements whose eigenvalues switch
-        while the projectors stay fixed).  The intertwiner is the identity at
-        every node.  ``eps_integrals`` accumulate by midpoint sampling per grid
-        interval, which is exact for piecewise-constant eigenvalues whose switching
-        times are grid nodes.  Each ``P`` passes :func:`check_projector` and
-        together they must resolve the identity.  One read-only level basis,
-        the eigenvectors of ``sum_l l P_l``, is both end bases; the frame is
-        built as ``time_independent_frame`` builds its own from the
-        measurement's eigenvectors.  A level not finite at a node or
-        midpoint, or a ``degeneracy_tol`` not finite and non-negative, raises
-        :class:`ValidationError`.
-        """
-        pol = default_policy(policy)
-        grid = _check_grid(grid)
-        projs = np.array([check_projector(p, pol) for _, p in levels])
-        total = projs.sum(axis=0)
-        if max_norm(total - np.eye(projs.shape[-1])) > pol.completeness_tol:
-            raise ValidationError("static frame levels must resolve the identity")
-        n = len(grid)
-        eps = np.empty((len(levels), n))
-        mid_eps = np.empty((len(levels), n - 1))
-        mids = (grid[:-1] + grid[1:]) / 2.0
-        for l, (spec, _) in enumerate(levels):
-            if callable(spec):
-                eps[l], mid_eps[l] = [float(spec(t)) for t in grid], [float(spec(t)) for t in mids]
-            else:
-                eps[l] = mid_eps[l] = float(spec)
-        ranks = tuple(int(round(p.trace().real)) for p in projs)
-        return cls._from_basis(grid, eps, mid_eps, _level_eigenbasis(projs, pol), ranks, degeneracy_tol, pol)
-
-    @classmethod
-    def _from_basis(cls, grid, eps, mid_eps, basis, ranks, degeneracy_tol, pol) -> "AdiabaticFrame":
+    def _from_basis(cls, grid, eps, integrals, basis, ranks, degeneracy_tol, pol) -> "AdiabaticFrame":
         """Static frame on the checked ``grid`` whose unitary ``basis`` holds
         the levels' columns in turn, ``ranks`` each, at level eigenvalues
-        ``eps`` at the nodes and ``mid_eps`` at the interval midpoints; one
-        column in place of either stands for levels constant in time, whose
-        gaps are then taken once.  ``eigenvalues`` and ``intertwiners`` are
-        read-only broadcast views, of ``eps`` and of one identity, and
-        ``basis``, made read-only, is both end bases.
+        ``eps`` whose integrals from the first node are ``integrals``, both
+        taken from the caller in closed form; one column of ``eps`` stands
+        for levels constant in time, whose gaps are then taken once.
+        ``eigenvalues`` and ``intertwiners`` are read-only broadcast views, of
+        ``eps`` and of one identity, and ``basis``, made read-only, is both
+        end bases.
         """
-        bad = np.flatnonzero(~(np.isfinite(eps).all(axis=1) & np.isfinite(mid_eps).all(axis=1)))
-        if bad.size:
-            raise ValidationError(f"static frame level {bad[0]}: its eigenvalue must be finite at every time")
         _check_level_basis(basis, pol)
         n = len(grid)
-        integrals = np.zeros((len(eps), n))
-        integrals[:, 1:] = np.cumsum(mid_eps * np.diff(grid), axis=1)
         ordered = np.sort(eps, axis=0)
         gaps = np.diff(ordered, axis=0)
         basis.setflags(write=False)
@@ -747,8 +702,7 @@ def track_frame(
             f"level count changed from {n_levels} to {counts[changed[0]]} at node "
             f"t={grid[changed[0]]:.9g}; treat as a level crossing"
         )
-    if n_levels == 1 and np.max(vals[:, -1] - vals[:, 0]) > 1e-14 * (1.0 + np.max(np.abs(vals))):
-        raise NumericalError(f"degeneracy tolerance {tol:.3e} merges every level of a split spectrum")
+    _check_split(vals, n_levels, tol)
 
     # Follow each level to the next node's level of largest projector overlap
     # Tr(P_a P_b), ties broken by eigenvalue distance.  Where that is a

@@ -29,13 +29,14 @@ import numpy as np
 from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
+    _check_split,
     _checked_frame,
     _eigenlevels,
     track_frame,
 )
 from .errors import FrameResidualError, QuadratureError, ValidationError
 from .jump import MeasurementModel, _simpson_weights
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, _bond_sum, as_square_matrix, check_projector, tensor_product
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, _bond_sum, as_square_matrix, check_projector, eigh, tensor_product
 from .policy import NumericPolicy, default_policy
 from .propagators import exact_propagator
 
@@ -377,14 +378,16 @@ def time_independent_frame(
 
     The measurement's eigenvectors, which come grouped by level, are both end
     bases; the level sizes are ``factor_ranks`` and the level means the
-    eigenvalues, as :func:`decompose` clusters them.  The one check on this
-    path is ``max|V^dagger V - I| <= projector_tol``.
+    eigenvalues, as :func:`decompose` clusters them, and the phases are exact,
+    ``eps_l (t - t_0)``.  The checks are ``max|V^dagger V - I| <= projector_tol``
+    and :func:`track_frame`'s for a tolerance that merges a split spectrum.
     """
     pol = default_policy(policy)
     t0, t1 = model.horizon
-    _, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), degeneracy_tol, pol)
+    vals, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), degeneracy_tol, pol)
+    _check_split(vals[None], len(ranks), tol)
     grid = _uniform_grid(t0, t1, n_intervals)
-    return AdiabaticFrame._from_basis(grid, means[:, None], means[:, None], vecs, ranks, tol, pol)
+    return AdiabaticFrame._from_basis(grid, means[:, None], means[:, None] * (grid - t0), vecs, ranks, tol, pol)
 
 
 def pulsed_measurement_model(
@@ -427,19 +430,21 @@ def pulsed_frame(
 ) -> AdiabaticFrame:
     """Static two-level frame for a pulsed measurement.
 
-    Level 0 is the watched subspace (eigenvalue 1 while the measurement is
-    on), level 1 its complement (eigenvalue 0 throughout).  The switching
-    instant must fall on a grid node so the accumulated phases are exact.
+    Level 0 is the watched subspace (eigenvalue 1 from ``tau_free`` on, phase
+    ``max(t - tau_free, 0)``), level 1 its complement (eigenvalue 0), the order
+    in which ``eigh(I - P)`` returns their columns.  ``tau_free`` must be a grid node.
     """
     if not (0.0 <= tau_free <= tau) or tau <= 0:
         raise ValidationError("need 0 <= tau_free <= tau with tau > 0")
-    p = check_projector(projector, policy)
+    pol = default_policy(policy)
+    p = check_projector(projector, pol)
     grid = _uniform_grid(0.0, float(tau), n_intervals)
     if tau_free > 0.0 and float(np.min(np.abs(grid - tau_free))) > 1e-12 * tau:
         raise ValidationError(f"switching time {tau_free} must be a node of the {n_intervals}-interval grid")
-
-    def watched_eps(t: float) -> float:
-        return 1.0 if t >= tau_free else 0.0
-
-    complement = np.eye(p.shape[0], dtype=complex) - p
-    return AdiabaticFrame.static(grid, [(watched_eps, p), (0.0, complement)], policy)
+    rank = int(round(p.trace().real))
+    eps = np.zeros((2, len(grid)))
+    integrals = np.zeros_like(eps)
+    eps[0] = grid >= tau_free
+    integrals[0] = np.maximum(grid - tau_free, 0.0)
+    basis = eigh(np.eye(len(p), dtype=complex) - p, pol)[1]
+    return AdiabaticFrame._from_basis(grid, eps, integrals, basis, (rank, len(p) - rank), 0.0, pol)

@@ -41,9 +41,6 @@ class NumericPolicy:
         Allowed deviation of a density-matrix trace from 1.
     psd_tol:
         Most negative eigenvalue a density matrix may carry.
-    completeness_tol:
-        Max-norm defect of ``sum_n P_n - I`` over the projectors passed to
-        :meth:`~zenojump.decomposition.AdiabaticFrame.static`.
     frame_tol:
         Allowed max-norm residual ``A P_n(0) A^dagger - P_n(t)``.
     degeneracy_rel:
@@ -63,7 +60,6 @@ class NumericPolicy:
     rank_tol: float = 1e-8
     trace_tol: float = 1e-10
     psd_tol: float = 1e-10
-    completeness_tol: float = 1e-9
     frame_tol: float = 1e-6
     degeneracy_rel: float = 1e-8
     adiabatic_margin: float = 0.01

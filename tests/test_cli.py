@@ -470,16 +470,18 @@ def test_bad_policy_environment_exits_2_without_traceback(tmp_path, capsys, monk
 
 
 def test_a_removed_tolerance_exits_2_as_an_unknown_key(tmp_path, capsys, monkeypatch):
-    # the policy has no unitary_tol or orthogonality_tol: either is an unknown key
-    cfg_path = write(tmp_path, CHAIN_RUN + "\n[tolerances]\nunitary_tol = 1e-8\n")
-    assert main(["run", "--config", cfg_path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: [tolerances] unitary_tol: unknown tolerance")
-    monkeypatch.setenv("ZENO_NUM_POLICY", "orthogonality_tol=1e-9")
-    assert main(["run", "--config", write(tmp_path, CHAIN_RUN, "plain.ini")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown policy key 'orthogonality_tol'")
-    assert "Traceback" not in err
+    # the policy has no unitary_tol, orthogonality_tol or completeness_tol: each is an unknown key
+    for key in ("unitary_tol", "completeness_tol"):
+        cfg_path = write(tmp_path, CHAIN_RUN + f"\n[tolerances]\n{key} = 1e-8\n")
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [tolerances] {key}: unknown tolerance")
+    for key in ("orthogonality_tol", "completeness_tol"):
+        monkeypatch.setenv("ZENO_NUM_POLICY", f"{key}=1e-9")
+        assert main(["run", "--config", write(tmp_path, CHAIN_RUN, "plain.ini")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown policy key '{key}'")
+        assert "Traceback" not in err
 
 
 def test_a_policy_that_merges_every_chain_level_exits_3(tmp_path, capsys, monkeypatch):
@@ -488,6 +490,17 @@ def test_a_policy_that_merges_every_chain_level_exits_3(tmp_path, capsys, monkey
     assert main(["run", "--config", write(tmp_path, CHAIN_RUN)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "merges every level" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_tolerance_that_merges_every_custom_matrix_level_exits_3(tmp_path, capsys, command):
+    # it exited 2 blaming level_from and level_to, which resolved to the one merged level
+    text = CUSTOM_COMPARE.replace("[[-1, 0, 0], [0, 0, 0], [0, 0, 1]]", "[[0, 0, 0], [0, 1, 0], [0, 0, 2.5]]")
+    text = text.replace("level_to = 2\n", "") + "\n[tolerances]\ndegeneracy_rel = 10\n"
+    assert main([command, "--config", write(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "merges every level of a split spectrum" in err
     assert "Traceback" not in err
 
 

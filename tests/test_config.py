@@ -221,7 +221,6 @@ projector_tol = 1e-10
 rank_tol = 1e-08
 trace_tol = 1e-10
 psd_tol = 1e-10
-completeness_tol = 1.0000000000000001e-09
 frame_tol = 9.9999999999999995e-07
 degeneracy_rel = 1e-08
 adiabatic_margin = 0.01
@@ -263,7 +262,6 @@ projector_tol = 1e-10
 rank_tol = 1e-08
 trace_tol = 1e-10
 psd_tol = 1e-10
-completeness_tol = 1.0000000000000001e-09
 frame_tol = 9.9999999999999995e-07
 degeneracy_rel = 1e-08
 adiabatic_margin = 0.01

@@ -334,12 +334,8 @@ def test_decompose_refuses_a_basis_that_is_not_unitary(monkeypatch):
 
 def test_static_frame_phases_exact_for_switched_eigenvalue():
     p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    switch = lambda t: 1.0 if t >= 0.5 else 0.0
-    grid = np.linspace(0.0, 1.0, 9)
-    frame = zj.AdiabaticFrame.static(grid, [(switch, p0), (0.0, p1)])
-    # Midpoint sampling integrates the step profile exactly: 1 * 0.5.
-    assert frame.eps_integrals[0, -1] == pytest.approx(0.5, abs=1e-15)
+    frame = zj.pulsed_frame(p0, 1.0, 0.5, n_intervals=8)
+    assert frame.eps_integrals[0, -1] == 0.5
     assert frame.eps_integrals[1, -1] == 0.0
     assert np.array_equal(frame.intertwiners[3], np.eye(2))
     assert frame.ranks == (1, 1)
@@ -351,31 +347,12 @@ def test_static_frame_phases_exact_for_switched_eigenvalue():
         frame.node_index(0.51)
 
 
-def test_static_frame_requires_complete_levels():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(zj.ValidationError, match="identity"):
-        zj.AdiabaticFrame.static(np.linspace(0, 1, 5), [(1.0, p0)])
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [float("nan"), float("inf"), -float("inf"), lambda t: float("nan") if t == 0.5 else 1.0,
-     lambda t: float("inf") if t == 0.5625 else 1.0],
-)
-def test_static_frame_rejects_a_level_that_is_not_finite(spec):
-    # A NaN level made general_jump return nan with adiabatic=True, an
-    # infinite one a bare ZeroDivisionError; the last spec is infinite at a midpoint only.
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(zj.ValidationError, match="level 1: its eigenvalue must be finite"):
-        zj.AdiabaticFrame.static(np.linspace(0, 1, 9), [(0.0, p0), (spec, np.eye(2) - p0)])
-
-
 @pytest.mark.parametrize("tol", BAD_DEGENERACY_TOLS)
 def test_static_frame_rejects_a_bad_degeneracy_tol(tol):
     # A NaN or negative tolerance was kept, and the report then never flagged close levels.
-    p0 = np.diag([1.0, 0.0]).astype(complex)
+    model = zj.time_independent_model(zj.SIGMA_X, np.diag([0.0, 1.0]), 5.0, 1.0)
     with pytest.raises(zj.ValidationError, match="degeneracy_tol must be finite and >= 0"):
-        zj.AdiabaticFrame.static(np.linspace(0, 1, 5), [(0.0, p0), (1.0, np.eye(2) - p0)], degeneracy_tol=tol)
+        zj.time_independent_frame(model, 4, degeneracy_tol=tol)
 
 
 # --- tensor-power levels -----------------------------------------------------
@@ -391,19 +368,6 @@ def test_level_columns_are_the_popcount_sectors_on_spins_and_ranges_at_p_one():
             assert np.array_equal(_level_columns((1, 1), p, level), np.flatnonzero(popcount == level))
     ranges = [_level_columns((2, 1, 3), 1, level) for level in range(3)]
     assert [r.tolist() for r in ranges] == [[0, 1], [2], [3, 4, 5]]
-
-
-def test_level_eigenbasis_groups_its_columns_by_level():
-    from zenojump.decomposition import _level_eigenbasis
-
-    dec = zj.decompose(zj.spin_chain_model(zj.SpinChainSpec(n_sites=3)).h_meas(0.3))
-    u = _level_eigenbasis(level_projectors(dec))
-    assert zj.max_norm(u.conj().T @ u - np.eye(8)) < 1e-13
-    start = 0
-    for projector, rank in zip(level_projectors(dec), dec.ranks):
-        cols = u[:, start:start + rank]
-        assert zj.max_norm(projector @ cols - cols) < 1e-13
-        start += rank
 
 
 # --- track_frame -------------------------------------------------------------
@@ -625,8 +589,7 @@ def test_frames_and_report_reject_a_bad_coupling(coupling):
     # Frames take no coupling; every entry point that does checks it.
     op = rotation_family(random_hermitian(np.random.default_rng(26), 2), zj.SIGMA_Z)
     grid = np.linspace(0.0, 1.0, 17)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    frame = zj.AdiabaticFrame.static(grid, [(1.0, p0), (0.0, np.eye(2) - p0)])
+    frame = zj.pulsed_frame(np.diag([1.0, 0.0]), 1.0, 0.0, n_intervals=16)
     entry_points = (
         lambda: zj.adiabatic_propagator(frame, 0.5, coupling),
         lambda: zj.MeasurementModel(h0=op, h_meas=op, coupling=coupling),

@@ -187,14 +187,10 @@ def test_general_jump_rejects_unconfined_state():
 def test_general_jump_rejects_bad_grids():
     model, frame, rho0, n = static_setup(47)
     m = (n + 1) % frame.n_levels
-    dec = zj.decompose(model.h_meas(0.0))
-    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, level_projectors(dec))]
-    ragged = zj.AdiabaticFrame.static(
-        np.array([0.0, 0.1, 0.3, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0]), levels
-    )
+    ragged = dataclasses.replace(frame, grid=np.array([0.0, 0.1, 0.3, 0.6, 0.75, 0.8, 0.9, 0.95, 1.0]))
     with pytest.raises(zj.ValidationError, match="uniform"):
         zj.general_jump(model, rho0, n, m, ragged)
-    coarse = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 7), levels)
+    coarse = dataclasses.replace(frame, grid=np.linspace(0.0, 1.0, 7))
     with pytest.raises(zj.ValidationError, match="multiple of 8"):
         zj.general_jump(model, rho0, n, m, coarse)
 
@@ -507,14 +503,12 @@ def test_general_jump_raises_when_a_rung_leaves_floating_point_range():
 
 def test_general_jump_rejects_a_frame_that_starts_after_the_model():
     model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([1.0, -1.0]), 5.0, 1.0)
-    dec = zj.decompose(model.h_meas(0.0))
-    levels = [(float(e), p) for e, p in zip(dec.eigenvalues, level_projectors(dec))]
-    late = zj.AdiabaticFrame.static(np.linspace(0.5, 1.0, 257), levels)
+    full = zj.time_independent_frame(model, 256)
+    late = dataclasses.replace(full, grid=np.linspace(0.5, 1.0, 257))
     rho0 = level_projectors(late)[0]
     for route in (zj.general_jump, zj.compare_jump):
         with pytest.raises(zj.ValidationError, match="frame grid starts at 0.5, not at the model's horizon origin 0.0"):
             route(model, rho0, 0, 1, late)
-    full = zj.AdiabaticFrame.static(np.linspace(0.0, 1.0, 257), levels)
     assert zj.compare_jump(model, rho0, 0, 1, full).status == "pass"
 
 
@@ -718,8 +712,8 @@ def test_pulsed_report_reads_the_switched_gap_not_a_rounding_gap():
 def test_a_static_frame_with_levels_inside_its_tolerance_raises():
     grid = np.linspace(0.0, 1.0, 65)
     p0 = np.diag([1.0, 0.0]).astype(complex)
-    frame = zj.AdiabaticFrame.static(grid, [(0.0, p0), (1e-3, np.eye(2) - p0)], degeneracy_tol=1e-2)
     model = zj.time_independent_model(zj.SIGMA_X, np.diag([0.0, 1e-3]), 5.0, 1.0)
+    frame = dataclasses.replace(zj.time_independent_frame(model, 64), degeneracy_tol=1e-2)
     with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
         zj.adiabaticity_report(model.h_meas, 5.0, grid, degeneracy_tol=1e-2)
     with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):

@@ -1,6 +1,9 @@
 """The package namespace: one export list per module, re-exported as a whole."""
 
+import dataclasses
 import importlib
+import pathlib
+import re
 
 import zenojump as zj
 
@@ -42,3 +45,16 @@ def test_the_package_exports_each_module_list_in_module_order():
     for m, names in zip(MODULES, lists):
         module = importlib.import_module(f"zenojump.{m}")
         assert all(getattr(zj, name) is getattr(module, name) for name in names)
+
+
+def test_every_policy_field_has_a_reader_outside_the_policy_and_config_modules():
+    # a field only policy.py and config.py touch is a knob that changes nothing
+    package = pathlib.Path(zj.__file__).parent
+    sources = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("policy.py", "config.py")
+    )
+    for policy in (zj.NumericPolicy, zj.QuadraturePolicy):
+        for field in dataclasses.fields(policy):
+            assert re.search(rf"\.{field.name}\b", sources), f"{policy.__name__}.{field.name} has no reader"

@@ -136,10 +136,8 @@ def test_pure_measurement_conserves_transported_populations():
 
 
 def test_adiabatic_propagator_static_frame_is_pure_phase():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    grid = np.linspace(0.0, 1.0, 5)
-    frame = zj.AdiabaticFrame.static(grid, [(1.0, p0), (-1.0, p1)])
+    model = zj.time_independent_model(np.zeros((2, 2)), np.diag([1.0, -1.0]), 3.0, 1.0)
+    frame = zj.time_independent_frame(model, 4)
     u = zj.adiabatic_propagator(frame, 0.5, 3.0)
     expected = np.diag([np.exp(-1.5j), np.exp(1.5j)])
     assert np.max(np.abs(u - expected)) < 1e-12

@@ -320,9 +320,7 @@ def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypa
 
 def test_static_frame_arrays_are_read_only_views():
     p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    frame = zj.AdiabaticFrame.static(
-        np.linspace(0.0, 1.0, 1025), [(1.0, p0), (0.0, np.eye(3) - p0)]
-    )
+    frame = zj.pulsed_frame(p0, 1.0, 0.0, n_intervals=1024)
     assert frame.intertwiners.base is not None
     assert frame.initial_basis is frame.final_basis
     for arr in (frame.intertwiners, frame.initial_basis):
@@ -337,17 +335,26 @@ def test_static_frame_arrays_are_read_only_views():
 
 
 def test_static_frame_phases_equal_per_node_reference():
-    grid = np.linspace(0.0, 1.5, 257)
-    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    switched = lambda t: 2.0 if t >= 0.375 else 0.0
-    levels = [(switched, p0), (-0.75, np.eye(3) - p0)]
-    frame = zj.AdiabaticFrame.static(grid, levels)
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    for l, (spec, _) in enumerate(levels):
-        fn = spec if callable(spec) else (lambda t, v=spec: v)
-        assert np.array_equal(frame.eigenvalues[l], [float(fn(t)) for t in grid])
-        increments = np.array([float(fn(t)) for t in mids]) * np.diff(grid)
-        assert np.array_equal(frame.eps_integrals[l], np.concatenate([[0.0], np.cumsum(increments)]))
+    # Static levels never move, so their phases are closed forms: the step
+    # and ramp of a pulsed measurement and eps (t - t0) of a constant one.
+    rng = np.random.default_rng(83)
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0][:, :2]
+    p = q @ q.conj().T
+    tau_free = 0.375
+    frame = zj.pulsed_frame(p, 1.5, tau_free, n_intervals=256)
+    grid = frame.grid
+    assert np.array_equal(frame.eigenvalues, [[1.0 if t >= tau_free else 0.0 for t in grid], [0.0] * 257])
+    assert np.array_equal(frame.eps_integrals, [[max(t - tau_free, 0.0) for t in grid], [0.0] * 257])
+    for end in (0, -1):
+        watched, rest = level_projectors(frame, end)
+        assert np.max(np.abs(watched - p)) <= 1e-14
+        assert np.max(np.abs(rest - (np.eye(4) - p))) <= 1e-14
+
+    h_meas = zj.TimeDependentOperator.constant(random_hermitian(rng, 5), (0.25, 1.5))
+    model = zj.MeasurementModel(h0=h_meas, h_meas=h_meas, coupling=1.0)
+    frame = zj.time_independent_frame(model, 256)
+    for eps, phases in zip(frame.eigenvalues[:, 0], frame.eps_integrals):
+        assert np.array_equal(phases, [float(eps) * (t - 0.25) for t in frame.grid])
 
 
 # --- constant operators ------------------------------------------------------
