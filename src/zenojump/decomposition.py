@@ -282,23 +282,30 @@ def _cluster(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of ascending eigenvalues into levels at gaps > tol.
 
     Returns ``first`` (True where an eigenvalue opens a level) and the mean of
-    each eigenvalue's level, both shaped like ``vals``.
+    each eigenvalue's level, both shaped like ``vals``.  A level whose sum
+    leaves the float range takes its mean as ``v0 + mean(v - v0)``, ``v0``
+    its first eigenvalue.
     """
     first = np.ones(vals.shape, dtype=bool)
     first[:, 1:] = np.diff(vals, axis=1) > tol
-    starts = np.flatnonzero(first)
+    flat, starts = vals.ravel(), np.flatnonzero(first)
     sizes = np.diff(np.append(starts, vals.size))
     # reduceat adds a level in the order ndarray.mean does for ranks below 8
-    means = np.add.reduceat(vals.ravel(), starts) / sizes
+    with np.errstate(over="ignore"):
+        means = np.add.reduceat(flat, starts) / sizes
+    huge = ~np.isfinite(means)
+    if huge.any():
+        shifted = np.add.reduceat(flat - np.repeat(flat[starts], sizes), starts) / sizes
+        means[huge] = flat[starts[huge]] + shifted[huge]
     return first, means[np.cumsum(first) - 1].reshape(vals.shape)
 
 
-def _projectors(vecs: np.ndarray, starts: np.ndarray, ranks) -> np.ndarray:
+def _projectors(vecs: np.ndarray, ranks) -> np.ndarray:
     """Projectors ``(L, K, d, d)``: level ``l`` at sample ``k`` is spanned by
-    the eigenvector columns ``starts[k, l]`` to ``starts[k, l] + ranks[l]``."""
+    the ``l``-th block of ``ranks[l]`` eigenvector columns of ``vecs[k]``."""
     out = np.empty((len(ranks), *vecs.shape), dtype=complex)
-    for l, rank in enumerate(ranks):
-        block = np.take_along_axis(vecs, starts[:, l, None, None] + np.arange(rank), axis=2)
+    for l, (start, rank) in enumerate(zip(np.cumsum(ranks) - ranks, ranks)):
+        block = vecs[:, :, start : start + rank]
         p = _stack_matmul(block, block.conj().swapaxes(1, 2))
         out[l] = (p + p.conj().swapaxes(1, 2)) / 2.0
     return out
@@ -479,9 +486,9 @@ class AdiabaticFrame:
     factor's levels in turn, ``factor_ranks`` columns each, at the first and
     the last node.  Level ``l`` of ``A`` holds the products of factor columns
     whose levels sum to ``l`` (:meth:`level_basis`); ``ranks`` and ``dim``
-    are formed from these fields.  ``eigenvalues[l, k]`` is level ``l`` of the
-    measurement Hamiltonian at node ``k`` (a consistent identity along the
-    grid) and ``eps_integrals[l, k]`` the integral of ``eps_l`` up to ``t_k``.
+    are formed from these fields.  ``eigenvalues[l, k]`` is the ``l``-th
+    lowest level of the measurement Hamiltonian at node ``k`` and
+    ``eps_integrals[l, k]`` the integral of ``eps_l`` up to ``t_k``.
     No coupling enters: a reader forms the transition phase
     ``K (eps_integrals[m] - eps_integrals[n])`` at its own ``K``.  Frames are
     defined at their grid nodes only.  The builder sets ``residual``, a
@@ -578,25 +585,6 @@ class AdiabaticFrame:
         )
 
 
-def _level_orders(successor: np.ndarray) -> np.ndarray:
-    """Level order at each node from the node-to-node successor permutations.
-
-    ``orders[0]`` is the identity and ``orders[k] = successor[k - 1][orders[k - 1]]``.
-    The composition is associative, so the rows are an inclusive prefix scan,
-    formed in ``log2`` of the node count doubling rounds (Hillis & Steele,
-    Commun. ACM 29, 1170 (1986)): after the round of ``shift``, each row
-    composes the up to ``2 * shift`` permutations that end at it.
-    """
-    orders = np.empty((len(successor) + 1, successor.shape[1]), dtype=successor.dtype)
-    orders[0] = np.arange(successor.shape[1])
-    orders[1:] = successor
-    shift = 1
-    while shift < len(orders):
-        orders[shift:] = np.take_along_axis(orders[shift:], orders[:-shift], axis=1)
-        shift *= 2
-    return orders
-
-
 def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
     """Unitary RK4 steps of the frame ODE ``i dA/dt = M A``, one per interval.
 
@@ -660,12 +648,13 @@ def track_frame(
     """Integrate the intertwining frame of a rotating measurement.
 
     The level structure must stay intact along the grid: constant level count
-    and ranks, pairwise gaps above the degeneracy tolerance, one distinct
-    successor per level from node to node.  A change raises
-    :class:`LevelCrossingError` naming the node, and a tolerance that merges
-    a spectrum split beyond rounding into one level raises
-    :class:`NumericalError`.  The frame ODE
-    ``i dA/dt = M(t) A`` is advanced with one classical 4th-order step per
+    and ranks, and levels in ascending order that each overlap themselves at
+    the next node, ``Tr(P_a(t_k) P_a(t_{k+1}))``, at least as much as any
+    other level.  A change (a crossing on a node or between two, or a basis
+    jump at a breakpoint) raises :class:`LevelCrossingError` naming the node,
+    and a tolerance that merges a spectrum split beyond rounding into one
+    level raises :class:`NumericalError`.  The frame ODE ``i dA/dt = M(t) A``
+    is advanced with one classical 4th-order step per
     grid interval (generator sampled at the interval midpoint); a step matrix
     not unitary to rounding is replaced by its polar factor.  The
     intertwiners are the steps' blocked prefix product.  ``residual``, the worst
@@ -691,72 +680,54 @@ def track_frame(
     vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(
         h_meas, grid, degeneracy_tol, pol, midpoints=True
     )
-    n, dim = len(grid), h_meas.dim
+    n = len(grid)
     first = half_first[::2]
     alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
-    counts = first.sum(axis=1)
-    n_levels = int(counts[0])
-    changed = np.flatnonzero(counts != n_levels)
+    n_levels = int(first[0].sum())
+    changed = np.flatnonzero(np.any(first != first[0], axis=1))
     if changed.size:
         raise LevelCrossingError(
-            f"level count changed from {n_levels} to {counts[changed[0]]} at node "
+            f"level count or ranks changed (from {n_levels} to {first[changed[0]].sum()} levels) at node "
             f"t={grid[changed[0]]:.9g}; treat as a level crossing"
         )
     _check_split(vals, n_levels, tol)
 
-    # Follow each level to the next node's level of largest projector overlap
-    # Tr(P_a P_b), ties broken by eigenvalue distance.  Where that is a
-    # permutation it is the unique optimal assignment.
+    # Levels that never cross keep their ascending order: level a must overlap
+    # itself at the next node, Tr(P_a P_a'), at least as much as any other level.
     vecs = half_vecs[::2].copy()
-    means = level_mean[::2][first].reshape(n, n_levels)
-    starts = np.flatnonzero(first)
-    ranks = np.diff(np.append(starts, first.size)).reshape(n, n_levels)
-    member = (np.cumsum(first, axis=1)[:, :, None] == np.arange(1, n_levels + 1)).astype(float)
+    ranks = np.diff(np.flatnonzero(np.append(first[0], True)))
+    member = (np.cumsum(first[0])[:, None] == np.arange(1, n_levels + 1)).astype(float)
     weights = np.abs(_stack_matmul(vecs[:-1].conj().swapaxes(1, 2), vecs[1:])) ** 2
-    overlap = _stack_matmul(_stack_matmul(member[:-1].swapaxes(1, 2), weights), member[1:])
-    spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
-    tie = np.abs(means[:-1, :, None] - means[1:, None, :])
-    cost = -overlap + 1e-9 * tie / (1.0 + spectral_range)
-    successor = np.argmin(cost, axis=2)
-    clash = np.flatnonzero(np.any(np.sort(successor, axis=1) != np.arange(n_levels), axis=1))
-    if clash.size:
+    overlap = _stack_matmul(_stack_matmul(member.T, weights), member)
+    crossed = np.flatnonzero(np.any(np.diagonal(overlap, axis1=1, axis2=2) < overlap.max(axis=2), axis=1))
+    if crossed.size:
         raise LevelCrossingError(
-            f"two levels overlap most with one level at node t={grid[clash[0] + 1]:.9g}; "
+            f"a level overlaps another level more than itself at node t={grid[crossed[0] + 1]:.9g}; "
             f"treat as a level crossing"
         )
-    orders = _level_orders(successor)
-    ranks = np.take_along_axis(ranks, orders, axis=1)
-    moved = np.flatnonzero(np.any(ranks != ranks[0], axis=1))
-    if moved.size:
-        raise LevelCrossingError(
-            f"level ranks changed at node t={grid[moved[0]]:.9g}; treat as a level crossing"
-        )
-    eps = np.take_along_axis(means, orders, axis=1).T.copy()
+    eps = level_mean[::2, first[0]].T.copy()
     integrals = np.zeros_like(eps)
     integrals[:, 1:] = np.cumsum(np.diff(grid) * (eps[:, 1:] + eps[:, :-1]) / 2.0, axis=1)
-    offsets = np.take_along_axis((starts % dim).reshape(n, n_levels), orders, axis=1)
 
     intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, half_first, level_mean, grid))
     del half_vecs, hdot
-    initial = _projectors(vecs[:1], offsets[:1], ranks[0])[:, 0]
+    initial = _projectors(vecs[:1], ranks)[:, 0]
     residual = 0.0
     for start in range(0, n, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        a, projectors = intertwiners[blk], _projectors(vecs[blk], offsets[blk], ranks[0])
+        a, projectors = intertwiners[blk], _projectors(vecs[blk], ranks)
         transported = _stack_matmul(_stack_matmul(a, initial[:, None]), a.conj().swapaxes(1, 2))
         # np.maximum keeps a NaN block maximum, which the builtin max drops
         residual = np.maximum(residual, max_norm(transported - projectors))
 
-    # node 0's columns are grouped by level already; the last node's follow the tracked levels
-    last = np.concatenate([np.arange(o, o + r) for o, r in zip(offsets[-1], ranks[0])])
     frame = AdiabaticFrame(
         grid=grid,
         intertwiners=intertwiners,
         eigenvalues=eps,
         eps_integrals=integrals,
         initial_basis=vecs[0].copy(),
-        final_basis=vecs[-1][:, last],
-        factor_ranks=tuple(int(r) for r in ranks[0]),
+        final_basis=vecs[-1].copy(),
+        factor_ranks=tuple(int(r) for r in ranks),
         degeneracy_tol=tol,
         alpha_unit=alpha_unit,
         eps_min=eps_min,

@@ -13,12 +13,11 @@ not an error.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 
-from .decomposition import AdiabaticFrame, TimeDependentOperator, _check_coupling
+from .decomposition import AdiabaticFrame, TimeDependentOperator, _check_coupling, _tensor_power
 from .errors import NumericalError, ValidationError
 from .operators import matrix_exp_unitary, max_norm
 from .policy import NumericPolicy, default_policy
@@ -176,6 +175,4 @@ def adiabatic_propagator(frame: AdiabaticFrame, t: float, coupling: float) -> np
     phases = np.exp(-1j * _check_coupling(coupling) * frame.eps_integrals[:, k])
     q = np.concatenate([frame.level_basis(l) for l in range(frame.n_levels)], axis=1)
     phi = (q * np.repeat(phases, frame.ranks)) @ q.conj().T
-    a = frame.intertwiners[k]
-    # the new factor goes first, as in the tensor power the frame's readers form
-    return functools.reduce(lambda power, _: np.kron(a, power), range(frame.power - 1), a) @ phi
+    return _tensor_power(frame.intertwiners[k], frame.power) @ phi

@@ -504,6 +504,49 @@ def test_a_tolerance_that_merges_every_custom_matrix_level_exits_3(tmp_path, cap
     assert "Traceback" not in err
 
 
+HUGE_LEVEL = """
+[scenario]
+type = custom-matrix
+
+[custom-matrix]
+h0 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+h_meas = [[1.5e308, 0, 0], [0, 1.5e308, 0], [0, 0, 0]]
+coupling = 1
+"""
+
+
+def test_a_level_summing_past_float_range_decomposes_to_its_finite_mean(tmp_path):
+    out = tmp_path / "levels.csv"
+    assert main(["decompose", "--config", write(tmp_path, HUGE_LEVEL), "--out", str(out)]) == 0
+    rows = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+    assert rows == ["level,eigenvalue,rank", "0,0,1", "1,1.5e+308,2"]
+
+
+def test_a_level_summing_past_float_range_is_no_infinite_spectral_range(tmp_path, capsys):
+    # the level's finite mean reaches the run, which refuses its grid instead
+    assert main(["run", "--config", write(tmp_path, HUGE_LEVEL), "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "spectral range" not in err
+    assert "Traceback" not in err
+
+
+def _readme_configs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("```ini\n")[1:]
+    return [block.split("```")[0] for block in blocks]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_every_readme_config_runs(tmp_path, command):
+    configs = _readme_configs()
+    assert configs
+    for i, text in enumerate(configs):
+        out = tmp_path / f"readme{i}.csv"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 0, i
+        assert out.exists()
+
+
 def test_non_finite_matrix_entry_exits_2_under_strict(tmp_path, capsys):
     cfg_path = write(
         tmp_path, CUSTOM_COMPARE.replace("h0 = [[0, 0, 0],", "h0 = [[0, NaN, 0],")

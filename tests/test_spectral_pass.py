@@ -265,6 +265,7 @@ def test_track_frame_residual_on_rotating_family(seed):
     residual = ref_residual(frame.intertwiners, projectors)
     assert frame.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
     assert frame.residual > 0.0
+    assert np.all(np.diff(frame.eigenvalues, axis=0) > 0.0)  # the l-th lowest level at every node
 
 
 @pytest.mark.parametrize("dim", [2, 3])
