@@ -1,10 +1,9 @@
 """Command-line front end: scenario runs, oracle comparisons, CSV emission.
 
-Subcommands
-    run        evaluate the configured scenario (optionally over a sweep)
-    compare    perturbative vs exact-propagator jump probability per point
-    decompose  Zeno levels of the scenario's measurement operator at t=0
-    info       version, schemas, tolerance defaults, exit codes
+One parser reads a command (``run``, ``compare``, ``decompose`` or ``info``;
+see ``_COMMANDS``) and its options in any order.  ``--config`` is required by
+every command but ``info``, which refuses it and ignores the other options.
+``--help`` shows the config schema once, as ``info`` prints it.
 
 Every result file starts with the fully resolved configuration echoed as
 ``# ``-prefixed lines, followed by a CSV header row and one row per sweep
@@ -16,8 +15,9 @@ coupling, so the points of one sweep share one frame whatever ``h * T``.
 
 Exit codes: 0 success; 2 configuration error (including an output path that
 cannot be written); 3 numerical failure (including a non-finite value in any
-output cell, in which case nothing is written); 4 validity-diagnostics failure
-under ``--strict``.  ``python -m zenojump`` runs :func:`main` as well.
+output cell, in which case nothing is written, and an array too large to
+allocate); 4 validity-diagnostics failure under ``--strict``.
+``python -m zenojump`` runs :func:`main` as well.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .config import (
     parse_config,
     resolved_text,
     sweepable_parameters,
+    _format_float,
     _REQUIRED,
     _SCHEMAS,
     _SHARED,
@@ -112,7 +113,7 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return _format_float(value)
     return str(value)
 
 
@@ -364,86 +365,57 @@ def _schema_help() -> str:
         f"environment: {ENV_VAR} overrides numeric tolerances, e.g.",
         f'  {ENV_VAR}="frame_tol=1e-5,adiabatic_margin=0.02"',
         "",
-        "exit codes: 0 success, 2 config error (including an output path",
-        "  that cannot be written), 3 numerical failure (including a",
-        "  non-finite output value), 4 validity diagnostics failed under --strict",
+        "exit codes: 0 success, 2 config error (including an output path that cannot",
+        "  be written), 3 numerical failure (including a non-finite output value or an",
+        "  array too large to allocate), 4 validity diagnostics failed under --strict",
     ]
     return "\n".join(rows)
 
 
+# command -> (the table it writes, its help line); info prints the help's epilog
+_COMMANDS = {
+    "run": (run_scenario, "evaluate the configured scenario over its sweep"),
+    "compare": (oracle_compare, "check the second-order jump probability against exact propagation"),
+    "decompose": (decompose_levels, "list the Zeno levels of the measurement operator at t=0"),
+    "info": (None, "print schemas, defaults and exit codes (takes no --config)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser: options may come before or after the command."""
+    commands = "".join(f"\n  {name:<10} {desc}" for name, (_, desc) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="zenojump",
-        description="Jump probabilities between Zeno subspaces of a measured system.",
+        description="Jump probabilities between Zeno subspaces of a measured system.\n\ncommands:"
+        + commands,
         epilog=_schema_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"zenojump {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "run": "Evaluate the configured scenario over its sweep.",
-        "compare": "Check the second-order jump probability against exact propagation.",
-        "decompose": "List the Zeno levels of the measurement operator at t=0.",
-    }
-    for name, desc in descriptions.items():
-        sp = sub.add_parser(
-            name,
-            help=desc,
-            description=desc + "\n\n" + _schema_help(),
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        sp.add_argument("--config", required=True, metavar="PATH", help="scenario config file")
-        sp.add_argument("--out", metavar="PATH", help="output path (overrides [output] path)")
-        sp.add_argument(
-            "--jobs",
-            type=_positive_int,
-            default=None,
-            metavar="N",
-            help="accepted for compatibility and ignored: sweep points always "
-            "run one after another",
-        )
-        sp.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 4 when any row carries a validity diagnostic",
-        )
-        sp.add_argument(
-            "--emit-plot",
-            action="store_true",
-            help="write a gnuplot script next to the output CSV",
-        )
-    sub.add_parser("info", help="print schemas, defaults and exit codes")
+    parser.add_argument("command", choices=tuple(_COMMANDS), metavar="COMMAND", help="one of the above")
+    parser.add_argument("--config", metavar="PATH", help="scenario config file")
+    parser.add_argument("--out", metavar="PATH", help="output path (overrides [output] path)")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="accepted (N >= 1) and ignored: sweep points always run one after another",
+    )
+    parser.add_argument(
+        "--strict", action="store_true", help="exit 4 when any row carries a validity diagnostic"
+    )
+    parser.add_argument(
+        "--emit-plot", action="store_true", help="write a gnuplot script next to the output CSV"
+    )
     return parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _info_text() -> str:
-    return f"zenojump {__version__}\n\n" + _schema_help() + "\n"
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "info":
-        sys.stdout.write(_info_text())
-        return 0
     cfg = load_config(args.config, NumericPolicy.from_env())
-    out_path = args.out if args.out else cfg.output_path
     if args.out:
         cfg = dataclasses.replace(cfg, output_path=args.out)
-    if args.command == "run":
-        table = run_scenario(cfg)
-    elif args.command == "compare":
-        table = oracle_compare(cfg)
-    else:
-        table = decompose_levels(cfg)
+    out_path = cfg.output_path
+    table = _COMMANDS[args.command][0](cfg)
     if args.emit_plot and out_path == "-":
         raise ConfigError("--emit-plot needs a file output; set --out or [output] path")
     _check_finite(table)
@@ -464,8 +436,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.config is None) != (args.command == "info"):
+            parser.error("--config is required by run, compare and decompose, and refused by info")
+        if args.jobs is not None and args.jobs < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.command == "info":
+        sys.stdout.write(f"zenojump {__version__}\n\n{parser.epilog}\n")
+        return 0
     try:
         return _dispatch(args)
     except (ConfigError, ValidationError) as exc:
@@ -473,6 +452,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return 3
+    except MemoryError as exc:  # numpy refuses an array too large to allocate
+        sys.stderr.write(f"numerical failure: out of memory: {exc}\n")
         return 3
 
 

@@ -198,23 +198,21 @@ def _parse_matrix(section: str, key: str, raw: str) -> tuple[tuple[complex, ...]
     return rows
 
 
+#: the one spelling of a float in result files: 17 significant digits round-trip
+_FLOAT = "%.17g"
+_ENTRY = {1: _FLOAT, 2: f"[{_FLOAT}, {_FLOAT}]"}  # a real entry, a [re, im] pair
+
+
 def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % x
 
 
 def _format_matrix(mat: tuple[tuple[complex, ...], ...]) -> str:
-    rows = []
-    for row in mat:
-        cells = []
-        for c in row:
-            # JSON reads -0 back as the integer 0, so write it as 0 (equal anyway)
-            re = c.real + 0.0
-            if c.imag == 0.0:
-                cells.append(_format_float(re))
-            else:
-                cells.append(f"[{_format_float(re)}, {_format_float(c.imag)}]")
-        rows.append("[" + ", ".join(cells) + "]")
-    return "[" + ", ".join(rows) + "]"
+    """JSON text of a matrix, formatted by one ``%`` over a template of its entries."""
+    # JSON reads -0 back as the integer 0, so write it as 0 (equal anyway)
+    parts = [[(c.real + 0.0,) if c.imag == 0.0 else (c.real + 0.0, c.imag) for c in row] for row in mat]
+    template = ", ".join("[" + ", ".join(_ENTRY[len(e)] for e in row) + "]" for row in parts)
+    return f"[{template}]" % tuple(x for row in parts for e in row for x in e)
 
 
 # kind -> (parse(section, key, raw), format(value))

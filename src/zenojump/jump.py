@@ -208,9 +208,13 @@ def general_jump(
     if rate > 0.0:
         period, step = 2.0 * math.pi / rate, float(steps[0])
         if step > period / 10.0:
+            nodes = span / (period / 10.0) + 1.0
+            need = f"about {nodes:.3g} nodes over the span"
+            if not math.isfinite(nodes):
+                need = "no grid a float can count resolves the phase"
             raise QuadratureError(
-                f"grid undersamples the transition phase: {period / step:.2f} nodes per oscillation period, "
-                f"need >= 10 (about {span / (period / 10.0) + 1.0:.3g} nodes over the span)"
+                f"grid undersamples the transition phase: {period / step:.3g} nodes per oscillation period, "
+                f"need >= 10 ({need})"
             )
     lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
 

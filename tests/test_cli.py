@@ -108,6 +108,34 @@ def test_version_and_usage_errors(capsys):
     assert main(["run", "--config", "x.ini", "--jobs", "0"]) == 2
 
 
+def test_config_is_refused_by_info_and_required_by_every_other_command(tmp_path, capsys):
+    assert main(["info", "--config", "x.ini"]) == 2
+    assert main(["info", "--strict", "--emit-plot", "--out", str(tmp_path / "x.csv")]) == 0
+    assert not (tmp_path / "x.csv").exists()
+    capsys.readouterr()
+    for command in ("run", "compare", "decompose"):
+        assert main([command]) == 2
+        assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["info"]], ids=["help", "run-help", "info"])
+def test_help_shows_the_schema_once(capsys, monkeypatch, argv):
+    from zenojump import cli
+
+    calls = _counting(monkeypatch, cli, "_schema_help")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("scenario keys") == 1
+    assert len(calls) == 1
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    cfg_path = write(tmp_path, PULSED_SWEEP)
+    assert main(["--strict", "run", "--config", cfg_path]) == 0
+    before = capsys.readouterr().out
+    assert main(["run", "--config", cfg_path, "--strict"]) == 0
+    assert before == capsys.readouterr().out and before.count("\n") > 40
+
+
 def test_run_pulsed_sweep_matches_closed_form(tmp_path, capsys):
     cfg_path = write(tmp_path, PULSED_SWEEP)
     assert main(["run", "--config", cfg_path]) == 0
@@ -530,6 +558,14 @@ def test_a_level_summing_past_float_range_is_no_infinite_spectral_range(tmp_path
     assert "Traceback" not in err
 
 
+def test_a_phase_no_float_grid_resolves_names_no_infinite_node_count(tmp_path, capsys):
+    # the node estimate overflowed: "0.00 nodes per oscillation period ... (about inf nodes ...)"
+    assert main(["run", "--config", write(tmp_path, HUGE_LEVEL), "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "nodes per oscillation period" in err and "no grid a float can count resolves the phase" in err
+    assert "inf" not in err and "0.00" not in err
+
+
 def _readme_configs():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:
@@ -783,3 +819,34 @@ def test_four_site_oracle_keeps_its_fourth_order_value():
     table = oracle_compare(cfg)
     w_exact = table.rows[0][table.columns.index("w_exact")]
     assert abs(w_exact - 0.0021162151049753243) <= 8 * 16 * cfg.compare_exact_tol
+
+
+
+PETABYTE_GRID = "[scenario]\ntype = spinchain\n\n[grid]\nintervals = 1000000000000000\n"
+PETABYTE_SWEEP = (
+    "[scenario]\ntype = continuous\n\n"
+    "[sweep]\nparameter = tau\nstart = 1\nstop = 2\ncount = 1000000000000000\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, code, needle",
+    [
+        (CUSTOM_COMPARE.replace("h0 = [[0, 0, 0],", "h0 = [[0, NaN, 0],"), 2, "must be finite"),
+        (CUSTOM_TWO_LEVEL.replace("[[1, 0], [0, -1]]", "[[1, 0.5], [0, -1]]"), 2, "not Hermitian"),
+        ("[scenario]\ntype = pulsed\n\n[pulsed]\nbogus = 1\n", 2, "unknown key"),
+        ("[scenario]\ntype = pulsed\n\n[compare]\nexact_tol = -1\n", 2, "must be positive"),
+        (HUGE_LEVEL, 3, "undersamples"),
+        # numpy refuses both arrays (7.11 PiB) before allocating anything
+        (PETABYTE_GRID, 3, "out of memory: Unable to allocate 7.11 PiB"),
+        (PETABYTE_SWEEP, 3, "out of memory: Unable to allocate 7.11 PiB"),
+    ],
+    ids=["nan-entry", "non-hermitian", "unknown-key", "exact-tol", "huge-rate", "pb-grid", "pb-sweep"],
+)
+def test_a_hostile_config_exits_with_a_one_line_message(tmp_path, capsys, text, code, needle):
+    target = tmp_path / "out.csv"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(target)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "numerical failure: ")
+    assert needle in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not target.exists()

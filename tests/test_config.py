@@ -284,6 +284,38 @@ def test_resolved_text_is_the_pinned_echo():
     assert zj.resolved_text(zj.parse_config(CUSTOM)) == CUSTOM_ECHO
 
 
+# -0.0 in real and imaginary parts, purely imaginary entries, integers, 0.1,
+# subnormals and the largest double: the echo writes each matrix byte for byte
+EDGE_MATRICES = """
+[scenario]
+type = custom-matrix
+
+[custom-matrix]
+h0 = [[-0.0, [0.1, -0.0], [-0.0, 1.7976931348623157e308]], [[0.1, 0.0], 5e-324, [-0.0, 2.5e-310]], [[0, -1.7976931348623157e308], [-0.0, -2.5e-310], 7]]
+h_meas = [[2, [-0.0, -0.0], [-0.5, 0.25]], [[0, -0.0], 2.5e-310, [0, 3]], [[-0.5, -0.25], [0, -3], -1]]
+coupling = 0.1
+rho0 = [[1, 0, 0], [0, 0, 0], [0, 0, -0.0]]
+"""
+
+EDGE_MATRICES_ECHO = (
+    CUSTOM_ECHO.replace(
+        "h0 = [[0, [0, -1]], [[0, 1], 0]]\nh_meas = [[1, 0], [0, -1]]\ncoupling = 5\n",
+        "h0 = [[0, 0.10000000000000001, [0, 1.7976931348623157e+308]], "
+        "[0.10000000000000001, 4.9406564584124654e-324, [0, 2.5000000000000171e-310]], "
+        "[[0, -1.7976931348623157e+308], [0, -2.5000000000000171e-310], 7]]\n"
+        "h_meas = [[2, 0, [-0.5, 0.25]], [0, 2.5000000000000171e-310, [0, 3]], "
+        "[[-0.5, -0.25], [0, -3], -1]]\n"
+        "coupling = 0.10000000000000001\n",
+    ).replace("level_to = -1\n", "level_to = -1\nrho0 = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]\n")
+)
+
+
+def test_resolved_text_pins_the_matrix_echo_of_edge_values():
+    echo = zj.resolved_text(zj.parse_config(EDGE_MATRICES))
+    assert echo == EDGE_MATRICES_ECHO
+    assert zj.resolved_text(zj.parse_config(echo)) == echo
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(MINIMAL, encoding="utf-8")
