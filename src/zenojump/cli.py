@@ -46,7 +46,7 @@ from .config import (
 )
 from .decomposition import decompose
 from .errors import ConfigError, NumericalError, ValidationError
-from .jump import MeasurementModel, continuous_jump, general_jump, pulsed_jump
+from .jump import MeasurementModel, _validity_flags, continuous_jump, general_jump, pulsed_jump
 from .models import (
     SpinChainSpec,
     chain_validity_flags,
@@ -199,14 +199,14 @@ def _run_point(cfg: ScenarioConfig, shared: dict) -> tuple:
     get = cfg.param
     if cfg.scenario == "pulsed":
         w = pulsed_jump(get("trace_factor"), get("coupling"), get("tau"), get("tau_free"))
-        return (w, 0.0, 0.0, True, "none")
-    if cfg.scenario == "continuous":
+    elif cfg.scenario == "continuous":
         w = continuous_jump(get("trace_factor"), get("coupling"), get("delta_eps"), get("tau"))
-        return (w, 0.0, 0.0, True, "none")
-    model, frame, rho0, n, m, extra = _frame_setup(cfg, shared)
-    res = general_jump(model, rho0, n, m, frame, quad=cfg.quadrature, policy=cfg.policy)
-    flags = ";".join(extra + res.warnings) or "none"
-    return (res.value, res.est_error, res.adiabaticity.ratio, res.adiabaticity.adiabatic, flags)
+    else:
+        model, frame, rho0, n, m, extra = _frame_setup(cfg, shared)
+        res = general_jump(model, rho0, n, m, frame, quad=cfg.quadrature, policy=cfg.policy)
+        flags = ";".join(extra + res.warnings) or "none"
+        return (res.value, res.est_error, res.adiabaticity.ratio, res.adiabaticity.adiabatic, flags)
+    return (w, 0.0, 0.0, True, ";".join(_validity_flags(w)) or "none")
 
 
 def _compare_point(cfg: ScenarioConfig, shared: dict) -> tuple:
@@ -272,8 +272,11 @@ def oracle_compare(cfg: ScenarioConfig) -> ResultTable:
 def decompose_levels(cfg: ScenarioConfig) -> ResultTable:
     """Zeno levels (eigenvalue, rank) of the measurement operator at t=0."""
     model = _model(cfg, "decompose")[0]
-    t0 = model.horizon[0]
-    dec = decompose(model.coupling * model.h_meas(t0), policy=cfg.policy)
+    with np.errstate(over="ignore"):  # an overflow raises below, by name
+        scaled = model.coupling * model.h_meas(model.horizon[0])
+    if not np.isfinite(scaled).all():
+        raise NumericalError(f"coupling * h_meas leaves float range at coupling = {_cell(model.coupling)}")
+    dec = decompose(scaled, policy=cfg.policy)
     rows = tuple(
         (lvl, float(dec.eigenvalues[lvl]), int(dec.ranks[lvl])) for lvl in range(dec.n_levels)
     )

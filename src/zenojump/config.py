@@ -293,6 +293,8 @@ def parse_config(text: str, base_policy: NumericPolicy | None = None) -> Scenari
             raise _fail(
                 "sweep", "start", f"bounds must be ordered, got {sweep.start} >= {sweep.stop}"
             )
+        if not np.isfinite(sweep.stop - sweep.start):  # Python floats: inf, not a warning
+            raise _fail("sweep", "stop", f"span from {sweep.start} to {sweep.stop} leaves float range")
 
     intervals = _section(parser, "grid", _SHARED["grid"])["intervals"]
     if intervals < 8 or intervals % 8 != 0:
@@ -307,7 +309,8 @@ def parse_config(text: str, base_policy: NumericPolicy | None = None) -> Scenari
     for key, kind, _ in _SCHEMAS[scenario]:
         if kind.startswith("matrix") and params[key] is not None:
             try:
-                check_hermitian(np.array(params[key]), policy)
+                with np.errstate(over="ignore"):  # a defect beyond float range is inf, and fails
+                    check_hermitian(np.array(params[key]), policy)
             except ValidationError as exc:
                 raise _fail(scenario, key, str(exc)) from None
     compare = _section(parser, "compare", _SHARED["compare"])

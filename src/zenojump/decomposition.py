@@ -249,32 +249,27 @@ def _check_grid(grid) -> np.ndarray:
 
 
 def _check_coupling(coupling) -> float:
-    """``coupling`` as a float; :class:`ValidationError` unless positive and finite."""
-    if not 0.0 < coupling < np.inf:
-        raise ValidationError(f"coupling must be positive and finite, got {coupling!r}")
+    """``coupling`` as a float; :class:`ValidationError` unless positive and finite, its square too."""
+    if not (0.0 < coupling < np.inf and coupling * coupling > 0.0):
+        raise ValidationError(f"coupling must be positive and finite with a nonzero square, got {coupling!r}")
     return float(coupling)
 
 
-def _resolve_degeneracy_tol(
-    vals: np.ndarray, scale: float, degeneracy_tol: float | None, pol: NumericPolicy
-) -> float:
-    """Clustering tolerance over the eigenvalue rows ``vals``, one per sample."""
+def _resolve_degeneracy_tol(vals: np.ndarray, scale: float, pol: NumericPolicy) -> float:
+    """The policy's clustering tolerance over the eigenvalue rows ``vals``, one per sample."""
     # halves cannot overflow, so a range beyond float range raises before it is formed
     if not np.max(vals[:, -1] / 2.0 - vals[:, 0] / 2.0) <= np.finfo(float).max / 2.0:
         raise NumericalError(f"spectral range from {np.min(vals):.6g} to {np.max(vals):.6g} is not finite")
-    if degeneracy_tol is not None:
-        if not (0.0 <= degeneracy_tol < np.inf):
-            raise ValidationError(f"degeneracy_tol must be finite and >= 0, got {degeneracy_tol!r}")
-        return float(degeneracy_tol)
     spectral_range = float(np.max(vals[:, -1] - vals[:, 0]))
     # Floor absorbs eigensolver rounding on exactly degenerate spectra.
     return max(pol.degeneracy_rel * spectral_range, 1e-14 * (1.0 + scale))
 
 
-def _check_split(vals: np.ndarray, n_levels: int, tol: float) -> None:
-    """:class:`NumericalError` when ``tol`` clusters into ``n_levels = 1`` level
-    the rows of ascending eigenvalues ``vals``, one of which is split beyond rounding."""
-    if n_levels == 1 and np.max(vals[:, -1] - vals[:, 0]) > 1e-14 * (1.0 + np.max(np.abs(vals))):
+def _check_split(vals: np.ndarray, n_levels, tol: float) -> None:
+    """:class:`NumericalError` when ``tol`` clusters into one level a row of the ascending
+    eigenvalues ``vals`` split beyond rounding; ``n_levels`` counts each row's levels, or all rows'."""
+    split = vals[:, -1] - vals[:, 0] > 1e-14 * (1.0 + np.max(np.abs(vals)))
+    if np.any(split & (np.asarray(n_levels) == 1)):
         raise NumericalError(f"degeneracy tolerance {tol:.3e} merges every level of a split spectrum")
 
 
@@ -311,13 +306,7 @@ def _projectors(vecs: np.ndarray, ranks) -> np.ndarray:
     return out
 
 
-def _spectral_samples(
-    op: TimeDependentOperator,
-    grid: np.ndarray,
-    degeneracy_tol: float | None,
-    pol: NumericPolicy,
-    midpoints: bool,
-):
+def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericPolicy, midpoints: bool):
     """Sample ``op`` once on the half grid of ``grid`` and decompose it once.
 
     The half grid holds the nodes and the interval midpoints.  ``dH/dt`` at
@@ -327,10 +316,9 @@ def _spectral_samples(
     With ``midpoints`` every half-grid point is decomposed, otherwise only
     the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples.  A
     constant operator is decomposed once: one row, broadcast over the half
-    grid with ``midpoints``.  The degeneracy tolerance is resolved over all
-    samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first, level_mean,
-    tol)``, one row per decomposed sample, with the levels from
-    :func:`_cluster`.
+    grid with ``midpoints``.  The policy's degeneracy tolerance is resolved
+    over all samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first,
+    level_mean, tol)``, one row per decomposed sample, levels by :func:`_cluster`.
     """
     half = np.empty(2 * len(grid) - 1)
     half[::2] = grid
@@ -341,7 +329,7 @@ def _spectral_samples(
         rows = len(at) if midpoints else 1
         vals, vecs = (np.broadcast_to(x, (rows, *x.shape)) for x in eigh(op.value, pol))
         hdot = np.broadcast_to(np.zeros((), dtype=complex), vecs.shape)
-        tol = _resolve_degeneracy_tol(vals, max_norm(op.value), degeneracy_tol, pol)
+        tol = _resolve_degeneracy_tol(vals, max_norm(op.value), pol)
         return vals, vecs, hdot, *_cluster(vals, tol), tol
 
     lo, hi = op.piece_bounds(half[at])
@@ -360,7 +348,7 @@ def _spectral_samples(
         else:
             deriv = np.stack([op.derivative(t, 0.0) for t in half[at[blk]]])
         hdot[blk] = _stack_matmul(_stack_matmul(vecs[blk].conj().swapaxes(1, 2), deriv), vecs[blk])
-    tol = _resolve_degeneracy_tol(vals, max_norm(samples), degeneracy_tol, pol)
+    tol = _resolve_degeneracy_tol(vals, max_norm(samples), pol)
     return vals, vecs, hdot, *_cluster(vals, tol), tol
 
 
@@ -402,40 +390,34 @@ def _check_level_basis(basis: np.ndarray, pol: NumericPolicy) -> None:
         raise ValidationError(f"level basis is not unitary: defect {defect:.3e}")
 
 
-def _eigenlevels(
-    h_meas, degeneracy_tol: float | None, pol: NumericPolicy
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray, float]:
+def _eigenlevels(h_meas, pol: NumericPolicy) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray, float]:
     """One :func:`eigh` of the square matrix ``h_meas``, clustered into levels.
 
     Returns ``(vals, V, ranks, means, tol)``: the ascending eigenvalues, their
     eigenvectors (whose columns come grouped by level, ``ranks`` each), the
-    level means and the resolved degeneracy tolerance.
+    level means and the policy's resolved degeneracy tolerance.
     """
     mat = as_square_matrix(h_meas)
     vals, vecs = eigh(mat, pol)
-    tol = _resolve_degeneracy_tol(vals[None], max_norm(mat), degeneracy_tol, pol)
+    tol = _resolve_degeneracy_tol(vals[None], max_norm(mat), pol)
     first, level_mean = _cluster(vals[None], tol)
     starts = np.flatnonzero(first[0])
     ranks = tuple(int(r) for r in np.diff(np.append(starts, len(vals))))
     return vals, vecs, ranks, level_mean[0, starts], tol
 
 
-def decompose(
-    h_meas,
-    degeneracy_tol: float | None = None,
-    policy: NumericPolicy | None = None,
-) -> ZenoDecomposition:
+def decompose(h_meas, policy: NumericPolicy | None = None) -> ZenoDecomposition:
     """Split a Hermitian matrix into Zeno levels.
 
-    Eigenvalues are clustered with an absolute tolerance (default:
-    ``degeneracy_rel`` times the spectral range); gaps falling inside
+    Eigenvalues are clustered with the policy's tolerance,
+    ``degeneracy_rel`` times the spectral range; gaps falling inside
     ``(tol/2, 2 tol)`` are flagged as ambiguous in ``warnings`` rather than
     raised, since either clustering is defensible there.  The eigenvectors,
     grouped by level, are the ``basis``; one that is not unitary to
     ``projector_tol`` raises :class:`ValidationError`.
     """
     pol = default_policy(policy)
-    vals, vecs, ranks, means, tol = _eigenlevels(h_meas, degeneracy_tol, pol)
+    vals, vecs, ranks, means, tol = _eigenlevels(h_meas, pol)
     bounds = np.append(0, np.cumsum(ranks))
     warnings = [
         f"ambiguous gap {gap:.3e} near eigenvalue {val:.6g} (degeneracy tol {tol:.3e})"
@@ -559,17 +541,16 @@ class AdiabaticFrame:
     def _from_basis(cls, grid, eps, integrals, basis, ranks, degeneracy_tol, pol) -> "AdiabaticFrame":
         """Static frame on the checked ``grid`` whose unitary ``basis`` holds
         the levels' columns in turn, ``ranks`` each, at level eigenvalues
-        ``eps`` whose integrals from the first node are ``integrals``, both
-        taken from the caller in closed form; one column of ``eps`` stands
-        for levels constant in time, whose gaps are then taken once.
+        ``eps`` whose integrals from the first node are ``integrals``; both,
+        in closed form, and the resolved ``degeneracy_tol`` come from the
+        caller, and one column of ``eps`` stands for levels constant in time.
         ``eigenvalues`` and ``intertwiners`` are read-only broadcast views, of
         ``eps`` and of one identity, and ``basis``, made read-only, is both
         end bases.
         """
         _check_level_basis(basis, pol)
         n = len(grid)
-        ordered = np.sort(eps, axis=0)
-        gaps = np.diff(ordered, axis=0)
+        gaps = np.diff(np.sort(eps, axis=0), axis=0)
         basis.setflags(write=False)
         return cls(
             grid=grid,
@@ -579,7 +560,7 @@ class AdiabaticFrame:
             initial_basis=basis,
             final_basis=basis,
             factor_ranks=ranks,
-            degeneracy_tol=_resolve_degeneracy_tol(ordered.T, 0.0, degeneracy_tol, pol),
+            degeneracy_tol=degeneracy_tol,
             alpha_unit=0.0,
             eps_min=float(np.min(gaps, where=gaps > 0.0, initial=np.inf)),
         )
@@ -643,7 +624,6 @@ def track_frame(
     h_meas: TimeDependentOperator,
     grid,
     policy: NumericPolicy | None = None,
-    degeneracy_tol: float | None = None,
 ) -> AdiabaticFrame:
     """Integrate the intertwining frame of a rotating measurement.
 
@@ -677,9 +657,7 @@ def track_frame(
         if grid[-1] > b and not np.any(np.abs(grid - b) <= slack):
             raise ValidationError(f"breakpoint t={b} must be a grid node")
 
-    vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(
-        h_meas, grid, degeneracy_tol, pol, midpoints=True
-    )
+    vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(h_meas, grid, pol, midpoints=True)
     n = len(grid)
     first = half_first[::2]
     alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
@@ -772,7 +750,7 @@ class AdiabaticityReport:
 
     @property
     def threshold(self) -> float:
-        return self.margin * self.coupling**2
+        return self.margin * (self.coupling * self.coupling)
 
 
 def adiabaticity_report(
@@ -780,7 +758,6 @@ def adiabaticity_report(
     coupling: float,
     grid=None,
     policy: NumericPolicy | None = None,
-    degeneracy_tol: float | None = None,
 ) -> AdiabaticityReport:
     """Evaluate the adiabaticity figures on a grid, or read them off a frame.
 
@@ -790,12 +767,12 @@ def adiabaticity_report(
     those figures, and the only form for levels that merge (a pulsed
     measurement switched off, say), which no frame can track.
 
-    Levels are clustered node-locally with the operator's own tolerance
-    (``degeneracy_rel`` times its spectral range), or with ``degeneracy_tol``
-    where that is smaller.  Instants where eigenvalues merge simply
-    contribute no transition pairs.
-    Distinct levels closer than ``degeneracy_tol`` (by default the operator's
-    own tolerance) raise, since the coefficients are undefined there.
+    Levels are clustered node-locally at the policy's tolerance over the
+    grid, with :func:`track_frame`'s rule: a node split beyond rounding that
+    it clusters into one level raises :class:`NumericalError`, and a node
+    whose eigenvalues merge to rounding contributes no transition pairs.
+    Distinct levels closer than the tolerance raise, as their coefficients
+    are undefined.
     ``dH/dt`` at a node is the difference of its neighbouring interval
     midpoints, one-sided at piece boundaries.  The adiabatic flag reads the
     policy's ``adiabatic_margin``.
@@ -803,23 +780,21 @@ def adiabaticity_report(
     pol = default_policy(policy)
     coupling = _check_coupling(coupling)
     if isinstance(h_meas, AdiabaticFrame):
-        if grid is not None or degeneracy_tol is not None:
-            raise ValidationError("a frame's report takes the frame's grid and degeneracy_tol")
+        if grid is not None:
+            raise ValidationError("a frame's report takes the frame's own grid")
         alpha_unit, eps_min, limit, where = h_meas.alpha_unit, h_meas.eps_min, h_meas.degeneracy_tol, ""
     else:
         grid = _check_grid(grid)
-        vals, _, hdot, first, eps, tol = _spectral_samples(h_meas, grid, None, pol, midpoints=False)
-        limit = tol if degeneracy_tol is None else _resolve_degeneracy_tol(vals, 0.0, degeneracy_tol, pol)
-        if limit < tol:
-            first, eps = _cluster(vals, limit)
+        vals, _, hdot, first, eps, limit = _spectral_samples(h_meas, grid, pol, midpoints=False)
+        _check_split(vals, first.sum(axis=1), limit)
         alpha_unit, eps_min, node = _level_figures(hdot, first, eps)
         where = f" at node t={grid[node]:.9g}"
     if eps_min < limit:
         raise NumericalError(
             f"levels closer than the degeneracy tolerance{where}; transition coefficients are undefined"
         )
-    # No transition pairs anywhere leaves eps_min infinite and the ratio 0.
-    alpha_max = alpha_unit / coupling**2
+    # No transition pairs leaves eps_min infinite and the ratio 0; a square past float range is inf, not a raise
+    alpha_max = alpha_unit / (coupling * coupling)
     ratio = alpha_max / eps_min
     return AdiabaticityReport(
         alpha_max=alpha_max,
@@ -827,7 +802,7 @@ def adiabaticity_report(
         ratio=ratio,
         coupling=coupling,
         margin=pol.adiabatic_margin,
-        adiabatic=bool(ratio <= pol.adiabatic_margin * coupling**2),
+        adiabatic=bool(ratio <= pol.adiabatic_margin * (coupling * coupling)),
     )
 
 

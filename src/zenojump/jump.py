@@ -247,9 +247,7 @@ def general_jump(
         raise NumericalError(f"jump kernel lost hermiticity: imaginary residual {imag_residual:.3e}")
 
     report = adiabaticity_report(frame, model.coupling, policy=pol)
-    warnings: list[str] = []
-    if value > 0.5:
-        warnings.append(f"perturbation theory unreliable: jump probability {value:.3g} > 0.5")
+    warnings = list(_validity_flags(value))
     if not report.adiabatic:
         warnings.append(
             f"measurement rotation is not adiabatic: ratio {report.ratio:.3g} exceeds "
@@ -262,6 +260,11 @@ def general_jump(
         adiabaticity=report,
         warnings=tuple(warnings),
     )
+
+
+def _validity_flags(value: float) -> tuple[str, ...]:
+    """The validity diagnostics of a jump probability ``value``, whichever route gave it."""
+    return (f"perturbation theory unreliable: jump probability {value:.3g} > 0.5",) if value > 0.5 else ()
 
 
 def _separable_kernel(model, frame, n, m, pol):

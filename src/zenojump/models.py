@@ -34,7 +34,7 @@ from .decomposition import (
     _eigenlevels,
     track_frame,
 )
-from .errors import FrameResidualError, QuadratureError, ValidationError
+from .errors import FrameResidualError, NumericalError, QuadratureError, ValidationError
 from .jump import MeasurementModel, _simpson_weights
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, _bond_sum, as_square_matrix, check_projector, eigh, tensor_product
 from .policy import NumericPolicy, default_policy
@@ -88,10 +88,15 @@ class SpinChainSpec:
             raise ValidationError("field amplitude h must be positive")
         if not (self.T > 0):
             raise ValidationError("rotation duration T must be positive")
-        if not (0.0 < self.h * self.T < math.inf):
+        if not (0.0 < (coupling := self.h * self.T) < math.inf):
             raise ValidationError(f"coupling h * T leaves float range: h = {self.h!r}, T = {self.T!r}")
+        if not coupling * coupling > 0.0:
+            raise ValidationError(f"the square of the coupling h * T underflows to 0: h = {self.h!r}, T = {self.T!r}")
         if self.boundary not in ("open", "periodic"):
             raise ValidationError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
+        # T * bonds * sum |lambda| bounds every entry of T * H0; Python floats overflow to inf
+        if not math.isfinite(self.T * len(_bond_pairs(self)) * sum(map(abs, self.couplings))):
+            raise ValidationError(f"exchange Hamiltonian leaves float range: T = {self.T!r}, couplings {self.couplings!r}")
 
 
 def _bond_term(spec: SpinChainSpec) -> np.ndarray:
@@ -372,7 +377,6 @@ def time_independent_frame(
     model: MeasurementModel,
     n_intervals: int,
     policy: NumericPolicy | None = None,
-    degeneracy_tol: float | None = None,
 ) -> AdiabaticFrame:
     """Static frame from the one eigendecomposition of a constant measurement.
 
@@ -380,12 +384,16 @@ def time_independent_frame(
     bases; the level sizes are ``factor_ranks`` and the level means the
     eigenvalues, as :func:`decompose` clusters them, and the phases are exact,
     ``eps_l (t - t_0)``.  The checks are ``max|V^dagger V - I| <= projector_tol``
-    and :func:`track_frame`'s for a tolerance that merges a split spectrum.
+    and :func:`track_frame`'s for a tolerance that merges a split spectrum,
+    and a phase beyond float range raises :class:`NumericalError`.
     """
     pol = default_policy(policy)
     t0, t1 = model.horizon
-    vals, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), degeneracy_tol, pol)
+    vals, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), pol)
     _check_split(vals[None], len(ranks), tol)
+    eps = float(np.max(np.abs(means)))
+    if not math.isfinite(eps * (t1 - t0)):  # Python floats: inf, not a warning
+        raise NumericalError(f"level phase eps * (t - t0) leaves float range: max|eps| = {eps:.3g}, span {t1 - t0:.3g}")
     grid = _uniform_grid(t0, t1, n_intervals)
     return AdiabaticFrame._from_basis(grid, means[:, None], means[:, None] * (grid - t0), vecs, ranks, tol, pol)
 

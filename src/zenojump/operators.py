@@ -67,7 +67,8 @@ def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
     if not a.size:
         raise ValidationError(f"expected a non-empty matrix, got shape {a.shape}")
     if a.ndim == 3 and a.shape[1] == a.shape[2]:
-        defect = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
+        with np.errstate(over="ignore"):  # a defect beyond float range is inf, and fails
+            defect = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
         limit = pol.hermitian_tol * (1.0 + np.max(np.abs(a), axis=(1, 2)))
         bad = np.flatnonzero(~(defect <= limit))
         if bad.size:
@@ -110,7 +111,8 @@ def check_density(m, policy: NumericPolicy | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     pol = default_policy(policy)
     a = check_hermitian(_square(m), policy)  # one matrix, though a stack passes check_hermitian
-    tr = a.trace()
+    with np.errstate(over="ignore"):  # a trace beyond float range is inf, and fails
+        tr = a.trace()
     if abs(tr - 1.0) > pol.trace_tol:
         raise ValidationError(f"density matrix trace {tr} differs from 1 by more than {pol.trace_tol:.1e}")
     lowest = float(np.linalg.eigvalsh(a)[0])

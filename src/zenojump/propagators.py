@@ -81,10 +81,10 @@ def _product_over(op, segments, steps_per: list[int], policy) -> np.ndarray:
     """Time-ordered product of sixth-order Magnus steps.
 
     Step ``[s, s + dt]`` samples ``H`` at its three Gauss nodes and applies
-    ``exp(-i G)`` with the exponent of :func:`_magnus_exponent`.  The samples
-    and exponents of a segment's steps are formed as stacks of at most
-    ``_STACK_ENTRIES`` matrix entries (at least one step); each exponential
-    is taken on its own, in time order.
+    ``exp(-i G)`` with the exponent of :func:`_magnus_exponent`, which must
+    stay in float range.  The samples and exponents of a segment's steps are
+    formed as stacks of at most ``_STACK_ENTRIES`` matrix entries (at least
+    one step); each exponential is taken on its own, in time order.
     """
     u = np.eye(op.dim, dtype=complex)
     block = max(1, _STACK_ENTRIES // (3 * op.dim**2))
@@ -93,7 +93,12 @@ def _product_over(op, segments, steps_per: list[int], policy) -> np.ndarray:
         for start in range(0, n, block):
             mid = a + (np.arange(start, min(start + block, n)) + 0.5) * dt
             nodes = np.concatenate([mid - _GAUSS_OFFSET * dt, mid, mid + _GAUSS_OFFSET * dt])
-            for step in _magnus_exponent(*np.split(op.sample(nodes), 3), dt):
+            samples = op.sample(nodes)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite exponent raises below
+                exponents = _magnus_exponent(*np.split(samples, 3), dt)
+            if not np.isfinite(exponents).all():
+                raise NumericalError(f"Magnus exponent leaves float range: step {dt:.3g}, max|H| {max_norm(samples):.3g}")
+            for step in exponents:
                 u = matrix_exp_unitary(step, 1.0, policy) @ u
     return u
 

@@ -821,7 +821,7 @@ def test_four_site_oracle_keeps_its_fourth_order_value():
     assert abs(w_exact - 0.0021162151049753243) <= 8 * 16 * cfg.compare_exact_tol
 
 
-
+CUSTOM_RUN = "[scenario]\ntype = custom-matrix\n\n[custom-matrix]\n{}\n\n[grid]\nintervals = 64\n"
 PETABYTE_GRID = "[scenario]\ntype = spinchain\n\n[grid]\nintervals = 1000000000000000\n"
 PETABYTE_SWEEP = (
     "[scenario]\ntype = continuous\n\n"
@@ -830,23 +830,101 @@ PETABYTE_SWEEP = (
 
 
 @pytest.mark.parametrize(
-    "text, code, needle",
+    "command, text, code, needle",
     [
-        (CUSTOM_COMPARE.replace("h0 = [[0, 0, 0],", "h0 = [[0, NaN, 0],"), 2, "must be finite"),
-        (CUSTOM_TWO_LEVEL.replace("[[1, 0], [0, -1]]", "[[1, 0.5], [0, -1]]"), 2, "not Hermitian"),
-        ("[scenario]\ntype = pulsed\n\n[pulsed]\nbogus = 1\n", 2, "unknown key"),
-        ("[scenario]\ntype = pulsed\n\n[compare]\nexact_tol = -1\n", 2, "must be positive"),
-        (HUGE_LEVEL, 3, "undersamples"),
+        ("run", CUSTOM_COMPARE.replace("h0 = [[0, 0, 0],", "h0 = [[0, NaN, 0],"), 2, "must be finite"),
+        ("run", CUSTOM_TWO_LEVEL.replace("[[1, 0], [0, -1]]", "[[1, 0.5], [0, -1]]"), 2, "not Hermitian"),
+        ("run", "[scenario]\ntype = pulsed\n\n[pulsed]\nbogus = 1\n", 2, "unknown key"),
+        ("run", "[scenario]\ntype = pulsed\n\n[compare]\nexact_tol = -1\n", 2, "must be positive"),
+        ("run", HUGE_LEVEL, 3, "undersamples"),
         # numpy refuses both arrays (7.11 PiB) before allocating anything
-        (PETABYTE_GRID, 3, "out of memory: Unable to allocate 7.11 PiB"),
-        (PETABYTE_SWEEP, 3, "out of memory: Unable to allocate 7.11 PiB"),
+        ("run", PETABYTE_GRID, 3, "out of memory: Unable to allocate 7.11 PiB"),
+        ("run", PETABYTE_SWEEP, 3, "out of memory: Unable to allocate 7.11 PiB"),
+        # a derived scale out of float range: each ended in a traceback, or in a
+        # false message after a numpy RuntimeWarning (an error in this suite)
+        ("run", CHAIN_RUN.replace("h = 5", "h = 1e-308"), 2, "square of the coupling h * T underflows to 0: h = 1e-308"),
+        ("compare", CHAIN_RUN.replace("T = 1", "T = 1e-308"), 2, "square of the coupling h * T underflows to 0"),
+        (
+            "run",
+            CHAIN_RUN.replace("T = 1", "T = 1\nn_sites = 3\nlambda3 = -1e308"),
+            2,
+            "exchange Hamiltonian leaves float range",
+        ),
+        (
+            "decompose",
+            CUSTOM_RUN.format("h0 = [[0, 1], [1, 0]]\nh_meas = [[1e308, 0], [0, -1e308]]\ncoupling = 10"),
+            3,
+            "coupling * h_meas leaves float range at coupling = 10",
+        ),
+        (
+            "compare",
+            CUSTOM_RUN.format("h0 = [[1e308, 0], [0, -1e308]]\nh_meas = [[0, 0], [0, 1]]\ncoupling = 10"),
+            3,
+            "Magnus exponent leaves float range",
+        ),
+        (
+            "run",
+            CUSTOM_RUN.format("h0 = [[0, 1], [1, 0]]\nh_meas = [[0, 1e200], [1e200, 0]]\ncoupling = 1\ntau = 1e308"),
+            3,
+            "level phase eps * (t - t0) leaves float range: max|eps| = 1e+200, span 1e+308",
+        ),
+        (
+            "run",
+            CUSTOM_RUN.format("h0 = [[0, 1e308], [-1e308, 0]]\nh_meas = [[0, 0], [0, 1]]\ncoupling = 1"),
+            2,
+            "h0: matrix is not Hermitian: defect inf",
+        ),
+        (
+            "run",
+            CUSTOM_RUN.format(
+                "h0 = [[0, 1], [1, 0]]\nh_meas = [[0, 0], [0, 1]]\ncoupling = 1\n"
+                "rho0 = [[1.7e308, 0, 0], [0, 1.7e308, 0], [0, 0, -1.7e308]]"
+            ),
+            2,
+            "density matrix trace (inf+0j) differs from 1",
+        ),
+        (
+            "run",
+            "[scenario]\ntype = continuous\n\n[sweep]\nparameter = tau\nstart = -1e308\nstop = 1e308\ncount = 2\n",
+            2,
+            "[sweep] stop: span from -1e+308 to 1e+308 leaves float range",
+        ),
     ],
-    ids=["nan-entry", "non-hermitian", "unknown-key", "exact-tol", "huge-rate", "pb-grid", "pb-sweep"],
+    ids=[
+        "nan-entry", "non-hermitian", "unknown-key", "exact-tol", "huge-rate", "pb-grid", "pb-sweep",
+        "h-square", "T-square", "exchange", "scaled-h-meas", "magnus", "phase", "anti-hermitian",
+        "rho0-trace", "sweep-span",
+    ],
 )
-def test_a_hostile_config_exits_with_a_one_line_message(tmp_path, capsys, text, code, needle):
+def test_a_hostile_config_exits_with_a_one_line_message(tmp_path, capsys, command, text, code, needle):
     target = tmp_path / "out.csv"
-    assert main(["run", "--config", write(tmp_path, text), "--out", str(target)]) == code
+    assert main([command, "--config", write(tmp_path, text), "--out", str(target)]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "numerical failure: ")
     assert needle in err and err.count("\n") == 1 and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, settings, w",
+    [("continuous", "trace_factor = 1e3", "36.8"), ("pulsed", "trace_factor = 1e308", "1.68e+307")],
+)
+def test_a_closed_form_row_above_one_half_takes_the_validity_flag(tmp_path, capsys, scenario, settings, w):
+    # Only the quadrature route used to flag w > 0.5: these rows read flags = none and passed --strict.
+    cfg_path = write(tmp_path, f"[scenario]\ntype = {scenario}\n\n[{scenario}]\n{settings}\n")
+    assert main(["run", "--config", cfg_path, "--strict"]) == 4
+    out, err = capsys.readouterr()
+    flag = f"perturbation theory unreliable: jump probability {w} > 0.5"
+    assert out.splitlines()[-1].endswith(f",0,0,true,{flag}")
+    assert err.endswith(f": {flag}\n") and err.startswith("strict: ")
+    # an ordinary closed-form row keeps no flag
+    assert main(["run", "--config", write(tmp_path, f"[scenario]\ntype = {scenario}\n"), "--strict"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",0,0,true,none")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_coupling_whose_square_overflows_runs_without_a_traceback(tmp_path, capsys, command):
+    # the report's coupling**2 raised OverflowError out of main
+    text = CUSTOM_RUN.format("h0 = [[0, 1], [1, 0]]\nh_meas = [[1, 0], [0, -1]]\ncoupling = 1e200\ntau = 1e-200")
+    assert main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o.csv"), "--strict"]) == 0
+    assert capsys.readouterr().err == ""

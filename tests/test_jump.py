@@ -674,9 +674,7 @@ FRAME_KINDS = {
 def test_general_jump_reports_the_frame_figures_of_the_operator_form(kind):
     model, frame, rho0, n = FRAME_KINDS[kind]()
     res = zj.general_jump(model, rho0, n, (n + 1) % frame.n_levels, frame)
-    ref = zj.adiabaticity_report(
-        model.h_meas, model.coupling, frame.grid, degeneracy_tol=frame.degeneracy_tol
-    )
+    ref = zj.adiabaticity_report(model.h_meas, model.coupling, frame.grid)
     for name in ("alpha_max", "eps_min", "ratio"):
         assert getattr(res.adiabaticity, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0.0), name
     assert res.adiabaticity.adiabatic == ref.adiabatic
@@ -687,9 +685,11 @@ def test_general_jump_reports_the_frame_figures_of_the_operator_form(kind):
 
 def test_a_frame_report_takes_the_frame_grid_and_tolerance():
     model, frame, _, _ = static_setup(72)
-    for extra in ({"grid": frame.grid}, {"degeneracy_tol": 1e-3}):
-        with pytest.raises(zj.ValidationError, match="frame's grid and degeneracy_tol"):
-            zj.adiabaticity_report(frame, model.coupling, **extra)
+    with pytest.raises(zj.ValidationError, match="frame's own grid"):
+        zj.adiabaticity_report(frame, model.coupling, frame.grid)
+    # the tolerance is the frame's, resolved from the policy: no call takes one
+    with pytest.raises(TypeError, match="degeneracy_tol"):
+        zj.adiabaticity_report(frame, model.coupling, degeneracy_tol=1e-3)
     with pytest.raises(zj.ValidationError, match="grid must be strictly increasing"):
         zj.adiabaticity_report(model.h_meas, model.coupling)
 
@@ -714,7 +714,8 @@ def test_a_static_frame_with_levels_inside_its_tolerance_raises():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     model = zj.time_independent_model(zj.SIGMA_X, np.diag([0.0, 1e-3]), 5.0, 1.0)
     frame = dataclasses.replace(zj.time_independent_frame(model, 64), degeneracy_tol=1e-2)
-    with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
-        zj.adiabaticity_report(model.h_meas, 5.0, grid, degeneracy_tol=1e-2)
+    # the operator form clusters at its policy's 10 * 1e-3: one level of a split spectrum
+    with pytest.raises(zj.NumericalError, match="merges every level"):
+        zj.adiabaticity_report(model.h_meas, 5.0, grid, policy=zj.NumericPolicy(degeneracy_rel=10.0))
     with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
         zj.general_jump(model, p0, 0, 1, frame)

@@ -154,7 +154,7 @@ def test_policy_from_string():
         zj.NumericPolicy.from_string("frame_tol")
 
 
-@pytest.mark.parametrize("text", ["frame_tol=abc", "frame_tol=nan", "psd_tol=inf"])
+@pytest.mark.parametrize("text", ["frame_tol=abc", "frame_tol=nan", "psd_tol=inf", "degeneracy_rel=nan"])
 def test_policy_from_string_rejects_bad_values(text):
     with pytest.raises(zj.ConfigError, match="expected a finite number"):
         zj.NumericPolicy.from_string(text)

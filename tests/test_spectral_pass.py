@@ -142,7 +142,8 @@ def test_stacked_eigh_checks_every_slice():
 
 
 def assert_report_matches(op, coupling, grid, tol, rel):
-    rep = zj.adiabaticity_report(op, coupling, grid, degeneracy_tol=tol)
+    """The report at its own tolerance against the reference clustered at ``tol``."""
+    rep = zj.adiabaticity_report(op, coupling, grid)
     alpha, eps_min = ref_report(op, coupling, grid, tol)
     assert rep.alpha_max == pytest.approx(alpha, rel=rel)
     assert rep.eps_min == pytest.approx(eps_min, rel=rel)
@@ -193,7 +194,7 @@ def test_report_on_degenerate_three_site_chain_from_the_dense_field():
     frame = zj.track_frame(plain, grid)
     assert frame.ranks == (1, 3, 3, 1)
     rep = assert_report_matches(plain, model.coupling, grid, frame.degeneracy_tol, 1e-9)
-    own = zj.adiabaticity_report(h_meas, model.coupling, grid, degeneracy_tol=frame.degeneracy_tol)
+    own = zj.adiabaticity_report(h_meas, model.coupling, grid)
     for name in ("alpha_max", "eps_min", "ratio"):
         assert getattr(rep, name) == pytest.approx(getattr(own, name), rel=1e-12), name
 
@@ -202,13 +203,14 @@ def test_report_on_degenerate_three_site_chain_from_the_dense_field():
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_site_sum_report_equals_the_dense_report(n_sites, tol):
     # The chain frame reads its figures off one spin; the dense operator form,
-    # clustered at the frame's tolerance or at ``tol``, is the reference.
+    # clustered under the same policy (degeneracy_rel = ``tol``, or the
+    # default), is the reference.
     spec = zj.SpinChainSpec(n_sites=n_sites)
-    frame = zj.spin_chain_frame(spec, 256)
-    structured = zj.adiabaticity_report(frame, 9.0)
+    pol = zj.NumericPolicy() if tol is None else zj.NumericPolicy(degeneracy_rel=tol)
+    frame = zj.spin_chain_frame(spec, 256, pol)
+    structured = zj.adiabaticity_report(frame, 9.0, policy=pol)
     h_meas = zj.spin_chain_model(spec).h_meas
-    limit = frame.degeneracy_tol if tol is None else tol
-    dense = zj.adiabaticity_report(h_meas, 9.0, frame.grid, degeneracy_tol=limit)
+    dense = zj.adiabaticity_report(h_meas, 9.0, frame.grid, pol)
     for name in ("alpha_max", "eps_min", "ratio"):
         assert getattr(structured, name) == pytest.approx(getattr(dense, name), rel=1e-14), name
     assert structured.adiabatic == dense.adiabatic
@@ -227,13 +229,31 @@ def test_eight_site_report_is_four_times_the_two_site_report():
 @pytest.mark.parametrize("tol", [1.5, 2.5, 100.0])
 @pytest.mark.parametrize("per_time", [False, True])
 def test_report_raises_when_the_tolerance_reaches_the_gap(per_time, tol):
-    # The field's gap is 2 |field|, between sqrt(2) and 2.  A tolerance above
-    # it must not merge the distinct levels into a silent ratio of 0, whether
-    # the field is sampled in one expression or by its evaluator per time.
+    # The field's gap is 2 |field|, between sqrt(2) and 2, and its spectral
+    # range at most 6, so degeneracy_rel = tol / 6 clusters at ``tol``.  A
+    # tolerance above the gap must not merge the distinct levels into a
+    # silent ratio of 0, whether the field is sampled in one expression or by
+    # its evaluator per time.
     h_meas = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3)).h_meas
     op = zj.TimeDependentOperator(h_meas.evaluator, h_meas.horizon, h_meas.dim) if per_time else h_meas
-    with pytest.raises(zj.NumericalError, match="closer than the degeneracy tolerance"):
-        zj.adiabaticity_report(op, 9.0, np.linspace(0.0, 1.0, 33), degeneracy_tol=tol)
+    with pytest.raises(zj.NumericalError, match="merges every level"):
+        zj.adiabaticity_report(op, 9.0, np.linspace(0.0, 1.0, 33), policy=zj.NumericPolicy(degeneracy_rel=tol / 6.0))
+
+
+def test_report_and_frame_refuse_one_policy_that_merges_a_split_spectrum():
+    # The report clusters with its own pass's tolerance and judges each node
+    # as track_frame does: a policy that merges the 3-site field's split
+    # levels is refused by both, where the report used to read ratio 0.
+    field_3 = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3)).h_meas
+    grid = np.linspace(0.0, 1.0, 33)
+    merge = zj.NumericPolicy(degeneracy_rel=0.9)
+    with pytest.raises(zj.NumericalError, match="merges every level"):
+        zj.adiabaticity_report(field_3, 9.0, grid, policy=merge)
+    with pytest.raises(zj.NumericalError, match="merges every level"):
+        zj.track_frame(field_3, grid, merge)
+    # at the default policy both keep the four levels
+    assert zj.track_frame(field_3, grid).ranks == (1, 3, 3, 1)
+    assert zj.adiabaticity_report(field_3, 9.0, grid).alpha_max > 0.0
 
 
 # --- frame tracking ----------------------------------------------------------
@@ -243,7 +263,7 @@ def test_report_raises_when_the_tolerance_reaches_the_gap(per_time, tol):
 def test_track_frame_matches_per_node_reference(n_sites):
     model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=n_sites, h=9.0))
     grid = np.linspace(0.0, 1.0, 129)
-    frame = zj.track_frame(model.h_meas, grid, degeneracy_tol=1e-8)
+    frame = zj.track_frame(model.h_meas, grid)
     intertwiners, projectors, integrals = ref_track_frame(model.h_meas, grid, 1e-8)
     assert np.max(np.abs(frame.intertwiners - intertwiners)) < 1e-12
     assert np.max(np.abs(level_projectors(frame) - projectors[:, 0])) < 1e-12
@@ -260,7 +280,7 @@ def test_track_frame_residual_on_rotating_family(seed):
     rng = np.random.default_rng(seed)
     op = _rotating_family(rng, int(rng.integers(2, 6)))
     grid = np.linspace(0.0, 1.0, 129)
-    frame = zj.track_frame(op, grid, degeneracy_tol=1e-8)
+    frame = zj.track_frame(op, grid)
     _, projectors, _ = ref_track_frame(op, grid, 1e-8)
     residual = ref_residual(frame.intertwiners, projectors)
     assert frame.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
@@ -303,7 +323,7 @@ def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypa
         return svd(x, *args, **kwargs)
 
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
-    _, vecs, hdot, first, level_mean, _ = _spectral_samples(op, grid, 1e-8, zj.NumericPolicy(), True)
+    _, vecs, hdot, first, level_mean, _ = _spectral_samples(op, grid, zj.NumericPolicy(), True)
     monkeypatch.setattr(np.linalg, "svd", counted)
     steps = _rk4_steps(vecs, hdot, first, level_mean, grid)
     monkeypatch.undo()
@@ -311,7 +331,7 @@ def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypa
     assert 0 < sum(polar_rows) < n_intervals
     defect = np.abs(steps.conj().swapaxes(1, 2) @ steps - np.eye(op.dim))
     assert np.max(defect) <= 1e-14
-    frame = zj.track_frame(op, grid, degeneracy_tol=1e-8)
+    frame = zj.track_frame(op, grid)
     intertwiners, projectors, _ = ref_track_frame(op, grid, 1e-8)
     assert frame.residual == pytest.approx(ref_residual(intertwiners, projectors), rel=0.0, abs=1e-12)
 
