@@ -10,8 +10,11 @@ Every result file starts with the fully resolved configuration echoed as
 point.  Floats are written with 17 significant digits and ``\\n`` line
 endings, so identical configurations produce byte-identical files.  Sweep
 points run one after another; ``--jobs N`` is accepted (``N >= 1``) and has
-no effect.  A ``spinchain`` sweep tracks its frame once: a frame carries no
-coupling, so the points of one sweep share one frame whatever ``h * T``.
+no effect.  A ``spinchain`` sweep does its point-independent work once: a
+frame carries no coupling, so the points of one sweep share one frame
+whatever ``h * T``; the model is built once per exchange term and ``T``, so
+an ``h`` sweep builds it once, and a ``run`` sweep forms the jump kernel once
+per frame and model perturbation (see :func:`~zenojump.jump.general_jump`).
 
 Exit codes: 0 success; 2 configuration error (including an output path that
 cannot be written); 3 numerical failure (including a non-finite value in any
@@ -148,8 +151,14 @@ def _level_state(basis: np.ndarray) -> np.ndarray:
     return basis @ basis.conj().T / basis.shape[1]
 
 
-def _model(cfg: ScenarioConfig, command: str) -> tuple[MeasurementModel, SpinChainSpec | None]:
-    """The matrix model of a sweep point's config, with its chain spec (``None`` off the chain)."""
+def _model(
+    cfg: ScenarioConfig, command: str, shared: dict | None = None
+) -> tuple[MeasurementModel, SpinChainSpec | None]:
+    """The matrix model of a sweep point's config, with its chain spec (``None`` off the chain).
+
+    ``shared`` carries the chain model between the points of one sweep, keyed
+    by the spec without ``h``: a point takes it at its own coupling ``h * T``.
+    """
     get = lambda key: float(cfg.param(key))
     if cfg.scenario == "spinchain":
         spec = SpinChainSpec(
@@ -159,7 +168,12 @@ def _model(cfg: ScenarioConfig, command: str) -> tuple[MeasurementModel, SpinCha
             T=get("T"),
             boundary=str(cfg.param("boundary")),
         )
-        return spin_chain_model(spec), spec
+        if shared is None:
+            return spin_chain_model(spec), spec
+        key = ("model", spec.n_sites, spec.couplings, spec.T, spec.boundary)
+        if key not in shared:
+            shared[key] = spin_chain_model(spec)
+        return dataclasses.replace(shared[key], coupling=spec.h * spec.T), spec
     if cfg.scenario == "custom-matrix":
         h0, h_meas = (_as_matrix(cfg.param(key)) for key in ("h0", "h_meas"))
         return time_independent_model(h0, h_meas, get("coupling"), get("tau")), None
@@ -172,11 +186,11 @@ def _model(cfg: ScenarioConfig, command: str) -> tuple[MeasurementModel, SpinCha
 def _frame_setup(cfg: ScenarioConfig, shared: dict | None = None):
     """Model, frame, initial state and level pair for a matrix-backed point.
 
-    ``shared`` carries the chain frame between the points of one sweep (see
-    :func:`spin_chain_frame`).  ``run`` answers the other scenarios in closed
-    form, so only ``compare`` meets them here.
+    ``shared`` carries the chain model and frame between the points of one
+    sweep (see :func:`_model` and :func:`spin_chain_frame`).  ``run`` answers
+    the other scenarios in closed form, so only ``compare`` meets them here.
     """
-    model, spec = _model(cfg, "compare")
+    model, spec = _model(cfg, "compare", shared)
     if spec is not None:
         frame = spin_chain_frame(spec, n_intervals=cfg.intervals, policy=cfg.policy, shared=shared)
         extra = chain_validity_flags(spec.h, spec.T, spec.n_sites)
@@ -203,7 +217,9 @@ def _run_point(cfg: ScenarioConfig, shared: dict) -> tuple:
         w = continuous_jump(get("trace_factor"), get("coupling"), get("delta_eps"), get("tau"))
     else:
         model, frame, rho0, n, m, extra = _frame_setup(cfg, shared)
-        res = general_jump(model, rho0, n, m, frame, quad=cfg.quadrature, policy=cfg.policy)
+        # a chain sweep shares its frame, so its points can share the kernel too
+        kernels = shared if cfg.scenario == "spinchain" else None
+        res = general_jump(model, rho0, n, m, frame, quad=cfg.quadrature, policy=cfg.policy, shared=kernels)
         flags = ";".join(extra + res.warnings) or "none"
         return (res.value, res.est_error, res.adiabaticity.ratio, res.adiabaticity.adiabatic, flags)
     return (w, 0.0, 0.0, True, ";".join(_validity_flags(w)) or "none")

@@ -236,9 +236,14 @@ def _add_scaled(terms, samples) -> np.ndarray:
     return total
 
 
-#: samples per stacked eigendecomposition, or grid points per pass of the frame's RK4 steps,
-#: its residual or the jump kernel's node blocks; bounds a pass's temporaries
-_BLOCK = 256
+#: matrix entries per sample block of a stacked pass (the eigendecompositions, the frame's
+#: RK4 steps and residual, the jump kernel's node blocks); bounds a pass's temporaries
+_BLOCK_ENTRIES = 2**11
+
+
+def _block(dim: int) -> int:
+    """Samples per block of a stacked pass over ``dim x dim`` matrices: ``_BLOCK_ENTRIES`` entries, at least one."""
+    return max(1, _BLOCK_ENTRIES // dim**2)
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -314,7 +319,7 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     samples (step ``h/2``), one-sided at the grid ends and where a neighbour
     lies in another smooth piece; an analytic derivative takes precedence.
     With ``midpoints`` every half-grid point is decomposed, otherwise only
-    the nodes, in stacked :func:`eigh` calls of ``_BLOCK`` samples.  A
+    the nodes, in stacked :func:`eigh` calls of :func:`_block` samples.  A
     constant operator is decomposed once: one row, broadcast over the half
     grid with ``midpoints``.  The policy's degeneracy tolerance is resolved
     over all samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first,
@@ -340,8 +345,9 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     vals = np.empty((len(at), op.dim))
     vecs = np.empty((len(at), op.dim, op.dim), dtype=complex)
     hdot = np.empty_like(vecs)
-    for start in range(0, len(at), _BLOCK):
-        blk = slice(start, start + _BLOCK)
+    size = _block(op.dim)
+    for start in range(0, len(at), size):
+        blk = slice(start, start + size)
         vals[blk], vecs[blk] = eigh(samples[at[blk]], pol)
         if op.derivative_evaluator is None:
             deriv = (samples[right[blk]] - samples[left[blk]]) / width[blk]
@@ -395,7 +401,9 @@ def _eigenlevels(h_meas, pol: NumericPolicy) -> tuple[np.ndarray, np.ndarray, tu
 
     Returns ``(vals, V, ranks, means, tol)``: the ascending eigenvalues, their
     eigenvectors (whose columns come grouped by level, ``ranks`` each), the
-    level means and the policy's resolved degeneracy tolerance.
+    level means and the policy's resolved degeneracy tolerance.  A tolerance
+    that merges a spectrum split beyond rounding into one level raises
+    :class:`NumericalError`, as every frame builder and report does.
     """
     mat = as_square_matrix(h_meas)
     vals, vecs = eigh(mat, pol)
@@ -403,6 +411,7 @@ def _eigenlevels(h_meas, pol: NumericPolicy) -> tuple[np.ndarray, np.ndarray, tu
     first, level_mean = _cluster(vals[None], tol)
     starts = np.flatnonzero(first[0])
     ranks = tuple(int(r) for r in np.diff(np.append(starts, len(vals))))
+    _check_split(vals[None], len(ranks), tol)
     return vals, vecs, ranks, level_mean[0, starts], tol
 
 
@@ -412,7 +421,8 @@ def decompose(h_meas, policy: NumericPolicy | None = None) -> ZenoDecomposition:
     Eigenvalues are clustered with the policy's tolerance,
     ``degeneracy_rel`` times the spectral range; gaps falling inside
     ``(tol/2, 2 tol)`` are flagged as ambiguous in ``warnings`` rather than
-    raised, since either clustering is defensible there.  The eigenvectors,
+    raised, since either clustering is defensible there; a tolerance that
+    merges a split spectrum into one level raises :class:`NumericalError`.  The eigenvectors,
     grouped by level, are the ``basis``; one that is not unitary to
     ``projector_tol`` raises :class:`ValidationError`.
     """
@@ -579,8 +589,9 @@ def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
     """
     eye = np.eye(vecs.shape[-1], dtype=complex)
     steps = np.empty((len(grid) - 1, *eye.shape), dtype=complex)
-    for start in range(0, len(steps), _BLOCK):
-        ivl = slice(start, start + _BLOCK)
+    size = _block(len(eye))
+    for start in range(0, len(steps), size):
+        ivl = slice(start, start + size)
         pts = slice(2 * start, 2 * ivl.stop + 1)
         v, eps = vecs[pts], level_mean[pts]
         labels = np.cumsum(first[pts], axis=1)
@@ -690,9 +701,9 @@ def track_frame(
     intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, half_first, level_mean, grid))
     del half_vecs, hdot
     initial = _projectors(vecs[:1], ranks)[:, 0]
-    residual = 0.0
-    for start in range(0, n, _BLOCK):
-        blk = slice(start, start + _BLOCK)
+    residual, size = 0.0, _block(vecs.shape[-1])
+    for start in range(0, n, size):
+        blk = slice(start, start + size)
         a, projectors = intertwiners[blk], _projectors(vecs[blk], ranks)
         transported = _stack_matmul(_stack_matmul(a, initial[:, None]), a.conj().swapaxes(1, 2))
         # np.maximum keeps a NaN block maximum, which the builtin max drops

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator, ZenoDecomposition, _check_coupling, adiabaticity_report
-from .decomposition import _BLOCK, _level_columns, _tensor_power
+from .decomposition import _block, _level_columns, _tensor_power
 from .errors import NumericalError, QuadratureError, ValidationError
 from .operators import _bond_sum, _stack_matmul, as_square_matrix, check_density, check_hermitian, check_projector, max_norm
 from .policy import NumericPolicy, default_policy
@@ -135,6 +135,7 @@ def general_jump(
     quad: QuadraturePolicy | None = None,
     policy: NumericPolicy | None = None,
     target_projector=None,
+    shared: dict | None = None,
 ) -> JumpResult:
     """Second-order jump probability from level ``n`` to level ``m``.
 
@@ -166,6 +167,15 @@ def general_jump(
     The initial state must already live in level ``n``:
     ``rho0 = Q sigma Q^dagger`` within 1e-8.  A state confined only to that
     tolerance is read as ``Q sigma Q^dagger``.
+
+    ``shared`` is a dict that the calls of one sweep pass in turn, as
+    :func:`~zenojump.models.spin_chain_frame` takes it: the first call for a
+    level pair and policy keeps there the kernel of :func:`_separable_kernel`
+    with the frame and ``h0`` it was formed from, and a later call on that
+    same frame and ``h0`` reuses it.  The kernel depends on neither the
+    coupling nor the state, so an ``h`` sweep of the chain forms it once and
+    the results equal those without ``shared``.  Keep the dict no longer
+    than the sweep.
     """
     pol = default_policy(policy)
     qd = quad if quad is not None else QuadraturePolicy()
@@ -218,7 +228,13 @@ def general_jump(
             )
     lam = model.coupling * (frame.eps_integrals[m] - frame.eps_integrals[n])
 
-    c, blocks = _separable_kernel(model, frame, n, m, pol)
+    key = ("kernel", n, m, pol)
+    entry = None if shared is None else shared.get(key)
+    if entry is None or entry[0] is not frame or entry[1] is not model.h0:
+        entry = (frame, model.h0, *_separable_kernel(model, frame, n, m, pol))
+        if shared is not None:
+            shared[key] = entry
+    c, blocks = entry[2:]
     values: list[complex] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rung raises below
         for stride in (4, 2, 1):
@@ -293,8 +309,9 @@ def _separable_kernel(model, frame, n, m, pol):
     one_node = not bond and a.strides[0] == 0 and (h0.value is not None or (h0_nodes == h0_nodes[0]).all())
     count = 1 if one_node else len(a)
     c = np.empty((count, len(left) * len(right)), dtype=complex)
-    for start in range(0, count, _BLOCK):  # bounds the (_BLOCK, d^fold, d^fold) temporaries
-        nodes = slice(start, min(start + _BLOCK, count))
+    size = _block(len(u) ** fold)  # bounds the (size, d^fold, d^fold) temporaries
+    for start in range(0, count, size):
+        nodes = slice(start, min(start + size, count))
         b = _tensor_power(_stack_matmul(a[nodes], u), fold)
         h = h0.bond if bond else h0_nodes[nodes]
         c[nodes] = (b[..., left].conj().swapaxes(-1, -2) @ h @ b[..., right]).reshape(len(b), -1)

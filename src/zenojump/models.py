@@ -29,7 +29,6 @@ import numpy as np
 from .decomposition import (
     AdiabaticFrame,
     TimeDependentOperator,
-    _check_split,
     _checked_frame,
     _eigenlevels,
     track_frame,
@@ -389,8 +388,7 @@ def time_independent_frame(
     """
     pol = default_policy(policy)
     t0, t1 = model.horizon
-    vals, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), pol)
-    _check_split(vals[None], len(ranks), tol)
+    _, vecs, ranks, means, tol = _eigenlevels(model.h_meas(t0), pol)
     eps = float(np.max(np.abs(means)))
     if not math.isfinite(eps * (t1 - t0)):  # Python floats: inf, not a warning
         raise NumericalError(f"level phase eps * (t - t0) leaves float range: max|eps| = {eps:.3g}, span {t1 - t0:.3g}")

@@ -80,10 +80,15 @@ def check_hermitian(m, policy: NumericPolicy | None = None) -> np.ndarray:
         return a
     a = _square(a)
     # Python floats: a numpy scalar would warn where the bound overflows to inf
-    defect = float(np.abs(a - a.conj().T).max())
+    scale = float(np.abs(a).max())
+    if scale <= np.finfo(float).max / 2.0:
+        defect = float(np.abs(a - a.conj().T).max())
+    else:  # a defect beyond float range is inf, and fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = float(np.abs(a - a.conj().T).max())
     # NaN compares false, so a non-finite entry fails the check (and is
     # reported as a hermiticity defect rather than by as_square_matrix)
-    if not (defect <= pol.hermitian_tol * (1.0 + float(np.abs(a).max()))):
+    if not (defect <= pol.hermitian_tol * (1.0 + scale)):
         raise ValidationError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
             f"{pol.hermitian_tol:.1e} * (1 + max|M|)"
@@ -140,6 +145,39 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / (pivots / np.abs(pivots))
 
 
+def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of a ``(..., 2, 2)`` Hermitian stack ``[[p, l*], [l, q]]``,
+    read from the diagonal's real part and the lower triangle, as LAPACK reads it.
+
+    The eigenvalues are ``mean -+ r``, ``mean = (p + q)/2``,
+    ``r = (half^2 + |l|^2)^(1/2)``, ``half = (p - q)/2``.  For ``half > 0``
+    the lower eigenvector is ``(-l*, half + r)``, the longer of the two null
+    vectors of ``H - lam_-`` and free of cancellation, and the upper one its
+    orthogonal partner ``(half + r, l)``; otherwise these are the vectors of
+    the reflected matrix ``[[q, l], [l*, p]]`` with their rows swapped.  The
+    work runs on ``H`` scaled by a power of two to read values below 1, so the
+    scaling is exact and no intermediate leaves float range; an eigenvalue
+    beyond float range comes out as ``inf``.  Exact degeneracy gives the
+    identity columns.  Only exact or correctly rounded operations enter, so
+    a stack's slice equals the single-matrix call bit for bit.
+    """
+    p, q, lr, li = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0].real, a[..., 1, 0].imag
+    exp = np.frexp(np.maximum(np.maximum(np.abs(p), np.abs(q)), np.maximum(np.abs(lr), np.abs(li))))[1]
+    p, q, lr, li = (np.ldexp(x, -exp) for x in (p, q, lr, li))
+    half, mean, off = (p - q) / 2.0, (p + q) / 2.0, lr * lr + li * li
+    r = np.sqrt(half * half + off)
+    with np.errstate(over="ignore"):  # an eigenvalue beyond float range is inf
+        vals = np.ldexp(mean[..., None] + np.multiply.outer(r, [-1.0, 1.0]), exp[..., None])
+    up = half > 0.0
+    big = np.abs(half) + r
+    big = np.where(big > 0.0, big, 1.0)  # half = r = 0: the identity columns
+    norm = np.sqrt(big * big + off)
+    c = lr / norm + 1j * (np.where(up, li, -li) / norm)  # l / norm, or l* / norm on the reflection
+    vecs = np.empty(a.shape, dtype=complex)
+    vecs[..., 0, 0], vecs[..., 0, 1], vecs[..., 1, 0], vecs[..., 1, 1] = -c.conj(), big / norm, big / norm, c
+    return vals, np.where(up[..., None, None], vecs, vecs[..., ::-1, :])
+
+
 def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a ``(K, d, d)`` stack.
 
@@ -147,10 +185,13 @@ def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray
     eigenvector columns phase-fixed, stacked along the leading axis for a
     stack input.  Every matrix passes the hermiticity check of
     :func:`check_hermitian`; the first one that fails raises
-    :class:`ValidationError`.  A stack is solved by one LAPACK sweep, whose
-    result for each slice equals that of the single-matrix call.
+    :class:`ValidationError`.  The solver follows the shape: a ``2 x 2``
+    matrix or stack takes the closed form of :func:`_eigh2`, any other size
+    one LAPACK sweep over the stack.  Either way each slice of a stack's
+    result equals that of the single-matrix call.
     """
-    vals, vecs = np.linalg.eigh(check_hermitian(m, policy))
+    a = check_hermitian(m, policy)
+    vals, vecs = _eigh2(a) if a.shape[-1] == 2 else np.linalg.eigh(a)
     return vals, _fix_phases(vecs)
 
 

@@ -714,6 +714,7 @@ def _row_lines(table):
 @pytest.mark.parametrize("n_sites, parameter, start, stop", [
     (3, "h", 9, 11),
     (3, "T", 0.8, 1.2),
+    (3, "lambda1", 0.5, 1.5),
     (4, "lambda3", 0.5, 1.5),
 ])
 def test_chain_sweep_rows_equal_single_point_runs(evaluate, n_sites, parameter, start, stop):
@@ -754,8 +755,9 @@ def test_a_chain_sweep_tracks_its_frame_once(monkeypatch):
 
 
 def test_a_chain_sweep_decomposes_its_field_once(monkeypatch):
-    # The frame's one half-grid pass (4097 samples in blocks of 256) is the
-    # only spectral work: every point's adiabaticity report reads the frame.
+    # The frame's one half-grid pass (4097 samples in blocks of 512, the
+    # 2 x 2 samples that 2**11 matrix entries hold) is the only spectral
+    # work: every point's adiabaticity report reads the frame.
     from zenojump import decomposition
 
     passes = _counting(monkeypatch, decomposition, "_spectral_samples")
@@ -763,7 +765,43 @@ def test_a_chain_sweep_decomposes_its_field_once(monkeypatch):
     sweep = "[sweep]\nparameter = h\nstart = 9\nstop = 9.5\ncount = 2\n"
     chain = CHAIN_RUN.replace("512", "2048").replace("T = 1", "T = 1\nn_sites = 4\nlevel_to = 2")
     assert len(run_scenario(zj.parse_config(chain + sweep)).rows) == 2
-    assert (len(passes), len(solves)) == (1, 17)
+    assert (len(passes), len(solves)) == (1, 9)
+
+
+def test_a_chain_sweep_builds_its_model_and_kernel_once(monkeypatch):
+    from zenojump import cli, jump
+
+    built = _counting(monkeypatch, cli, "spin_chain_model")
+    kernels = _counting(monkeypatch, jump, "_separable_kernel")
+    cfg = zj.parse_config(CHAIN_SWEEP)
+    first = run_scenario(cfg)
+    assert (len(built), len(kernels)) == (1, 1)
+    # Nothing outlives a sweep: the next call on the same config builds them again.
+    assert run_scenario(cfg).rows == first.rows
+    assert (len(built), len(kernels)) == (2, 2)
+
+
+@pytest.mark.parametrize("parameter, start, stop", [("T", 0.8, 1.2), ("lambda1", 0.5, 1.5)])
+def test_a_sweep_that_changes_the_bond_forms_a_kernel_per_point(monkeypatch, parameter, start, stop):
+    # its rows equal single-point runs (test_chain_sweep_rows_equal_single_point_runs)
+    from zenojump import cli, jump
+
+    built = _counting(monkeypatch, cli, "spin_chain_model")
+    kernels = _counting(monkeypatch, jump, "_separable_kernel")
+    run_scenario(zj.parse_config(_chain_sweep(3, parameter, start, stop)))
+    assert (len(built), len(kernels)) == (3, 3)
+
+
+def test_only_a_chain_point_keeps_a_kernel_for_the_sweep():
+    from zenojump.cli import _run_point
+
+    shared: dict = {}
+    cfg = zj.parse_config(CUSTOM_COMPARE + "[sweep]\nparameter = tau\nstart = 1\nstop = 2\ncount = 3\n")
+    for tau in cfg.sweep.values():
+        _run_point(cfg.with_param("tau", float(tau)), shared)
+    assert shared == {}
+    _run_point(zj.parse_config(CHAIN_RUN), shared)
+    assert sorted(str(key[0]) for key in shared) == ["2", "kernel", "model"]
 
 
 def test_a_custom_matrix_sweep_builds_a_static_frame_per_point(monkeypatch):
@@ -889,11 +927,18 @@ PETABYTE_SWEEP = (
             2,
             "[sweep] stop: span from -1e+308 to 1e+308 leaves float range",
         ),
+        # decompose printed the one merged level and exited 0, where run exits 3
+        (
+            "decompose",
+            CUSTOM_TWO_LEVEL + "\n[tolerances]\ndegeneracy_rel = 1.5\n",
+            3,
+            "degeneracy tolerance 1.500e+01 merges every level of a split spectrum",
+        ),
     ],
     ids=[
         "nan-entry", "non-hermitian", "unknown-key", "exact-tol", "huge-rate", "pb-grid", "pb-sweep",
         "h-square", "T-square", "exchange", "scaled-h-meas", "magnus", "phase", "anti-hermitian",
-        "rho0-trace", "sweep-span",
+        "rho0-trace", "sweep-span", "decompose-merge",
     ],
 )
 def test_a_hostile_config_exits_with_a_one_line_message(tmp_path, capsys, command, text, code, needle):

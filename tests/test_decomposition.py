@@ -269,6 +269,14 @@ def test_decompose_respects_explicit_tolerance():
     assert narrow.ranks == (1, 1, 1)
 
 
+def test_decompose_refuses_a_tolerance_that_merges_a_split_spectrum():
+    # as every frame builder and report does; an exactly degenerate spectrum stays one level
+    merge = zj.NumericPolicy(degeneracy_rel=1.5)
+    with pytest.raises(zj.NumericalError, match="degeneracy tolerance 3.000e\\+00 merges every level"):
+        zj.decompose(np.diag([1.0, -1.0]).astype(complex), policy=merge)
+    assert zj.decompose(np.eye(2, dtype=complex), policy=merge).ranks == (2,)
+
+
 @pytest.mark.parametrize("policy", [None, zj.NumericPolicy(degeneracy_rel=0.5)])
 def test_a_spectrum_wider_than_float_range_raises_before_it_overflows(policy):
     # The suite turns RuntimeWarning into an error, so an overflowing

@@ -393,6 +393,30 @@ def test_general_jump_block_kernel_matches_trace_form_on_a_dense_frame_under_a_m
     _assert_block_kernel_matches_trace_form(model, rho0, 1, 2, frame, np.outer(vec, vec.conj()))
 
 
+def test_a_shared_kernel_changes_no_result(monkeypatch):
+    # an h sweep's points share the frame and h0, and so the kernel; another h0 forms its own
+    from zenojump import jump
+
+    chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3), n_intervals=1024)
+    model = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=12.5))
+    other = zj.spin_chain_model(zj.SpinChainSpec(n_sites=3, h=12.5, T=1.2))
+    rho0 = level_projectors(chain)[0]
+    loose = zj.QuadraturePolicy(rel_tol=1e-3)
+
+    def jump_of(model, shared=None):
+        return zj.general_jump(model, rho0, 0, 2, chain, quad=loose, shared=shared)
+
+    plain, plain_other = jump_of(model), jump_of(other)
+    kernels = []
+    original = jump._separable_kernel
+    monkeypatch.setattr(jump, "_separable_kernel", lambda *args: kernels.append(args) or original(*args))
+    shared = {}
+    assert jump_of(model, shared) == jump_of(dataclasses.replace(model, coupling=12.5), shared) == plain
+    assert len(kernels) == 1 and len(shared) == 1
+    assert jump_of(other, shared) == plain_other
+    assert len(kernels) == 2 and len(shared) == 1
+
+
 def test_an_overflowing_transition_rate_is_a_numerical_error():
     model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([-1e10, 1e10]), 1e300, 1.0)
     frame = zj.time_independent_frame(model, 64)

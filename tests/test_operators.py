@@ -1,10 +1,12 @@
 """Unit tests for operator primitives and the tolerance policy."""
 
+import decimal
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import zenojump as zj
 from zenojump.policy import ENV_VAR
@@ -271,3 +273,114 @@ def test_stack_matmul_equals_matmul(inner):
         assert got.shape == ref.shape
         # rounding of a length-d dot product, relative to the sum of its term sizes
         assert np.all(np.abs(got - ref) <= 1e-15 * inner * (np.abs(a) @ np.abs(b)))
+
+
+EPS = np.finfo(float).eps
+#: absolute rounding of arithmetic on subnormal entries
+TINY = 4 * np.finfo(float).smallest_subnormal
+#: finite entries over the whole float range, subnormals and signed zeros included
+ENTRY = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_2x2(draw):
+    p, q, re, im = (draw(ENTRY) for _ in range(4))
+    return np.array([[p, complex(re, -im)], [complex(re, im), q]])
+
+
+def _exact_eigenvalues(h) -> list[float]:
+    """``mean -+ (half^2 + |l|^2)^(1/2)`` of ``[[p, l*], [l, q]]`` in 80-digit decimals, rounded once."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        p, q, re, im = (decimal.Decimal(float(x)) for x in (h[0, 0].real, h[1, 1].real, h[1, 0].real, h[1, 0].imag))
+        half, mean = (p - q) / 2, (p + q) / 2
+        r = (half * half + re * re + im * im).sqrt()
+        return [float(mean - r), float(mean + r)]
+
+
+def _assert_matches_lapack(h):
+    """The closed-form 2 x 2 eigenpairs against ``np.linalg.eigh``, to a few ``eps ||H||``.
+
+    Eigenvalues are held to the exact ones within ``4 eps ||H||`` and to
+    LAPACK's within ``8 eps``: LAPACK's own miss reaches ``4.2 eps ||H||`` (at
+    ``[[0, 1 - i], [1 + i, 6.93e16]]``).  Columns are compared as projectors
+    ``v v^dagger``: where two entries of a column tie in magnitude, rounding
+    picks the pivot, and so the phase.
+    """
+    vals, vecs = zj.eigh(h)
+    ref_vals, ref_vecs = np.linalg.eigh(h)
+    norm = zj.max_norm(h)
+    assert np.max(np.abs(vals - _exact_eigenvalues(h))) <= 4 * EPS * norm + TINY
+    assert np.max(np.abs(vals - ref_vals)) <= 8 * EPS * norm + TINY
+    assert zj.max_norm(vecs.conj().T @ vecs - np.eye(2)) <= 8 * EPS
+    assert zj.max_norm(h @ vecs - vecs * vals) <= 8 * EPS * norm + TINY
+    if vals[1] / 2.0 - vals[0] / 2.0 > 0.5e-6 * norm:  # halves: the gap may leave float range
+        for v, ref in zip(vecs.T, ref_vecs.T):
+            assert zj.max_norm(np.outer(v, v.conj()) - np.outer(ref, ref.conj())) <= 1e-13
+    assert vals[0] <= vals[1]
+    for v in vecs.T:  # a largest entry, up to rounding, is real and positive
+        top = v[np.abs(v) >= np.abs(v).max() * (1.0 - 4 * EPS)]
+        assert np.any((top.real > 0.0) & (np.abs(top.imag) <= 4 * EPS))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hermitian_2x2())
+def test_two_level_eigh_matches_lapack(h):
+    _assert_matches_lapack(h)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(hermitian_2x2(), min_size=1, max_size=19))
+def test_two_level_eigh_of_a_stack_equals_its_single_matrix_calls_bit_for_bit(matrices):
+    vals, vecs = zj.eigh(np.array(matrices))
+    for m, v, u in zip(matrices, vals, vecs):
+        single_vals, single_vecs = zj.eigh(m)
+        assert np.array_equal(single_vals, v) and np.array_equal(single_vecs, u)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        [[1, 0], [0, -1]],
+        [[-1, 0], [0, 1]],
+        [[3, 0], [0, 3]],
+        [[0, -2j], [2j, 0]],
+        [[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.0]],
+        [[1e308, 0], [0, -1e308]],
+        [[5e-324, 5e-324], [5e-324, 0]],
+        [[0, 5e-324], [5e-324, 5e-324]],
+    ],
+    ids=["ascending", "descending", "scalar", "imaginary", "signed-zeros", "huge", "subnormal", "subnormal-low"],
+)
+def test_two_level_eigh_edge_cases(h):
+    h = np.array(h, dtype=complex)
+    _assert_matches_lapack(h)
+    if h[1, 0] == 0.0 and h[0, 0] == h[1, 1]:  # exact degeneracy: the identity columns
+        assert np.array_equal(zj.eigh(h)[1], np.eye(2))
+
+
+def test_a_two_level_eigenvalue_beyond_float_range_is_inf_without_a_warning():
+    h = np.full((2, 2), 1e308, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = zj.eigh(h)
+    assert vals.tolist() == np.linalg.eigh(h)[0].tolist() == [0.0, np.inf]
+    assert zj.max_norm(vecs - np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)) <= EPS
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(hermitian_2x2(), st.floats(min_value=-10.0, max_value=10.0))
+def test_two_level_matrix_exp_stays_unitary(h, dt):
+    u = zj.operators.matrix_exp_unitary(h / max(zj.max_norm(h), 1.0), dt)
+    assert zj.max_norm(u.conj().T @ u - np.eye(2)) <= 8 * EPS
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_defect_beyond_float_range_fails_the_hermitian_check_without_a_warning(dim):
+    # the one-matrix check printed "overflow encountered in subtract" before its error
+    m = np.zeros((dim, dim), dtype=complex)
+    m[0, 1], m[1, 0] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (zj.check_hermitian, zj.eigh):
+            with pytest.raises(zj.ValidationError, match="not Hermitian: defect inf"):
+                check(m)
