@@ -239,6 +239,7 @@ def _compare_point(cfg: ScenarioConfig, shared: dict) -> tuple:
         exact_tol=cfg.compare_exact_tol,
         quad=cfg.quadrature,
         policy=cfg.policy,
+        shared=shared if cfg.scenario == "spinchain" else None,
     )
     return (
         comp.perturbative,

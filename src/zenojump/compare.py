@@ -27,7 +27,7 @@ import numpy as np
 
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator
 from .errors import NumericalError, ValidationError
-from .jump import JumpResult, MeasurementModel, QuadraturePolicy, general_jump
+from .jump import JumpResult, MeasurementModel, QuadraturePolicy, _validity_flags, general_jump
 from .operators import check_density
 from .policy import NumericPolicy, default_policy
 from .propagators import exact_propagator
@@ -102,6 +102,7 @@ def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, 
         raise NumericalError(
             f"exact jump probability lost realness: imaginary residual {abs(val.imag):.3e}"
         )
+    _validity_flags(val.real)  # the range rule of every route; its > 0.5 flag speaks of second order alone
     return float(val.real), sum(r.steps_used for r in runs), max(r.est_error for r in runs)
 
 
@@ -136,6 +137,7 @@ def compare_jump(
     exact_tol: float = _EXACT_TOL,
     quad: QuadraturePolicy | None = None,
     policy: NumericPolicy | None = None,
+    shared: dict | None = None,
 ) -> JumpComparison:
     """Second-order jump probability against the exact-propagator oracle.
 
@@ -143,11 +145,11 @@ def compare_jump(
     1e-12)``.  When the frame's adiabaticity diagnostic fails, the comparison
     is reported with status ``"out-of-validity"`` instead of being judged
     against ``bound``: outside the validity regime a large gap is expected
-    and is not a defect of either route.
+    and is not a defect of either route.  ``shared`` goes to :func:`general_jump`.
     """
     if not (bound > 0):
         raise ValidationError("comparison bound must be positive")
-    pert: JumpResult = general_jump(model, rho0, n, m, frame, quad=quad, policy=policy)
+    pert: JumpResult = general_jump(model, rho0, n, m, frame, quad=quad, policy=policy, shared=shared)
     exact, exact_steps, exact_est_error = _oracle_jump(
         model, rho0, m, frame, transport, exact_tol, policy
     )

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FrameResidualError, LevelCrossingError, NumericalError, ValidationError
-from .operators import _bond_sum, _stack_matmul, as_square_matrix, eigh, max_norm
+from .operators import _bond_sum, _outer, _row_sums, _stack_matmul, as_square_matrix, eigh, max_norm
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -576,16 +576,16 @@ class AdiabaticFrame:
         )
 
 
-def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
+def _rk4_steps(vecs, hdot, level_mean, grid: np.ndarray) -> np.ndarray:
     """Unitary RK4 steps of the frame ODE ``i dA/dt = M A``, one per interval.
 
     ``M = i sum_n (dP_n/dt) P_n`` at the half-grid rows ``2k, 2k+1, 2k+2``
     is ``M_ab = i <a|dH/dt|b> / (eps_b - eps_a)`` between distinct levels of
-    the instantaneous eigenbasis and zero inside a level (label-free, so
-    midpoints need no level matching).  The ODE is linear, so a step is a
-    matrix applied to ``A(t_k)``.  A step ``x`` not unitary to rounding
-    (``max|x^dagger x - I|`` above ``4 d`` ulps, or not finite) is replaced by
-    its polar factor (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)).
+    the instantaneous eigenbasis and zero inside a level, whose members share
+    their ``level_mean`` and no other level's (label-free, so midpoints need
+    no level matching).  The ODE is linear, so a step is a matrix applied to
+    ``A(t_k)``.  A step ``x`` with an entry of ``|x^dagger x - I|`` above ``4 d`` ulps, or
+    not finite, is replaced by its polar factor (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)).
     """
     eye = np.eye(vecs.shape[-1], dtype=complex)
     steps = np.empty((len(grid) - 1, *eye.shape), dtype=complex)
@@ -594,10 +594,8 @@ def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
         ivl = slice(start, start + size)
         pts = slice(2 * start, 2 * ivl.stop + 1)
         v, eps = vecs[pts], level_mean[pts]
-        labels = np.cumsum(first[pts], axis=1)
-        same = labels[:, None, :] == labels[:, :, None]
-        denom = np.where(same, 1.0, eps[:, None, :] - eps[:, :, None])
-        gen = np.where(same, 0.0, 1j * hdot[pts] / denom)
+        same = _outer(np.equal, eps)
+        gen = np.where(same, 0.0, 1j * hdot[pts] / np.where(same, 1.0, -_outer(np.subtract, eps)))
         m = _stack_matmul(_stack_matmul(v, gen), v.conj().swapaxes(1, 2))
         m = (m + m.conj().swapaxes(1, 2)) / 2.0
         h = np.diff(grid)[ivl, None, None]
@@ -606,8 +604,8 @@ def _rk4_steps(vecs, hdot, first, level_mean, grid: np.ndarray) -> np.ndarray:
         k3 = -1j * _stack_matmul(m[1::2], eye + (h / 2.0) * k2)
         k4 = -1j * _stack_matmul(m[2::2], eye + h * k3)
         x = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        defect = np.max(np.abs(_stack_matmul(x.conj().swapaxes(1, 2), x) - eye), axis=(1, 2))
-        bad = np.flatnonzero(~(defect <= 4 * len(eye) * np.finfo(float).eps))
+        unitary = np.abs(_stack_matmul(x.conj().swapaxes(1, 2), x) - eye) <= 4 * len(eye) * np.finfo(float).eps
+        bad = np.flatnonzero(~unitary.all(axis=(1, 2)))  # each entry against the bound: no float max per step
         u, _, vh = np.linalg.svd(x[bad])
         x[bad] = u @ vh
         steps[ivl] = x
@@ -673,7 +671,7 @@ def track_frame(
     first = half_first[::2]
     alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
     n_levels = int(first[0].sum())
-    changed = np.flatnonzero(np.any(first != first[0], axis=1))
+    changed = np.flatnonzero(first != first[0]) // first.shape[1]
     if changed.size:
         raise LevelCrossingError(
             f"level count or ranks changed (from {n_levels} to {first[changed[0]].sum()} levels) at node "
@@ -688,7 +686,7 @@ def track_frame(
     member = (np.cumsum(first[0])[:, None] == np.arange(1, n_levels + 1)).astype(float)
     weights = np.abs(_stack_matmul(vecs[:-1].conj().swapaxes(1, 2), vecs[1:])) ** 2
     overlap = _stack_matmul(_stack_matmul(member.T, weights), member)
-    crossed = np.flatnonzero(np.any(np.diagonal(overlap, axis1=1, axis2=2) < overlap.max(axis=2), axis=1))
+    crossed = np.flatnonzero(overlap > np.diagonal(overlap, axis1=1, axis2=2)[:, :, None]) // n_levels**2
     if crossed.size:
         raise LevelCrossingError(
             f"a level overlaps another level more than itself at node t={grid[crossed[0] + 1]:.9g}; "
@@ -698,7 +696,7 @@ def track_frame(
     integrals = np.zeros_like(eps)
     integrals[:, 1:] = np.cumsum(np.diff(grid) * (eps[:, 1:] + eps[:, :-1]) / 2.0, axis=1)
 
-    intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, half_first, level_mean, grid))
+    intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, level_mean, grid))
     del half_vecs, hdot
     initial = _projectors(vecs[:1], ranks)[:, 0]
     residual, size = 0.0, _block(vecs.shape[-1])
@@ -831,10 +829,9 @@ def _level_figures(hdot: np.ndarray, first: np.ndarray, eps: np.ndarray) -> tupl
     gaps = np.diff(eps.ravel()[starts])[inner]
     eps_min = float(np.min(gaps, initial=np.inf))
     at = int(node[1:][inner][np.argmin(gaps)]) if gaps.size else 0
-    labels = np.cumsum(first, axis=1)
-    other = labels[:, :, None] != labels[:, None, :]
-    diff = np.where(other, eps[:, :, None] - eps[:, None, :], 1.0)
-    rows = np.where(other, np.abs(hdot) ** 2 / diff**2, 0.0).sum(axis=2)
+    other = _outer(np.not_equal, eps)  # other levels, which differ in their means
+    diff = np.where(other, _outer(np.subtract, eps), 1.0)
+    rows = _row_sums(np.where(other, np.abs(hdot) ** 2 / diff**2, 0.0))
     sizes = np.diff(np.append(starts, first.size))
     return float(np.max(np.add.reduceat(rows.ravel(), starts) / sizes)), eps_min, at
 

@@ -781,6 +781,18 @@ def test_a_chain_sweep_builds_its_model_and_kernel_once(monkeypatch):
     assert (len(built), len(kernels)) == (2, 2)
 
 
+def test_a_chain_compare_sweep_forms_its_kernel_once(monkeypatch):
+    from zenojump import jump
+    from zenojump.config import SweepSpec
+
+    kernels = _counting(monkeypatch, jump, "_separable_kernel")
+    cfg = zj.parse_config(_chain_sweep(2, "h", 9, 11).replace("count = 3", "count = 2"))
+    rows = _row_lines(oracle_compare(cfg))
+    assert len(kernels) == 1
+    singles = [_row_lines(oracle_compare(dataclasses.replace(cfg, sweep=SweepSpec("h", v, v, 1)))) for v in (9.0, 11.0)]
+    assert rows == singles[0] + singles[1] and len(kernels) == 3
+
+
 @pytest.mark.parametrize("parameter, start, stop", [("T", 0.8, 1.2), ("lambda1", 0.5, 1.5)])
 def test_a_sweep_that_changes_the_bond_forms_a_kernel_per_point(monkeypatch, parameter, start, stop):
     # its rows equal single-point runs (test_chain_sweep_rows_equal_single_point_runs)
@@ -952,7 +964,7 @@ def test_a_hostile_config_exits_with_a_one_line_message(tmp_path, capsys, comman
 
 @pytest.mark.parametrize(
     "scenario, settings, w",
-    [("continuous", "trace_factor = 1e3", "36.8"), ("pulsed", "trace_factor = 1e308", "1.68e+307")],
+    [("continuous", "trace_factor = 20", "0.736"), ("pulsed", "trace_factor = 5", "0.842")],
 )
 def test_a_closed_form_row_above_one_half_takes_the_validity_flag(tmp_path, capsys, scenario, settings, w):
     # Only the quadrature route used to flag w > 0.5: these rows read flags = none and passed --strict.
@@ -965,6 +977,24 @@ def test_a_closed_form_row_above_one_half_takes_the_validity_flag(tmp_path, caps
     # an ordinary closed-form row keeps no flag
     assert main(["run", "--config", write(tmp_path, f"[scenario]\ntype = {scenario}\n"), "--strict"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(",0,0,true,none")
+
+
+@pytest.mark.parametrize(
+    "text, w",
+    [
+        ("[scenario]\ntype = continuous\n\n[continuous]\ntrace_factor = 1e3\n", "36.7814"),
+        ("[scenario]\ntype = pulsed\n\n[pulsed]\ntrace_factor = 1e308\n", "1.68434e+307"),
+        (CUSTOM_RUN.format("h0 = [[0, 30], [30, 0]]\nh_meas = [[0, 0], [0, 1]]\ncoupling = 10").replace("64", "512"), "33.1033"),
+    ],
+    ids=["continuous", "pulsed", "quadrature"],
+)
+def test_a_jump_probability_above_one_exits_3_on_every_route(tmp_path, capsys, text, w):
+    # These rows used to print w > 1 with the > 0.5 flag (closed forms: with no flag) and exit 0.
+    target = tmp_path / "out.csv"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: jump probability {w}") and "lies outside [0, 1]" in err
+    assert err.count("\n") == 1 and not target.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

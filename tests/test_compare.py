@@ -1,5 +1,7 @@
 """Unit tests for the perturbative-vs-exact comparison route."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,19 @@ def test_the_oracle_target_comes_from_the_level_basis():
     for transport, target in targets.items():
         w = zj.exact_jump(model, rho0, 2, frame, transport=transport)
         assert w == pytest.approx(np.trace(rho_t @ target).real, rel=1e-12, abs=1e-15)
+
+
+def test_an_oracle_value_outside_zero_one_raises(monkeypatch):
+    # the oracle keeps the range rule of every route: a propagator that is not unitary is no oracle
+    from zenojump import compare
+
+    model, frame, rho0 = chain_setup(5.0, 1.0, n_intervals=64)
+    exact = compare.exact_propagator
+
+    def doubled(*args, **kwargs):
+        result = exact(*args, **kwargs)
+        return dataclasses.replace(result, matrix=2.0 * result.matrix)
+
+    monkeypatch.setattr(compare, "exact_propagator", doubled)
+    with pytest.raises(zj.NumericalError, match="lies outside \\[0, 1\\]"):
+        zj.exact_jump(model, rho0, 0, frame, transport="instantaneous")

@@ -360,7 +360,9 @@ def config_texts(draw):
         if default is _REQUIRED or draw(st.booleans()):
             lines.append(f"{key} = {draw(values[kind.rstrip('?')])}")
     if draw(st.booleans()):
-        start, stop = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        # a span stop - start beyond float range is a config error, so no valid config has one
+        bounds = st.lists(FINITE, min_size=2, max_size=2, unique=True).filter(lambda v: abs(v[1] - v[0]) < float("inf"))
+        start, stop = sorted(draw(bounds))
         parameter = draw(st.sampled_from(zj.sweepable_parameters(scenario)))
         count = draw(st.integers(2, 50))
         lines += ["[sweep]", f"parameter = {parameter}", f"start = {start!r}",

@@ -282,8 +282,8 @@ def test_general_jump_target_projector_splits_degenerate_level():
 
 
 def test_general_jump_warns_when_perturbative_value_is_large():
-    # Strong perturbation pushes W past 1/2; the result is flagged, not raised.
-    h0 = 5.0 * zj.SIGMA_X
+    # Strong perturbation pushes W past 1/2 (to 0.708); the result is flagged, not raised.
+    h0 = 1.0 * zj.SIGMA_X
     h_meas = np.diag([-1.0, 1.0]).astype(complex)
     model = zj.time_independent_model(h0, h_meas, coupling=1.0, t_final=1.0)
     frame = zj.time_independent_frame(model, 1024)
@@ -291,6 +291,30 @@ def test_general_jump_warns_when_perturbative_value_is_large():
     res = zj.general_jump(model, rho0, 0, 1, frame)
     assert res.value > 0.5
     assert any("unreliable" in w for w in res.warnings)
+
+
+def test_the_contracted_bond_kernel_equals_the_dense_product():
+    # (b (x) b)^dagger bond (b (x) b), b = a u, for random unitaries, on Hermitian bonds and any 4 x 4 one
+    from zenojump.jump import _bond_kernel
+
+    rng = np.random.default_rng(33)
+    a, u = (np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))[0] for n in (40, 1))
+    bonds = [random_hermitian(rng, 4) for _ in range(4)]
+    bonds.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for bond in bonds:
+        dense = np.array([(np.kron(b, b).conj().T @ bond @ np.kron(b, b)).ravel() for b in a @ u[0]])
+        contracted = _bond_kernel(bond, a, u[0]).T
+        assert zj.max_norm(contracted - dense) <= 1e-14 * zj.max_norm(dense)
+
+
+def test_a_jump_probability_outside_zero_one_beyond_rounding_raises():
+    from zenojump.jump import _validity_flags
+
+    assert _validity_flags(-1e-13) == _validity_flags(0.5) == _validity_flags(math.nan) == ()  # a NaN is named elsewhere
+    assert _validity_flags(1.0 + 1e-13) == ("perturbation theory unreliable: jump probability 1 > 0.5",)
+    for value in (-1e-9, 1.0 + 1e-9, 36.8, math.inf, -math.inf):
+        with pytest.raises(zj.NumericalError, match="lies outside"):
+            _validity_flags(value)
 
 
 def test_general_jump_on_constant_operators_equals_plain_evaluators():

@@ -384,3 +384,49 @@ def test_a_defect_beyond_float_range_fails_the_hermitian_check_without_a_warning
         for check in (zj.check_hermitian, zj.eigh):
             with pytest.raises(zj.ValidationError, match="not Hermitian: defect inf"):
                 check(m)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 7, 8, 17, 130])
+def test_row_sums_equal_numpy_sums_bit_for_bit_below_eight_columns(dim):
+    # numpy adds fewer than 8 terms in turn from zero; from 8 on it adds pairwise
+    from zenojump.operators import _row_sums
+
+    rng = np.random.default_rng(dim)
+    count = 3 if dim > 100 else 300
+    stack = rng.normal(size=(count, dim, dim)) * 10.0 ** rng.integers(-8, 9, size=(count, dim, dim))
+    stack[: count // 3] = rng.integers(-2, 3, size=(count // 3, dim, dim))  # zeros that sum to zero
+    stack[rng.random(stack.shape) < 0.15] = -0.0
+    if dim < 8:
+        stack[rng.random(stack.shape) < 0.02] = np.nan
+        assert np.array_equal(_bits(_row_sums(stack)), _bits(stack.sum(axis=2)))
+    else:
+        stack = np.abs(stack)
+        assert np.allclose(_row_sums(stack), stack.sum(axis=2), rtol=dim * 1e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16])
+def test_an_outer_stack_equals_the_broadcast(dim):
+    from zenojump.operators import _outer
+
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(50, dim))
+    rows[::3, -1] = rows[::3, 0]  # equal entries
+    rows[1::7] = -0.0
+    rows[2::11, 0] = np.nan
+    for ufunc in (np.equal, np.not_equal, np.subtract):
+        out = _outer(ufunc, rows)
+        assert out.flags.c_contiguous and np.array_equal(out, ufunc(rows[:, :, None], rows[:, None, :]), equal_nan=True)
+
+
+def test_a_stack_passes_the_hermitian_check_entry_by_entry_or_matrix_by_matrix():
+    # an entry off by more than tol (1 + |M_ij|) but within tol (1 + max|M|) still passes
+    big = np.array([[1e6, 1e-7], [1e-7 + 1e-6j, 0.0]], dtype=complex)
+    stack = np.stack([zj.SIGMA_X, big, zj.SIGMA_Z])
+    assert zj.check_hermitian(stack) is not None
+    stack[2, 0, 1] += 1e-9
+    with pytest.raises(zj.ValidationError, match="matrix 2 of the stack is not Hermitian: defect 1.000e-09"):
+        zj.check_hermitian(stack)

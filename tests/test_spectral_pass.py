@@ -323,9 +323,9 @@ def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypa
         return svd(x, *args, **kwargs)
 
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
-    _, vecs, hdot, first, level_mean, _ = _spectral_samples(op, grid, zj.NumericPolicy(), True)
+    _, vecs, hdot, _, level_mean, _ = _spectral_samples(op, grid, zj.NumericPolicy(), True)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    steps = _rk4_steps(vecs, hdot, first, level_mean, grid)
+    steps = _rk4_steps(vecs, hdot, level_mean, grid)
     monkeypatch.undo()
     # the grid is coarse enough that some steps, not all, take the polar factor
     assert 0 < sum(polar_rows) < n_intervals
