@@ -4,11 +4,11 @@ A finitely strong measurement is modelled by a Hermitian ``H_meas`` whose
 eigenprojectors define the Zeno subspaces; degenerate eigenvalues are grouped
 into a single subspace of rank > 1.  For time-dependent ``H_meas(t)`` the
 subspaces rotate, and an intertwining frame ``A(t)`` with
-``P_n(t) = A(t) P_n(0) A(t)^dagger`` is obtained by integrating
-``i dA/dt = M(t) A(t)`` where ``M = i sum_n (dP_n/dt) P_n``.  A frame depends
-on ``H_meas`` alone; the coupling ``K`` enters the transition phases and the
-:class:`AdiabaticityReport`, which summarises the quality of the adiabatic
-picture.
+``P_n(t) = A(t) P_n(0) A(t)^dagger`` solves ``i dA/dt = M(t) A(t)``, ``M = i
+sum_n (dP_n/dt) P_n``: in closed form for a linear ``2 x 2`` ``H_meas``, by
+integration otherwise.  A frame depends on ``H_meas`` alone; the coupling
+``K`` enters the transition phases and the :class:`AdiabaticityReport`,
+which summarises the quality of the adiabatic picture.
 """
 
 from __future__ import annotations
@@ -629,6 +629,22 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return out[: 1 + count]
 
 
+def _plane_rotation(op: TimeDependentOperator, grid: np.ndarray) -> np.ndarray:
+    """Frame ``cos(theta/2) I - i sin(theta/2) m.sigma`` of a ``2 x 2`` :meth:`~TimeDependentOperator.linear` ``op``.
+
+    Its Bloch vector ``n = (Re H_10, Im H_10, (H_00 - H_11)/2)`` turns about ``m = n_A x n_B / |n_A x n_B|``
+    by ``theta``, its signed angle from ``n_A``.  Parallel transport (Kato, J. Phys. Soc. Jpn. 5, 435 (1950))
+    is that rotation, with no geometric phase (Berry, Proc. R. Soc. A 392, 45 (1984)).  Parallel ends give I."""
+    e, s = op.ends, (grid - op.horizon[0]) / (op.horizon[1] - op.horizon[0])
+    n = np.stack([e[:, 1, 0].real, e[:, 1, 0].imag, (e[:, 0, 0].real - e[:, 1, 1].real) / 2.0], axis=1)
+    n /= max(np.max(np.abs(n)), np.finfo(float).tiny)  # the angle is scale-free; n_A x n_B stays in float range
+    size = np.linalg.norm(normal := np.cross(n[0], n[1]))
+    m = normal / size if size > 0.0 else normal  # parallel ends: theta = 0, as antiparallel ones cross and raised
+    theta = np.arctan2(s * size, (1.0 - s) * (n[0] @ n[0]) + s * (n[0] @ n[1]))
+    turn = np.array([[-1j * m[2], -m[1] - 1j * m[0]], [m[1] - 1j * m[0], 1j * m[2]]])  # -i m.sigma
+    return np.cos(theta / 2.0)[:, None, None] * np.eye(2) + np.sin(theta / 2.0)[:, None, None] * turn
+
+
 def track_frame(
     h_meas: TimeDependentOperator,
     grid,
@@ -643,10 +659,12 @@ def track_frame(
     jump at a breakpoint) raises :class:`LevelCrossingError` naming the node,
     and a tolerance that merges a spectrum split beyond rounding into one
     level raises :class:`NumericalError`.  The frame ODE ``i dA/dt = M(t) A``
-    is advanced with one classical 4th-order step per
-    grid interval (generator sampled at the interval midpoint); a step matrix
-    not unitary to rounding is replaced by its polar factor.  The
-    intertwiners are the steps' blocked prefix product.  ``residual``, the worst
+    is advanced with one classical 4th-order step per grid interval (generator
+    sampled at the interval midpoint), a step not unitary to rounding replaced
+    by its polar factor; the intertwiners are the steps' blocked prefix product.
+    A :meth:`~TimeDependentOperator.linear` ``2 x 2`` measurement, whose Bloch
+    vector turns in one plane, decomposes its nodes alone and takes its frame in
+    closed form from :func:`_plane_rotation` instead.  ``residual``, the worst
     max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
     formed a node block at a time) and levels, is checked against the
     policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
@@ -666,10 +684,11 @@ def track_frame(
         if grid[-1] > b and not np.any(np.abs(grid - b) <= slack):
             raise ValidationError(f"breakpoint t={b} must be a grid node")
 
-    vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(h_meas, grid, pol, midpoints=True)
-    n = len(grid)
-    first = half_first[::2]
-    alpha_unit, eps_min, _ = _level_figures(hdot[::2], first, level_mean[::2])
+    rotating = h_meas.ends is not None and h_meas.dim == 2
+    vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(h_meas, grid, pol, midpoints=not rotating)
+    n, node = len(grid), slice(None, None, 1 if rotating else 2)
+    first = half_first[node]
+    alpha_unit, eps_min, _ = _level_figures(hdot[node], first, level_mean[node])
     n_levels = int(first[0].sum())
     changed = np.flatnonzero(first != first[0]) // first.shape[1]
     if changed.size:
@@ -681,7 +700,7 @@ def track_frame(
 
     # Levels that never cross keep their ascending order: level a must overlap
     # itself at the next node, Tr(P_a P_a'), at least as much as any other level.
-    vecs = half_vecs[::2].copy()
+    vecs = half_vecs[node].copy()
     ranks = np.diff(np.flatnonzero(np.append(first[0], True)))
     member = (np.cumsum(first[0])[:, None] == np.arange(1, n_levels + 1)).astype(float)
     weights = np.abs(_stack_matmul(vecs[:-1].conj().swapaxes(1, 2), vecs[1:])) ** 2
@@ -692,11 +711,14 @@ def track_frame(
             f"a level overlaps another level more than itself at node t={grid[crossed[0] + 1]:.9g}; "
             f"treat as a level crossing"
         )
-    eps = level_mean[::2, first[0]].T.copy()
+    eps = level_mean[node, first[0]].T.copy()
     integrals = np.zeros_like(eps)
     integrals[:, 1:] = np.cumsum(np.diff(grid) * (eps[:, 1:] + eps[:, :-1]) / 2.0, axis=1)
 
-    intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, level_mean, grid))
+    if rotating:
+        intertwiners = _plane_rotation(h_meas, grid)
+    else:
+        intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, level_mean, grid))
     del half_vecs, hdot
     initial = _projectors(vecs[:1], ranks)[:, 0]
     residual, size = 0.0, _block(vecs.shape[-1])

@@ -122,6 +122,24 @@ def frame_intertwining_properties(cases: int = 100, seed: int = BASE_SEED + 3) -
     return cases
 
 
+def closed_form_site_frame(s):
+    """``exp(-i theta sigma_y / 2)``, ``theta = atan2(s, 1 - s)``: the one-site
+    field ``-((1 - s) Z + s X)`` turns by ``theta`` in the x-z plane, and this
+    real rotation is its parallel-transport frame."""
+    theta = np.arctan2(s, 1.0 - s)
+    c, sn = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.stack([np.stack([c, -sn], axis=-1), np.stack([sn, c], axis=-1)], axis=-2)
+
+
+def rk4_intertwiners(op, grid) -> np.ndarray:
+    """The intertwiners that ``track_frame``'s RK4 steps give ``op``, which it takes on every
+    operator but a linear ``2 x 2`` one, whose frame it forms in closed form."""
+    from zenojump.decomposition import _prefix_products, _rk4_steps, _spectral_samples
+
+    _, vecs, hdot, _, level_mean, _ = _spectral_samples(op, grid, zj.NumericPolicy(), True)
+    return _prefix_products(_rk4_steps(vecs, hdot, level_mean, grid))
+
+
 def dense_intertwiners(frame) -> np.ndarray:
     """A frame's ``(K, d, d)`` intertwiner stack: the ``power``-fold tensor power of its factor's."""
     return zj.decomposition._tensor_power(frame.intertwiners, frame.power)

@@ -755,9 +755,10 @@ def test_a_chain_sweep_tracks_its_frame_once(monkeypatch):
 
 
 def test_a_chain_sweep_decomposes_its_field_once(monkeypatch):
-    # The frame's one half-grid pass (4097 samples in blocks of 512, the
-    # 2 x 2 samples that 2**11 matrix entries hold) is the only spectral
-    # work: every point's adiabaticity report reads the frame.
+    # The frame's one pass is the only spectral work: the one-site field is a
+    # linear 2 x 2 family, so its frame is a closed-form rotation and the pass
+    # decomposes the 2049 nodes alone, in blocks of 512 (the 2 x 2 samples
+    # that 2**11 matrix entries hold); every point's report reads the frame.
     from zenojump import decomposition
 
     passes = _counting(monkeypatch, decomposition, "_spectral_samples")
@@ -765,7 +766,7 @@ def test_a_chain_sweep_decomposes_its_field_once(monkeypatch):
     sweep = "[sweep]\nparameter = h\nstart = 9\nstop = 9.5\ncount = 2\n"
     chain = CHAIN_RUN.replace("512", "2048").replace("T = 1", "T = 1\nn_sites = 4\nlevel_to = 2")
     assert len(run_scenario(zj.parse_config(chain + sweep)).rows) == 2
-    assert (len(passes), len(solves)) == (1, 9)
+    assert (len(passes), len(solves)) == (1, 5)
 
 
 def test_a_chain_sweep_builds_its_model_and_kernel_once(monkeypatch):
@@ -827,11 +828,34 @@ def test_a_custom_matrix_sweep_builds_a_static_frame_per_point(monkeypatch):
 
 
 def test_a_frame_tol_below_the_site_residual_fails_at_the_first_point(tmp_path, capsys):
-    cfg_path = write(tmp_path, CHAIN_SWEEP + "\n[tolerances]\nframe_tol = 1e-14\n")
+    # the closed-form site frame's residual is rounding, below 1e-15
+    cfg_path = write(tmp_path, CHAIN_SWEEP + "\n[tolerances]\nframe_tol = 1e-16\n")
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: frame residual ")
     assert err.endswith(" (at h = 5)\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "intervals, message",
+    [(64, "grid undersamples the transition phase: "), (256, "jump quadrature not converged: ")],
+)
+def test_a_coarse_grid_on_a_fast_turning_field_exits_3_at_the_quadrature(tmp_path, capsys, monkeypatch, intervals, message):
+    # The one-site field swapped for Z -> -Z + 0.05 X, which turns by nearly pi
+    # around s = 1/2.  Its frame is a closed-form rotation with a residual of
+    # rounding, so the coarse grid is caught where the transition phase is
+    # integrated (a QuadratureError), not by the frame residual.
+    from zenojump import models
+
+    field = models._field_direction
+    fast = zj.TimeDependentOperator.linear(zj.SIGMA_Z, -zj.SIGMA_Z + 0.05 * zj.SIGMA_X, (0.0, 1.0))
+    monkeypatch.setattr(models, "_field_direction", lambda n: fast if n == 1 else field(n))
+    cfg_path = write(tmp_path, CHAIN_RUN.replace("h = 5", "h = 20").replace("512", str(intervals)))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: " + message)
+    assert err.endswith(" (at h = 20)\n") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -13,7 +13,7 @@ import pytest
 import zenojump as zj
 from zenojump.models import _field_direction
 
-from properties import dense_intertwiners, level_projectors
+from properties import closed_form_site_frame, dense_intertwiners, level_projectors, rk4_intertwiners
 
 
 CUM_FULL = 0.5 + (math.sqrt(2.0) / 4.0) * math.log(1.0 + math.sqrt(2.0))
@@ -405,22 +405,16 @@ def test_field_and_site_sample_as_linear_operators_bit_for_bit(n_sites):
         assert np.array_equal(op.sample(half), generic.sample(half))
 
 
-def _closed_form_site_frame(s):
-    """``exp(-i theta sigma_y / 2)``, ``theta = atan2(s, 1 - s)``: the one-site
-    field ``-((1 - s) Z + s X)`` turns by ``theta`` in the x-z plane, and this
-    real rotation is its parallel-transport frame."""
-    theta = np.arctan2(s, 1.0 - s)
-    c, sn = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.stack([np.stack([c, -sn], axis=-1), np.stack([sn, c], axis=-1)], axis=-2)
-
-
 @pytest.mark.parametrize("intervals", [1024, 2048])
 def test_tracked_site_frame_is_the_closed_form_rotation(intervals):
     grid = np.linspace(0.0, 1.0, intervals + 1)
     frame = zj.track_frame(_field_direction(1), grid)
-    assert np.max(np.abs(frame.intertwiners - _closed_form_site_frame(grid))) <= 1e-13
+    assert np.max(np.abs(frame.intertwiners - closed_form_site_frame(grid))) <= 1e-13
+    # track_frame forms this rotation in closed form; the RK4 route it takes
+    # on every other operator integrates the same rotation on the site field
+    assert np.max(np.abs(rk4_intertwiners(_field_direction(1), grid) - closed_form_site_frame(grid))) <= 1e-13
     chain = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=2, h=12.5, T=1.0), n_intervals=intervals)
-    a = _closed_form_site_frame(grid)
+    a = closed_form_site_frame(grid)
     pair = np.einsum("kab,kcd->kacbd", a, a).reshape(len(grid), 4, 4)
     assert np.max(np.abs(dense_intertwiners(chain) - pair)) <= 1e-13
 
@@ -515,11 +509,11 @@ def test_chain_jump_on_the_structured_frame_matches_the_dense_frame():
 def test_spin_chain_frame_residual_failure_carries_the_chain_frame():
     spec = zj.SpinChainSpec(n_sites=3, h=5.0, T=1.0)
     with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
-        zj.spin_chain_frame(spec, n_intervals=4, policy=zj.NumericPolicy(frame_tol=1e-15))
+        zj.spin_chain_frame(spec, n_intervals=4, policy=zj.NumericPolicy(frame_tol=1e-16))
     frame = exc.value.last_result
     assert isinstance(frame, zj.AdiabaticFrame)
     assert frame.dim == 8 and frame.ranks == (1, 3, 3, 1)
-    assert frame.residual > 1e-15
+    assert frame.residual > 1e-16
 
 
 def _same_bits(a, b) -> bool:
@@ -561,7 +555,7 @@ def test_a_shared_chain_frame_is_keyed_by_size_grid_and_policy():
 
 
 def test_a_shared_chain_frame_checks_the_residual_on_every_call():
-    shared, tight, failed = {}, zj.NumericPolicy(frame_tol=1e-15), []
+    shared, tight, failed = {}, zj.NumericPolicy(frame_tol=1e-16), []
     for h in (5.0, 6.0):
         with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
             zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=h), 4, tight, shared=shared)

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 import zenojump as zj
 
-from properties import _rotating_family, level_projectors, random_hermitian
+from properties import _rotating_family, closed_form_site_frame, level_projectors, random_hermitian, rk4_intertwiners
 
 
 # --- per-slice reference implementations -------------------------------------
@@ -332,8 +332,72 @@ def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypa
     defect = np.abs(steps.conj().swapaxes(1, 2) @ steps - np.eye(op.dim))
     assert np.max(defect) <= 1e-14
     frame = zj.track_frame(op, grid)
-    intertwiners, projectors, _ = ref_track_frame(op, grid, 1e-8)
-    assert frame.residual == pytest.approx(ref_residual(intertwiners, projectors), rel=0.0, abs=1e-12)
+    if op.dim == 2:  # a linear 2 x 2 family takes no RK4 steps: its frame is the closed-form rotation
+        assert np.max(np.abs(frame.intertwiners - closed_form_site_frame(grid))) <= 1e-15
+    else:
+        intertwiners, projectors, _ = ref_track_frame(op, grid, 1e-8)
+        assert frame.residual == pytest.approx(ref_residual(intertwiners, projectors), rel=0.0, abs=1e-12)
+
+
+# --- a linear two-level family: the frame in closed form ---------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_linear_two_level_frame_is_the_rk4_frame_in_closed_form(seed):
+    # complex off-diagonals, an identity part, a horizon other than (0, 1) and
+    # a grid that stops short of its end
+    rng = np.random.default_rng(700 + seed)
+    start, end = (random_hermitian(rng, 2) + rng.normal() * np.eye(2) for _ in range(2))
+    t0 = rng.uniform(-2.0, 2.0)
+    t1 = t0 + rng.uniform(0.5, 3.0)
+    op = zj.TimeDependentOperator.linear(start, end, (t0, t1))
+    grid = np.linspace(t0, t0 + 0.8 * (t1 - t0), 4097)
+    frame = zj.track_frame(op, grid)
+    assert np.max(np.abs(frame.intertwiners - rk4_intertwiners(op, grid))) <= 1e-12
+    defect = np.abs(frame.intertwiners.conj().swapaxes(1, 2) @ frame.intertwiners - np.eye(2))
+    assert np.max(defect) <= 1e-14
+    assert frame.residual < 1e-14
+    assert frame.alpha_unit > 0.0  # the family turns
+
+
+def test_parallel_ends_give_identity_intertwiners():
+    start = np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
+    op = zj.TimeDependentOperator.linear(start, 2.0 * start + 0.5 * np.eye(2), (0.0, 1.0))
+    frame = zj.track_frame(op, np.linspace(0.0, 1.0, 65))
+    assert np.array_equal(frame.intertwiners, np.broadcast_to(np.eye(2), (65, 2, 2)))
+    assert frame.residual < 1e-14 and frame.alpha_unit < 1e-30  # no turn: alpha is rounding
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        # antiparallel ends: the levels cross at s = 1/4, between the nodes 1/6 and 1/3
+        (zj.SIGMA_Z, -3.0 * zj.SIGMA_Z, "overlaps another level more than itself at node t=0.333333333"),
+        # a degenerate end: one level of rank 2 at the first node, two after it
+        (0.5 * np.eye(2), zj.SIGMA_X + 0.2 * zj.SIGMA_Z, r"level count or ranks changed \(from 1 to 2 levels\)"),
+    ],
+    ids=["antiparallel", "degenerate-end"],
+)
+def test_a_linear_two_level_family_that_crosses_still_raises(start, end, message):
+    op = zj.TimeDependentOperator.linear(start, end, (0.0, 1.0))
+    with pytest.raises(zj.LevelCrossingError, match=message):
+        zj.track_frame(op, np.linspace(0.0, 1.0, 7))
+
+
+def test_the_dense_chain_field_keeps_the_rk4_route(monkeypatch):
+    # the 2^n-dimensional field is linear but not 2 x 2, so the dense
+    # cross-check of the chain frame stays independent of the closed form
+    from zenojump import decomposition
+    from zenojump.models import _field_direction
+
+    calls = []
+    rk4 = decomposition._rk4_steps
+    monkeypatch.setattr(decomposition, "_rk4_steps", lambda *args: calls.append(1) or rk4(*args))
+    grid = np.linspace(0.0, 1.0, 65)
+    zj.track_frame(zj.spin_chain_model(zj.SpinChainSpec(n_sites=2)).h_meas, grid)
+    assert len(calls) == 1
+    zj.track_frame(_field_direction(1), grid)
+    assert len(calls) == 1
 
 
 # --- static frames -----------------------------------------------------------
