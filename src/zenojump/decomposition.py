@@ -161,10 +161,12 @@ class TimeDependentOperator:
         return np.clip(t, t0, t1)
 
     def _between(self, t):
-        """The :meth:`linear` operator at ``t``, a time or a ``(K, 1, 1)`` array of times."""
+        """The :meth:`linear` operator at ``t``, a time, or at ``K`` times as ``(d, d, K)`` entry planes:
+        each product then runs along the times, not along a trailing axis of length ``d``."""
         s = (t - self.horizon[0]) / (self.horizon[1] - self.horizon[0])
+        start, end = self.ends[..., None] if np.ndim(t) else self.ends
         # Exact double negation: ends -Z, -X give -((1-s) Z + s X) down to signed zeros, which eigh sees
-        return -((1.0 - s) * -self.ends[0] + s * -self.ends[1])
+        return -((1.0 - s) * -start + s * -end)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([float(t)])[0]
@@ -174,9 +176,9 @@ class TimeDependentOperator:
 
         Times and stack are each checked as one array, and the first bad one
         raises.  A constant operator returns a read-only view of its matrix,
-        a :meth:`linear` one forms the stack in one broadcast expression, and
-        a scaled sum adds its terms' stacks.  Other operators call the
-        evaluator per time.
+        a :meth:`linear` one forms the stack in one broadcast expression on
+        entry planes and packs it once, and a scaled sum adds its terms'
+        stacks.  Other operators call the evaluator per time.
         """
         stack = self._stack(self._times(times))
         if self.value is None and not np.isfinite(stack).all():
@@ -189,7 +191,7 @@ class TimeDependentOperator:
         if self.value is not None:
             return np.broadcast_to(self.value, (len(t), self.dim, self.dim))
         if self.ends is not None:
-            return self._between(t[:, None, None])
+            return np.ascontiguousarray(self._between(t).transpose(2, 0, 1))
         if self.terms is not None:
             return _add_scaled(self.terms, [op._stack(t) for _, op in self.terms])
         samples = [np.asarray(self.evaluator(x), dtype=complex) for x in t.tolist()]
@@ -300,17 +302,6 @@ def _cluster(vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return first, means[np.cumsum(first) - 1].reshape(vals.shape)
 
 
-def _projectors(vecs: np.ndarray, ranks) -> np.ndarray:
-    """Projectors ``(L, K, d, d)``: level ``l`` at sample ``k`` is spanned by
-    the ``l``-th block of ``ranks[l]`` eigenvector columns of ``vecs[k]``."""
-    out = np.empty((len(ranks), *vecs.shape), dtype=complex)
-    for l, (start, rank) in enumerate(zip(np.cumsum(ranks) - ranks, ranks)):
-        block = vecs[:, :, start : start + rank]
-        p = _stack_matmul(block, block.conj().swapaxes(1, 2))
-        out[l] = (p + p.conj().swapaxes(1, 2)) / 2.0
-    return out
-
-
 def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericPolicy, midpoints: bool):
     """Sample ``op`` once on the half grid of ``grid`` and decompose it once.
 
@@ -321,15 +312,25 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     With ``midpoints`` every half-grid point is decomposed, otherwise only
     the nodes, in stacked :func:`eigh` calls of :func:`_block` samples.  A
     constant operator is decomposed once: one row, broadcast over the half
-    grid with ``midpoints``.  The policy's degeneracy tolerance is resolved
-    over all samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first,
-    level_mean, tol)``, one row per decomposed sample, levels by :func:`_cluster`.
+    grid with ``midpoints``.  A linear ``2 x 2`` ``op`` at its nodes alone
+    lays every stack out as ``(K, 2, 2)`` views of ``(2, 2, K)`` entry planes,
+    so a product over them runs along the samples, not along a trailing axis
+    of length 2.  The policy's degeneracy tolerance is resolved over all
+    samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first, level_mean,
+    tol)``, one row per decomposed sample, levels by :func:`_cluster`.
     """
     half = np.empty(2 * len(grid) - 1)
     half[::2] = grid
     half[1::2] = (grid[:-1] + grid[1:]) / 2.0
     at = np.arange(0, len(half), 1 if midpoints else 2)
     samples = op.sample(half)  # checks every time against the horizon
+    planar = op.ends is not None and op.dim == 2 and not midpoints
+    if planar:  # (2, 2, K) entry planes, taken as (K, 2, 2) views: a product over them runs along the samples
+        planes = np.ascontiguousarray(samples.transpose(1, 2, 0))
+
+    def take(idx):
+        return np.take(planes, idx, axis=2).transpose(2, 0, 1) if planar else samples[idx]
+
     if op.value is not None:
         rows = len(at) if midpoints else 1
         vals, vecs = (np.broadcast_to(x, (rows, *x.shape)) for x in eigh(op.value, pol))
@@ -343,14 +344,15 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     right = np.where(half[nxt] <= hi, nxt, at)
     width = np.where(right > left, half[right] - half[left], 1.0)[:, None, None]
     vals = np.empty((len(at), op.dim))
-    vecs = np.empty((len(at), op.dim, op.dim), dtype=complex)
+    shape = (op.dim, op.dim, len(at)) if planar else (len(at), op.dim, op.dim)
+    vecs = np.empty(shape, dtype=complex).transpose((2, 0, 1) if planar else (0, 1, 2))  # laid out as the samples
     hdot = np.empty_like(vecs)
     size = _block(op.dim)
     for start in range(0, len(at), size):
         blk = slice(start, start + size)
-        vals[blk], vecs[blk] = eigh(samples[at[blk]], pol)
+        vals[blk], vecs[blk] = eigh(take(at[blk]), pol)
         if op.derivative_evaluator is None:
-            deriv = (samples[right[blk]] - samples[left[blk]]) / width[blk]
+            deriv = (take(right[blk]) - take(left[blk])) / width[blk]
         else:
             deriv = np.stack([op.derivative(t, 0.0) for t in half[at[blk]]])
         hdot[blk] = _stack_matmul(_stack_matmul(vecs[blk].conj().swapaxes(1, 2), deriv), vecs[blk])
@@ -537,16 +539,6 @@ class AdiabaticFrame:
     def __repr__(self) -> str:  # sizes, not the fields' arrays
         return f"AdiabaticFrame(levels={self.n_levels}, nodes={self.n_nodes}, dim={self.dim}, residual={self.residual!r})"
 
-    def node_index(self, t: float) -> int:
-        """Index of the grid node equal to ``t``; error if ``t`` is off-grid."""
-        grid = self.grid
-        idx = int(np.searchsorted(grid, t))
-        slack = 1e-12 * (1.0 + abs(float(grid[-1])))
-        for cand in (idx - 1, idx, idx + 1):
-            if 0 <= cand < len(grid) and abs(float(grid[cand]) - t) <= slack:
-                return cand
-        raise ValidationError(f"time {t!r} is not a frame grid node; frames are not interpolated")
-
     @classmethod
     def _from_basis(cls, grid, eps, integrals, basis, ranks, degeneracy_tol, pol) -> "AdiabaticFrame":
         """Static frame on the checked ``grid`` whose unitary ``basis`` holds
@@ -634,7 +626,8 @@ def _plane_rotation(op: TimeDependentOperator, grid: np.ndarray) -> np.ndarray:
 
     Its Bloch vector ``n = (Re H_10, Im H_10, (H_00 - H_11)/2)`` turns about ``m = n_A x n_B / |n_A x n_B|``
     by ``theta``, its signed angle from ``n_A``.  Parallel transport (Kato, J. Phys. Soc. Jpn. 5, 435 (1950))
-    is that rotation, with no geometric phase (Berry, Proc. R. Soc. A 392, 45 (1984)).  Parallel ends give I."""
+    is that rotation, with no geometric phase (Berry, Proc. R. Soc. A 392, 45 (1984)).  Parallel ends give I.
+    The frame is a ``(K, 2, 2)`` view of entry planes, as :func:`_spectral_samples` lays out a linear ``2 x 2`` pass."""
     e, s = op.ends, (grid - op.horizon[0]) / (op.horizon[1] - op.horizon[0])
     n = np.stack([e[:, 1, 0].real, e[:, 1, 0].imag, (e[:, 0, 0].real - e[:, 1, 1].real) / 2.0], axis=1)
     n /= max(np.max(np.abs(n)), np.finfo(float).tiny)  # the angle is scale-free; n_A x n_B stays in float range
@@ -642,7 +635,23 @@ def _plane_rotation(op: TimeDependentOperator, grid: np.ndarray) -> np.ndarray:
     m = normal / size if size > 0.0 else normal  # parallel ends: theta = 0, as antiparallel ones cross and raised
     theta = np.arctan2(s * size, (1.0 - s) * (n[0] @ n[0]) + s * (n[0] @ n[1]))
     turn = np.array([[-1j * m[2], -m[1] - 1j * m[0]], [m[1] - 1j * m[0], 1j * m[2]]])  # -i m.sigma
-    return np.cos(theta / 2.0)[:, None, None] * np.eye(2) + np.sin(theta / 2.0)[:, None, None] * turn
+    return np.moveaxis(np.cos(theta / 2.0) * np.eye(2)[..., None] + np.sin(theta / 2.0) * turn[..., None], 2, 0)
+
+
+def _residual(a, vecs, ranks) -> float:
+    """Worst max-norm of ``A P_l(0) A^dagger - P_l(t)`` over the nodes and levels of the frame
+    ``a`` and the eigenvectors ``vecs``, a :func:`_block` of nodes at a time: the first node's
+    columns ``v`` of level ``l``, transported to ``w = A v``, give ``A P_l(0) A^dagger = w w^dagger``,
+    compared with ``P_l(t) = v v^dagger`` at each node."""
+    residual, size = 0.0, _block(vecs.shape[-1])
+    for start in range(0, len(vecs), size):
+        blk = slice(start, start + size)
+        for cols in (slice(first, first + rank) for first, rank in zip(np.cumsum(ranks) - ranks, ranks)):
+            moved, block = _stack_matmul(a[blk], vecs[:1, :, cols]), vecs[blk, :, cols]
+            p = _stack_matmul(moved, moved.conj().swapaxes(1, 2)) - _stack_matmul(block, block.conj().swapaxes(1, 2))
+            # np.maximum keeps a NaN maximum, which the builtin max drops
+            residual = np.maximum(residual, max_norm(p))
+    return float(residual)
 
 
 def track_frame(
@@ -663,13 +672,14 @@ def track_frame(
     sampled at the interval midpoint), a step not unitary to rounding replaced
     by its polar factor; the intertwiners are the steps' blocked prefix product.
     A :meth:`~TimeDependentOperator.linear` ``2 x 2`` measurement, whose Bloch
-    vector turns in one plane, decomposes its nodes alone and takes its frame in
-    closed form from :func:`_plane_rotation` instead.  ``residual``, the worst
-    max-norm of ``A P_l(0) A^dagger - P_l(t)`` over nodes (eigenprojectors
-    formed a node block at a time) and levels, is checked against the
-    policy's ``frame_tol``; pass ``policy.replace(frame_tol=...)`` for another
-    bound.  ``eps_integrals`` are cumulative trapezoids of the levels.  The
-    report figures come from the pass's node rows.
+    vector turns in one plane, decomposes its nodes alone on entry planes
+    (:func:`_spectral_samples`) and takes its frame in closed form from
+    :func:`_plane_rotation` instead.  ``residual``, the worst max-norm of
+    ``A P_l(0) A^dagger - P_l(t)`` over nodes and levels (:func:`_residual`),
+    is checked against the policy's ``frame_tol``; pass
+    ``policy.replace(frame_tol=...)`` for another bound.  ``eps_integrals``
+    are cumulative trapezoids of the levels.  The report figures come from the
+    pass's node rows.
 
     Breakpoints of ``h_meas`` must coincide with grid nodes so that no
     integration step straddles a discontinuity.
@@ -684,11 +694,11 @@ def track_frame(
         if grid[-1] > b and not np.any(np.abs(grid - b) <= slack):
             raise ValidationError(f"breakpoint t={b} must be a grid node")
 
-    rotating = h_meas.ends is not None and h_meas.dim == 2
-    vals, half_vecs, hdot, half_first, level_mean, tol = _spectral_samples(h_meas, grid, pol, midpoints=not rotating)
-    n, node = len(grid), slice(None, None, 1 if rotating else 2)
-    first = half_first[node]
-    alpha_unit, eps_min, _ = _level_figures(hdot[node], first, level_mean[node])
+    planar = h_meas.ends is not None and h_meas.dim == 2
+    vals, half_vecs, half_hdot, half_first, half_mean, tol = _spectral_samples(h_meas, grid, pol, midpoints=not planar)
+    node = slice(None, None, 1 if planar else 2)
+    vecs, hdot, first, level_mean = half_vecs[node], half_hdot[node], half_first[node], half_mean[node]
+    alpha_unit, eps_min, _ = _level_figures(hdot, first, level_mean)
     n_levels = int(first[0].sum())
     changed = np.flatnonzero(first != first[0]) // first.shape[1]
     if changed.size:
@@ -697,41 +707,35 @@ def track_frame(
             f"t={grid[changed[0]]:.9g}; treat as a level crossing"
         )
     _check_split(vals, n_levels, tol)
+    ranks = np.diff(np.flatnonzero(np.append(first[0], True)))
 
     # Levels that never cross keep their ascending order: level a must overlap
     # itself at the next node, Tr(P_a P_a'), at least as much as any other level.
-    vecs = half_vecs[node].copy()
-    ranks = np.diff(np.flatnonzero(np.append(first[0], True)))
-    member = (np.cumsum(first[0])[:, None] == np.arange(1, n_levels + 1)).astype(float)
-    weights = np.abs(_stack_matmul(vecs[:-1].conj().swapaxes(1, 2), vecs[1:])) ** 2
-    overlap = _stack_matmul(_stack_matmul(member.T, weights), member)
+    overlap = np.abs(_stack_matmul(vecs[:-1].conj().swapaxes(1, 2), vecs[1:])) ** 2
+    if n_levels < len(first[0]):  # a degenerate level overlaps by the sum over its columns
+        member = (np.cumsum(first[0])[:, None] == np.arange(1, n_levels + 1)).astype(float)
+        overlap = _stack_matmul(_stack_matmul(member.T, overlap), member)
     crossed = np.flatnonzero(overlap > np.diagonal(overlap, axis1=1, axis2=2)[:, :, None]) // n_levels**2
     if crossed.size:
         raise LevelCrossingError(
             f"a level overlaps another level more than itself at node t={grid[crossed[0] + 1]:.9g}; "
             f"treat as a level crossing"
         )
-    eps = level_mean[node, first[0]].T.copy()
+    eps = level_mean[:, first[0]].T.copy()
     integrals = np.zeros_like(eps)
     integrals[:, 1:] = np.cumsum(np.diff(grid) * (eps[:, 1:] + eps[:, :-1]) / 2.0, axis=1)
 
-    if rotating:
+    if planar:
         intertwiners = _plane_rotation(h_meas, grid)
     else:
-        intertwiners = _prefix_products(_rk4_steps(half_vecs, hdot, level_mean, grid))
-    del half_vecs, hdot
-    initial = _projectors(vecs[:1], ranks)[:, 0]
-    residual, size = 0.0, _block(vecs.shape[-1])
-    for start in range(0, n, size):
-        blk = slice(start, start + size)
-        a, projectors = intertwiners[blk], _projectors(vecs[blk], ranks)
-        transported = _stack_matmul(_stack_matmul(a, initial[:, None]), a.conj().swapaxes(1, 2))
-        # np.maximum keeps a NaN block maximum, which the builtin max drops
-        residual = np.maximum(residual, max_norm(transported - projectors))
+        vecs = vecs.copy()
+        intertwiners = _prefix_products(_rk4_steps(half_vecs, half_hdot, half_mean, grid))
+        del half_vecs, half_hdot, hdot
+    residual = _residual(intertwiners, vecs, ranks)
 
     frame = AdiabaticFrame(
         grid=grid,
-        intertwiners=intertwiners,
+        intertwiners=np.ascontiguousarray(intertwiners),
         eigenvalues=eps,
         eps_integrals=integrals,
         initial_basis=vecs[0].copy(),
@@ -740,7 +744,7 @@ def track_frame(
         degeneracy_tol=tol,
         alpha_unit=alpha_unit,
         eps_min=eps_min,
-        residual=float(residual),
+        residual=residual,
     )
     return _checked_frame(frame, pol)
 

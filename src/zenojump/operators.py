@@ -150,26 +150,6 @@ def check_density(m, policy: NumericPolicy | None = None) -> np.ndarray:
     return a
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
-
-    Works on one matrix or a stack of them (columns along the last axis).
-    Ties resolve to the smallest row index, which keeps the output
-    deterministic across runs and platforms.  Each column is divided by its
-    pivot's phase ``p / |p|``: an eigenvector column is a unit vector, so its
-    pivot is not zero.  One matrix takes its pivots as the diagonal of its
-    pivot rows, which costs less than ``take_along_axis`` on small matrices
-    and builds no column index; its result equals its slice of a stack bit
-    for bit.
-    """
-    idx = np.abs(vectors).argmax(axis=-2)
-    if vectors.ndim == 2:
-        pivots = vectors[idx].diagonal()
-    else:
-        pivots = np.take_along_axis(vectors, idx[:, None, :], axis=1)
-    return vectors / (pivots / np.abs(pivots))
-
-
 def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of a ``(..., 2, 2)`` Hermitian stack ``[[p, l*], [l, q]]``,
     read from the diagonal's real part and the lower triangle, as LAPACK reads it.
@@ -183,8 +163,10 @@ def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work runs on ``H`` scaled by a power of two to read values below 1, so the
     scaling is exact and no intermediate leaves float range; an eigenvalue
     beyond float range comes out as ``inf``.  Exact degeneracy gives the
-    identity columns.  Only exact or correctly rounded operations enter, so
-    a stack's slice equals the single-matrix call bit for bit.
+    identity columns.  The columns are phase-fixed as :func:`eigh` states, on
+    arrays that run along the stack, then packed once.  Only exact or
+    correctly rounded operations enter, so a stack's slice equals the
+    single-matrix call bit for bit.
     """
     p, q, lr, li = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0].real, a[..., 1, 0].imag
     exp = np.frexp(np.maximum(np.maximum(np.abs(p), np.abs(q)), np.maximum(np.abs(lr), np.abs(li))))[1]
@@ -197,18 +179,26 @@ def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big = np.abs(half) + r
     big = np.where(big > 0.0, big, 1.0)  # half = r = 0: the identity columns
     norm = np.sqrt(big * big + off)
-    c = lr / norm + 1j * (np.where(up, li, -li) / norm)  # l / norm, or l* / norm on the reflection
-    vecs = np.empty(a.shape, dtype=complex)
-    vecs[..., 0, 0], vecs[..., 0, 1], vecs[..., 1, 0], vecs[..., 1, 1] = -c.conj(), big / norm, big / norm, c
-    return vals, np.where(up[..., None, None], vecs, vecs[..., ::-1, :])
+    b, c = big / norm, lr / norm + 1j * (np.where(up, li, -li) / norm)  # c = l / norm, or l* / norm on the reflection
+    # Each column holds b > 0, its own modulus, and one entry of modulus |c| = |-c*|: (-c*, b) and (b, c),
+    # rows swapped where not up.  The arrays run (column, ...), so the pivot rule runs along the stack.
+    size, other, b_first = np.abs(c), np.array([-c.conj(), c]), np.array([~up, up])
+    pivot = np.where((b > size) | ((b == size) & b_first), b, other)  # b, on a tie if it comes first
+    phase = pivot / np.abs(pivot)
+    b, other = b / phase, other / phase
+    vecs = np.empty_like(a)  # laid out as the input: a stack of entry planes stays one
+    vecs[..., 0, :], vecs[..., 1, :] = np.where(b_first, b, other).T, np.where(b_first, other, b).T
+    return vals, vecs
 
 
 def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a ``(K, d, d)`` stack.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvector columns phase-fixed, stacked along the leading axis for a
-    stack input.  Every matrix passes the hermiticity check of
+    each eigenvector column divided by its pivot's phase ``p / |p|``, the
+    pivot its largest-magnitude entry (the first on a tie), so the output is
+    deterministic across runs and platforms; both are stacked along the
+    leading axis for a stack input.  Every matrix passes the hermiticity check of
     :func:`check_hermitian`; the first one that fails raises
     :class:`ValidationError`.  The solver follows the shape: a ``2 x 2``
     matrix or stack takes the closed form of :func:`_eigh2`, any other size
@@ -216,8 +206,12 @@ def eigh(m, policy: NumericPolicy | None = None) -> tuple[np.ndarray, np.ndarray
     result equals that of the single-matrix call.
     """
     a = check_hermitian(m, policy)
-    vals, vecs = _eigh2(a) if a.shape[-1] == 2 else np.linalg.eigh(a)
-    return vals, _fix_phases(vecs)
+    if a.shape[-1] == 2:
+        return _eigh2(a)
+    vals, vecs = np.linalg.eigh(a)
+    idx = np.abs(vecs).argmax(axis=-2)  # one matrix: the diagonal of its pivot rows, cheaper than take_along_axis
+    pivots = vecs[idx].diagonal() if vecs.ndim == 2 else np.take_along_axis(vecs, idx[:, None, :], axis=1)
+    return vals, vecs / (pivots / np.abs(pivots))
 
 
 def matrix_exp_unitary(h, dt: float, policy: NumericPolicy | None = None) -> np.ndarray:
@@ -234,7 +228,7 @@ def matrix_exp_unitary(h, dt: float, policy: NumericPolicy | None = None) -> np.
 def _stack_matmul(a, b) -> np.ndarray:
     """``a @ b`` over broadcast stacks; a contraction of length 1 or 2 is summed index by
     index from broadcast products, since a stacked ``@`` costs about 0.3 us per matrix.
-    Those products still run along a trailing axis, as a node-first stack lays them out."""
+    Those products run in memory order: along a trailing axis on a node-first stack, along the nodes on entry planes."""
     if a.shape[-1] > 2:
         return a @ b
     out = a[..., :, :1] * b[..., :1, :]

@@ -4,10 +4,6 @@
 sixth-order Magnus step exponentials (three Gauss-Legendre samples and their
 nested commutators per step; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
 (2009), section 4) with step doubling until successive refinements agree.
-``adiabatic_propagator`` is the measurement-dominated approximation
-``A(t) Phi(t)`` read off an :class:`AdiabaticFrame`; the two emit the same
-states in the strong-coupling limit and their disagreement is a diagnostic,
-not an error.
 """
 
 from __future__ import annotations
@@ -17,12 +13,12 @@ import math
 
 import numpy as np
 
-from .decomposition import AdiabaticFrame, TimeDependentOperator, _check_coupling, _tensor_power
+from .decomposition import TimeDependentOperator
 from .errors import NumericalError, ValidationError
 from .operators import matrix_exp_unitary, max_norm
 from .policy import NumericPolicy, default_policy
 
-__all__ = ["PropagatorResult", "exact_propagator", "adiabatic_propagator"]
+__all__ = ["PropagatorResult", "exact_propagator"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,21 +159,3 @@ def exact_propagator(
         f"{doublings} doublings (last change {diff:.3e})",
         last_result=PropagatorResult(matrix=prev, steps_used=sum(counts(steps)), est_error=diff),
     )
-
-
-def adiabatic_propagator(frame: AdiabaticFrame, t: float, coupling: float) -> np.ndarray:
-    """Zeroth-order propagator ``A(t) Phi(t)`` at a frame grid node.
-
-    ``Phi(t) = sum_l exp(-i K E_l(t)) q_l q_l^dagger``, ``E`` the frame's
-    ``eps_integrals``, ``K`` the ``coupling``, positive and finite, and
-    ``q_l`` the frame's first-node level bases, formed as one
-    ``(q * phases) @ q^dagger`` over their concatenation ``q``.  ``A(t)`` is
-    the ``power``-fold Kronecker power of the frame's intertwiner at that
-    node alone.  Requesting a time between grid nodes is an error; frames
-    are never interpolated.
-    """
-    k = frame.node_index(float(t))
-    phases = np.exp(-1j * _check_coupling(coupling) * frame.eps_integrals[:, k])
-    q = np.concatenate([frame.level_basis(l) for l in range(frame.n_levels)], axis=1)
-    phi = (q * np.repeat(phases, frame.ranks)) @ q.conj().T
-    return _tensor_power(frame.intertwiners[k], frame.power) @ phi

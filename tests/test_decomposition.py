@@ -347,9 +347,6 @@ def test_static_frame_phases_exact_for_switched_eigenvalue():
     assert frame.residual == 0.0
     assert frame.n_nodes == 9
     assert frame.dim == 2
-    assert frame.node_index(0.5) == 4
-    with pytest.raises(zj.ValidationError, match="grid node"):
-        frame.node_index(0.51)
 
 
 # --- tensor-power levels -----------------------------------------------------
@@ -420,6 +417,20 @@ def test_track_frame_rejects_levels_that_cannot_be_followed():
         zj.track_frame(op, grid=np.linspace(0.0, 1.0, 9))
 
 
+def test_track_frame_sums_a_degenerate_levels_overlap_over_its_columns():
+    # From t = 0.5 a split of 1e-10, inside the tolerance, orders the rank-2
+    # level's columns e_1, e_0: column by column e_0 would overlap the other
+    # column, but the level overlaps itself fully, so nothing crosses.
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: np.diag([0.0 if t < 0.5 else 1e-10, 0.0, 1.0]).astype(complex),
+        horizon=(0.0, 1.0),
+        dim=3,
+        breakpoints=(0.5,),
+    )
+    frame = zj.track_frame(op, grid=np.linspace(0.0, 1.0, 9))
+    assert frame.ranks == (2, 1) and np.array_equal(frame.final_basis, np.eye(3)[:, [1, 0, 2]])
+
+
 def test_track_frame_residual_failure_carries_frame():
     rng = np.random.default_rng(23)
     gen = random_hermitian(rng, 3, scale=1.0)
@@ -433,24 +444,56 @@ def test_track_frame_residual_failure_carries_frame():
     assert exc.value.last_result.residual > 1e-10
 
 
-def test_track_frame_keeps_a_non_finite_residual(monkeypatch):
-    from zenojump import decomposition
-
-    real, calls = decomposition._projectors, []
+def _poisoned(helper, rows):
+    """``helper`` whose frame reads NaN at its first ``rows`` nodes."""
 
     def poisoned(*args):
-        out = real(*args)
-        calls.append(len(out))
-        if len(calls) == 2:  # the first residual block; later blocks stay finite
-            out[...] = np.nan
+        out = np.array(helper(*args))
+        out[:rows] = np.nan
         return out
 
-    monkeypatch.setattr(decomposition, "_projectors", poisoned)
-    op = zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0))
+    return poisoned
+
+
+def test_track_frame_keeps_a_non_finite_residual(monkeypatch):
+    # The RK4 route: NaN intertwiners in the first residual block only (227
+    # nodes of a 3 x 3 frame); np.maximum keeps that block's NaN maximum, which
+    # the builtin max would drop for the finite later blocks.
+    from zenojump import decomposition
+
+    monkeypatch.setattr(decomposition, "_prefix_products", _poisoned(decomposition._prefix_products, 100))
+    op = rotation_family(random_hermitian(np.random.default_rng(22), 3, scale=0.5), np.diag([-1.0, 0.0, 1.0]))
     with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
         zj.track_frame(op, np.linspace(0.0, 1.0, 1025))
-    assert len(calls) > 2
-    assert np.isnan(exc.value.last_result.residual)
+    frame = exc.value.last_result
+    assert np.isnan(frame.residual) and np.isfinite(frame.intertwiners[100:]).all()
+
+
+def test_a_planar_frame_keeps_a_non_finite_residual(monkeypatch):
+    # The closed-form route of a linear 2 x 2 family: NaN in the first of five
+    # residual blocks of 512 nodes, the rest finite.
+    from zenojump import decomposition
+
+    monkeypatch.setattr(decomposition, "_plane_rotation", _poisoned(decomposition._plane_rotation, 100))
+    op = zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0))
+    with pytest.raises(zj.FrameResidualError, match="refine the grid") as exc:
+        zj.track_frame(op, np.linspace(0.0, 1.0, 2049))
+    frame = exc.value.last_result
+    assert np.isnan(frame.residual) and np.isfinite(frame.intertwiners[100:]).all()
+
+
+def test_a_planar_frame_off_by_a_turn_fails_its_residual_check(monkeypatch):
+    # Every intertwiner turned a further 1e-4 rad about the plane normal (y for
+    # -((1-s) Z + s X)) moves the transported projectors by sin(2e-4) / 2.
+    from zenojump import decomposition
+
+    real = decomposition._plane_rotation
+    turn = np.cos(1e-4) * np.eye(2) - 1j * np.sin(1e-4) * zj.SIGMA_Y
+    monkeypatch.setattr(decomposition, "_plane_rotation", lambda op, grid: real(op, grid) @ turn)
+    op = zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0))
+    message = "frame residual 1.000e-04 exceeds tolerance 1.0e-06; refine the grid"
+    with pytest.raises(zj.FrameResidualError, match=message):
+        zj.track_frame(op, np.linspace(0.0, 1.0, 2049))
 
 
 def test_track_frame_keeps_the_residual_it_checked():
@@ -563,7 +606,6 @@ def test_frames_and_report_reject_a_bad_coupling(coupling):
     grid = np.linspace(0.0, 1.0, 17)
     frame = zj.pulsed_frame(np.diag([1.0, 0.0]), 1.0, 0.0, n_intervals=16)
     entry_points = (
-        lambda: zj.adiabatic_propagator(frame, 0.5, coupling),
         lambda: zj.MeasurementModel(h0=op, h_meas=op, coupling=coupling),
         lambda: zj.adiabaticity_report(op, coupling, grid),
         lambda: zj.adiabaticity_report(frame, coupling),

@@ -9,7 +9,7 @@ from zenojump.compare import _scaled_measurement
 from zenojump import propagators
 from zenojump.propagators import _product_over, _segments
 
-from properties import dense_intertwiners, level_projectors, random_hermitian
+from properties import level_projectors, random_hermitian
 from test_decomposition import rotation_family
 
 
@@ -133,48 +133,6 @@ def test_pure_measurement_conserves_transported_populations():
         p_t = u0 @ p0 @ u0.conj().T
         pop = float(np.trace(rho_t @ p_t).real)
         assert pop == pytest.approx(1.0, abs=1e-6)
-
-
-def test_adiabatic_propagator_static_frame_is_pure_phase():
-    model = zj.time_independent_model(np.zeros((2, 2)), np.diag([1.0, -1.0]), 3.0, 1.0)
-    frame = zj.time_independent_frame(model, 4)
-    u = zj.adiabatic_propagator(frame, 0.5, 3.0)
-    expected = np.diag([np.exp(-1.5j), np.exp(1.5j)])
-    assert np.max(np.abs(u - expected)) < 1e-12
-    with pytest.raises(zj.ValidationError, match="grid node"):
-        zj.adiabatic_propagator(frame, 0.3, 3.0)
-
-
-def test_adiabatic_propagator_on_a_chain_frame_forms_one_node_from_the_site():
-    frame = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=9.0), n_intervals=64)
-    dense = dense_intertwiners(frame)
-    for k in (0, 17, 64):
-        t = float(frame.grid[k])
-        phases = 9.0 * frame.eps_integrals[:, k]
-        phi = np.tensordot(np.exp(-1j * phases), level_projectors(frame), axes=(0, 0))
-        assert np.array_equal(zj.adiabatic_propagator(frame, t, 9.0), dense[k] @ phi)
-
-
-def test_adiabatic_propagator_approaches_exact_with_coupling():
-    # The measurement-dominated approximation improves as the coupling grows.
-    rng = np.random.default_rng(37)
-    gen = random_hermitian(rng, 2, scale=0.4)
-    h_meas = rotation_family(gen, zj.SIGMA_Z)
-    frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 257))
-    gaps = []
-    for coupling in (4.0, 8.0, 16.0):
-        approx = zj.adiabatic_propagator(frame, 1.0, coupling)
-        scaled = zj.TimeDependentOperator(
-            evaluator=lambda t, k=coupling: k * h_meas(t),
-            horizon=(0.0, 1.0),
-            dim=2,
-            derivative_evaluator=lambda t, k=coupling: k * h_meas.derivative(t, 0.0),
-        )
-        exact = zj.exact_propagator(scaled, 1.0, tol=1e-8).matrix
-        gaps.append(float(np.max(np.abs(approx - exact))))
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] < gaps[0] / 2.0
-    assert gaps[-1] < 0.2
 
 
 def test_exact_propagator_rejects_a_budget_without_doublings():

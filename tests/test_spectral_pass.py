@@ -130,6 +130,23 @@ def test_stacked_eigh_equals_per_matrix_eigh():
         assert np.max(np.abs(vecs[k] - ref_vecs)) < 1e-13
 
 
+def test_a_two_level_phase_tie_takes_the_first_row_as_pivot():
+    # Equal diagonals with a real or an imaginary off-diagonal: each eigenvector
+    # column's two entries have one modulus, and the first row's is made real
+    # positive (with the second row's, row 0 of some columns would be -b or i b).
+    rng = np.random.default_rng(69)
+    offs = rng.uniform(0.1, 2.0, size=16) * np.repeat([1.0, -1.0, 1j, -1j], 4)
+    stack = np.zeros((16, 2, 2), dtype=complex)
+    stack[:, 0, 0] = stack[:, 1, 1] = rng.normal(size=16)
+    stack[:, 1, 0], stack[:, 0, 1] = offs, offs.conj()
+    vals, vecs = zj.eigh(stack)
+    assert np.all(vecs[:, 0].imag == 0.0) and np.all(vecs[:, 0].real > 0.0)
+    assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-15 * (1.0 + np.max(np.abs(stack)))
+    for k, mat in enumerate(stack):
+        one_vals, one_vecs = zj.eigh(mat)
+        assert np.array_equal(bits(one_vals), bits(vals[k])) and np.array_equal(bits(one_vecs), bits(vecs[k]))
+
+
 def test_stacked_eigh_checks_every_slice():
     rng = np.random.default_rng(62)
     stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
@@ -342,22 +359,72 @@ def test_polar_factor_only_where_a_step_is_not_unitary(op, n_intervals, monkeypa
 # --- a linear two-level family: the frame in closed form ---------------------
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_a_linear_two_level_frame_is_the_rk4_frame_in_closed_form(seed):
-    # complex off-diagonals, an identity part, a horizon other than (0, 1) and
-    # a grid that stops short of its end
+def linear_family(seed, nodes):
+    """A seeded linear ``2 x 2`` family with complex off-diagonals, an identity part
+    and a horizon other than (0, 1), on a grid of ``nodes`` that stops short of its
+    end; seed ``None`` is the chain's one-site field on (0, 1)."""
+    if seed is None:
+        return zj.TimeDependentOperator.linear(-zj.SIGMA_Z, -zj.SIGMA_X, (0.0, 1.0)), np.linspace(0.0, 1.0, nodes)
     rng = np.random.default_rng(700 + seed)
     start, end = (random_hermitian(rng, 2) + rng.normal() * np.eye(2) for _ in range(2))
     t0 = rng.uniform(-2.0, 2.0)
     t1 = t0 + rng.uniform(0.5, 3.0)
-    op = zj.TimeDependentOperator.linear(start, end, (t0, t1))
-    grid = np.linspace(t0, t0 + 0.8 * (t1 - t0), 4097)
+    return zj.TimeDependentOperator.linear(start, end, (t0, t1)), np.linspace(t0, t0 + 0.8 * (t1 - t0), nodes)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_linear_two_level_frame_is_the_rk4_frame_in_closed_form(seed):
+    op, grid = linear_family(seed, 4097)
     frame = zj.track_frame(op, grid)
     assert np.max(np.abs(frame.intertwiners - rk4_intertwiners(op, grid))) <= 1e-12
     defect = np.abs(frame.intertwiners.conj().swapaxes(1, 2) @ frame.intertwiners - np.eye(2))
     assert np.max(defect) <= 1e-14
     assert frame.residual < 1e-14
     assert frame.alpha_unit > 0.0  # the family turns
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_the_planar_pass_equals_the_stacked_pass_bit_for_bit(seed):
+    # A linear 2 x 2 family's nodes-only pass lays its stacks out as entry
+    # planes; the half-grid pass keeps node-first stacks, and its node rows
+    # (the same samples, eigenpairs and difference quotients) are the reference.
+    from zenojump.decomposition import _level_figures, _spectral_samples
+
+    op, grid = linear_family(seed, 2049)
+    pol = zj.NumericPolicy()
+    vals, vecs, hdot, _, _, _ = _spectral_samples(op, grid, pol, midpoints=False)
+    ref_vals, ref_vecs = zj.eigh(op.sample(grid))
+    assert np.array_equal(bits(vals), bits(ref_vals)) and np.array_equal(bits(vecs), bits(ref_vecs))
+    _, _, stacked, first, level_mean, _ = _spectral_samples(op, grid, pol, midpoints=True)
+    assert np.array_equal(bits(hdot), bits(stacked[::2]))
+    frame = zj.track_frame(op, grid)
+    alpha_unit, eps_min, _ = _level_figures(stacked[::2], first[::2], level_mean[::2])
+    assert (frame.alpha_unit, frame.eps_min) == (alpha_unit, eps_min)
+    assert np.array_equal(bits(frame.initial_basis), bits(ref_vecs[0]))
+    assert np.array_equal(bits(frame.final_basis), bits(ref_vecs[-1]))
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_the_planar_residual_is_the_per_node_reference(seed):
+    # the transported projector is w w^dagger, w = A v(0), where the reference forms
+    # A P(0) A^dagger: the two differ by the rounding of unit-sized entries
+    op, grid = linear_family(seed, 513)
+    frame = zj.track_frame(op, grid)
+    projectors = np.array([ref_levels(op(t), frame.degeneracy_tol)[1] for t in grid]).swapaxes(0, 1)
+    reference = ref_residual(frame.intertwiners, projectors)
+    assert frame.residual == pytest.approx(reference, rel=0.0, abs=np.finfo(float).eps)
+
+
+def test_a_multiple_of_the_identity_is_one_level_with_identity_intertwiners():
+    op = zj.TimeDependentOperator.linear(0.5 * np.eye(2), 2.0 * np.eye(2), (0.0, 1.0))
+    frame = zj.track_frame(op, np.linspace(0.0, 1.0, 65))
+    assert frame.ranks == (2,)
+    assert (frame.alpha_unit, frame.eps_min, frame.residual) == (0.0, np.inf, 0.0)
+    assert np.array_equal(frame.intertwiners, np.broadcast_to(np.eye(2), (65, 2, 2)))
 
 
 def test_parallel_ends_give_identity_intertwiners():
