@@ -435,14 +435,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.out:
         cfg = dataclasses.replace(cfg, output_path=args.out)
     out_path = cfg.output_path
-    table = _COMMANDS[args.command][0](cfg)
+    plot_path = os.path.splitext(out_path)[0] + ".gp"
     if args.emit_plot and out_path == "-":
         raise ConfigError("--emit-plot needs a file output; set --out or [output] path")
+    if args.emit_plot and plot_path == out_path:
+        raise ConfigError(f"--emit-plot would write its script over the output {out_path}; name it other than *.gp")
+    table = _COMMANDS[args.command][0](cfg)
     _check_finite(table)
     _write_output(table.csv_text(), out_path)
     if args.emit_plot:
-        root, _ext = os.path.splitext(out_path)
-        _write_output(_plot_script(out_path, table), root + ".gp")
+        _write_output(_plot_script(out_path, table), plot_path)
     if args.strict:
         violations = _strict_violations(table)
         if violations:

@@ -28,11 +28,10 @@ import numpy as np
 from .decomposition import AdiabaticFrame, AdiabaticityReport, TimeDependentOperator
 from .errors import NumericalError, ValidationError
 from .jump import JumpResult, MeasurementModel, QuadraturePolicy, _validity_flags, general_jump
-from .operators import check_density
 from .policy import NumericPolicy, default_policy
 from .propagators import exact_propagator
 
-__all__ = ["JumpComparison", "exact_jump", "compare_jump"]
+__all__ = ["JumpComparison", "compare_jump"]
 
 #: comparison verdicts; "out-of-validity" means the perturbative result was
 #: outside its own validity regime, so the gap is reported but not judged
@@ -77,16 +76,12 @@ def _scaled_measurement(model: MeasurementModel) -> TimeDependentOperator:
     return TimeDependentOperator._scaled_sum(((model.coupling, model.h_meas),))
 
 
-def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, int, float]:
-    """``exact_jump`` with the oracle's summed steps and larger ``est_error``."""
-    pol = default_policy(policy)
-    if transport not in _TRANSPORTS:
-        raise ValidationError(f"unknown transport {transport!r}; choose from {_TRANSPORTS}")
-    if not (0 <= m < frame.n_levels):
-        raise ValidationError(f"level index {m} outside 0..{frame.n_levels - 1}")
-    if model.dim != frame.dim:
-        raise ValidationError("model and frame dimensions disagree")
-    rho = check_density(rho0, pol)
+def _oracle_jump(model, rho, m, frame, transport, tol, pol) -> tuple[float, int, float]:
+    """Brute-force jump probability into level ``m``, with the oracle's summed steps and
+    larger ``est_error``.  ``rho``, which :func:`general_jump` has checked on the same model,
+    level and frame, evolves under the full Hamiltonian into the projector on ``frame.level_basis(m)``,
+    carried by the exact measurement propagator (``transport="measurement"``) or taken at the
+    last node (``"instantaneous"``)."""
     t1 = float(frame.grid[-1])  # the span that general_jump integrates
     runs = [exact_propagator(model.full_hamiltonian(), t1, tol=tol, policy=pol)]
     if transport == "measurement":
@@ -104,26 +99,6 @@ def _oracle_jump(model, rho0, m, frame, transport, tol, policy) -> tuple[float, 
         )
     _validity_flags(val.real)  # the range rule of every route; its > 0.5 flag speaks of second order alone
     return float(val.real), sum(r.steps_used for r in runs), max(r.est_error for r in runs)
-
-
-def exact_jump(
-    model: MeasurementModel,
-    rho0,
-    m: int,
-    frame: AdiabaticFrame,
-    transport: str = _TRANSPORT,
-    tol: float = _EXACT_TOL,
-    policy: NumericPolicy | None = None,
-) -> float:
-    """Jump probability into level ``m`` from brute-force time evolution.
-
-    The state is evolved under the full Hamiltonian; the arrival projector is
-    either the initial level projector transported by the exact measurement
-    propagator (``transport="measurement"``) or the instantaneous level
-    projector at the last node (``"instantaneous"``), both formed from the
-    level's basis ``frame.level_basis``.
-    """
-    return _oracle_jump(model, rho0, m, frame, transport, tol, policy)[0]
 
 
 def compare_jump(
@@ -149,9 +124,12 @@ def compare_jump(
     """
     if not (bound > 0):
         raise ValidationError("comparison bound must be positive")
-    pert: JumpResult = general_jump(model, rho0, n, m, frame, quad=quad, policy=policy, shared=shared)
+    if transport not in _TRANSPORTS:
+        raise ValidationError(f"unknown transport {transport!r}; choose from {_TRANSPORTS}")
+    pol = default_policy(policy)
+    pert: JumpResult = general_jump(model, rho0, n, m, frame, quad=quad, policy=pol, shared=shared)
     exact, exact_steps, exact_est_error = _oracle_jump(
-        model, rho0, m, frame, transport, exact_tol, policy
+        model, np.asarray(rho0, dtype=complex), m, frame, transport, exact_tol, pol
     )
     abs_gap = abs(pert.value - exact)
     rel_gap = abs_gap / max(abs(pert.value), abs(exact), 1e-12)

@@ -193,6 +193,8 @@ def general_jump(
     if max_norm(rho - q @ sigma @ q.conj().T) > 1e-8:
         raise ValidationError("initial state is not confined to level n: rho0 != P_n(0) rho0 P_n(0) within 1e-8")
     target = None if target_projector is None else check_projector(target_projector, pol)
+    if target is not None and target.shape != rho.shape:
+        raise ValidationError(f"target_projector has shape {target.shape}; the model's states need {rho.shape}")
     arrival = None if target is None else y.conj().T @ target @ y
     if target is not None and max_norm(y @ arrival @ y.conj().T - target) > 1e-8:
         raise ValidationError("target_projector must be a sub-projector of level m at t=0")

@@ -35,7 +35,7 @@ from .decomposition import (
 )
 from .errors import NumericalError, QuadratureError, ValidationError
 from .jump import MeasurementModel, _simpson_weights
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, _bond_sum, as_square_matrix, check_projector, eigh, tensor_product
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, _bond_sum, as_square_matrix, check_projector, eigh
 from .policy import NumericPolicy, default_policy
 from .propagators import exact_propagator
 
@@ -57,12 +57,6 @@ __all__ = [
 ]
 
 
-def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at position ``site`` (0-based):
-    ``I_{2^site} (x) op (x) I_{2^(n_sites - site - 1)}``."""
-    return tensor_product(tensor_product(np.eye(2**site), op), np.eye(2 ** (n_sites - site - 1)))
-
-
 @dataclasses.dataclass(frozen=True)
 class SpinChainSpec:
     """Anisotropic Heisenberg chain in a rotating magnetic field.
@@ -79,6 +73,8 @@ class SpinChainSpec:
     boundary: str = "open"
 
     def __post_init__(self):
+        if not isinstance(self.n_sites, (int, np.integer)):
+            raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
         if not (2 <= self.n_sites <= 12):
             raise ValidationError(f"n_sites must be within 2..12, got {self.n_sites}")
         if len(self.couplings) != 3:
@@ -121,11 +117,13 @@ def _field_direction(n_sites: int) -> TimeDependentOperator:
     """Unit-amplitude rotating field ``-sum_j ((1-s) Z_j + s X_j)`` over ``s``.
 
     :meth:`~TimeDependentOperator.linear` in ``s`` with endpoints the summed
-    ``-Z_j`` and ``-X_j``, so it samples a grid in one array expression; at
-    one site it is the one-site field ``-((1-s) Z + s X)``.
+    ``-Z_j`` and ``-X_j``, scattered by state bits as the bonds are, so it
+    samples a grid in one array expression; at one site it is the one-site
+    field ``-((1-s) Z + s X)``.
     """
-    z, x = (sum(_site_operator(p, j, n_sites) for j in range(n_sites)) for p in (SIGMA_Z, SIGMA_X))
-    return TimeDependentOperator.linear(-z, -x, (0.0, 1.0))
+    states = np.arange(2**n_sites)
+    z, x = -_bond_sum(np.array([SIGMA_Z, SIGMA_X]), [(j,) for j in range(n_sites)], n_sites, states, states)
+    return TimeDependentOperator.linear(z, x, (0.0, 1.0))
 
 
 def spin_chain_model(spec: SpinChainSpec) -> MeasurementModel:

@@ -27,7 +27,6 @@ __all__ = [
     "check_density",
     "eigh",
     "matrix_exp_unitary",
-    "tensor_product",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -237,31 +236,27 @@ def _stack_matmul(a, b) -> np.ndarray:
     return out
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with complex dtype."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _bond_sum(terms, pairs, n_sites: int, rows, cols) -> np.ndarray:
-    """``sum_{(i, j) in pairs}`` of the ``(..., 4, 4)`` two-spin ``terms`` on
-    spins ``i, j``, between the computational states ``rows`` and ``cols``.
+def _bond_sum(terms, sites, n_sites: int, rows, cols) -> np.ndarray:
+    """``sum_{t in sites}`` of the ``(..., 2^k, 2^k)`` ``k``-spin ``terms`` on the
+    spins of each tuple ``t`` (pairs for a bond, 1-tuples for a site field),
+    between the computational states ``rows`` and ``cols``.
 
     A state is an integer whose bit ``n_sites - 1 - j`` is spin ``j`` (spin 0
-    leads, as in a Kronecker product); a term ``t`` on spins ``i, j`` has
-    entry ``t[2 x_i + x_j, 2 y_i + y_j]`` between states ``x`` and ``y`` that
-    agree on every other spin.  Each bond is scattered by bit operations into
-    the ``(..., len(rows), len(cols))`` result.
+    leads, as in a Kronecker product); a term on spins ``t = (i, j, ...)`` has
+    entry ``term[x_i x_j..., y_i y_j...]`` (binary, spin ``i`` leading) between
+    states ``x`` and ``y`` that agree on every other spin.  Each tuple is
+    scattered by bit operations into the ``(..., len(rows), len(cols))``
+    result in one indexed add: its entries land on distinct cells.
     """
     terms, rows, cols = np.asarray(terms), np.asarray(rows), np.asarray(cols)
     out = np.zeros((*terms.shape[:-2], len(rows), len(cols)), dtype=terms.dtype)
     row_of = np.full(2**n_sites, -1)
     row_of[rows] = np.arange(len(rows))
-    for i, j in pairs:
-        hi, lo = n_sites - 1 - i, n_sites - 1 - j
-        beta = 2 * ((cols >> hi) & 1) + ((cols >> lo) & 1)
-        rest = cols & ~((1 << hi) | (1 << lo))
-        for alpha in range(4):
-            row = row_of[rest | ((alpha >> 1) << hi) | ((alpha & 1) << lo)]
-            hit = np.flatnonzero(row >= 0)
-            out[..., row[hit], hit] += terms[..., alpha, beta[hit]]
+    for t in sites:
+        bits, weights = 1 << (n_sites - 1 - np.array(t)), 1 << np.arange(len(t))[::-1]
+        beta = ((cols[:, None] & bits) != 0) @ weights  # each column's state on the tuple's spins
+        spread = ((np.arange(2 ** len(t))[:, None] & weights) != 0) @ bits  # each term row's bits in place
+        row = row_of[(cols & ~bits.sum()) | spread[:, None]]
+        alpha, hit = np.nonzero(row >= 0)
+        out[..., row[alpha, hit], hit] += terms[..., alpha, beta[hit]]
     return out

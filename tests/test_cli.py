@@ -445,6 +445,14 @@ def test_emit_plot_needs_file_output(tmp_path, capsys):
     assert "--emit-plot" in capsys.readouterr().err
 
 
+def test_emit_plot_refuses_an_output_its_script_would_overwrite(tmp_path, capsys):
+    cfg_path = write(tmp_path, PULSED_SWEEP)
+    out = tmp_path / "res.gp"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--emit-plot"]) == 2
+    assert "--emit-plot would write its script over the output" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_echo_requires_header():
     with pytest.raises(zj.ConfigError, match="no config echo"):
         parse_echo("a,b,c\n1,2,3\n")

@@ -20,12 +20,33 @@ def chain_setup(h, T, n_intervals=512):
     return model, frame, rho0
 
 
-def test_exact_jump_validation():
+def oracle(model, rho0, m, frame, transport="measurement", tol=1e-8):
+    """The exact oracle's value alone, as ``compare_jump`` runs it after ``general_jump``."""
+    return zj.compare._oracle_jump(model, rho0, m, frame, transport, tol, zj.default_policy())[0]
+
+
+def test_compare_validation():
     model, frame, rho0 = chain_setup(5.0, 1.0, n_intervals=64)
     with pytest.raises(zj.ValidationError, match="transport"):
-        zj.exact_jump(model, rho0, 2, frame, transport="teleport")
-    with pytest.raises(zj.ValidationError, match="level index"):
-        zj.exact_jump(model, rho0, 7, frame)
+        zj.compare_jump(model, rho0, 0, 2, frame, transport="teleport")
+    with pytest.raises(zj.ValidationError, match="level indices"):
+        zj.compare_jump(model, rho0, 0, 7, frame)
+    other = zj.spin_chain_frame(zj.SpinChainSpec(n_sites=3, h=5.0), n_intervals=64)
+    with pytest.raises(zj.ValidationError, match="model, frame and state dimensions disagree"):
+        zj.compare_jump(model, rho0, 0, 2, other)
+
+
+def test_an_unknown_transport_is_refused_before_the_quadrature(monkeypatch):
+    from zenojump import compare
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(compare, "general_jump", no_quadrature)
+    model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([-1.0, 1.0]), 5.0, 1.0)
+    frame = zj.time_independent_frame(model, 64)
+    with pytest.raises(zj.ValidationError, match="unknown transport 'teleport'"):
+        zj.compare_jump(model, np.diag([1.0, 0.0]), 0, 1, frame, transport="teleport")
 
 
 def test_compare_rejects_nonpositive_bound():
@@ -77,8 +98,8 @@ def test_chain_comparison_passes_within_bound():
 
 def test_instantaneous_transport_widens_the_gap():
     model, frame, rho0 = chain_setup(9.0, 1.0, n_intervals=1024)
-    moving = zj.exact_jump(model, rho0, 2, frame, transport="measurement")
-    frozen = zj.exact_jump(model, rho0, 2, frame, transport="instantaneous")
+    moving = oracle(model, rho0, 2, frame, "measurement")
+    frozen = oracle(model, rho0, 2, frame, "instantaneous")
     pert = zj.general_jump(model, rho0, 0, 2, frame).value
     gap_moving = abs(pert - moving) / max(pert, moving)
     gap_frozen = abs(pert - frozen) / max(pert, frozen)
@@ -126,7 +147,7 @@ def test_instantaneous_transport_on_the_chain_frame_matches_the_dense_frame():
     dense = zj.track_frame(model.h_meas, frame.grid)
     rho0 = level_projectors(frame)[0]
     values = [
-        zj.exact_jump(model, rho0, 1, f, transport="instantaneous", tol=1e-6)
+        oracle(model, rho0, 1, f, "instantaneous", tol=1e-6)
         for f in (frame, dense)
     ]
     assert values[0] == pytest.approx(values[1], rel=0.0, abs=1e-10)
@@ -145,7 +166,7 @@ def test_the_oracle_target_comes_from_the_level_basis():
         "instantaneous": level_projectors(frame, -1)[2],
     }
     for transport, target in targets.items():
-        w = zj.exact_jump(model, rho0, 2, frame, transport=transport)
+        w = oracle(model, rho0, 2, frame, transport)
         assert w == pytest.approx(np.trace(rho_t @ target).real, rel=1e-12, abs=1e-15)
 
 
@@ -162,4 +183,4 @@ def test_an_oracle_value_outside_zero_one_raises(monkeypatch):
 
     monkeypatch.setattr(compare, "exact_propagator", doubled)
     with pytest.raises(zj.NumericalError, match="lies outside \\[0, 1\\]"):
-        zj.exact_jump(model, rho0, 0, frame, transport="instantaneous")
+        oracle(model, rho0, 0, frame, "instantaneous")

@@ -281,6 +281,13 @@ def test_general_jump_target_projector_splits_degenerate_level():
         zj.general_jump(model, rho0, 0, 1, frame, target_projector=bad)
 
 
+def test_a_target_projector_of_another_size_is_refused():
+    model = zj.time_independent_model(0.3 * zj.SIGMA_X, np.diag([-1.0, 1.0]), 5.0, 1.0)
+    frame = zj.time_independent_frame(model, 64)
+    with pytest.raises(zj.ValidationError, match=r"shape \(3, 3\); the model's states need \(2, 2\)"):
+        zj.general_jump(model, np.diag([1.0, 0.0]), 0, 1, frame, target_projector=np.diag([1.0, 0.0, 0.0]))
+
+
 def test_general_jump_warns_when_perturbative_value_is_large():
     # Strong perturbation pushes W past 1/2 (to 0.708); the result is flagged, not raised.
     h0 = 1.0 * zj.SIGMA_X
@@ -459,8 +466,8 @@ def test_a_chain_frame_of_another_size_is_refused():
     for rho0 in (np.diag([1.0, 0.0, 0.0, 0.0]), level_projectors(frame)[0]):
         with pytest.raises(zj.ValidationError, match="model, frame and state dimensions disagree"):
             zj.general_jump(model, rho0, 0, 2, frame)
-    with pytest.raises(zj.ValidationError, match="model and frame dimensions disagree"):
-        zj.exact_jump(model, np.diag([1.0, 0.0, 0.0, 0.0]), 2, frame)
+    with pytest.raises(zj.ValidationError, match="model, frame and state dimensions disagree"):
+        zj.compare_jump(model, np.diag([1.0, 0.0, 0.0, 0.0]), 0, 2, frame)
 
 
 def test_general_jump_allocates_less_than_one_full_node_stack():

@@ -19,6 +19,12 @@ from properties import closed_form_site_frame, dense_intertwiners, level_project
 CUM_FULL = 0.5 + (math.sqrt(2.0) / 4.0) * math.log(1.0 + math.sqrt(2.0))
 
 
+def site_operator(op, site, n_sites):
+    """``op`` on spin ``site`` of ``n_sites`` as a Kronecker product ``I (x) op (x) I``."""
+    left, right = np.eye(2**site, dtype=complex), np.eye(2 ** (n_sites - site - 1), dtype=complex)
+    return np.kron(np.kron(left, op), right)
+
+
 def test_spin_chain_spec_validation():
     with pytest.raises(zj.ValidationError, match="n_sites"):
         zj.SpinChainSpec(n_sites=1)
@@ -61,7 +67,7 @@ def test_build_chain_h0_equals_the_pauli_products(n_sites, boundary):
     spec = zj.SpinChainSpec(n_sites=n_sites, couplings=(0.7, 1.3, 0.4), boundary=boundary)
     bonds = [(j, j + 1) for j in range(n_sites - 1)] + ([(n_sites - 1, 0)] if boundary == "periodic" else [])
     ref = sum(
-        lam * zj.models._site_operator(sig, a, n_sites) @ zj.models._site_operator(sig, b, n_sites)
+        lam * site_operator(sig, a, n_sites) @ site_operator(sig, b, n_sites)
         for a, b in bonds
         for lam, sig in zip(spec.couplings, (zj.SIGMA_X, zj.SIGMA_Y, zj.SIGMA_Z))
     )
@@ -73,14 +79,18 @@ def test_build_chain_h0_equals_the_pauli_products(n_sites, boundary):
     assert np.max(np.abs(h0.bond - 1.5 * zj.build_chain_h0(pair))) <= 1e-15
 
 
-def test_site_operator_equals_the_kronecker_chain():
-    for n_sites in (1, 2, 3, 5):
-        for site in range(n_sites):
-            for sig in (zj.SIGMA_X, zj.SIGMA_Y, zj.SIGMA_Z):
-                ref = np.eye(1)
-                for j in range(n_sites):
-                    ref = np.kron(ref, sig if j == site else np.eye(2))
-                assert np.array_equal(zj.models._site_operator(sig, site, n_sites), ref)
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_the_field_ends_equal_the_kronecker_build_bit_for_bit(n_sites):
+    # -sum_j I (x) p (x) I, summed from 0 as Python's sum does: the same bits, signed zeros included
+    ref = np.array([-sum(site_operator(p, j, n_sites) for j in range(n_sites)) for p in (zj.SIGMA_Z, zj.SIGMA_X)])
+    ends = _field_direction(n_sites).ends
+    assert ends.dtype == ref.dtype and ends.tobytes() == ref.tobytes()
+
+
+def test_spin_chain_spec_refuses_a_non_integral_size():
+    with pytest.raises(zj.ValidationError, match="n_sites must be an integer, got 2.5"):
+        zj.SpinChainSpec(n_sites=2.5)
+    assert zj.SpinChainSpec(n_sites=np.int64(3)).n_sites == 3
 
 
 def test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack():
@@ -168,8 +178,8 @@ def test_spin_chain_model_scaling():
     assert model.coupling == pytest.approx(18.0)
     assert model.horizon == (0.0, 1.0)
     assert np.allclose(model.h0(0.5), 2.0 * zj.build_chain_h0(spec))
-    z = zj.tensor_product(zj.SIGMA_Z, np.eye(2)) + zj.tensor_product(np.eye(2), zj.SIGMA_Z)
-    x = zj.tensor_product(zj.SIGMA_X, np.eye(2)) + zj.tensor_product(np.eye(2), zj.SIGMA_X)
+    z = np.kron(zj.SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_Z)
+    x = np.kron(zj.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), zj.SIGMA_X)
     assert np.allclose(model.h_meas(0.0), -z)
     assert np.allclose(model.h_meas(1.0), -x)
 

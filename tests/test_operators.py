@@ -135,13 +135,6 @@ def test_matrix_exp_unitary_matches_scipy():
         assert np.max(np.abs(u - ref)) < 1e-10
 
 
-def test_tensor_product_matches_kron():
-    assert np.array_equal(
-        zj.operators.tensor_product(zj.SIGMA_X, zj.SIGMA_Z),
-        np.kron(zj.SIGMA_X, zj.SIGMA_Z),
-    )
-
-
 def test_policy_from_string():
     base = zj.NumericPolicy()
     same = zj.NumericPolicy.from_string("", base)
@@ -221,15 +214,15 @@ def test_square_matrix_rejects_non_finite_entries(bad):
         zj.check_projector([[bad, 0.0], [0.0, 1.0]])
 
 
-def _embedded_bond(term, i, j, n_sites):
-    """``term`` on spins ``i, j`` of ``n_sites`` (spin 0 leading) as a sum of Kronecker products."""
+def _embedded_bond(term, *sites, n_sites):
+    """``term`` on ``sites`` of ``n_sites`` (spin 0 leading) as a sum of Kronecker products."""
     out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-    unit = np.eye(2)
-    for a in range(4):
-        for b in range(4):
+    unit, k = np.eye(2), len(sites)
+    for a in range(2**k):
+        for b in range(2**k):
             factors = [np.eye(2)] * n_sites
-            factors[i] = np.outer(unit[a >> 1], unit[b >> 1])
-            factors[j] = np.outer(unit[a & 1], unit[b & 1])
+            for q, site in enumerate(sites):
+                factors[site] = np.outer(unit[(a >> (k - 1 - q)) & 1], unit[(b >> (k - 1 - q)) & 1])
             kron = np.eye(1)
             for f in factors:
                 kron = np.kron(kron, f)
@@ -239,18 +232,22 @@ def _embedded_bond(term, i, j, n_sites):
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_bond_sum_equals_the_kronecker_embedding(n_sites):
+    from itertools import permutations
+
     from zenojump.operators import _bond_sum
 
     rng = np.random.default_rng(70 + n_sites)
-    terms = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    pairs = [(i, j) for i in range(n_sites) for j in range(n_sites) if i != j]
     states = np.arange(2**n_sites)
-    dense = _bond_sum(terms, pairs, n_sites, states, states)
-    for term, got in zip(terms, dense):
-        ref = sum(_embedded_bond(term, i, j, n_sites) for i, j in pairs)
-        assert np.max(np.abs(got - ref)) <= 1e-13
-    rows, cols = rng.permutation(states)[: 2**n_sites // 2], rng.permutation(states)[:3]
-    assert np.array_equal(_bond_sum(terms, pairs, n_sites, rows, cols), dense[:, rows][:, :, cols])
+    # pairs, as a bond sums, then 1-tuples, as the chain field sums its sites, and on 3 spins triples
+    for k in (2, 1) + ((3,) if n_sites == 3 else ()):
+        terms = rng.normal(size=(3, 2**k, 2**k)) + 1j * rng.normal(size=(3, 2**k, 2**k))
+        sites = list(permutations(range(n_sites), k))
+        dense = _bond_sum(terms, sites, n_sites, states, states)
+        for term, got in zip(terms, dense):
+            ref = sum(_embedded_bond(term, *t, n_sites=n_sites) for t in sites)
+            assert np.max(np.abs(got - ref)) <= 1e-13
+        rows, cols = rng.permutation(states)[: 2**n_sites // 2], rng.permutation(states)[:3]
+        assert np.array_equal(_bond_sum(terms, sites, n_sites, rows, cols), dense[:, rows][:, :, cols])
 
 
 @pytest.mark.parametrize("inner", [1, 2, 3, 4, 5])

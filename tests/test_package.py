@@ -12,7 +12,7 @@ EXPORTED = {
     "build_chain_h0", "chain_validity_flags", "check_density",
     "check_hermitian", "check_projector", "compare_jump", "ConfigError",
     "continuous_jump", "cumulative_field_strength", "decay_rate", "decompose", "default_policy",
-    "eigh", "exact_jump", "exact_propagator", "field_strength", "FrameResidualError",
+    "eigh", "exact_propagator", "field_strength", "FrameResidualError",
     "free_flip_probability", "general_jump", "JumpComparison", "JumpResult", "LevelCrossingError",
     "load_config", "matrix_exp_unitary", "max_norm", "MeasurementModel", "NumericalError",
     "NumericPolicy", "parse_config", "PropagatorResult", "pulsed_frame",
@@ -20,7 +20,7 @@ EXPORTED = {
     "resolved_text", "ScenarioConfig", "SCENARIOS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "spectral_overlap", "SpectralDensity", "SpectralOverlap", "spin_chain_frame",
     "spin_chain_model", "SpinChainSpec", "survival_exponential", "survival_power",
-    "sweepable_parameters", "SweepSpec", "tensor_product", "time_independent_frame",
+    "sweepable_parameters", "SweepSpec", "time_independent_frame",
     "time_independent_model", "TimeDependentOperator", "track_frame", "transition_weight",
     "two_qubit_rotation_jump", "TwoQubitJump", "ValidationError", "zeno_time", "ZenoDecomposition",
     "ZenoJumpError",
@@ -61,7 +61,7 @@ def test_every_policy_field_has_a_reader_outside_the_policy_and_config_modules()
 
 
 #: the source size cap, in lines over src/zenojump/*.py; lower it as the package shrinks
-SOURCE_LINE_CAP = 3598
+SOURCE_LINE_CAP = 3549
 
 
 def test_the_package_source_stays_within_its_line_cap():
