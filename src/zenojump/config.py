@@ -107,12 +107,20 @@ _SHARED: dict[str, tuple[tuple[str, str, object], ...]] = {
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    """Uniform sweep of one scenario parameter."""
+    """Uniform sweep of one scenario parameter: ``count >= 2`` points from ``start`` up to ``stop``, a finite span."""
 
     parameter: str
     start: float
     stop: float
     count: int
+
+    def __post_init__(self):
+        if self.count < 2:
+            raise ValidationError(f"count: need at least 2 points, got {self.count}")
+        if not (self.start < self.stop):
+            raise ValidationError(f"start: bounds must be ordered, got {self.start} >= {self.stop}")
+        if not np.isfinite(float(self.stop) - float(self.start)):  # Python floats: inf, not a warning
+            raise ValidationError(f"stop: span from {self.start} to {self.stop} leaves float range")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -279,22 +287,10 @@ def parse_config(text: str, base_policy: NumericPolicy | None = None) -> Scenari
 
     sweep: SweepSpec | None = None
     if parser.has_section("sweep"):
-        sweep = SweepSpec(**_section(parser, "sweep", _SHARED["sweep"]))
-        if sweep.parameter not in sweepable_parameters(scenario):
-            raise _fail(
-                "sweep",
-                "parameter",
-                f"{sweep.parameter!r} is not sweepable for {scenario!r}; "
-                f"choose from {sweepable_parameters(scenario)}",
-            )
-        if sweep.count < 2:
-            raise _fail("sweep", "count", f"need at least 2 points, got {sweep.count}")
-        if not (sweep.start < sweep.stop):
-            raise _fail(
-                "sweep", "start", f"bounds must be ordered, got {sweep.start} >= {sweep.stop}"
-            )
-        if not np.isfinite(sweep.stop - sweep.start):  # Python floats: inf, not a warning
-            raise _fail("sweep", "stop", f"span from {sweep.start} to {sweep.stop} leaves float range")
+        values = _section(parser, "sweep", _SHARED["sweep"])
+        if values["parameter"] not in (names := sweepable_parameters(scenario)):
+            raise _fail("sweep", "parameter", f"{values['parameter']!r} is not sweepable for {scenario!r}; choose from {names}")
+        sweep = _validated("sweep", SweepSpec, values)
 
     intervals = _section(parser, "grid", _SHARED["grid"])["intervals"]
     if intervals < 8 or intervals % 8 != 0:

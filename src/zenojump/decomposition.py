@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FrameResidualError, LevelCrossingError, NumericalError, ValidationError
-from .operators import _bond_sum, _outer, _row_sums, _stack_matmul, as_square_matrix, eigh, max_norm
+from .operators import _bond_sum, _outer, _row_sums, _stack_matmul, as_square_matrix, check_hermitian, eigh, max_norm
 from .policy import NumericPolicy, default_policy
 
 __all__ = [
@@ -43,12 +43,13 @@ class TimeDependentOperator:
     sampled by symmetric differences clamped to the smooth piece containing
     the evaluation point, so they are one-sided at breakpoints and at the
     horizon edges.  An optional analytic ``derivative_evaluator`` takes
-    precedence over finite differences.  ``evaluator`` must be callable, else
+    precedence over finite differences; it is sampled and checked as the
+    operator is, and must be Hermitian too.  ``evaluator`` must be callable, else
     :class:`ValidationError`; a call ``op(t)`` is the one-row :meth:`sample`,
     which holds every check.  :meth:`constant` keeps its matrix
     read-only in ``value`` (``None`` for a time-dependent operator): its
-    samples are views of that one matrix, and frames and reports decompose it
-    once, with ``dH/dt = 0`` exactly.  :meth:`linear` keeps its two endpoint
+    samples are views of that one matrix, whose difference quotients are
+    ``dH/dt = 0`` exactly.  :meth:`linear` keeps its two endpoint
     matrices read-only in ``ends`` (``None`` otherwise), and its :meth:`sample`
     is one array expression.  :meth:`bond_sum` keeps the two-spin term acting
     alike on each spin pair in ``bond`` (read-only) and the pairs in ``pairs``
@@ -78,8 +79,8 @@ class TimeDependentOperator:
         t0, t1 = self.horizon
         if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
             raise ValidationError(f"bad horizon {self.horizon}: need t0 < t1, finite")
-        if self.dim < 1:
-            raise ValidationError("operator dimension must be >= 1")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValidationError(f"operator dimension must be an integer >= 1, got {self.dim!r}")
         pts = tuple(float(b) for b in self.breakpoints)
         if any(not (t0 < b < t1) for b in pts):
             raise ValidationError("breakpoints must lie strictly inside the horizon")
@@ -210,18 +211,6 @@ class TimeDependentOperator:
         idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
         return edges[idx], edges[idx + 1]
 
-    def derivative(self, t: float, step: float) -> np.ndarray:
-        """d(H)/dt at ``t`` by a symmetric difference clamped to the piece."""
-        t = float(self._times([t])[0])
-        if self.derivative_evaluator is not None:
-            return as_square_matrix(self.derivative_evaluator(t))
-        lo, hi = self.piece_bounds(t)
-        a, b = max(t - step, lo), min(t + step, hi)
-        if b <= a:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        h_a, h_b = self.sample([a, b])
-        return (h_b - h_a) / (b - a)
-
 
 def _add_scaled(terms, samples) -> np.ndarray:
     """``sum c m`` over the scales ``c`` of the ``(c, op)`` pairs ``terms`` and
@@ -308,16 +297,17 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     The half grid holds the nodes and the interval midpoints.  ``dH/dt`` at
     each of its points is the difference quotient of the two neighbouring
     samples (step ``h/2``), one-sided at the grid ends and where a neighbour
-    lies in another smooth piece; an analytic derivative takes precedence.
-    With ``midpoints`` every half-grid point is decomposed, otherwise only
-    the nodes, in stacked :func:`eigh` calls of :func:`_block` samples.  A
-    constant operator is decomposed once: one row, broadcast over the half
-    grid with ``midpoints``.  A linear ``2 x 2`` ``op`` at its nodes alone
-    lays every stack out as ``(K, 2, 2)`` views of ``(2, 2, K)`` entry planes,
-    so a product over them runs along the samples, not along a trailing axis
-    of length 2.  The policy's degeneracy tolerance is resolved over all
-    samples.  Returns ``(vals, V, V^dagger (dH/dt) V, first, level_mean,
-    tol)``, one row per decomposed sample, levels by :func:`_cluster`.
+    lies in another smooth piece.  An analytic derivative takes precedence:
+    it is sampled with the operator's own checks (shape, finite entries),
+    then checked Hermitian, and each error names it.  With ``midpoints``
+    every half-grid point is decomposed, otherwise only the nodes, in stacked
+    :func:`eigh` calls of :func:`_block` samples.  A linear ``2 x 2`` ``op``
+    at its nodes alone lays every stack out as ``(K, 2, 2)`` views of
+    ``(2, 2, K)`` entry planes, so a product over them runs along the
+    samples, not along a trailing axis of length 2.  The policy's degeneracy
+    tolerance is resolved over all samples.  Returns ``(vals, V, V^dagger
+    (dH/dt) V, first, level_mean, tol)``, one row per decomposed sample,
+    levels by :func:`_cluster`.
     """
     half = np.empty(2 * len(grid) - 1)
     half[::2] = grid
@@ -331,13 +321,12 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     def take(idx):
         return np.take(planes, idx, axis=2).transpose(2, 0, 1) if planar else samples[idx]
 
-    if op.value is not None:
-        rows = len(at) if midpoints else 1
-        vals, vecs = (np.broadcast_to(x, (rows, *x.shape)) for x in eigh(op.value, pol))
-        hdot = np.broadcast_to(np.zeros((), dtype=complex), vecs.shape)
-        tol = _resolve_degeneracy_tol(vals, max_norm(op.value), pol)
-        return vals, vecs, hdot, *_cluster(vals, tol), tol
-
+    derivs = None
+    if op.derivative_evaluator is not None:
+        try:
+            derivs = check_hermitian(TimeDependentOperator(op.derivative_evaluator, op.horizon, op.dim).sample(half[at]), pol)
+        except ValidationError as exc:
+            raise ValidationError(f"derivative_evaluator: {exc}") from exc
     lo, hi = op.piece_bounds(half[at])
     prev, nxt = np.maximum(at - 1, 0), np.minimum(at + 1, len(half) - 1)
     left = np.where(half[prev] >= lo, prev, at)
@@ -351,10 +340,7 @@ def _spectral_samples(op: TimeDependentOperator, grid: np.ndarray, pol: NumericP
     for start in range(0, len(at), size):
         blk = slice(start, start + size)
         vals[blk], vecs[blk] = eigh(take(at[blk]), pol)
-        if op.derivative_evaluator is None:
-            deriv = (take(right[blk]) - take(left[blk])) / width[blk]
-        else:
-            deriv = np.stack([op.derivative(t, 0.0) for t in half[at[blk]]])
+        deriv = (take(right[blk]) - take(left[blk])) / width[blk] if derivs is None else derivs[blk]
         hdot[blk] = _stack_matmul(_stack_matmul(vecs[blk].conj().swapaxes(1, 2), deriv), vecs[blk])
     tol = _resolve_degeneracy_tol(vals, max_norm(samples), pol)
     return vals, vecs, hdot, *_cluster(vals, tol), tol

@@ -454,7 +454,10 @@ class SpectralDensity:
     entries: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        ent = tuple((float(e), float(g)) for e, g in self.entries)
+        try:
+            ent = tuple((float(e), float(g)) for e, g in self.entries)
+        except (TypeError, ValueError):
+            raise ValidationError(f"spectral density entries must be (position, weight) pairs, got {self.entries!r}") from None
         if not ent:
             raise ValidationError("spectral density needs at least one entry")
         if not all(math.isfinite(e) and 0.0 <= g < math.inf for e, g in ent):

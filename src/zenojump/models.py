@@ -77,8 +77,8 @@ class SpinChainSpec:
             raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
         if not (2 <= self.n_sites <= 12):
             raise ValidationError(f"n_sites must be within 2..12, got {self.n_sites}")
-        if len(self.couplings) != 3:
-            raise ValidationError("couplings must be a triple (xx, yy, zz)")
+        if len(self.couplings) != 3 or not all(isinstance(c, (int, float, np.integer, np.floating)) for c in self.couplings):
+            raise ValidationError(f"couplings must be a triple (xx, yy, zz) of real numbers, got {self.couplings!r}")
         if not (self.h > 0):
             raise ValidationError("field amplitude h must be positive")
         if not (self.T > 0):
@@ -346,8 +346,7 @@ def chain_validity_flags(h: float, T: float, n_sites: int = 2) -> tuple[str, ...
     """Guideline diagnostics for the chain's perturbative treatment."""
     if not (0.0 <= h < math.inf and 0.0 <= T < math.inf):
         raise ValidationError(f"h and T must be finite and non-negative, got {h!r}, {T!r}")
-    if not (2 <= n_sites <= 12):
-        raise ValidationError(f"n_sites must be within 2..12, got {n_sites!r}")
+    SpinChainSpec(n_sites=n_sites)  # refuses an n_sites the chain cannot have
     flags: list[str] = []
     if h < 4.0:
         flags.append("field below the perturbative threshold h >= 4")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zenojump as zj
-from zenojump.cli import ResultTable, _frame_setup, main, oracle_compare, parse_echo, run_scenario
+from zenojump.cli import ResultTable, _cell, _frame_setup, main, oracle_compare, parse_echo, run_scenario
 
 
 PULSED_SWEEP = """
@@ -264,6 +264,19 @@ def test_undersampled_grid_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "undersamples" in err
+
+
+def test_a_pulsed_probability_beyond_float_range_exits_3(tmp_path, capsys):
+    text = "[scenario]\ntype = pulsed\n\n[pulsed]\ntrace_factor = 1e308\ntau = 2\ntau_free = 2\n"
+    assert main(["run", "--config", write(tmp_path, text)]) == 3
+    assert capsys.readouterr().err == "numerical failure: pulsed jump probability is not finite: inf (at tau = 2)\n"
+
+
+@pytest.mark.parametrize("h0", ["[1, 2]", "[]", "{}", "[[1, 0], 2]"])
+def test_a_matrix_that_is_not_a_json_2d_array_exits_2(tmp_path, capsys, h0):
+    cfg_path = write(tmp_path, CUSTOM_TWO_LEVEL.replace("h0 = [[0, 1], [1, 0]]", f"h0 = {h0}"))
+    assert main(["run", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "config error: [custom-matrix] h0: expected a JSON 2D array\n"
 
 
 def test_a_spectrum_wider_than_float_range_exits_3(tmp_path, capsys):
@@ -718,6 +731,12 @@ def _row_lines(table):
     return [l for l in table.csv_text().splitlines() if not l.startswith("#")][1:]
 
 
+def _alone(evaluate, cfg, parameter, value):
+    """Row lines of ``cfg`` run at ``parameter = value`` with no sweep, led by ``value`` as a sweep row is."""
+    table = evaluate(dataclasses.replace(cfg.with_param(parameter, float(value)), sweep=None))
+    return [f"{_cell(float(value))},{line.split(',', 1)[1]}" for line in _row_lines(table)]
+
+
 @pytest.mark.parametrize("evaluate", [run_scenario, oracle_compare], ids=["run", "compare"])
 @pytest.mark.parametrize("n_sites, parameter, start, stop", [
     (3, "h", 9, 11),
@@ -726,14 +745,9 @@ def _row_lines(table):
     (4, "lambda3", 0.5, 1.5),
 ])
 def test_chain_sweep_rows_equal_single_point_runs(evaluate, n_sites, parameter, start, stop):
-    from zenojump.config import SweepSpec
-
     cfg = zj.parse_config(_chain_sweep(n_sites, parameter, start, stop))
     rows = _row_lines(evaluate(cfg))
-    singles = [
-        _row_lines(evaluate(dataclasses.replace(cfg, sweep=SweepSpec(parameter, v, v, 1))))
-        for v in cfg.sweep.values()
-    ]
+    singles = [_alone(evaluate, cfg, parameter, v) for v in cfg.sweep.values()]
     assert rows == [line for single in singles for line in single]
 
 
@@ -792,13 +806,12 @@ def test_a_chain_sweep_builds_its_model_and_kernel_once(monkeypatch):
 
 def test_a_chain_compare_sweep_forms_its_kernel_once(monkeypatch):
     from zenojump import jump
-    from zenojump.config import SweepSpec
 
     kernels = _counting(monkeypatch, jump, "_separable_kernel")
     cfg = zj.parse_config(_chain_sweep(2, "h", 9, 11).replace("count = 3", "count = 2"))
     rows = _row_lines(oracle_compare(cfg))
     assert len(kernels) == 1
-    singles = [_row_lines(oracle_compare(dataclasses.replace(cfg, sweep=SweepSpec("h", v, v, 1)))) for v in (9.0, 11.0)]
+    singles = [_alone(oracle_compare, cfg, "h", v) for v in (9.0, 11.0)]
     assert rows == singles[0] + singles[1] and len(kernels) == 3
 
 

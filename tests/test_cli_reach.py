@@ -53,7 +53,6 @@ CLI_UNREACHED = {
     # the general frame route
     "decomposition._rk4_steps": "test_spectral_pass.py; ROADMAP item 15",
     "decomposition._prefix_products": "test_spectral_pass.py, through _rk4_steps; ROADMAP item 15",
-    "decomposition.TimeDependentOperator.derivative": "test_decomposition.py::test_derivative_is_one_sided_at_breakpoints",
     # accessors the tests read
     "compare.JumpComparison.within_bound": "test_compare.py::test_vanishing_perturbation_agrees_exactly",
     "decomposition.AdiabaticFrame.__repr__": "test_models.py::test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack",

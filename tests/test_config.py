@@ -100,6 +100,19 @@ def test_param_accessors():
         cfg.with_param("no_such", 1.0)
 
 
+def test_a_sweep_spec_validates_itself():
+    # parse_config held these checks, so a library SweepSpec of 1 point, or of a reversed or infinite span, passed
+    for args, message in (
+        ((0.0, 1.0, 1), "count: need at least 2 points, got 1"),
+        ((1.0, 1.0, 3), "start: bounds must be ordered, got 1.0 >= 1.0"),
+        ((-1e308, 1e308, 3), "stop: span from -1e+308 to 1e+308 leaves float range"),
+    ):
+        with pytest.raises(zj.ValidationError) as info:
+            zj.SweepSpec("h", *args)
+        assert str(info.value) == message
+    assert list(zj.SweepSpec("h", 0.0, 1.0, 3).values()) == [0.0, 0.5, 1.0]
+
+
 def test_sweepable_parameters():
     assert "tau" in zj.sweepable_parameters("pulsed")
     assert "h" in zj.sweepable_parameters("spinchain")

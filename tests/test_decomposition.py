@@ -32,6 +32,13 @@ def rotation_family(generator, base, horizon=(0.0, 1.0), analytic=True):
 # --- TimeDependentOperator ---------------------------------------------------
 
 
+@pytest.mark.parametrize("dim", ["2", 2.5, 2.0, None])
+def test_operator_refuses_a_dimension_that_is_not_an_integer(dim):
+    # "2" raised a bare TypeError, and 2.5 passed until the first sample
+    with pytest.raises(zj.ValidationError, match=f"operator dimension must be an integer >= 1, got {dim!r}"):
+        zj.TimeDependentOperator(evaluator=lambda t: np.eye(2), horizon=(0.0, 1.0), dim=dim)
+
+
 def test_operator_validates_horizon_and_breakpoints():
     ev = lambda t: np.eye(2, dtype=complex)
     with pytest.raises(zj.ValidationError, match="horizon"):
@@ -208,6 +215,14 @@ def test_bond_sum_keeps_its_bond_and_checks_it():
             zj.TimeDependentOperator.bond_sum(bond, pairs, 3, (0.0, 1.0))
 
 
+def pass_derivative(op, grid):
+    """The spectral pass's ``dH/dt`` at the nodes of ``grid``, rotated back out of the eigenbasis."""
+    from zenojump.decomposition import _spectral_samples
+
+    _, vecs, hdot, *_ = _spectral_samples(op, np.asarray(grid, dtype=float), zj.NumericPolicy(), midpoints=False)
+    return vecs @ hdot @ vecs.conj().swapaxes(1, 2)
+
+
 def test_derivative_is_one_sided_at_breakpoints():
     # Triangle profile: slope +1 before the kink at 0.5, slope -1 after.
     def ev(t):
@@ -218,9 +233,7 @@ def test_derivative_is_one_sided_at_breakpoints():
     assert op.piece_bounds(0.25) == (0.0, 0.5)
     assert op.piece_bounds(0.5) == (0.5, 1.0)
     assert op.piece_bounds(1.0) == (0.5, 1.0)
-    d_left = op.derivative(0.25, 0.01)
-    d_kink = op.derivative(0.5, 0.01)
-    d_edge = op.derivative(0.0, 0.01)
+    d_edge, d_left, d_kink = pass_derivative(op, [0.0, 0.25, 0.5, 0.52, 1.0])[:3]
     assert np.max(np.abs(d_left - zj.SIGMA_X)) < 1e-9
     assert np.max(np.abs(d_kink + zj.SIGMA_X)) < 1e-9
     assert np.max(np.abs(d_edge - zj.SIGMA_X)) < 1e-9
@@ -234,7 +247,28 @@ def test_analytic_derivative_takes_precedence():
         dim=2,
         derivative_evaluator=lambda t: mark,
     )
-    assert np.array_equal(op.derivative(0.5, 0.01), mark)
+    assert np.max(np.abs(pass_derivative(op, [0.0, 0.5, 1.0])[1] - mark)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "derivative, message",
+    [
+        (lambda t: np.eye(3), r"derivative_evaluator: evaluator returned shape \(3, 3\), declared dimension 2"),
+        (lambda t: np.full((2, 2), np.nan), "derivative_evaluator: matrix has a non-finite entry"),
+        (lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), "derivative_evaluator: matrix 0 of the stack is not Hermitian"),
+    ],
+    ids=["shape", "non-finite", "non-hermitian"],
+)
+def test_an_analytic_derivative_is_checked_as_a_sample(derivative, message):
+    op = zj.TimeDependentOperator(
+        evaluator=lambda t: np.diag([t, -t]) + zj.SIGMA_X,
+        horizon=(0.0, 1.0),
+        dim=2,
+        derivative_evaluator=derivative,
+    )
+    for call in (lambda: zj.track_frame(op, np.linspace(0.0, 1.0, 9)), lambda: zj.adiabaticity_report(op, 2.0, [0.0, 1.0])):
+        with pytest.raises(zj.ValidationError, match=message):
+            call()
 
 
 # --- decompose ---------------------------------------------------------------
@@ -538,6 +572,13 @@ def test_track_frame_rejects_grid_missing_breakpoint():
     )
     with pytest.raises(zj.ValidationError, match="grid node"):
         zj.track_frame(op, grid=np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.1, 1.0, 9), np.linspace(-0.1, 1.0, 9), np.linspace(0.0, 1.1, 9)])
+def test_track_frame_rejects_grid_off_the_horizon(grid):
+    op = zj.TimeDependentOperator(evaluator=lambda t: (1.0 + t) * zj.SIGMA_Z, horizon=(0.0, 1.0), dim=2)
+    with pytest.raises(zj.ValidationError, match="grid must start at the horizon origin and stay inside it"):
+        zj.track_frame(op, grid)
 
 
 def test_track_frame_integrator_order():

@@ -601,6 +601,13 @@ def test_spectral_density_rejects_a_non_finite_position_or_weight(entry):
         zj.SpectralDensity(entries=(entry,))
 
 
+@pytest.mark.parametrize("entries", [((1.0,),), ((1.0, 2.0, 3.0),), (("a", 1.0),), (1.0,)])
+def test_spectral_density_refuses_an_entry_that_is_not_a_pair_of_numbers(entries):
+    # ((1.0,),) raised a bare ValueError from unpacking
+    with pytest.raises(zj.ValidationError, match="entries must be \\(position, weight\\) pairs"):
+        zj.SpectralDensity(entries)
+
+
 def test_spectral_density_from_transitions():
     rng = np.random.default_rng(51)
     h0 = random_hermitian(rng, 3)

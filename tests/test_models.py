@@ -93,6 +93,19 @@ def test_spin_chain_spec_refuses_a_non_integral_size():
     assert zj.SpinChainSpec(n_sites=np.int64(3)).n_sites == 3
 
 
+def test_spin_chain_spec_refuses_a_non_numeric_coupling():
+    # abs("a") raised a bare TypeError in the exchange range check
+    with pytest.raises(zj.ValidationError, match=r"couplings must be a triple \(xx, yy, zz\) of real numbers, got \('a', 1, 1\)"):
+        zj.SpinChainSpec(couplings=("a", 1, 1))
+    assert zj.SpinChainSpec(couplings=(np.float64(1.0), 2, np.int64(1))).couplings[2] == 1
+
+
+def test_chain_validity_flags_refuse_a_non_integral_size():
+    # the spec's rule: 2.5 sites returned flags
+    with pytest.raises(zj.ValidationError, match="n_sites must be an integer, got 2.5"):
+        zj.chain_validity_flags(9.0, 1.0, n_sites=2.5)
+
+
 def test_spin_chain_frame_keeps_its_site_frame_and_no_dense_stack():
     spec = zj.SpinChainSpec(n_sites=5, h=9.0, T=1.0)
     frame = zj.spin_chain_frame(spec, n_intervals=256)
@@ -385,6 +398,12 @@ def test_pulsed_builders_and_level_convention():
     assert frame.eps_integrals[0, -1] == pytest.approx(0.5)
     with pytest.raises(zj.ValidationError, match="must be a node"):
         zj.pulsed_frame(p, 1.0, 0.37, n_intervals=8)
+
+
+@pytest.mark.parametrize("tau, tau_free", [(1.0, 2.0), (1.0, -0.5), (0.0, 0.0)])
+def test_pulsed_frame_refuses_a_switch_outside_its_cycle(tau, tau_free):
+    with pytest.raises(zj.ValidationError, match="need 0 <= tau_free <= tau with tau > 0"):
+        zj.pulsed_frame(np.diag([1.0, 0.0]), tau, tau_free, 8)
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])

@@ -61,7 +61,7 @@ def test_every_policy_field_has_a_reader_outside_the_policy_and_config_modules()
 
 
 #: the source size cap, in lines over src/zenojump/*.py; lower it as the package shrinks
-SOURCE_LINE_CAP = 3549
+SOURCE_LINE_CAP = 3533
 
 
 def test_the_package_source_stays_within_its_line_cap():

@@ -120,7 +120,7 @@ def test_pure_measurement_conserves_transported_populations():
         evaluator=lambda t: coupling * h_meas(t),
         horizon=h_meas.horizon,
         dim=3,
-        derivative_evaluator=lambda t: coupling * h_meas.derivative(t, 0.0),
+        derivative_evaluator=lambda t: coupling * h_meas.derivative_evaluator(t),
     )
     frame = zj.track_frame(h_meas, np.linspace(0.0, 1.0, 129))
     p0 = level_projectors(frame)[1]
